@@ -13,8 +13,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Protocol
@@ -28,7 +26,7 @@ from .errors import (
     UnknownPivot,
 )
 from .query import parse_sql
-from .store import Paraphrase, Sample, ValueLookup, with_synthetic
+from .store import Paraphrase, Sample, ValueLookup, map_in_order, with_synthetic
 
 DEFAULT_PIVOTS = ("fr", "de")
 TRANSLATE_URL_ENV = "MEDSQL_TRANSLATE_URL"
@@ -52,27 +50,42 @@ class HttpTranslator:
         self.endpoint = endpoint
 
     def translate(self, text: str, src: str, tgt: str) -> str:
-        import requests
+        """POST one translation request. A non-200 status, a connection
+        error, or a timeout is retried; a malformed 200 body is not."""
+        # Imported here: urllib.request loads ssl and http.client, which
+        # only the HTTP translator needs.
+        import http.client
+        import urllib.error
+        import urllib.request
 
         url = self.endpoint.base_url.rstrip("/") + "/translate"
+        body = json.dumps({"text": text, "src": src, "tgt": tgt}).encode("utf-8")
         attempts = self.endpoint.retries + 1
         last = "no attempt made"
         for _ in range(attempts):
+            request = urllib.request.Request(
+                url, data=body, headers={"Content-Type": "application/json"}, method="POST"
+            )
             try:
-                resp = requests.post(
-                    url,
-                    json={"text": text, "src": src, "tgt": tgt},
-                    timeout=self.endpoint.timeout_ms / 1000.0,
-                )
-            except requests.RequestException as exc:
+                with urllib.request.urlopen(request, timeout=self.endpoint.timeout_ms / 1000.0) as resp:
+                    status, payload = resp.status, resp.read()
+            except urllib.error.HTTPError as exc:
+                exc.close()
+                last = f"HTTP {exc.code}"
+                continue
+            except (OSError, http.client.HTTPException) as exc:
                 last = str(exc)
                 continue
-            if resp.status_code == 200:
-                try:
-                    return resp.json()["text"]
-                except (ValueError, KeyError) as exc:
-                    raise TranslateError(f"malformed 200 response from {url}: {exc}") from exc
-            last = f"HTTP {resp.status_code}"
+            if status != 200:
+                last = f"HTTP {status}"
+                continue
+            try:
+                reply = json.loads(payload)
+            except ValueError as exc:
+                raise TranslateError(f"malformed 200 response from {url}: {exc}") from exc
+            if not isinstance(reply, dict) or not isinstance(reply.get("text"), str):
+                raise TranslateError(f'malformed 200 response from {url}: no "text" string in {reply!r:.80}')
+            return reply["text"]
         raise TranslateError(f"{url} failed after {attempts} attempt(s): {last}")
 
 
@@ -177,12 +190,7 @@ def augment_corpus(
             added.append(Paraphrase(text, pivot))
         return tuple(added), degenerate, tuple(errors)
 
-    if jobs <= 1 or len(corpus) <= 1:
-        results = [work(s) for s in corpus]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(work, corpus))
-
+    results = map_in_order(work, corpus, jobs)
     out: list[Sample] = []
     total_added = 0
     total_degenerate = 0
@@ -216,7 +224,7 @@ class QuestionTemplate:
 def load_templates(path: str | Path) -> list[QuestionTemplate]:
     """Read a template file: a JSON array of ``{name, question, sql,
     slots}`` objects where slots maps slot names to [table, column]."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             entries = json.load(fh)
         except json.JSONDecodeError as exc:

@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Any
 
@@ -27,11 +28,11 @@ from .augment import (
     TranslatorEndpoint,
     augment_corpus,
 )
-from .errors import DataError, EnvError, RecordError
+from .errors import DataError, EnvError
 from .linearize import DEFAULT_SEPARATOR, QuestionSource, export_training_file
 from .metrics import evaluate
 from .predictions import CandidateSet, Candidate, load_predictions, save_predictions
-from .query import parse_sql, serialize_sql
+from .query import ColumnRef, SqlQuery, parse_sql, rename_tables, serialize_sql
 from .records import FORMAT_VERSION, read_jsonl, write_json, write_jsonl, write_manifest
 from .recovery import recover_query
 from .rerank import DEFAULT_TIMEOUT_MS, rerank_file
@@ -46,12 +47,13 @@ from .splits import (
     verify_split,
 )
 from .store import (
-    Sample,
     build_value_lookup,
     corpus_stats,
     load_corpus,
     load_schema,
+    map_in_order,
     save_corpus,
+    validate_records,
 )
 
 
@@ -69,7 +71,7 @@ class _UsageError(Exception):
 def _load_config(path: str | None) -> dict[str, Any]:
     if not path:
         return {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -108,17 +110,37 @@ def _jsonable(resolved: dict[str, Any]) -> dict[str, Any]:
     return {k: (str(v) if isinstance(v, Path) else v) for k, v in resolved.items()}
 
 
+def _write_manifests(
+    args: argparse.Namespace,
+    resolved: dict[str, Any],
+    outputs: list[Path],
+    inputs: tuple[str, ...],
+    seed: int | None = None,
+) -> None:
+    """One manifest per output; ``inputs`` names the resolved options that
+    hold input paths, and unset ones are left out."""
+    for out in outputs:
+        write_manifest(
+            out,
+            command=args.subcommand,
+            tool_version=__version__,
+            inputs={name: resolved[name] for name in inputs if resolved[name]},
+            config=_jsonable(resolved),
+            seed=seed,
+        )
+
+
 # ingest: normalize an external or canonical corpus into the canonical
 # corpus format, validating ids, questions, and SQL.
 
 _CANONICAL_FIELDS = ("id", "question_template", "question_paraphrase", "sql")
 
 
-def _read_raw_records(path: str) -> list[dict[str, Any]]:
-    with open(path, encoding="utf-8") as fh:
+def _read_raw_records(path: str) -> list[Any]:
+    with open(path, encoding="utf-8-sig") as fh:
         head = fh.read(64).lstrip()
     if head.startswith("["):
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             entries = json.load(fh)
         if not isinstance(entries, list):
             raise DataError("corpus JSON must be an array of records")
@@ -151,45 +173,34 @@ def _name_variants(name: str) -> set[str]:
     return out
 
 
-def _normalize_tables(sql: str, schema_tables: set[str]) -> tuple[str, bool]:
-    """Rename table names that differ from a schema name only by a
-    trailing S/ES; returns (sql, changed)."""
-    query = parse_sql(sql)
-    rename: dict[str, str] = {}
+def _table_renames(query: SqlQuery, schema_tables: set[str]) -> dict[str, str]:
+    """Map each mentioned table name that differs from exactly one schema
+    name only by a trailing S/ES to that schema name."""
     mentioned = {query.main_table} | {j.table for j in query.joins}
-    for ref in [c.column for c in query.conditions] + [
-        it.column for it in query.select_items if hasattr(it.column, "table")
-    ]:
-        if getattr(ref, "table", None):
-            mentioned.add(ref.table)
-    for name in mentioned:
-        if name in schema_tables:
-            continue
+    mentioned |= {c.column.table for c in query.conditions}
+    mentioned |= {it.column.table for it in query.select_items if isinstance(it.column, ColumnRef)}
+    rename: dict[str, str] = {}
+    for name in mentioned - schema_tables - {None}:
         matches = sorted(_name_variants(name) & schema_tables)
         if len(matches) == 1:
             rename[name] = matches[0]
-    if not rename:
-        return sql, False
-    from .query import ColumnRef, Condition, JoinClause, SelectItem, SqlQuery, Star
+    return rename
 
-    def fix_ref(ref: ColumnRef) -> ColumnRef:
-        if ref.table and ref.table in rename:
-            return ColumnRef(ref.column, rename[ref.table])
-        return ref
 
-    items = tuple(
-        SelectItem(i.agg_op, i.distinct, i.column if isinstance(i.column, Star) else fix_ref(i.column))
-        for i in query.select_items
-    )
-    joins = tuple(
-        JoinClause(rename.get(j.table, j.table), fix_ref(j.left), fix_ref(j.right))
-        for j in query.joins
-    )
-    conds = tuple(
-        Condition(fix_ref(c.column), c.op, c.value, c.connector) for c in query.conditions
-    )
-    fixed = SqlQuery(items, rename.get(query.main_table, query.main_table), joins, conds)
-    return serialize_sql(fixed), True
+def _mapped_records(raw: list[Any], field_map: dict[str, str]):
+    """(number, record) pairs with source fields renamed to canonical ones
+    and missing ids defaulted to the record number."""
+    for number, rec in enumerate(raw, start=1):
+        if isinstance(rec, dict):
+            mapped = dict(rec)
+            for canonical, source in field_map.items():
+                if source in rec:
+                    mapped[canonical] = rec[source]
+                    if source != canonical:
+                        mapped.pop(source, None)
+            mapped.setdefault("id", str(number))
+            rec = mapped
+        yield number, rec
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
@@ -207,58 +218,19 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     schema = load_schema(resolved["schema"])
     schema_tables = {t.name.upper() for t in schema.tables}
     field_map = _parse_field_map(resolved["field_map"])
-    raw = _read_raw_records(resolved["corpus"])
-
-    samples: list[Sample] = []
-    seen: set[str] = set()
+    samples = validate_records(_mapped_records(_read_raw_records(resolved["corpus"]), field_map))
     normalized = 0
-    for idx, rec in enumerate(raw, start=1):
-        if not isinstance(rec, dict):
-            raise RecordError(idx, "record is not a JSON object")
-        mapped = dict(rec)
-        for canonical, source in field_map.items():
-            if source in rec:
-                mapped[canonical] = rec[source]
-                if source != canonical:
-                    mapped.pop(source, None)
-        if "id" not in mapped:
-            mapped["id"] = str(idx)
-        try:
-            sample = Sample.from_record(mapped)
-            if not str(sample.template_question).strip():
-                raise DataError("question_template is empty")
-            parse_sql(sample.gold_sql)
-            if resolved["normalize_tables"]:
-                sql, changed = _normalize_tables(sample.gold_sql, schema_tables)
-                if changed:
-                    normalized += 1
-                    sample = Sample(
-                        sample.id,
-                        sample.template_question,
-                        sql,
-                        sample.paraphrase_question,
-                        sample.synthetic_paraphrases,
-                        sample.schema,
-                        sample.extra,
-                    )
-        except RecordError:
-            raise
-        except DataError as exc:
-            raise RecordError(idx, str(exc)) from exc
-        if sample.id in seen:
-            raise RecordError(idx, f"duplicate id {sample.id!r}")
-        seen.add(sample.id)
-        samples.append(sample)
+    if resolved["normalize_tables"]:
+        for k, sample in enumerate(samples):
+            query = parse_sql(sample.gold_sql)
+            rename = _table_renames(query, schema_tables)
+            if rename:
+                samples[k] = replace(sample, gold_sql=serialize_sql(rename_tables(query, rename)))
+                normalized += 1
 
     out = Path(resolved["out"])
     save_corpus(samples, out)
-    write_manifest(
-        out,
-        command="ingest",
-        tool_version=__version__,
-        inputs={"corpus": resolved["corpus"], "schema": resolved["schema"]},
-        config=_jsonable(resolved),
-    )
+    _write_manifests(args, resolved, [out], ("corpus", "schema"))
     print(f"ingested {len(samples)} samples ({normalized} with normalized table names) -> {out}")
     return 0
 
@@ -274,13 +246,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     stats = corpus_stats(corpus, schema)
     out = Path(resolved["out"])
     write_json(out, {"format_version": FORMAT_VERSION, **stats.to_dict()})
-    write_manifest(
-        out,
-        command="stats",
-        tool_version=__version__,
-        inputs={"corpus": resolved["corpus"], "schema": resolved["schema"]},
-        config=_jsonable(resolved),
-    )
+    _write_manifests(args, resolved, [out], ("corpus", "schema"))
     print(f"{stats.n_samples} samples over {stats.n_tables} tables -> {out}")
     return 0
 
@@ -302,10 +268,8 @@ def _cmd_split(args: argparse.Namespace) -> int:
     designated = frozenset(t.strip().upper() for t in str(resolved["designated"]).split(",") if t.strip())
     spec = SplitSpec(designated, int(resolved["test_size"]), int(resolved["seed"]))
     corpus = load_corpus(resolved["corpus"])
-    inputs = {"corpus": resolved["corpus"]}
     if resolved["schema"]:
         schema = load_schema(resolved["schema"])
-        inputs["schema"] = resolved["schema"]
         missing = sorted(t for t in spec.designated_tables if schema.table(t) is None)
         if missing:
             raise DataError("designated table(s) not in schema: " + ", ".join(missing))
@@ -320,24 +284,9 @@ def _cmd_split(args: argparse.Namespace) -> int:
 
     out = Path(resolved["out"])
     assignment.save(out)
-    write_manifest(
-        out,
-        command="split",
-        tool_version=__version__,
-        inputs=inputs,
-        config=_jsonable(resolved),
-        seed=spec.seed,
-    )
     report_path = Path(resolved["report"])
     write_json(report_path, report)
-    write_manifest(
-        report_path,
-        command="split",
-        tool_version=__version__,
-        inputs=inputs,
-        config=_jsonable(resolved),
-        seed=spec.seed,
-    )
+    _write_manifests(args, resolved, [out, report_path], ("corpus", "schema"), seed=spec.seed)
     sizes = report["sizes"]
     diff = report["reference"]["diff"]
     print(
@@ -372,17 +321,7 @@ def _cmd_linearize(args: argparse.Namespace) -> int:
     schema = load_schema(resolved["schema"])
     assignment = SplitAssignment.load(resolved["assignment"])
     report = export_training_file(corpus, assignment, split, schema, source, out, sep=str(resolved["sep"]))
-    write_manifest(
-        out,
-        command="linearize",
-        tool_version=__version__,
-        inputs={
-            "corpus": resolved["corpus"],
-            "schema": resolved["schema"],
-            "assignment": resolved["assignment"],
-        },
-        config=_jsonable(resolved),
-    )
+    _write_manifests(args, resolved, [out], ("corpus", "schema", "assignment"))
     counts = ", ".join(f"{k}={v}" for k, v in report.per_source.items())
     print(
         f"wrote {report.n_records} records from {report.n_samples} samples "
@@ -421,22 +360,9 @@ def _cmd_augment(args: argparse.Namespace) -> int:
     result = augment_corpus(corpus, pivots, translator, jobs=int(resolved["jobs"]))
     out = Path(resolved["out"])
     save_corpus(result.samples, out)
-    write_manifest(
-        out,
-        command="augment",
-        tool_version=__version__,
-        inputs={"corpus": resolved["corpus"]},
-        config=_jsonable(resolved),
-    )
     report_path = Path(resolved["report"])
     write_json(report_path, {"format_version": FORMAT_VERSION, **result.report.to_dict()})
-    write_manifest(
-        report_path,
-        command="augment",
-        tool_version=__version__,
-        inputs={"corpus": resolved["corpus"]},
-        config=_jsonable(resolved),
-    )
+    _write_manifests(args, resolved, [out, report_path], ("corpus",))
     rep = result.report
     print(
         f"added {rep.added} synthetic paraphrases "
@@ -479,13 +405,7 @@ def _cmd_rerank(args: argparse.Namespace) -> int:
             for c in choices.values()
         ),
     )
-    write_manifest(
-        out,
-        command="rerank",
-        tool_version=__version__,
-        inputs={"preds": resolved["preds"], "db": resolved["db"]},
-        config=_jsonable(resolved),
-    )
+    _write_manifests(args, resolved, [out], ("preds", "db"))
     failed = sum(1 for c in choices.values() if c.all_failed)
     print(f"reranked {len(choices)} beams (all_failed={failed}) -> {out}")
     return 0
@@ -534,13 +454,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         sql, totals = recover_one(pred)
         return sid, sql, totals
 
-    if int(resolved["jobs"]) <= 1 or len(items) <= 1:
-        results = [work(it) for it in items]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=int(resolved["jobs"])) as pool:
-            results = list(pool.map(work, items))
+    results = map_in_order(work, items, int(resolved["jobs"]))
 
     out_preds = {sid: pred for sid, pred, _ in results}
     totals = {"replaced": 0, "unresolved": 0, "unparsed": 0}
@@ -549,13 +463,9 @@ def _cmd_recover(args: argparse.Namespace) -> int:
             totals[k] += counts[k]
     out = Path(resolved["out"])
     save_predictions(out_preds, out)
-    inputs = {"preds": resolved["preds"], "db": resolved["db"], "schema": resolved["schema"]}
-    write_manifest(out, command="recover", tool_version=__version__, inputs=inputs, config=_jsonable(resolved))
     report_path = Path(resolved["report"])
     write_json(report_path, {"format_version": FORMAT_VERSION, **totals})
-    write_manifest(
-        report_path, command="recover", tool_version=__version__, inputs=inputs, config=_jsonable(resolved)
-    )
+    _write_manifests(args, resolved, [out, report_path], ("preds", "db", "schema"))
     print(
         f"recovered {len(out_preds)} predictions "
         f"(replaced={totals['replaced']}, unresolved={totals['unresolved']}, "
@@ -601,18 +511,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     )
     out = Path(resolved["out"])
     write_json(out, report.to_dict())
-    write_manifest(
-        out,
-        command="eval",
-        tool_version=__version__,
-        inputs={
-            "corpus": resolved["corpus"],
-            "assignment": resolved["assignment"],
-            "preds": resolved["preds"],
-            "db": resolved["db"],
-        },
-        config=_jsonable(resolved),
-    )
+    _write_manifests(args, resolved, [out], ("corpus", "assignment", "preds", "db"))
     print(f"acc_lf={report.acc_lf:.4f} acc_ex={report.acc_ex:.4f} n={report.n} -> {out}")
     return 0
 

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import math
 import sqlite3
-import threading
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
@@ -22,7 +20,7 @@ from .errors import MedsqlError, MissingPrediction, UnterminatedLiteral
 from .predictions import Prediction, top_sql
 from .query import SqlQuery, Star, parse_sql, tokenize_sql
 from .records import FORMAT_VERSION
-from .store import Sample, open_exec_db, run_select
+from .store import Sample, exec_connection, map_in_order, run_select, worker_connections
 
 REL_TOLERANCE = 1e-9
 ABS_TOLERANCE = 1e-12
@@ -96,9 +94,7 @@ def execution_match(
 
     A failing query sets its error flag; any error means no match.
     """
-    conn = db if isinstance(db, sqlite3.Connection) else open_exec_db(db)
-    close = not isinstance(db, sqlite3.Connection)
-    try:
+    with exec_connection(db) as conn:
         gold_rows = pred_rows = None
         gold_error = pred_error = False
         try:
@@ -109,11 +105,8 @@ def execution_match(
             pred_rows = run_select(conn, pred_sql, timeout_ms)
         except MedsqlError:
             pred_error = True
-        matched = not gold_error and not pred_error and results_equal(gold_rows, pred_rows)
-        return ExecutionOutcome(matched, gold_error, pred_error)
-    finally:
-        if close:
-            conn.close()
+    matched = not gold_error and not pred_error and results_equal(gold_rows, pred_rows)
+    return ExecutionOutcome(matched, gold_error, pred_error)
 
 
 @dataclass(frozen=True)
@@ -239,42 +232,22 @@ def evaluate(
         if missing:
             raise MissingPrediction(missing)
 
-    local = threading.local()
-    owned: list[sqlite3.Connection] = []
-    owned_lock = threading.Lock()
+    with worker_connections(db) as get_conn:
 
-    def get_conn() -> sqlite3.Connection:
-        conn = getattr(local, "conn", None)
-        if conn is None:
-            conn = open_exec_db(db)
-            local.conn = conn
-            with owned_lock:
-                owned.append(conn)
-        return conn
+        def score(sample: Sample) -> tuple[SampleEval, ComponentFlags]:
+            pred = preds.get(sample.id)
+            if pred is None:
+                return SampleEval(sample.id, False, False, False, True), _ALL_FALSE
+            pred_sql = top_sql(pred)
+            lf = logic_form_match(sample.gold_sql, pred_sql)
+            outcome = execution_match(sample.gold_sql, pred_sql, get_conn(), timeout_ms=timeout_ms)
+            flags = _breakdown_flags(sample.gold_sql, pred_sql) if with_breakdown else _ALL_FALSE
+            return (
+                SampleEval(sample.id, lf, outcome.ex_match, outcome.gold_error, outcome.pred_error),
+                flags,
+            )
 
-    def score(sample: Sample) -> tuple[SampleEval, ComponentFlags]:
-        pred = preds.get(sample.id)
-        if pred is None:
-            flags = _ALL_FALSE
-            return SampleEval(sample.id, False, False, False, True), flags
-        pred_sql = top_sql(pred)
-        lf = logic_form_match(sample.gold_sql, pred_sql)
-        outcome = execution_match(sample.gold_sql, pred_sql, get_conn(), timeout_ms=timeout_ms)
-        flags = _breakdown_flags(sample.gold_sql, pred_sql) if with_breakdown else _ALL_FALSE
-        return (
-            SampleEval(sample.id, lf, outcome.ex_match, outcome.gold_error, outcome.pred_error),
-            flags,
-        )
-
-    try:
-        if jobs <= 1 or len(samples) <= 1:
-            scored = [score(s) for s in samples]
-        else:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                scored = list(pool.map(score, samples))
-    finally:
-        for conn in owned:
-            conn.close()
+        scored = map_in_order(score, samples, jobs)
 
     per_sample = tuple(entry for entry, _ in scored)
     n = len(per_sample)

@@ -1,12 +1,13 @@
 """Prediction files: one JSON record per sample id.
 
 A record is either a single prediction ``{"id", "sql"}`` or a scored beam
-``{"id", "candidates": [{"sql", "score"}, ...]}``. Beams are kept sorted
-by non-increasing score; ties keep their file order.
+``{"id", "candidates": [{"sql", "score"}, ...]}`` with finite scores. Beams
+are kept sorted by non-increasing score; ties keep their file order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
@@ -59,6 +60,8 @@ def load_predictions(path: str | Path) -> dict[str, Prediction]:
                 raise RecordError(lineno, f"malformed candidate: {exc}") from exc
             if any(not c.sql for c in cands):
                 raise RecordError(lineno, "empty SQL string in candidates")
+            if not all(math.isfinite(c.score) for c in cands):
+                raise RecordError(lineno, "candidate scores must be finite numbers")
             preds[sid] = CandidateSet(sid, cands)
         elif "sql" in rec:
             sql = rec["sql"]

@@ -14,7 +14,8 @@ stored uppercase), literal values keep their original case.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .errors import ParseError, UnsupportedSyntax, UnterminatedLiteral
@@ -37,6 +38,7 @@ __all__ = [
     "parse_sql",
     "serialize_sql",
     "table_positions",
+    "rename_tables",
 ]
 
 
@@ -485,3 +487,20 @@ def table_positions(query: SqlQuery) -> dict[str, TablePosition]:
     for join in query.joins:
         positions[join.table] = TablePosition.JOINED
     return positions
+
+
+def rename_tables(query: SqlQuery, mapping: Mapping[str, str]) -> SqlQuery:
+    """Replace every table name found in ``mapping``: the FROM table, join
+    tables, and the table qualifiers of column references."""
+    table = lambda name: mapping.get(name, name)
+
+    def ref(column):
+        return replace(column, table=table(column.table)) if isinstance(column, ColumnRef) else column
+
+    return replace(
+        query,
+        select_items=tuple(replace(it, column=ref(it.column)) for it in query.select_items),
+        main_table=table(query.main_table),
+        joins=tuple(replace(j, table=table(j.table), left=ref(j.left), right=ref(j.right)) for j in query.joins),
+        conditions=tuple(replace(c, column=ref(c.column)) for c in query.conditions),
+    )

@@ -20,8 +20,9 @@ def dump_record(obj: Mapping[str, Any]) -> str:
 
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict[str, Any]]]:
-    """Yield (line_number, record) pairs; blank lines are skipped."""
-    with open(path, encoding="utf-8") as fh:
+    """Yield (line_number, record) pairs; blank lines and a leading UTF-8
+    byte order mark are skipped."""
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

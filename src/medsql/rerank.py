@@ -9,14 +9,12 @@ If every candidate fails, the rank-1 candidate is returned with
 from __future__ import annotations
 
 import sqlite3
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import QueryExecutionError, RecordError
 from .predictions import CandidateSet, Prediction
-from .store import open_exec_db, run_select
+from .store import exec_connection, map_in_order, run_select, worker_connections
 
 DEFAULT_TIMEOUT_MS = 5000
 
@@ -41,9 +39,7 @@ def rerank(
     Execution stops at the first success. A timed-out candidate counts as
     failed. ``chosen_rank`` is 1-based over the sorted beam.
     """
-    conn = db if isinstance(db, sqlite3.Connection) else open_exec_db(db)
-    close = not isinstance(db, sqlite3.Connection)
-    try:
+    with exec_connection(db) as conn:
         for rank, cand in enumerate(candidates.candidates, start=1):
             try:
                 rows = run_select(conn, cand.sql, timeout_ms)
@@ -52,11 +48,8 @@ def rerank(
             if require_nonempty and not rows:
                 continue
             return RerankChoice(candidates.id, cand.sql, rank, False)
-        top = candidates.candidates[0]
-        return RerankChoice(candidates.id, top.sql, 1, True)
-    finally:
-        if close:
-            conn.close()
+    top = candidates.candidates[0]
+    return RerankChoice(candidates.id, top.sql, 1, True)
 
 
 def rerank_file(
@@ -80,29 +73,10 @@ def rerank_file(
             raise RecordError(idx, f"id {sid!r} has no candidate beam to rerank")
         items.append(pred)
 
-    local = threading.local()
-    owned: list[sqlite3.Connection] = []
-    owned_lock = threading.Lock()
+    with worker_connections(db) as get_conn:
 
-    def get_conn() -> sqlite3.Connection:
-        conn = getattr(local, "conn", None)
-        if conn is None:
-            conn = open_exec_db(db)
-            local.conn = conn
-            with owned_lock:
-                owned.append(conn)
-        return conn
+        def work(cs: CandidateSet) -> RerankChoice:
+            return rerank(cs, get_conn(), require_nonempty=require_nonempty, timeout_ms=timeout_ms)
 
-    def work(cs: CandidateSet) -> RerankChoice:
-        return rerank(cs, get_conn(), require_nonempty=require_nonempty, timeout_ms=timeout_ms)
-
-    try:
-        if jobs <= 1 or len(items) <= 1:
-            choices = [work(cs) for cs in items]
-        else:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                choices = list(pool.map(work, items))
-    finally:
-        for conn in owned:
-            conn.close()
+        choices = map_in_order(work, items, jobs)
     return {choice.id: choice for choice in choices}

@@ -13,10 +13,13 @@ from __future__ import annotations
 import csv
 import json
 import sqlite3
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import (
     ColumnTypeError,
@@ -116,7 +119,7 @@ class SchemaDef:
 
 
 def load_schema(path: str | Path) -> SchemaDef:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -184,30 +187,43 @@ class Sample:
         )
 
 
-def load_corpus(path: str | Path) -> list[Sample]:
-    """Load and validate a corpus file.
+def validate_records(numbered: Iterable[tuple[int, Any]]) -> list[Sample]:
+    """Validate (number, record) pairs into samples.
 
-    Every id must be unique, every ``question_template`` non-empty, and
-    every ``sql`` must parse under the dialect; violations raise
-    :class:`RecordError` carrying the line number.
+    Every record must be a JSON object with a unique id, a non-empty
+    string ``question_template``, and a string ``sql`` that parses under
+    the dialect; violations raise :class:`RecordError` carrying the
+    record's number.
     """
     samples: list[Sample] = []
     seen: set[str] = set()
-    for lineno, rec in read_jsonl(path):
+    for number, rec in numbered:
         try:
+            if not isinstance(rec, dict):
+                raise DataError("record is not a JSON object")
             sample = Sample.from_record(rec)
-            if not sample.template_question or not str(sample.template_question).strip():
+            question = sample.template_question
+            if not question or not str(question).strip():
                 raise DataError("question_template is empty")
+            if not isinstance(question, str):
+                raise DataError(f"question_template must be a string, not {type(question).__name__}")
+            if not isinstance(sample.gold_sql, str):
+                raise DataError(f"sql must be a string, not {type(sample.gold_sql).__name__}")
             parse_sql(sample.gold_sql)
         except RecordError:
             raise
         except DataError as exc:
-            raise RecordError(lineno, str(exc)) from exc
+            raise RecordError(number, str(exc)) from exc
         if sample.id in seen:
-            raise RecordError(lineno, f"duplicate id {sample.id!r}")
+            raise RecordError(number, f"duplicate id {sample.id!r}")
         seen.add(sample.id)
         samples.append(sample)
     return samples
+
+
+def load_corpus(path: str | Path) -> list[Sample]:
+    """Load and validate a corpus file; errors carry the line number."""
+    return validate_records(read_jsonl(path))
 
 
 def save_corpus(samples: list[Sample], path: str | Path) -> Path:
@@ -295,6 +311,62 @@ def open_exec_db(path: str | Path, *, readonly: bool = True) -> sqlite3.Connecti
         raise DbError(f"cannot open database {path}: {exc}") from exc
 
 
+@contextmanager
+def exec_connection(db: str | Path | sqlite3.Connection) -> Iterator[sqlite3.Connection]:
+    """Borrow ``db`` if it is a connection; otherwise open it read-only
+    and close it on exit."""
+    if isinstance(db, sqlite3.Connection):
+        yield db
+        return
+    conn = open_exec_db(db)
+    try:
+        yield conn
+    finally:
+        conn.close()
+
+
+@contextmanager
+def worker_connections(db: str | Path) -> Iterator[Callable[[], sqlite3.Connection]]:
+    """Yield a getter for the calling thread's own read-only connection.
+
+    Each thread's connection is opened on its first call; every connection
+    opened is closed on exit, also when the body raises.
+    """
+    local = threading.local()
+    opened: list[sqlite3.Connection] = []
+    lock = threading.Lock()
+
+    def get() -> sqlite3.Connection:
+        conn = getattr(local, "conn", None)
+        if conn is None:
+            conn = local.conn = open_exec_db(db)
+            with lock:
+                opened.append(conn)
+        return conn
+
+    try:
+        yield get
+    finally:
+        for conn in opened:
+            conn.close()
+
+
+_T = TypeVar("_T")
+_R = TypeVar("_R")
+
+
+def map_in_order(work: Callable[[_T], _R], items: Sequence[_T], jobs: int) -> list[_R]:
+    """``[work(item) for item in items]``, spread over ``jobs`` threads.
+
+    Results come back in input order whatever ``jobs`` is. With one job
+    or one item this is a plain loop with no executor.
+    """
+    if jobs <= 1 or len(items) <= 1:
+        return [work(item) for item in items]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(work, items))
+
+
 def run_select(conn: sqlite3.Connection, sql: str, timeout_ms: int | None = None) -> list[tuple]:
     """Execute one query and fetch all rows.
 
@@ -355,11 +427,9 @@ class ValueLookup:
 
 
 def build_value_lookup(db: str | Path | sqlite3.Connection, schema: SchemaDef) -> ValueLookup:
-    conn = db if isinstance(db, sqlite3.Connection) else open_exec_db(db)
-    close = not isinstance(db, sqlite3.Connection)
     values: dict[tuple[str, str], tuple[str, ...]] = {}
     attrs: dict[tuple[str, str], str] = {}
-    try:
+    with exec_connection(db) as conn:
         for table in schema.tables:
             for col in table.columns:
                 rows = run_select(
@@ -369,9 +439,6 @@ def build_value_lookup(db: str | Path | sqlite3.Connection, schema: SchemaDef) -
                 key = (table.name.upper(), col.name.upper())
                 values[key] = tuple(sorted(canonical_value(r[0]) for r in rows))
                 attrs[key] = col.attr
-    finally:
-        if close:
-            conn.close()
     return ValueLookup(values, attrs)
 
 

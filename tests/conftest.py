@@ -318,7 +318,8 @@ def clinic_templates() -> list[QuestionTemplate]:
 
 class TranslateHandler(BaseHTTPRequestHandler):
     """Translation endpoint double: echo mirrors the offline stub, fail
-    answers 503, flaky fails once then echoes, malformed omits "text"."""
+    answers 503, flaky fails once then echoes, malformed omits "text",
+    not_object answers a JSON array."""
 
     behavior = "echo"
     hits = 0
@@ -334,6 +335,8 @@ class TranslateHandler(BaseHTTPRequestHandler):
             return
         if cls.behavior == "malformed":
             body = b'{"no_text_key": 1}'
+        elif cls.behavior == "not_object":
+            body = b"[]"
         else:
             text = StubTranslator().translate(payload["text"], payload["src"], payload["tgt"])
             body = json.dumps({"text": text}).encode("utf-8")

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import contextlib
 import json
+import socket
 
 import pytest
 
@@ -91,6 +93,29 @@ class TestHttpTranslator:
         with pytest.raises(TranslateError):
             translator.translate("q", "en", "fr")
         assert handler.hits == 1
+
+    def test_non_object_success_body_is_not_retried(self, translate_server):
+        # A 200 carrying a JSON array used to raise an uncaught TypeError.
+        base_url, handler = translate_server("not_object")
+        translator = HttpTranslator(TranslatorEndpoint(base_url, retries=3))
+        with pytest.raises(TranslateError, match="malformed 200"):
+            translator.translate("q", "en", "fr")
+        assert handler.hits == 1
+
+    def test_timeout_is_retried(self):
+        # A listener that never answers: every attempt connects, then times out.
+        with socket.create_server(("127.0.0.1", 0)) as silent:
+            port = silent.getsockname()[1]
+            translator = HttpTranslator(TranslatorEndpoint(f"http://127.0.0.1:{port}", timeout_ms=100, retries=1))
+            with pytest.raises(TranslateError, match="2 attempt"):
+                translator.translate("q", "en", "fr")
+            silent.setblocking(False)
+            attempts = 0
+            with contextlib.suppress(BlockingIOError):
+                while True:
+                    silent.accept()[0].close()
+                    attempts += 1
+        assert attempts == 2
 
     def test_unreachable_endpoint(self):
         translator = HttpTranslator(
@@ -237,6 +262,14 @@ class TestTemplateFile:
         ]
         path.write_text(json.dumps(entries), encoding="utf-8")
         assert load_templates(path) == clinic.templates
+
+    def test_byte_order_mark_is_accepted(self, clinic, tmp_path):
+        path = tmp_path / "templates.json"
+        t = clinic.templates[0]
+        entry = {"name": t.name, "question": t.text_pattern, "sql": t.sql_pattern,
+                 "slots": {slot: list(binding) for slot, binding in t.slot_bindings}}
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps([entry]).encode("utf-8"))
+        assert load_templates(path) == [t]
 
     def test_malformed_json_is_a_data_error(self, tmp_path):
         path = tmp_path / "templates.json"

@@ -136,6 +136,39 @@ class TestIngest:
         assert cmd(["ingest", "--corpus", "raw.jsonl", "--schema", "schema.json"]) == 2
 
 
+    @pytest.mark.parametrize("value", [None, 5, ""])
+    def test_non_string_or_empty_question_exits_two(self, workdir, capsys, value):
+        # ingest used to accept null and 5, writing a corpus every later command rejects or crashes on.
+        write_jsonl("raw.jsonl", [
+            {"id": "a", "question_template": "q", "sql": "SELECT COUNT(*) FROM LAB"},
+            {"id": "b", "question_template": value, "sql": "SELECT COUNT(*) FROM LAB"},
+        ])
+        assert cmd(["ingest", "--corpus", "raw.jsonl", "--schema", "schema.json", "--out", "bad.jsonl"]) == 2
+        assert "record 2: question_template" in capsys.readouterr().err
+        assert not Path("bad.jsonl").exists()
+
+    def test_non_string_sql_exits_two(self, workdir, capsys):
+        Path("raw.json").write_text(json.dumps([{"id": "a", "question_template": "q", "sql": 5}]), encoding="utf-8")
+        assert cmd(["ingest", "--corpus", "raw.json", "--schema", "schema.json"]) == 2
+        assert "record 1: sql must be a string" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["raw.jsonl", "raw.json"])
+    def test_byte_order_mark_is_accepted(self, workdir, name):
+        records = [{"id": "a", "question_template": "q", "sql": "SELECT COUNT(*) FROM LAB"}]
+        body = json.dumps(records) if name.endswith(".json") else json.dumps(records[0]) + "\n"
+        Path(name).write_bytes(b"\xef\xbb\xbf" + body.encode("utf-8"))
+        assert cmd(["ingest", "--corpus", name, "--schema", "schema.json", "--out", "bom.jsonl"]) == 0
+        assert [s.id for s in load_corpus("bom.jsonl")] == ["a"]
+
+    def test_ids_follow_record_order_across_blank_lines(self, workdir):
+        Path("raw.jsonl").write_text(
+            json.dumps({"question_template": "q one", "sql": "SELECT COUNT(*) FROM LAB"}) + "\n\n"
+            + json.dumps({"question_template": "q two", "sql": "SELECT COUNT(*) FROM LAB"}) + "\n",
+            encoding="utf-8",
+        )
+        assert cmd(["ingest", "--corpus", "raw.jsonl", "--schema", "schema.json", "--out", "n.jsonl"]) == 0
+        assert [s.id for s in load_corpus("n.jsonl")] == ["1", "2"]
+
 class TestStats:
     def test_values_match_the_library(self, workdir, clinic):
         from medsql.store import corpus_stats
@@ -148,6 +181,25 @@ class TestStats:
 
     def test_missing_corpus_file_exits_three(self, workdir):
         assert cmd(["stats", "--corpus", "absent.jsonl", "--schema", "schema.json"]) == 3
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"id": "a", "question_template": 5, "sql": "SELECT COUNT(*) FROM LAB"},
+            {"id": "a", "question_template": "q", "sql": 5},
+        ],
+    )
+    def test_bad_field_types_exit_two(self, workdir, capsys, record):
+        # These crashed with an uncaught AttributeError or TypeError.
+        write_jsonl("bad.jsonl", [record])
+        assert cmd(["stats", "--corpus", "bad.jsonl", "--schema", "schema.json"]) == 2
+        assert "data error: record 1:" in capsys.readouterr().err
+
+    def test_byte_order_mark_in_schema_and_config(self, workdir):
+        Path("schema.json").write_bytes(b"\xef\xbb\xbf" + Path("schema.json").read_bytes())
+        Path("cfg.json").write_bytes(b"\xef\xbb\xbf" + json.dumps({"out": "from_config.json"}).encode("utf-8"))
+        assert cmd(["stats", "--corpus", "corpus.jsonl", "--schema", "schema.json", "--config", "cfg.json"]) == 0
+        assert read_json("from_config.json")["n_samples"] == 1000
 
 
 class TestSplit:

@@ -1,0 +1,29 @@
+from __future__ import annotations
+
+import pytest
+
+from medsql.errors import RecordError
+from medsql.predictions import load_predictions
+
+
+def _beam_line(score_token: str) -> str:
+    return (
+        '{"id": "q1", "candidates": [{"sql": "SELECT NOPE FROM LAB", "score": %s}, '
+        '{"sql": "SELECT COUNT(*) FROM LAB", "score": 2.0}]}\n' % score_token
+    )
+
+
+class TestLoadPredictions:
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", '"nan"', '"inf"'])
+    def test_non_finite_scores_are_rejected(self, tmp_path, token):
+        # A NaN candidate used to sort to rank 1, ahead of a score of 2.0.
+        path = tmp_path / "p.jsonl"
+        path.write_text("\n" + _beam_line(token), encoding="utf-8")
+        with pytest.raises(RecordError, match="finite") as exc:
+            load_predictions(path)
+        assert exc.value.line == 2
+
+    def test_leading_byte_order_mark_is_accepted(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        path.write_bytes(b"\xef\xbb\xbf" + b'{"id": "q1", "sql": "SELECT COUNT(*) FROM LAB"}\n')
+        assert load_predictions(path) == {"q1": "SELECT COUNT(*) FROM LAB"}

@@ -19,6 +19,7 @@ from medsql.query import (
     SqlQuery,
     TablePosition,
     parse_sql,
+    rename_tables,
     serialize_sql,
     table_positions,
     tokenize_sql,
@@ -308,3 +309,23 @@ class TestRoundTrip:
     def test_tokenizing_serialized_sql_is_idempotent(self, query):
         tokens = tokenize_sql(serialize_sql(query))
         assert tokenize_sql(" ".join(tokens)) == tokens
+
+
+class TestRenameTables:
+    def test_every_table_position_is_renamed(self):
+        q = parse_sql(
+            "SELECT COUNT(DISTINCT PROCEDURE.HADM_ID), DIAGNOSES.ICD9_CODE, * FROM PROCEDURE "
+            "INNER JOIN DIAGNOSES ON PROCEDURE.HADM_ID = DIAGNOSES.HADM_ID "
+            'WHERE PROCEDURE.SHORT_TITLE = "X" OR AGE > 3'
+        )
+        renamed = rename_tables(q, {"PROCEDURE": "PROCEDURES", "DIAGNOSES": "DIAGNOSIS"})
+        assert serialize_sql(renamed) == (
+            "SELECT COUNT(DISTINCT PROCEDURES.HADM_ID), DIAGNOSIS.ICD9_CODE, * FROM PROCEDURES "
+            "INNER JOIN DIAGNOSIS ON PROCEDURES.HADM_ID = DIAGNOSIS.HADM_ID "
+            'WHERE PROCEDURES.SHORT_TITLE = "X" OR AGE > 3'
+        )
+
+    def test_names_outside_the_mapping_are_kept(self):
+        q = parse_sql("SELECT LAB.FLAG FROM LAB WHERE LAB.ITEMID = 5")
+        assert rename_tables(q, {"PROCEDURE": "PROCEDURES"}) == q
+        assert rename_tables(q, {}) == q

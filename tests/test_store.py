@@ -33,6 +33,7 @@ from medsql.store import (
     run_select,
     save_corpus,
     save_schema,
+    validate_records,
     with_synthetic,
 )
 
@@ -41,6 +42,11 @@ class TestSchema:
     def test_save_load_round_trip(self, clinic, tmp_path):
         path = tmp_path / "schema.json"
         save_schema(clinic.schema, path)
+        assert load_schema(path) == clinic.schema
+
+    def test_byte_order_mark_is_accepted(self, clinic, tmp_path):
+        path = tmp_path / "schema.json"
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps(clinic.schema.to_dict()).encode("utf-8"))
         assert load_schema(path) == clinic.schema
 
     def test_lookups_are_case_insensitive(self, clinic):
@@ -107,6 +113,40 @@ class TestCorpusIo:
         with pytest.raises(RecordError) as exc:
             load_corpus(path)
         assert exc.value.line == 1
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("question_template", None, "question_template is empty"),
+            ("question_template", "   ", "question_template is empty"),
+            ("question_template", 5, "question_template must be a string"),
+            ("question_template", ["q"], "question_template must be a string"),
+            ("sql", 5, "sql must be a string"),
+            ("sql", None, "sql must be a string"),
+        ],
+    )
+    def test_bad_field_types_are_record_errors(self, tmp_path, field, value, message):
+        path = tmp_path / "c.jsonl"
+        good = {"id": "a", "question_template": "q", "sql": "SELECT * FROM T"}
+        rows = [good, {**good, "id": "b", field: value}]
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        with pytest.raises(RecordError, match=message) as exc:
+            load_corpus(path)
+        assert exc.value.line == 2
+
+    def test_validate_records_numbers_errors_as_given(self):
+        records = [(7, {"id": "a", "question_template": "q", "sql": "SELECT * FROM T"}), (9, ["not", "a", "dict"])]
+        with pytest.raises(RecordError, match="not a JSON object") as exc:
+            validate_records(records)
+        assert exc.value.line == 9
+
+    def test_byte_order_mark_is_accepted(self, clinic, tmp_path):
+        # A leading BOM used to fail the first line as invalid JSON.
+        plain = tmp_path / "plain.jsonl"
+        save_corpus(clinic.corpus[:5], plain)
+        bom = tmp_path / "bom.jsonl"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert load_corpus(bom) == clinic.corpus[:5]
 
     def test_with_synthetic_appends_without_mutating(self, clinic):
         sample = clinic.corpus[0]
