@@ -25,7 +25,6 @@ from .errors import (
     UnknownColumn,
     UnknownPivot,
 )
-from .query import parse_sql
 from .store import Paraphrase, Sample, ValueLookup, map_in_order, with_synthetic
 
 DEFAULT_PIVOTS = ("fr", "de")
@@ -295,14 +294,9 @@ def instantiate_templates(
             for (slot, _), value in zip(value_sets, combo):
                 question = _substitute(question, slot, value, sql_side=False)
                 sql = _substitute(sql, slot, value, sql_side=True)
-            parse_sql(sql)
             digest = hashlib.sha256("\x1f".join(combo).encode("utf-8")).hexdigest()[:10]
-            samples.append(
-                Sample(
-                    id=f"{template.name}-{digest}",
-                    template_question=question,
-                    gold_sql=sql,
-                )
-            )
+            sample = Sample(id=f"{template.name}-{digest}", template_question=question, gold_sql=sql)
+            sample.gold_query  # every generated SQL string must parse
+            samples.append(sample)
             produced += 1
     return samples

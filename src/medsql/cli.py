@@ -17,7 +17,7 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from . import __version__
 from .augment import (
@@ -32,7 +32,7 @@ from .errors import DataError, EnvError
 from .linearize import DEFAULT_SEPARATOR, QuestionSource, export_training_file
 from .metrics import evaluate
 from .predictions import CandidateSet, Candidate, load_predictions, save_predictions
-from .query import ColumnRef, SqlQuery, parse_sql, rename_tables, serialize_sql
+from .query import ColumnRef, SqlQuery, rename_tables, serialize_sql
 from .records import FORMAT_VERSION, read_jsonl, write_json, write_jsonl, write_manifest
 from .recovery import recover_query
 from .rerank import DEFAULT_TIMEOUT_MS, rerank_file
@@ -81,21 +81,28 @@ def _load_config(path: str | None) -> dict[str, Any]:
     return obj
 
 
-def _resolve(args: argparse.Namespace, spec: list[tuple[str, Any, str | None]]) -> dict[str, Any]:
-    """Merge defaults, config file, flags, and env vars, in that order."""
+def _resolve(args: argparse.Namespace) -> dict[str, Any]:
+    """Merge defaults, config file, flags, and env vars, in that order.
+
+    A config value must have its option's JSON type; null is accepted only
+    where the default is null."""
     config = _load_config(getattr(args, "config", None))
     resolved: dict[str, Any] = {}
-    for dest, default, env_var in spec:
+    for dest, default, kind, _ in _COMMANDS[args.subcommand][2]:
         value = default
         if dest in config:
             value = config[dest]
+            # bool is a subclass of int, but true is not an integer here.
+            typed = isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+            if not typed and not (value is None and default is None):
+                wanted = {str: "a string", int: "an integer", bool: "true or false"}[kind]
+                raise DataError(f"config key {dest!r} must be {wanted}, not {json.dumps(value)}")
         flag = getattr(args, dest, None)
         if flag is not None:
             value = flag
-        if env_var:
-            env_value = os.environ.get(env_var)
-            if env_value:
-                value = env_value
+        env_value = os.environ.get(TRANSLATE_URL_ENV) if dest == "translate_url" else None
+        if env_value:
+            value = env_value
         resolved[dest] = value
     return resolved
 
@@ -104,10 +111,6 @@ def _require(resolved: dict[str, Any], *keys: str) -> None:
     missing = [k for k in keys if resolved.get(k) in (None, "")]
     if missing:
         raise _UsageError("missing required option(s): " + ", ".join(f"--{k.replace('_', '-')}" for k in missing))
-
-
-def _jsonable(resolved: dict[str, Any]) -> dict[str, Any]:
-    return {k: (str(v) if isinstance(v, Path) else v) for k, v in resolved.items()}
 
 
 def _write_manifests(
@@ -125,7 +128,7 @@ def _write_manifests(
             command=args.subcommand,
             tool_version=__version__,
             inputs={name: resolved[name] for name in inputs if resolved[name]},
-            config=_jsonable(resolved),
+            config=resolved,
             seed=seed,
         )
 
@@ -204,16 +207,7 @@ def _mapped_records(raw: list[Any], field_map: dict[str, str]):
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    resolved = _resolve(
-        args,
-        [
-            ("corpus", None, None),
-            ("schema", None, None),
-            ("out", "corpus.jsonl", None),
-            ("field_map", None, None),
-            ("normalize_tables", True, None),
-        ],
-    )
+    resolved = _resolve(args)
     _require(resolved, "corpus", "schema")
     schema = load_schema(resolved["schema"])
     schema_tables = {t.name.upper() for t in schema.tables}
@@ -222,10 +216,9 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     normalized = 0
     if resolved["normalize_tables"]:
         for k, sample in enumerate(samples):
-            query = parse_sql(sample.gold_sql)
-            rename = _table_renames(query, schema_tables)
+            rename = _table_renames(sample.gold_query, schema_tables)
             if rename:
-                samples[k] = replace(sample, gold_sql=serialize_sql(rename_tables(query, rename)))
+                samples[k] = replace(sample, gold_sql=serialize_sql(rename_tables(sample.gold_query, rename)))
                 normalized += 1
 
     out = Path(resolved["out"])
@@ -236,10 +229,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    resolved = _resolve(
-        args,
-        [("corpus", None, None), ("schema", None, None), ("out", "corpus_stats.json", None)],
-    )
+    resolved = _resolve(args)
     _require(resolved, "corpus", "schema")
     corpus = load_corpus(resolved["corpus"])
     schema = load_schema(resolved["schema"])
@@ -252,21 +242,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_split(args: argparse.Namespace) -> int:
-    resolved = _resolve(
-        args,
-        [
-            ("corpus", None, None),
-            ("schema", None, None),
-            ("out", "split_assignment.tsv", None),
-            ("report", "split_report.json", None),
-            ("test_size", DEFAULT_TEST_SIZE, None),
-            ("seed", 0, None),
-            ("designated", ",".join(sorted(DEFAULT_DESIGNATED)), None),
-        ],
-    )
+    resolved = _resolve(args)
     _require(resolved, "corpus")
-    designated = frozenset(t.strip().upper() for t in str(resolved["designated"]).split(",") if t.strip())
-    spec = SplitSpec(designated, int(resolved["test_size"]), int(resolved["seed"]))
+    designated = frozenset(t.strip().upper() for t in resolved["designated"].split(",") if t.strip())
+    spec = SplitSpec(designated, resolved["test_size"], resolved["seed"])
     corpus = load_corpus(resolved["corpus"])
     if resolved["schema"]:
         schema = load_schema(resolved["schema"])
@@ -298,29 +277,18 @@ def _cmd_split(args: argparse.Namespace) -> int:
 
 
 def _cmd_linearize(args: argparse.Namespace) -> int:
-    resolved = _resolve(
-        args,
-        [
-            ("corpus", None, None),
-            ("schema", None, None),
-            ("assignment", None, None),
-            ("split", "TRAIN", None),
-            ("question_source", "template", None),
-            ("sep", DEFAULT_SEPARATOR, None),
-            ("out", None, None),
-        ],
-    )
+    resolved = _resolve(args)
     _require(resolved, "corpus", "schema", "assignment")
     try:
-        split = Split(str(resolved["split"]).upper())
-        source = QuestionSource(str(resolved["question_source"]).lower())
+        split = Split(resolved["split"].upper())
+        source = QuestionSource(resolved["question_source"].lower())
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     out = Path(resolved["out"] or f"{split.value.lower()}_{source.value}.jsonl")
     corpus = load_corpus(resolved["corpus"])
     schema = load_schema(resolved["schema"])
     assignment = SplitAssignment.load(resolved["assignment"])
-    report = export_training_file(corpus, assignment, split, schema, source, out, sep=str(resolved["sep"]))
+    report = export_training_file(corpus, assignment, split, schema, source, out, sep=resolved["sep"])
     _write_manifests(args, resolved, [out], ("corpus", "schema", "assignment"))
     counts = ", ".join(f"{k}={v}" for k, v in report.per_source.items())
     print(
@@ -331,33 +299,18 @@ def _cmd_linearize(args: argparse.Namespace) -> int:
 
 
 def _cmd_augment(args: argparse.Namespace) -> int:
-    resolved = _resolve(
-        args,
-        [
-            ("corpus", None, None),
-            ("out", "augmented_corpus.jsonl", None),
-            ("report", "augment_report.json", None),
-            ("pivots", ",".join(DEFAULT_PIVOTS), None),
-            ("stub", False, None),
-            ("translate_url", None, TRANSLATE_URL_ENV),
-            ("timeout_ms", 10_000, None),
-            ("retries", 2, None),
-            ("jobs", 1, None),
-        ],
-    )
+    resolved = _resolve(args)
     _require(resolved, "corpus")
-    pivots = tuple(p.strip() for p in str(resolved["pivots"]).split(",") if p.strip())
+    pivots = tuple(p.strip() for p in resolved["pivots"].split(",") if p.strip())
     if resolved["stub"]:
         translator = StubTranslator()
     elif resolved["translate_url"]:
-        endpoint = TranslatorEndpoint(
-            str(resolved["translate_url"]), int(resolved["timeout_ms"]), int(resolved["retries"])
-        )
+        endpoint = TranslatorEndpoint(resolved["translate_url"], resolved["timeout_ms"], resolved["retries"])
         translator = HttpTranslator(endpoint)
     else:
         raise _UsageError("augment needs --stub or a translation endpoint (--translate-url or MEDSQL_TRANSLATE_URL)")
     corpus = load_corpus(resolved["corpus"])
-    result = augment_corpus(corpus, pivots, translator, jobs=int(resolved["jobs"]))
+    result = augment_corpus(corpus, pivots, translator, jobs=resolved["jobs"])
     out = Path(resolved["out"])
     save_corpus(result.samples, out)
     report_path = Path(resolved["report"])
@@ -372,25 +325,15 @@ def _cmd_augment(args: argparse.Namespace) -> int:
 
 
 def _cmd_rerank(args: argparse.Namespace) -> int:
-    resolved = _resolve(
-        args,
-        [
-            ("preds", None, None),
-            ("db", None, None),
-            ("out", "reranked_predictions.jsonl", None),
-            ("require_nonempty", False, None),
-            ("timeout_ms", DEFAULT_TIMEOUT_MS, None),
-            ("jobs", 1, None),
-        ],
-    )
+    resolved = _resolve(args)
     _require(resolved, "preds", "db")
     preds = load_predictions(resolved["preds"])
     choices = rerank_file(
         preds,
         resolved["db"],
-        require_nonempty=bool(resolved["require_nonempty"]),
-        timeout_ms=int(resolved["timeout_ms"]),
-        jobs=int(resolved["jobs"]),
+        require_nonempty=resolved["require_nonempty"],
+        timeout_ms=resolved["timeout_ms"],
+        jobs=resolved["jobs"],
     )
     out = Path(resolved["out"])
     write_jsonl(
@@ -412,23 +355,12 @@ def _cmd_rerank(args: argparse.Namespace) -> int:
 
 
 def _cmd_recover(args: argparse.Namespace) -> int:
-    resolved = _resolve(
-        args,
-        [
-            ("preds", None, None),
-            ("db", None, None),
-            ("schema", None, None),
-            ("out", "recovered_predictions.jsonl", None),
-            ("report", "recover_report.json", None),
-            ("prefilter", True, None),
-            ("jobs", 1, None),
-        ],
-    )
+    resolved = _resolve(args)
     _require(resolved, "preds", "db", "schema")
     preds = load_predictions(resolved["preds"])
     schema = load_schema(resolved["schema"])
     lookup = build_value_lookup(resolved["db"], schema)
-    prefilter = bool(resolved["prefilter"])
+    prefilter = resolved["prefilter"]
 
     def recover_one(sql: str) -> tuple[str, dict[str, int]]:
         res = recover_query(sql, lookup, prefilter=prefilter)
@@ -454,7 +386,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         sql, totals = recover_one(pred)
         return sid, sql, totals
 
-    results = map_in_order(work, items, int(resolved["jobs"]))
+    results = map_in_order(work, items, resolved["jobs"])
 
     out_preds = {sid: pred for sid, pred, _ in results}
     totals = {"replaced": 0, "unresolved": 0, "unparsed": 0}
@@ -475,39 +407,24 @@ def _cmd_recover(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    resolved = _resolve(
-        args,
-        [
-            ("corpus", None, None),
-            ("assignment", None, None),
-            ("split", "TEST", None),
-            ("preds", None, None),
-            ("db", None, None),
-            ("out", "eval_report.json", None),
-            ("strict", False, None),
-            ("breakdown", True, None),
-            ("timeout_ms", None, None),
-            ("jobs", 1, None),
-        ],
-    )
+    resolved = _resolve(args)
     _require(resolved, "corpus", "assignment", "preds", "db")
     try:
-        split = Split(str(resolved["split"]).upper())
+        split = Split(resolved["split"].upper())
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     corpus = load_corpus(resolved["corpus"])
     assignment = SplitAssignment.load(resolved["assignment"])
     samples = [s for s in corpus if assignment.by_id.get(s.id) is split]
     preds = load_predictions(resolved["preds"])
-    timeout = resolved["timeout_ms"]
     report = evaluate(
         samples,
         preds,
         resolved["db"],
-        strict=bool(resolved["strict"]),
-        with_breakdown=bool(resolved["breakdown"]),
-        timeout_ms=int(timeout) if timeout is not None else None,
-        jobs=int(resolved["jobs"]),
+        strict=resolved["strict"],
+        with_breakdown=resolved["breakdown"],
+        timeout_ms=resolved["timeout_ms"],
+        jobs=resolved["jobs"],
     )
     out = Path(resolved["out"])
     write_json(out, report.to_dict())
@@ -516,101 +433,98 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON config file; flags and env vars override it")
+# Every subcommand's help, handler, and options, each option declared once
+# as (dest, default, kind, help). The flag is --dest with dashes; kind is
+# str, int, or bool (a --x/--no-x switch). Defaults live here, not in
+# argparse, so that an unset flag stays None and config values show through.
+_COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], int], tuple[tuple, ...]]] = {
+    "ingest": ("validate and normalize a corpus into canonical form", _cmd_ingest, (
+        ("corpus", None, str, None),
+        ("schema", None, str, None),
+        ("out", "corpus.jsonl", str, None),
+        ("field_map", None, str, "canonical=source field renames, comma separated"),
+        ("normalize_tables", True, bool, None),
+    )),
+    "stats": ("corpus statistics", _cmd_stats, (
+        ("corpus", None, str, None),
+        ("schema", None, str, None),
+        ("out", "corpus_stats.json", str, None),
+    )),
+    "split": ("assign TRAIN/DEV/TEST by the designated-table rule", _cmd_split, (
+        ("corpus", None, str, None),
+        ("schema", None, str, None),
+        ("out", "split_assignment.tsv", str, None),
+        ("report", "split_report.json", str, None),
+        ("test_size", DEFAULT_TEST_SIZE, int, None),
+        ("seed", 0, int, None),
+        ("designated", ",".join(sorted(DEFAULT_DESIGNATED)), str, "comma separated designated tables"),
+    )),
+    "linearize": ("export model input/target records for one split", _cmd_linearize, (
+        ("corpus", None, str, None),
+        ("schema", None, str, None),
+        ("assignment", None, str, None),
+        ("split", "TRAIN", str, None),
+        ("question_source", "template", str, None),
+        ("sep", DEFAULT_SEPARATOR, str, None),
+        ("out", None, str, None),
+    )),
+    "augment": ("add back-translated paraphrases", _cmd_augment, (
+        ("corpus", None, str, None),
+        ("out", "augmented_corpus.jsonl", str, None),
+        ("report", "augment_report.json", str, None),
+        ("pivots", ",".join(DEFAULT_PIVOTS), str, None),
+        ("stub", False, bool, None),
+        ("translate_url", None, str, None),  # MEDSQL_TRANSLATE_URL overrides it
+        ("timeout_ms", 10_000, int, None),
+        ("retries", 2, int, None),
+        ("jobs", 1, int, None),
+    )),
+    "rerank": ("pick the first executable candidate per beam", _cmd_rerank, (
+        ("preds", None, str, None),
+        ("db", None, str, None),
+        ("out", "reranked_predictions.jsonl", str, None),
+        ("require_nonempty", False, bool, None),
+        ("timeout_ms", DEFAULT_TIMEOUT_MS, int, None),
+        ("jobs", 1, int, None),
+    )),
+    "recover": ("replace condition values with database values", _cmd_recover, (
+        ("preds", None, str, None),
+        ("db", None, str, None),
+        ("schema", None, str, None),
+        ("out", "recovered_predictions.jsonl", str, None),
+        ("report", "recover_report.json", str, None),
+        ("prefilter", True, bool, None),
+        ("jobs", 1, int, None),
+    )),
+    "eval": ("logic-form and execution accuracy for a prediction file", _cmd_eval, (
+        ("corpus", None, str, None),
+        ("assignment", None, str, None),
+        ("split", "TEST", str, None),
+        ("preds", None, str, None),
+        ("db", None, str, None),
+        ("out", "eval_report.json", str, None),
+        ("strict", False, bool, None),
+        ("breakdown", True, bool, None),
+        ("timeout_ms", None, int, None),
+        ("jobs", 1, int, None),
+    )),
+}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="medsql", description=__doc__)
     parser.add_argument("--version", action="version", version=f"medsql {__version__}")
     subs = parser.add_subparsers(dest="subcommand", parser_class=_Parser)
-
-    p = subs.add_parser("ingest", help="validate and normalize a corpus into canonical form")
-    _add_common(p)
-    p.add_argument("--corpus")
-    p.add_argument("--schema")
-    p.add_argument("--out")
-    p.add_argument("--field-map", dest="field_map", help="canonical=source field renames, comma separated")
-    p.add_argument("--normalize-tables", dest="normalize_tables", action=argparse.BooleanOptionalAction)
-    p.set_defaults(func=_cmd_ingest)
-
-    p = subs.add_parser("stats", help="corpus statistics")
-    _add_common(p)
-    p.add_argument("--corpus")
-    p.add_argument("--schema")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_stats)
-
-    p = subs.add_parser("split", help="assign TRAIN/DEV/TEST by the designated-table rule")
-    _add_common(p)
-    p.add_argument("--corpus")
-    p.add_argument("--schema")
-    p.add_argument("--out")
-    p.add_argument("--report")
-    p.add_argument("--test-size", dest="test_size", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--designated", help="comma separated designated tables")
-    p.set_defaults(func=_cmd_split)
-
-    p = subs.add_parser("linearize", help="export model input/target records for one split")
-    _add_common(p)
-    p.add_argument("--corpus")
-    p.add_argument("--schema")
-    p.add_argument("--assignment")
-    p.add_argument("--split")
-    p.add_argument("--question-source", dest="question_source")
-    p.add_argument("--sep")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_linearize)
-
-    p = subs.add_parser("augment", help="add back-translated paraphrases")
-    _add_common(p)
-    p.add_argument("--corpus")
-    p.add_argument("--out")
-    p.add_argument("--report")
-    p.add_argument("--pivots")
-    p.add_argument("--stub", action=argparse.BooleanOptionalAction)
-    p.add_argument("--translate-url", dest="translate_url")
-    p.add_argument("--timeout-ms", dest="timeout_ms", type=int)
-    p.add_argument("--retries", type=int)
-    p.add_argument("--jobs", type=int)
-    p.set_defaults(func=_cmd_augment)
-
-    p = subs.add_parser("rerank", help="pick the first executable candidate per beam")
-    _add_common(p)
-    p.add_argument("--preds")
-    p.add_argument("--db")
-    p.add_argument("--out")
-    p.add_argument("--require-nonempty", dest="require_nonempty", action=argparse.BooleanOptionalAction)
-    p.add_argument("--timeout-ms", dest="timeout_ms", type=int)
-    p.add_argument("--jobs", type=int)
-    p.set_defaults(func=_cmd_rerank)
-
-    p = subs.add_parser("recover", help="replace condition values with database values")
-    _add_common(p)
-    p.add_argument("--preds")
-    p.add_argument("--db")
-    p.add_argument("--schema")
-    p.add_argument("--out")
-    p.add_argument("--report")
-    p.add_argument("--prefilter", action=argparse.BooleanOptionalAction)
-    p.add_argument("--jobs", type=int)
-    p.set_defaults(func=_cmd_recover)
-
-    p = subs.add_parser("eval", help="logic-form and execution accuracy for a prediction file")
-    _add_common(p)
-    p.add_argument("--corpus")
-    p.add_argument("--assignment")
-    p.add_argument("--split")
-    p.add_argument("--preds")
-    p.add_argument("--db")
-    p.add_argument("--out")
-    p.add_argument("--strict", action=argparse.BooleanOptionalAction)
-    p.add_argument("--breakdown", action=argparse.BooleanOptionalAction)
-    p.add_argument("--timeout-ms", dest="timeout_ms", type=int)
-    p.add_argument("--jobs", type=int)
-    p.set_defaults(func=_cmd_eval)
-
+    for name, (help_text, handler, options) in _COMMANDS.items():
+        p = subs.add_parser(name, help=help_text)
+        p.add_argument("--config", help="JSON config file; flags and env vars override it")
+        for dest, _, kind, option_help in options:
+            flag = "--" + dest.replace("_", "-")
+            if kind is bool:
+                p.add_argument(flag, dest=dest, action=argparse.BooleanOptionalAction, help=option_help)
+            else:
+                p.add_argument(flag, dest=dest, type=kind, help=option_help)
+        p.set_defaults(func=handler)
     return parser
 
 

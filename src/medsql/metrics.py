@@ -196,11 +196,9 @@ class EvalReport:
         return out
 
 
-def _breakdown_flags(gold_sql: str, pred_sql: str | None) -> ComponentFlags:
-    if pred_sql is None:
-        return _ALL_FALSE
+def _breakdown_flags(sample: Sample, pred_sql: str) -> ComponentFlags:
     try:
-        gold = parse_sql(gold_sql)
+        gold = sample.gold_query
         pred = parse_sql(pred_sql)
     except MedsqlError:
         return _ALL_FALSE
@@ -241,7 +239,7 @@ def evaluate(
             pred_sql = top_sql(pred)
             lf = logic_form_match(sample.gold_sql, pred_sql)
             outcome = execution_match(sample.gold_sql, pred_sql, get_conn(), timeout_ms=timeout_ms)
-            flags = _breakdown_flags(sample.gold_sql, pred_sql) if with_breakdown else _ALL_FALSE
+            flags = _breakdown_flags(sample, pred_sql) if with_breakdown else _ALL_FALSE
             return (
                 SampleEval(sample.id, lf, outcome.ex_match, outcome.gold_error, outcome.pred_error),
                 flags,

@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Any, Iterable
 
 from .errors import DataError, EvalPoolTooSmall, MedsqlError
-from .query import TablePosition, parse_sql, table_positions
 from .records import atomic_write_text
 from .store import Sample
 
@@ -102,12 +101,7 @@ def assign_splits(corpus: Iterable[Sample], spec: SplitSpec) -> SplitAssignment:
     division; pool membership is seed-independent.
     """
     corpus = list(corpus)
-    pool_ids: list[str] = []
-    mains: dict[str, str] = {}
-    for sample in corpus:
-        mains[sample.id] = parse_sql(sample.gold_sql).main_table
-        if mains[sample.id] in spec.designated_tables:
-            pool_ids.append(sample.id)
+    pool_ids = [s.id for s in corpus if s.gold_query.main_table in spec.designated_tables]
     if len(pool_ids) < spec.test_size:
         raise EvalPoolTooSmall(len(pool_ids), spec.test_size)
     ranked = sorted(pool_ids, key=lambda sid: _draw_key(spec.seed, sid))
@@ -116,7 +110,7 @@ def assign_splits(corpus: Iterable[Sample], spec: SplitSpec) -> SplitAssignment:
     for sample in corpus:
         if sample.id in test_ids:
             assignment.by_id[sample.id] = Split.TEST
-        elif mains[sample.id] in spec.designated_tables:
+        elif sample.gold_query.main_table in spec.designated_tables:
             assignment.by_id[sample.id] = Split.DEV
         else:
             assignment.by_id[sample.id] = Split.TRAIN
@@ -147,19 +141,12 @@ def verify_split(
             violations.append(Violation(sample.id, "unassigned", "sample missing from assignment"))
             continue
         try:
-            query = parse_sql(sample.gold_sql)
+            query = sample.gold_query
         except MedsqlError as exc:
             violations.append(Violation(sample.id, "unparseable-gold", str(exc)))
             continue
-        positions = table_positions(query)
-        designated_main = positions.get(query.main_table) is TablePosition.MAIN and (
-            query.main_table in spec.designated_tables
-        )
-        designated_joins = sorted(
-            t
-            for t, pos in positions.items()
-            if pos is TablePosition.JOINED and t in spec.designated_tables
-        )
+        designated_main = query.main_table in spec.designated_tables
+        designated_joins = sorted(j.table for j in query.joins if j.table in spec.designated_tables)
         if split is Split.TRAIN and designated_main:
             violations.append(
                 Violation(sample.id, "main-designated-in-train", f"FROM {query.main_table}")

@@ -18,6 +18,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -31,7 +32,7 @@ from .errors import (
     RecordError,
     UnknownColumn,
 )
-from .query import AggOp, parse_sql, tokenize_sql
+from .query import SqlQuery, parse_sql, tokenize_sql
 from .records import read_jsonl, write_jsonl
 
 ATTR_TEXT = "text"
@@ -155,6 +156,12 @@ class Sample:
     def __post_init__(self):
         object.__setattr__(self, "synthetic_paraphrases", tuple(self.synthetic_paraphrases))
 
+    @cached_property
+    def gold_query(self) -> SqlQuery:
+        """The parsed gold SQL: parsed on first use, then kept. A parse
+        error is raised again on every access."""
+        return parse_sql(self.gold_sql)
+
     def to_record(self) -> dict[str, Any]:
         rec: dict[str, Any] = {"id": self.id, "question_template": self.template_question}
         if self.paraphrase_question is not None:
@@ -191,9 +198,11 @@ def validate_records(numbered: Iterable[tuple[int, Any]]) -> list[Sample]:
     """Validate (number, record) pairs into samples.
 
     Every record must be a JSON object with a unique id, a non-empty
-    string ``question_template``, and a string ``sql`` that parses under
-    the dialect; violations raise :class:`RecordError` carrying the
-    record's number.
+    string ``question_template``, a string or null
+    ``question_paraphrase``, a list of ``{text, pivot}`` string objects as
+    ``synthetic``, and a string ``sql`` that parses under the dialect;
+    violations raise :class:`RecordError` carrying the record's number.
+    The parsed SQL stays on each sample as :attr:`Sample.gold_query`.
     """
     samples: list[Sample] = []
     seen: set[str] = set()
@@ -201,15 +210,24 @@ def validate_records(numbered: Iterable[tuple[int, Any]]) -> list[Sample]:
         try:
             if not isinstance(rec, dict):
                 raise DataError("record is not a JSON object")
+            synthetic = rec.get("synthetic", [])
+            if not isinstance(synthetic, list) or not all(
+                isinstance(p, dict) and isinstance(p.get("text"), str) and isinstance(p.get("pivot"), str)
+                for p in synthetic
+            ):
+                raise DataError("synthetic must be a list of objects with string text and pivot")
             sample = Sample.from_record(rec)
             question = sample.template_question
             if not question or not str(question).strip():
                 raise DataError("question_template is empty")
             if not isinstance(question, str):
                 raise DataError(f"question_template must be a string, not {type(question).__name__}")
+            paraphrase = sample.paraphrase_question
+            if paraphrase is not None and not isinstance(paraphrase, str):
+                raise DataError(f"question_paraphrase must be a string or null, not {type(paraphrase).__name__}")
             if not isinstance(sample.gold_sql, str):
                 raise DataError(f"sql must be a string, not {type(sample.gold_sql).__name__}")
-            parse_sql(sample.gold_sql)
+            sample.gold_query  # SQL outside the dialect is a record error
         except RecordError:
             raise
         except DataError as exc:
@@ -487,7 +505,7 @@ def corpus_stats(corpus: list[Sample], schema: SchemaDef) -> CorpusStats:
             paraphrase_words += len(sample.paraphrase_question.split())
             paraphrase_count += 1
         sql_tokens += len(tokenize_sql(sample.gold_sql))
-        query = parse_sql(sample.gold_sql)
+        query = sample.gold_query
         select_items += len(query.select_items)
         conditions += len(query.conditions)
     n = len(corpus)
@@ -576,13 +594,13 @@ def merge_out_of_domain(
             db_id = entry["db_id"]
             if db_id not in schemas:
                 raise DataError(f"unknown db_id {db_id!r}")
-            parse_sql(sql)
             sample = Sample(
                 id=sample_id,
                 template_question=question,
                 gold_sql=sql,
                 schema=schemas[db_id],
             )
+            sample.gold_query  # SQL outside the dialect is a record error
         except (DataError, KeyError, TypeError) as exc:
             err = RecordError(idx, str(exc))
             if lenient:

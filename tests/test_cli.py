@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import shutil
 import sqlite3
@@ -7,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from medsql.cli import cmd
+from medsql import query
+from medsql.cli import build_parser, cmd
 from medsql.splits import Split, SplitAssignment, SplitSpec, assign_splits
 from medsql.store import load_corpus
 
@@ -152,6 +154,18 @@ class TestIngest:
         assert cmd(["ingest", "--corpus", "raw.json", "--schema", "schema.json"]) == 2
         assert "record 1: sql must be a string" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("synthetic", [{"x": 1}]), ("synthetic", 5), ("question_paraphrase", 3)],
+    )
+    def test_malformed_optional_field_exits_two(self, workdir, capsys, field, value):
+        write_jsonl("raw.jsonl", [
+            {"id": "a", "question_template": "q", "sql": "SELECT COUNT(*) FROM LAB", field: value},
+        ])
+        assert cmd(["ingest", "--corpus", "raw.jsonl", "--schema", "schema.json", "--out", "bad.jsonl"]) == 2
+        assert f"record 1: {field} must be" in capsys.readouterr().err
+        assert not Path("bad.jsonl").exists()
+
     @pytest.mark.parametrize("name", ["raw.jsonl", "raw.json"])
     def test_byte_order_mark_is_accepted(self, workdir, name):
         records = [{"id": "a", "question_template": "q", "sql": "SELECT COUNT(*) FROM LAB"}]
@@ -187,6 +201,9 @@ class TestStats:
         [
             {"id": "a", "question_template": 5, "sql": "SELECT COUNT(*) FROM LAB"},
             {"id": "a", "question_template": "q", "sql": 5},
+            {"id": "a", "question_template": "q", "sql": "SELECT COUNT(*) FROM LAB", "synthetic": [{"x": 1}]},
+            {"id": "a", "question_template": "q", "sql": "SELECT COUNT(*) FROM LAB", "synthetic": 5},
+            {"id": "a", "question_template": "q", "sql": "SELECT COUNT(*) FROM LAB", "question_paraphrase": 3},
         ],
     )
     def test_bad_field_types_exit_two(self, workdir, capsys, record):
@@ -229,6 +246,13 @@ class TestSplit:
         assert cmd(["split", "--corpus", "corpus.jsonl", "--config", "cfg.json",
                     "--test-size", "7"]) == 0
         assert read_json("split_report.json")["sizes"]["TEST"] == 7
+
+    def test_each_gold_query_is_lexed_once(self, workdir, monkeypatch):
+        lexed = []
+        lex = query._lex
+        monkeypatch.setattr(query, "_lex", lambda text: lexed.append(text) or lex(text))
+        assert cmd(SPLIT_ARGS) == 0
+        assert len(lexed) == 1000
 
     def test_rerun_is_byte_identical(self, clinic, tmp_path, monkeypatch):
         outputs = {}
@@ -484,3 +508,127 @@ class TestPipeline:
         assert len(manifest["inputs"]["corpus"]["sha256"]) == 64
         assert "config_hash" in manifest
         assert "timestamp" not in json.dumps(manifest)
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["split", "--corpus", "corpus.jsonl"], {"test_size": "x"}),
+            (["split", "--corpus", "corpus.jsonl"], {"seed": True}),
+            (["augment", "--corpus", "corpus.jsonl", "--stub"], {"jobs": "abc"}),
+            (["ingest", "--corpus", "corpus.jsonl", "--schema", "schema.json", "--out", "i.jsonl"],
+             {"normalize_tables": "false"}),
+            (["stats", "--corpus", "corpus.jsonl", "--schema", "schema.json"], {"out": None}),
+            (["rerank", "--preds", "p.jsonl", "--db", "clinic.db"], {"timeout_ms": 1.5}),
+        ],
+    )
+    def test_mistyped_value_exits_two(self, workdir, capsys, argv, config):
+        Path("cfg.json").write_text(json.dumps(config), encoding="utf-8")
+        assert cmd(argv + ["--config", "cfg.json"]) == 2
+        key = next(iter(config))
+        assert f"data error: config key {key!r} must be" in capsys.readouterr().err
+
+    def test_typed_values_and_null_defaults_are_accepted(self, workdir):
+        write_jsonl("raw.jsonl", [
+            {"id": "a", "question_template": "q", "sql": "SELECT COUNT(*) FROM PROCEDURE"},
+        ])
+        Path("cfg.json").write_text(json.dumps({"normalize_tables": False, "field_map": None}), encoding="utf-8")
+        assert cmd(["ingest", "--corpus", "raw.jsonl", "--schema", "schema.json", "--out", "kept.jsonl",
+                    "--config", "cfg.json"]) == 0
+        assert load_corpus("kept.jsonl")[0].gold_sql == "SELECT COUNT(*) FROM PROCEDURE"
+
+
+def _option_strings() -> dict[str, set[str]]:
+    parser = build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {s for a in sub._actions for s in a.option_strings} for name, sub in subs.choices.items()}
+
+
+def _switch(name: str) -> set[str]:
+    return {f"--{name}", f"--no-{name}"}
+
+
+COMMON_OPTIONS = {"-h", "--help", "--config"}
+
+# The option strings of every subcommand and the config its manifest
+# records when run with only the options the run below gives.
+CLI_SURFACE = {
+    "ingest": (
+        {"--corpus", "--schema", "--out", "--field-map"} | _switch("normalize-tables"),
+        {"corpus": "../corpus.jsonl", "schema": "../schema.json", "out": "corpus.jsonl", "field_map": None,
+         "normalize_tables": True},
+    ),
+    "stats": (
+        {"--corpus", "--schema", "--out"},
+        {"corpus": "corpus.jsonl", "schema": "../schema.json", "out": "corpus_stats.json"},
+    ),
+    "split": (
+        {"--corpus", "--schema", "--out", "--report", "--test-size", "--seed", "--designated"},
+        {"corpus": "corpus.jsonl", "schema": None, "out": "split_assignment.tsv", "report": "split_report.json",
+         "test_size": 400, "seed": 0, "designated": "LAB,PRESCRIPTIONS,PROCEDURES"},
+    ),
+    "linearize": (
+        {"--corpus", "--schema", "--assignment", "--split", "--question-source", "--sep", "--out"},
+        {"corpus": "corpus.jsonl", "schema": "../schema.json", "assignment": "split_assignment.tsv",
+         "split": "TRAIN", "question_source": "template", "sep": "[SEP]", "out": None},
+    ),
+    "augment": (
+        {"--corpus", "--out", "--report", "--pivots", "--translate-url", "--timeout-ms", "--retries", "--jobs"}
+        | _switch("stub"),
+        {"corpus": "corpus.jsonl", "out": "augmented_corpus.jsonl", "report": "augment_report.json",
+         "pivots": "fr,de", "stub": True, "translate_url": "http://127.0.0.1:9/from-env", "timeout_ms": 10000,
+         "retries": 2, "jobs": 1},
+    ),
+    "rerank": (
+        {"--preds", "--db", "--out", "--timeout-ms", "--jobs"} | _switch("require-nonempty"),
+        {"preds": "beams.jsonl", "db": "../clinic.db", "out": "reranked_predictions.jsonl",
+         "require_nonempty": False, "timeout_ms": 5000, "jobs": 1},
+    ),
+    "recover": (
+        {"--preds", "--db", "--schema", "--out", "--report", "--jobs"} | _switch("prefilter"),
+        {"preds": "reranked_predictions.jsonl", "db": "../clinic.db", "schema": "../schema.json",
+         "out": "recovered_predictions.jsonl", "report": "recover_report.json", "prefilter": True, "jobs": 1},
+    ),
+    "eval": (
+        {"--corpus", "--assignment", "--split", "--preds", "--db", "--out", "--timeout-ms", "--jobs"}
+        | _switch("strict") | _switch("breakdown"),
+        {"corpus": "corpus.jsonl", "assignment": "split_assignment.tsv", "split": "TEST",
+         "preds": "recovered_predictions.jsonl", "db": "../clinic.db", "out": "eval_report.json",
+         "strict": False, "breakdown": True, "timeout_ms": None, "jobs": 1},
+    ),
+}
+
+
+class TestSurface:
+    def test_option_strings(self):
+        expected = {name: options | COMMON_OPTIONS for name, (options, _) in CLI_SURFACE.items()}
+        assert _option_strings() == expected
+        assert sum(len(options) for options in expected.values()) == 84
+
+    def test_manifests_record_every_option(self, workdir, clinic, monkeypatch):
+        monkeypatch.setenv("MEDSQL_TRANSLATE_URL", "http://127.0.0.1:9/from-env")  # --stub wins
+        (workdir / "run").mkdir()
+        monkeypatch.chdir(workdir / "run")
+        write_jsonl("beams.jsonl", [
+            {"id": s.id, "candidates": [{"sql": s.gold_sql, "score": 0.5}]} for s in clinic.corpus[:3]
+        ])
+        runs = {
+            "ingest": (["--corpus", "../corpus.jsonl", "--schema", "../schema.json"], "corpus.jsonl"),
+            "stats": (["--corpus", "corpus.jsonl", "--schema", "../schema.json"], "corpus_stats.json"),
+            "split": (["--corpus", "corpus.jsonl", "--test-size", "400"], "split_assignment.tsv"),
+            "linearize": (["--corpus", "corpus.jsonl", "--schema", "../schema.json",
+                           "--assignment", "split_assignment.tsv"], "train_template.jsonl"),
+            "augment": (["--corpus", "corpus.jsonl", "--stub"], "augmented_corpus.jsonl"),
+            "rerank": (["--preds", "beams.jsonl", "--db", "../clinic.db"], "reranked_predictions.jsonl"),
+            "recover": (["--preds", "reranked_predictions.jsonl", "--db", "../clinic.db",
+                         "--schema", "../schema.json"], "recovered_predictions.jsonl"),
+            "eval": (["--corpus", "corpus.jsonl", "--assignment", "split_assignment.tsv",
+                      "--preds", "recovered_predictions.jsonl", "--db", "../clinic.db"], "eval_report.json"),
+        }
+        assert list(runs) == list(CLI_SURFACE)
+        for name, (argv, out) in runs.items():
+            assert cmd([name, *argv]) == 0, name
+            assert read_json(f"{out}.manifest.json")["config"] == CLI_SURFACE[name][1], name
+        keys = set().union(*(config for _, config in CLI_SURFACE.values()))
+        assert len(keys) == 25

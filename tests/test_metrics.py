@@ -16,7 +16,7 @@ from medsql.metrics import (
 )
 from medsql.predictions import Candidate, CandidateSet
 from medsql.query import parse_sql
-from medsql.store import open_exec_db
+from medsql.store import Sample, open_exec_db
 
 from .reference import ref_execution_match
 
@@ -269,6 +269,15 @@ class TestEvaluate:
         # Two exact copies plus one same-shape wrong-value prediction.
         assert report.breakdown["cond_val"] == 2 / 4
         assert report.breakdown["agg_op"] == 3 / 4
+
+    def test_unparseable_gold_clears_every_breakdown_flag(self, clinic):
+        # SQLite runs GROUP BY, so LF and EX match, but the dialect cannot parse it.
+        sample = Sample("g", "q", "SELECT LAB.LABEL FROM LAB GROUP BY LAB.LABEL")
+        report = evaluate([sample], {"g": sample.gold_sql}, clinic.db_path)
+        assert report.acc_lf == report.acc_ex == 1.0
+        assert report.breakdown == dict.fromkeys(
+            ("agg_op", "agg_col", "table_joins", "cond_col_op", "cond_val"), 0.0
+        )
 
     def test_breakdown_can_be_disabled(self, clinic, four_samples):
         report = evaluate(

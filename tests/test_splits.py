@@ -119,6 +119,15 @@ class TestVerify:
         assert "joined-designated-in-eval" in rules
         assert "eval-missing-designated-main" in rules
 
+    def test_unparseable_gold_is_flagged(self):
+        # A Sample built directly skips load_corpus's validating parse.
+        good = Sample("good", "q", "SELECT COUNT(*) FROM LAB")
+        bad = Sample("bad", "q", "SELECT LAB.LABEL FROM LAB GROUP BY LAB.LABEL")
+        assignment = SplitAssignment({"good": Split.DEV, "bad": Split.DEV})
+        violations = verify_split([good, bad], assignment, SPEC)
+        assert [(v.sample_id, v.rule) for v in violations] == [("bad", "unparseable-gold")]
+        assert "GROUP" in violations[0].detail
+
     def test_unassigned_sample_is_flagged(self, clinic):
         assignment = assign_splits(clinic.corpus, SPEC)
         partial = dict(assignment.by_id)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import json
 import sqlite3
+from dataclasses import replace
 
 import pytest
 
@@ -15,7 +16,10 @@ from medsql.errors import (
     QueryExecutionError,
     RecordError,
     UnknownColumn,
+    UnsupportedSyntax,
 )
+from medsql import store
+from medsql.query import parse_sql
 from medsql.store import (
     ColumnDef,
     Paraphrase,
@@ -123,6 +127,11 @@ class TestCorpusIo:
             ("question_template", ["q"], "question_template must be a string"),
             ("sql", 5, "sql must be a string"),
             ("sql", None, "sql must be a string"),
+            ("question_paraphrase", 3, "question_paraphrase must be a string or null"),
+            ("synthetic", 5, "synthetic must be a list"),
+            ("synthetic", None, "synthetic must be a list"),
+            ("synthetic", [{"x": 1}], "synthetic must be a list"),
+            ("synthetic", [{"text": "t", "pivot": 2}], "synthetic must be a list"),
         ],
     )
     def test_bad_field_types_are_record_errors(self, tmp_path, field, value, message):
@@ -154,6 +163,45 @@ class TestCorpusIo:
         assert grown.synthetic_paraphrases == (Paraphrase("text", "fr"),)
         assert sample.synthetic_paraphrases == ()
         assert grown.id == sample.id and grown.gold_sql == sample.gold_sql
+
+
+class TestGoldQuery:
+    def test_is_the_parse_of_the_gold_sql(self, clinic):
+        sample = clinic.corpus[0]
+        assert sample.gold_query == parse_sql(sample.gold_sql)
+
+    def test_is_parsed_once_and_kept(self, monkeypatch):
+        parsed = []
+        monkeypatch.setattr(store, "parse_sql", lambda text: parsed.append(text) or parse_sql(text))
+        sample = Sample("a", "q", "SELECT * FROM T")
+        assert sample.gold_query is sample.gold_query
+        assert parsed == ["SELECT * FROM T"]
+
+    def test_replaced_sql_gets_its_own_query(self):
+        sample = Sample("a", "q", "SELECT * FROM T")
+        assert sample.gold_query.main_table == "T"
+        other = replace(sample, gold_sql="SELECT A FROM U")
+        assert other.gold_query == parse_sql("SELECT A FROM U")
+        assert sample.gold_query.main_table == "T"
+
+    def test_unparseable_sql_raises_on_every_access(self):
+        sample = Sample("a", "q", "SELECT A FROM T GROUP BY A")
+        for _ in range(2):
+            with pytest.raises(UnsupportedSyntax):
+                sample.gold_query
+
+    def test_a_parsed_sample_still_equals_an_unparsed_one(self):
+        parsed = Sample("a", "q", "SELECT * FROM T")
+        parsed.gold_query
+        assert parsed == Sample("a", "q", "SELECT * FROM T")
+        assert parsed.to_record() == {"id": "a", "question_template": "q", "sql": "SELECT * FROM T"}
+
+    def test_load_corpus_parses_each_record_once(self, clinic, monkeypatch):
+        parsed = []
+        monkeypatch.setattr(store, "parse_sql", lambda text: parsed.append(text) or parse_sql(text))
+        corpus = load_corpus(clinic.corpus_path)
+        corpus_stats(corpus, clinic.schema)
+        assert len(parsed) == len(corpus)
 
 
 class TestExecDb:
