@@ -25,6 +25,7 @@ from .errors import (
     UnknownColumn,
     UnknownPivot,
 )
+from .records import read_json
 from .store import Paraphrase, Sample, ValueLookup, map_in_order, with_synthetic
 
 DEFAULT_PIVOTS = ("fr", "de")
@@ -210,26 +211,12 @@ class QuestionTemplate:
     sql_pattern: str
     slot_bindings: tuple[tuple[str, tuple[str, str]], ...]  # (slot, (table, column))
 
-    def slots(self) -> tuple[str, ...]:
-        return tuple(slot for slot, _ in self.slot_bindings)
-
-    def binding(self, slot: str) -> tuple[str, str]:
-        for name, binding in self.slot_bindings:
-            if name == slot:
-                return binding
-        raise UnboundSlot(f"template {self.name}: slot {slot!r} has no binding")
-
 
 def load_templates(path: str | Path) -> list[QuestionTemplate]:
     """Read a template file: a JSON array of ``{name, question, sql,
     slots}`` objects where slots maps slot names to [table, column]."""
-    with open(path, encoding="utf-8-sig") as fh:
-        try:
-            entries = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"template file is not valid JSON: {exc}") from exc
     templates: list[QuestionTemplate] = []
-    for idx, entry in enumerate(entries):
+    for idx, entry in enumerate(read_json(path, "template file", list)):
         try:
             templates.append(
                 QuestionTemplate(
@@ -242,7 +229,7 @@ def load_templates(path: str | Path) -> list[QuestionTemplate]:
                     ),
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise DataError(f"template {idx}: malformed entry: {exc}") from exc
     return templates
 

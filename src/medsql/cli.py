@@ -12,6 +12,7 @@ which are overridden by environment variables.
 from __future__ import annotations
 
 import argparse
+import codecs
 import json
 import os
 import sys
@@ -33,7 +34,7 @@ from .linearize import DEFAULT_SEPARATOR, QuestionSource, export_training_file
 from .metrics import evaluate
 from .predictions import CandidateSet, Candidate, load_predictions, save_predictions
 from .query import ColumnRef, SqlQuery, rename_tables, serialize_sql
-from .records import FORMAT_VERSION, read_jsonl, write_json, write_jsonl, write_manifest
+from .records import FORMAT_VERSION, read_json, read_jsonl, write_json, write_jsonl, write_manifest
 from .recovery import recover_query
 from .rerank import DEFAULT_TIMEOUT_MS, rerank_file
 from .splits import (
@@ -71,14 +72,7 @@ class _UsageError(Exception):
 def _load_config(path: str | None) -> dict[str, Any]:
     if not path:
         return {}
-    with open(path, encoding="utf-8-sig") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"config file is not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise DataError("config file must hold a JSON object")
-    return obj
+    return read_json(path, "config file", dict)
 
 
 def _resolve(args: argparse.Namespace) -> dict[str, Any]:
@@ -140,14 +134,10 @@ _CANONICAL_FIELDS = ("id", "question_template", "question_paraphrase", "sql")
 
 
 def _read_raw_records(path: str) -> list[Any]:
-    with open(path, encoding="utf-8-sig") as fh:
-        head = fh.read(64).lstrip()
-    if head.startswith("["):
-        with open(path, encoding="utf-8-sig") as fh:
-            entries = json.load(fh)
-        if not isinstance(entries, list):
-            raise DataError("corpus JSON must be an array of records")
-        return entries
+    with open(path, "rb") as fh:
+        head = fh.read(64).removeprefix(codecs.BOM_UTF8).lstrip()
+    if head.startswith(b"["):
+        return read_json(path, "corpus file", list)
     return [rec for _, rec in read_jsonl(path)]
 
 

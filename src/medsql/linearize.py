@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any
 
 from .errors import DataError, EmptyQuestion, ReservedToken
 from .records import write_jsonl
@@ -62,14 +61,6 @@ class ExportReport:
     n_samples: int
     per_source: dict[str, int]
     missing_paraphrase: int
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "n_records": self.n_records,
-            "n_samples": self.n_samples,
-            "per_source": dict(self.per_source),
-            "missing_paraphrase": self.missing_paraphrase,
-        }
 
 
 def export_training_file(

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
-from .errors import RecordError
-from .records import read_jsonl, write_jsonl
+from .errors import DataError, RecordError
+from .records import read_jsonl, record_id, write_jsonl
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,10 @@ def load_predictions(path: str | Path) -> dict[str, Prediction]:
     for lineno, rec in read_jsonl(path):
         if "id" not in rec:
             raise RecordError(lineno, "missing id")
-        sid = str(rec["id"])
+        try:
+            sid = record_id(rec["id"])
+        except DataError as exc:
+            raise RecordError(lineno, str(exc)) from None
         if sid in preds:
             raise RecordError(lineno, f"duplicate id {sid!r}")
         if "candidates" in rec:
@@ -55,11 +58,11 @@ def load_predictions(path: str | Path) -> dict[str, Prediction]:
             if not isinstance(raw, list) or not raw:
                 raise RecordError(lineno, "candidates must be a non-empty list")
             try:
-                cands = tuple(Candidate(str(c["sql"]), float(c["score"])) for c in raw)
+                cands = tuple(Candidate(c["sql"], float(c["score"])) for c in raw)
             except (KeyError, TypeError, ValueError) as exc:
                 raise RecordError(lineno, f"malformed candidate: {exc}") from exc
-            if any(not c.sql for c in cands):
-                raise RecordError(lineno, "empty SQL string in candidates")
+            if any(not isinstance(c.sql, str) or not c.sql for c in cands):
+                raise RecordError(lineno, "candidate sql must be a non-empty string")
             if not all(math.isfinite(c.score) for c in cands):
                 raise RecordError(lineno, "candidate scores must be finite numbers")
             preds[sid] = CandidateSet(sid, cands)

@@ -10,7 +10,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from pathlib import Path
 from typing import Any
 
-from .errors import RecordError
+from .errors import DataError, RecordError
 
 FORMAT_VERSION = 1
 
@@ -19,20 +19,57 @@ def dump_record(obj: Mapping[str, Any]) -> str:
     return json.dumps(obj, ensure_ascii=False)
 
 
+def read_json(path: str | Path, what: str, shape: type[dict] | type[list]) -> Any:
+    """The JSON document in a UTF-8 file, an object (``shape`` dict) or an
+    array (list); a leading byte order mark is skipped. Bytes that are not
+    UTF-8, not JSON (nesting too deep to parse included), or not of that
+    shape raise :class:`DataError` naming the file as ``what``."""
+    try:
+        obj = json.loads(Path(path).read_bytes().decode("utf-8-sig"))
+    except (ValueError, RecursionError) as exc:
+        raise DataError(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(obj, shape):
+        raise DataError(f"{what} must hold a JSON {'object' if shape is dict else 'array'}")
+    return obj
+
+
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Yield (line_number, line) pairs of a UTF-8 text file, newline kept;
+    a leading byte order mark is skipped. A byte that is not UTF-8 raises
+    :class:`RecordError` carrying its line number."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            yield from enumerate(fh, start=1)
+    except UnicodeDecodeError:
+        # Text mode decodes in chunks, so the error does not tell the line.
+        with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise RecordError(lineno, str(exc)) from None
+
+
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict[str, Any]]]:
-    """Yield (line_number, record) pairs; blank lines and a leading UTF-8
-    byte order mark are skipped."""
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise RecordError(lineno, f"invalid JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise RecordError(lineno, "record is not a JSON object")
-            yield lineno, obj
+    """Yield (line_number, record) pairs of a :func:`read_lines` file;
+    whitespace-only lines are skipped."""
+    for lineno, line in read_lines(path):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise RecordError(lineno, f"invalid JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise RecordError(lineno, "record is not a JSON object")
+        yield lineno, obj
+
+
+def record_id(value: Any) -> str:
+    """A record's id as text: a string or an integer, not a boolean."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise DataError(f"id must be a string or an integer, not {json.dumps(value)}")
+    return str(value)
 
 
 def atomic_write_text(path: str | Path, text: str) -> Path:

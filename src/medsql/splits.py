@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Any, Iterable
 
 from .errors import DataError, EvalPoolTooSmall, MedsqlError
-from .records import atomic_write_text
+from .records import atomic_write_text, read_lines
 from .store import Sample
 
 DEFAULT_DESIGNATED = frozenset({"PROCEDURES", "PRESCRIPTIONS", "LAB"})
@@ -58,9 +58,6 @@ class SplitAssignment:
             out[split.value] += 1
         return out
 
-    def ids(self, split: Split) -> list[str]:
-        return [sid for sid, s in self.by_id.items() if s is split]
-
     def save(self, path: str | Path) -> Path:
         lines = [f"{sid}\t{split.value}" for sid, split in self.by_id.items()]
         return atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
@@ -68,22 +65,21 @@ class SplitAssignment:
     @classmethod
     def load(cls, path: str | Path) -> "SplitAssignment":
         by_id: dict[str, Split] = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise DataError(f"{path}: line {lineno}: expected 'id<TAB>split'")
-                sid, name = parts
-                try:
-                    split = Split(name)
-                except ValueError:
-                    raise DataError(f"{path}: line {lineno}: unknown split {name!r}") from None
-                if sid in by_id:
-                    raise DataError(f"{path}: line {lineno}: duplicate id {sid!r}")
-                by_id[sid] = split
+        for lineno, line in read_lines(path):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise DataError(f"{path}: line {lineno}: expected 'id<TAB>split'")
+            sid, name = parts
+            try:
+                split = Split(name)
+            except ValueError:
+                raise DataError(f"{path}: line {lineno}: unknown split {name!r}") from None
+            if sid in by_id:
+                raise DataError(f"{path}: line {lineno}: duplicate id {sid!r}")
+            by_id[sid] = split
         return cls(by_id)
 
 

@@ -11,7 +11,6 @@ SQLite file.
 from __future__ import annotations
 
 import csv
-import json
 import sqlite3
 import threading
 import time
@@ -33,7 +32,7 @@ from .errors import (
     UnknownColumn,
 )
 from .query import SqlQuery, parse_sql, tokenize_sql
-from .records import read_jsonl, write_jsonl
+from .records import read_json, read_jsonl, record_id, write_json, write_jsonl
 
 ATTR_TEXT = "text"
 ATTR_NUMBER = "number"
@@ -49,6 +48,8 @@ class ColumnDef:
     attr: str
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise DataError(f"column name must be a string, not {type(self.name).__name__}")
         if self.attr not in ATTRS:
             raise DataError(f"column {self.name}: unknown attribute {self.attr!r}")
 
@@ -59,6 +60,8 @@ class TableDef:
     columns: tuple[ColumnDef, ...]
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise DataError(f"table name must be a string, not {type(self.name).__name__}")
         object.__setattr__(self, "columns", tuple(self.columns))
         names = [c.name.upper() for c in self.columns]
         if len(set(names)) != len(names):
@@ -120,17 +123,10 @@ class SchemaDef:
 
 
 def load_schema(path: str | Path) -> SchemaDef:
-    with open(path, encoding="utf-8-sig") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"schema file is not valid JSON: {exc}") from exc
-    return SchemaDef.from_dict(obj)
+    return SchemaDef.from_dict(read_json(path, "schema file", dict))
 
 
 def save_schema(schema: SchemaDef, path: str | Path) -> Path:
-    from .records import write_json
-
     return write_json(path, schema.to_dict())
 
 
@@ -184,7 +180,7 @@ class Sample:
         )
         schema = rec.get("schema")
         return cls(
-            id=str(rec["id"]),
+            id=record_id(rec["id"]),
             template_question=rec["question_template"],
             gold_sql=rec["sql"],
             paraphrase_question=rec.get("question_paraphrase"),
@@ -436,9 +432,6 @@ class ValueLookup:
             raise UnknownColumn(f"no such column {table}.{column}")
         return self._attrs[key]
 
-    def columns(self) -> list[tuple[str, str]]:
-        return sorted(self._values)
-
     def tables_for_column(self, column: str) -> tuple[str, ...]:
         wanted = column.upper()
         return tuple(sorted({t for (t, c) in self._values if c == wanted}))
@@ -537,22 +530,23 @@ class MergeResult:
 
 
 def _external_schemas(tables_path: Path) -> dict[str, SchemaDef]:
-    with open(tables_path, encoding="utf-8") as fh:
-        entries = json.load(fh)
     schemas: dict[str, SchemaDef] = {}
-    for entry in entries:
-        table_names = entry.get("table_names_original") or entry["table_names"]
-        column_names = entry.get("column_names_original") or entry["column_names"]
-        column_types = entry["column_types"]
-        columns: list[list[ColumnDef]] = [[] for _ in table_names]
-        for (tab_idx, col_name), col_type in zip(column_names, column_types):
-            if tab_idx < 0:
-                continue
-            attr = _EXTERNAL_ATTR_MAP.get(col_type, ATTR_TEXT)
-            columns[tab_idx].append(ColumnDef(col_name, attr))
-        schemas[entry["db_id"]] = SchemaDef(
-            tuple(TableDef(name, tuple(cols)) for name, cols in zip(table_names, columns))
-        )
+    for idx, entry in enumerate(read_json(tables_path, "tables file", list)):
+        try:
+            table_names = entry.get("table_names_original") or entry["table_names"]
+            column_names = entry.get("column_names_original") or entry["column_names"]
+            column_types = entry["column_types"]
+            columns: list[list[ColumnDef]] = [[] for _ in table_names]
+            for (tab_idx, col_name), col_type in zip(column_names, column_types):
+                if tab_idx < 0:
+                    continue
+                attr = _EXTERNAL_ATTR_MAP.get(col_type, ATTR_TEXT)
+                columns[tab_idx].append(ColumnDef(col_name, attr))
+            schemas[entry["db_id"]] = SchemaDef(
+                tuple(TableDef(name, tuple(cols)) for name, cols in zip(table_names, columns))
+            )
+        except (AttributeError, DataError, LookupError, TypeError, ValueError) as exc:
+            raise DataError(f"tables entry {idx} is malformed: {exc}") from exc
     return schemas
 
 
@@ -576,8 +570,7 @@ def merge_out_of_domain(
     tables_path = Path(tables_path) if tables_path else examples_path.with_name("tables.json")
     schemas = _external_schemas(tables_path)
     prefix = examples_path.stem
-    with open(examples_path, encoding="utf-8") as fh:
-        entries = json.load(fh)
+    entries = read_json(examples_path, "examples file", list)
 
     existing = {s.id for s in primary}
     converted: list[Sample] = []

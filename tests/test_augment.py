@@ -277,6 +277,14 @@ class TestTemplateFile:
         with pytest.raises(DataError):
             load_templates(path)
 
+    @pytest.mark.parametrize("body", [b"5", b'{"question": "q"}', b'["q"]', b'[{"question": "q", "sql": "s", "slots": []}]',
+                                      b'[{"question": "\xff"}]'])
+    def test_malformed_document_is_a_data_error(self, tmp_path, body):
+        path = tmp_path / "templates.json"
+        path.write_bytes(body)
+        with pytest.raises(DataError):
+            load_templates(path)
+
     def test_missing_keys_are_a_data_error(self, tmp_path):
         path = tmp_path / "templates.json"
         path.write_text(json.dumps([{"question": "q"}]), encoding="utf-8")

@@ -204,6 +204,8 @@ class TestStats:
             {"id": "a", "question_template": "q", "sql": "SELECT COUNT(*) FROM LAB", "synthetic": [{"x": 1}]},
             {"id": "a", "question_template": "q", "sql": "SELECT COUNT(*) FROM LAB", "synthetic": 5},
             {"id": "a", "question_template": "q", "sql": "SELECT COUNT(*) FROM LAB", "question_paraphrase": 3},
+            {"id": None, "question_template": "q", "sql": "SELECT COUNT(*) FROM LAB"},
+            {"id": [1], "question_template": "q", "sql": "SELECT COUNT(*) FROM LAB"},
         ],
     )
     def test_bad_field_types_exit_two(self, workdir, capsys, record):
@@ -280,6 +282,17 @@ class TestLinearize:
         golds = {s.id: s.gold_sql for s in _test_samples(clinic)}
         assert {r["target"] for r in records} == set(golds.values())
         assert all(r["input"].count("[SEP]") == 1 for r in records)
+
+    def test_byte_order_mark_in_assignment_keeps_the_first_sample(self, workdir):
+        # A BOM used to stick to the first id, so that sample was left out.
+        assert cmd(SPLIT_ARGS) == 0
+        tsv = Path("split_assignment.tsv")
+        split = tsv.read_text(encoding="utf-8").split("\n", 1)[0].split("\t")[1]
+        base = ["linearize", "--corpus", "corpus.jsonl", "--schema", "schema.json", "--split", split]
+        assert cmd(base + ["--assignment", str(tsv), "--out", "plain.jsonl"]) == 0
+        Path("bom.tsv").write_bytes(b"\xef\xbb\xbf" + tsv.read_bytes())
+        assert cmd(base + ["--assignment", "bom.tsv", "--out", "bom.jsonl"]) == 0
+        assert read_jsonl("bom.jsonl") == read_jsonl("plain.jsonl")
 
     def test_bad_split_name_is_a_usage_error(self, workdir):
         assert cmd(SPLIT_ARGS) == 0
@@ -508,6 +521,34 @@ class TestPipeline:
         assert len(manifest["inputs"]["corpus"]["sha256"]) == 64
         assert "config_hash" in manifest
         assert "timestamp" not in json.dumps(manifest)
+
+
+class TestMalformedInputFiles:
+    @pytest.mark.parametrize(
+        "argv, name, body",
+        [
+            (["ingest", "--corpus", "raw.json", "--schema", "schema.json"],
+             "raw.json", b'[{"id": "a", "question_template": "q"'),
+            (["stats", "--corpus", "raw.jsonl", "--schema", "schema.json"],
+             "raw.jsonl", b'{"id": "a", "question_template": "q", "sql": "SELECT COUNT(*) FROM LAB"}\n\xff\n'),
+            (["stats", "--corpus", "corpus.jsonl", "--schema", "schema.json", "--config", "cfg.json"],
+             "cfg.json", b'{"out": "\xff"}'),
+            (["stats", "--corpus", "corpus.jsonl", "--schema", "bad_schema.json"],
+             "bad_schema.json", b'{"tables": [{"name": 5, "columns": []}]}'),
+            (["stats", "--corpus", "corpus.jsonl", "--schema", "bad_schema.json"],
+             "bad_schema.json", b'{"tables": [{"name": "T", "columns": [{"name": 5, "attr": "text"}]}]}'),
+            (["ingest", "--corpus", "raw.json", "--schema", "schema.json"], "raw.json", b"[" * 100_000),
+            (["stats", "--corpus", "raw.jsonl", "--schema", "schema.json"], "raw.jsonl", b'{"id": ' + b"[" * 100_000),
+        ],
+        ids=["truncated-array-corpus", "undecodable-corpus", "undecodable-config", "table-name", "column-name",
+             "deep-array-corpus", "deep-jsonl-record"],
+    )
+    def test_exits_two(self, workdir, capsys, argv, name, body):
+        # Each of these used to escape as a raw exception with a traceback.
+        Path(name).write_bytes(body)
+        assert cmd(argv + ["--out", "out.json"]) == 2
+        assert "data error:" in capsys.readouterr().err
+        assert not Path("out.json").exists()
 
 
 class TestConfigTypes:

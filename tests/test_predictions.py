@@ -23,6 +23,28 @@ class TestLoadPredictions:
             load_predictions(path)
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            (b'{"id": null, "sql": "SELECT COUNT(*) FROM LAB"}', "id must be a string or an integer"),
+            (b'{"id": [1], "sql": "SELECT COUNT(*) FROM LAB"}', "id must be a string or an integer"),
+            (b'{"id": "q2", "candidates": [{"sql": null, "score": 1.0}]}', "candidate sql must be a non-empty string"),
+            (b'{"id": "q2", "candidates": [{"sql": 5, "score": 1.0}]}', "candidate sql must be a non-empty string"),
+            (b'{"id": "q2", "sql": "SELECT \xff FROM LAB"}', "can't decode byte 0xff"),
+        ],
+    )
+    def test_malformed_record_is_rejected_with_its_line(self, tmp_path, line, message):
+        path = tmp_path / "p.jsonl"
+        path.write_bytes(b'{"id": "q1", "sql": "SELECT COUNT(*) FROM LAB"}\n\n' + line + b"\n")
+        with pytest.raises(RecordError, match=message) as exc:
+            load_predictions(path)
+        assert exc.value.line == 3
+
+    def test_integer_id_is_read_as_text(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        path.write_bytes(b'{"id": 7, "sql": "SELECT COUNT(*) FROM LAB"}\n')
+        assert load_predictions(path) == {"7": "SELECT COUNT(*) FROM LAB"}
+
     def test_leading_byte_order_mark_is_accepted(self, tmp_path):
         path = tmp_path / "p.jsonl"
         path.write_bytes(b"\xef\xbb\xbf" + b'{"id": "q1", "sql": "SELECT COUNT(*) FROM LAB"}\n')

@@ -63,6 +63,17 @@ class TestSchema:
         with pytest.raises(DataError):
             SchemaDef((TableDef("T", (ColumnDef("A", "varchar"),)),))
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"tables": [{"name": 5, "columns": []}]},
+            {"tables": [{"name": "T", "columns": [{"name": None, "attr": "text"}]}]},
+        ],
+    )
+    def test_non_string_name_rejected(self, doc):
+        with pytest.raises(DataError, match="name must be a string"):
+            SchemaDef.from_dict(doc)
+
     def test_duplicate_table_rejected(self):
         table = TableDef("T", (ColumnDef("A", "text"),))
         with pytest.raises(DataError):
@@ -132,6 +143,9 @@ class TestCorpusIo:
             ("synthetic", None, "synthetic must be a list"),
             ("synthetic", [{"x": 1}], "synthetic must be a list"),
             ("synthetic", [{"text": "t", "pivot": 2}], "synthetic must be a list"),
+            ("id", None, "id must be a string or an integer, not null"),
+            ("id", [1], "id must be a string or an integer, not \\[1\\]"),
+            ("id", True, "id must be a string or an integer, not true"),
         ],
     )
     def test_bad_field_types_are_record_errors(self, tmp_path, field, value, message):
@@ -415,6 +429,39 @@ class TestMergeOutOfDomain:
         examples_path, tables_path = self._external_release(tmp_path)
         with pytest.raises(RecordError):
             merge_out_of_domain(clinic.corpus, examples_path, tables_path)
+
+    def test_byte_order_marks_are_accepted(self, clinic, tmp_path):
+        examples_path, tables_path = self._external_release(tmp_path)
+        for path in (examples_path, tables_path):
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        result = merge_out_of_domain(clinic.corpus, examples_path, tables_path, lenient=True)
+        assert [s.id for s in result.samples[-2:]] == ["dev-00000", "dev-00001"]
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"column_names_original": None},
+            {"column_names_original": [[0]]},
+            {"column_names_original": [[-1, "*"], [3, "DEST"]]},
+            {"column_names_original": [[-1, "*"], [0, 7]]},
+            {"table_names_original": [None]},
+            {"column_types": 5},
+        ],
+    )
+    def test_malformed_tables_entry_is_a_data_error(self, clinic, tmp_path, change):
+        examples_path, tables_path = self._external_release(tmp_path)
+        entry = {**json.loads(tables_path.read_text(encoding="utf-8"))[0], **change}
+        tables_path.write_text(json.dumps([entry]), encoding="utf-8")
+        with pytest.raises(DataError, match="tables entry 0 is malformed"):
+            merge_out_of_domain(clinic.corpus, examples_path, tables_path, lenient=True)
+
+    @pytest.mark.parametrize("name", ["tables.json", "dev.json"])
+    @pytest.mark.parametrize("body", [b'{"db_id": "flights"}', b'["flights"', b'["\xff"]'])
+    def test_malformed_document_is_a_data_error(self, clinic, tmp_path, name, body):
+        examples_path, tables_path = self._external_release(tmp_path)
+        (tmp_path / name).write_bytes(body)
+        with pytest.raises(DataError):
+            merge_out_of_domain(clinic.corpus, examples_path, tables_path, lenient=True)
 
     def test_id_collision_rejected(self, clinic, tmp_path):
         examples_path, tables_path = self._external_release(tmp_path)
