@@ -1,7 +1,8 @@
 """Prediction files: one JSON record per sample id.
 
 A record is either a single prediction ``{"id", "sql"}`` or a scored beam
-``{"id", "candidates": [{"sql", "score"}, ...]}`` with finite scores. Beams
+``{"id", "candidates": [{"sql", "score"}, ...]}`` whose scores are finite
+JSON numbers (a string or a boolean is not a score). Beams
 are kept sorted by non-increasing score; ties keep their file order.
 """
 
@@ -41,6 +42,17 @@ def top_sql(pred: Prediction) -> str:
     return pred if isinstance(pred, str) else pred.candidates[0].sql
 
 
+def _finite_score(value: object) -> float | None:
+    """A JSON number (not a boolean) as a float; None unless it is finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        score = float(value)
+    except OverflowError:
+        return None
+    return score if math.isfinite(score) else None
+
+
 def load_predictions(path: str | Path) -> dict[str, Prediction]:
     """Load a prediction file keyed by id, preserving file order."""
     preds: dict[str, Prediction] = {}
@@ -58,14 +70,14 @@ def load_predictions(path: str | Path) -> dict[str, Prediction]:
             if not isinstance(raw, list) or not raw:
                 raise RecordError(lineno, "candidates must be a non-empty list")
             try:
-                cands = tuple(Candidate(c["sql"], float(c["score"])) for c in raw)
-            except (KeyError, TypeError, ValueError) as exc:
+                pairs = [(c["sql"], _finite_score(c["score"])) for c in raw]
+            except (KeyError, TypeError) as exc:
                 raise RecordError(lineno, f"malformed candidate: {exc}") from exc
-            if any(not isinstance(c.sql, str) or not c.sql for c in cands):
+            if any(not isinstance(sql, str) or not sql for sql, _ in pairs):
                 raise RecordError(lineno, "candidate sql must be a non-empty string")
-            if not all(math.isfinite(c.score) for c in cands):
+            if any(score is None for _, score in pairs):
                 raise RecordError(lineno, "candidate scores must be finite numbers")
-            preds[sid] = CandidateSet(sid, cands)
+            preds[sid] = CandidateSet(sid, tuple(Candidate(sql, score) for sql, score in pairs))
         elif "sql" in rec:
             sql = rec["sql"]
             if not isinstance(sql, str) or not sql:

@@ -11,8 +11,9 @@ case-folded characters:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Hashable, Sequence
 
 from .errors import MedsqlError, UnknownColumn
 from .query import (
@@ -23,41 +24,56 @@ from .query import (
     parse_sql,
     serialize_sql,
 )
-from .store import ATTR_TEXT, ValueLookup
+from .store import ATTR_TEXT, ColumnValues, ValueLookup
 
-# Above this many values in one column, candidates are pruned with a
-# length-based upper bound on the achievable score before exact scoring.
-PREFILTER_THRESHOLD = 50_000
+# A candidate is skipped only when its score bound is below the best score
+# by more than this, so float rounding in the bound cannot drop the argmax.
+_ROUNDING = 1e-9
 
 
-def lcs_len(a: Sequence, b: Sequence) -> int:
-    """Length of the longest common subsequence of two sequences."""
-    if not a or not b:
-        return 0
-    if len(b) > len(a):
+def lcs_len(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
+    """Length of the longest common subsequence of two sequences.
+
+    Bit-parallel (Allison & Dix 1986; Hyyrö 2004): one integer holds a
+    whole column of the dynamic programme over the shorter sequence, and
+    each element of the longer one updates every bit at once. Bit i of
+    ``v`` is clear where the LCS grows at position i, so the LCS is the
+    count of clear bits. Elements must be hashable; each distinct element
+    of the shorter sequence keys the mask of its positions.
+    """
+    if len(a) < len(b):
         a, b = b, a
-    prev = [0] * (len(b) + 1)
+    if not b:
+        return 0
+    masks: dict[Hashable, int] = {}
+    bit = 1
+    for x in b:
+        masks[x] = masks.get(x, 0) | bit
+        bit <<= 1
+    full = bit - 1
+    v = full
+    get = masks.get
     for x in a:
-        cur = [0]
-        for j, y in enumerate(b, start=1):
-            if x == y:
-                cur.append(prev[j - 1] + 1)
-            else:
-                cur.append(max(prev[j], cur[j - 1]))
-        prev = cur
-    return prev[len(b)]
+        u = v & get(x, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
-def rouge_l_f1(candidate: Sequence, reference: Sequence) -> float:
-    """ROUGE-L F1 with beta = 1 over two token sequences."""
-    if not candidate or not reference:
+def _f1(lcs: int, len_candidate: int, len_reference: int) -> float:
+    if not len_candidate or not len_reference:
         return 0.0
-    lcs = lcs_len(candidate, reference)
-    precision = lcs / len(candidate)
-    recall = lcs / len(reference)
+    precision = lcs / len_candidate
+    recall = lcs / len_reference
     if precision + recall == 0.0:
         return 0.0
     return 2.0 * precision * recall / (precision + recall)
+
+
+def rouge_l_f1(candidate: Sequence[Hashable], reference: Sequence[Hashable]) -> float:
+    """ROUGE-L F1 with beta = 1 over two token sequences."""
+    if not candidate or not reference:
+        return 0.0
+    return _f1(lcs_len(candidate, reference), len(candidate), len(reference))
 
 
 @dataclass(frozen=True)
@@ -81,19 +97,45 @@ def similarity(predicted: str, db_value: str) -> SimilarityScore:
     )
 
 
-def _score_bound(pred: str, pred_words: int, value: str) -> float:
-    """Upper bound on the combined score, from LCS <= min(len).
+def _common(bag: Counter, items: Sequence[Hashable]) -> int:
+    """Size of the multiset intersection of ``bag`` and ``items``, which
+    bounds the LCS of any two sequences with these element counts."""
+    total = 0
+    for x, k in bag.items():
+        n = items.count(x)
+        total += n if n < k else k
+    return total
 
-    F1 <= 2 * min(m, n) / (m + n) for sequence lengths m, n, so a
-    candidate whose length differs too much from the prediction cannot
-    reach a given score. Sound for any candidate, so pruning on a strict
-    comparison never changes the argmax.
+
+def _best_value(predicted: str, column: ColumnValues, prefilter: bool) -> tuple[str, float]:
+    """The first value in order with the highest combined score.
+
+    With ``prefilter``, a value is scored only if its bound, the combined
+    score with each LCS replaced by the bag intersection, comes within
+    rounding of the best so far; the bound is never below the score, so
+    the answer is the one a full scan gives.
     """
-    m, n = len(pred), len(value)
-    char_ub = 2.0 * min(m, n) / (m + n) if m and n else 0.0
-    wm, wn = pred_words, len(value.split())
-    word_ub = 2.0 * min(wm, wn) / (wm + wn) if wm and wn else 0.0
-    return (char_ub + word_ub) / 2.0
+    best_value: str | None = None
+    best_score = -1.0
+    pred = predicted.casefold()
+    pred_words = pred.split()
+    char_bag, word_bag = Counter(pred), Counter(pred_words)
+    profiles = column.folded if prefilter else column
+    for value, profile in zip(column, profiles):
+        if prefilter:
+            # The word half first: it is cheap, and a char half of 1 may
+            # already fall short.
+            folded, words = profile
+            floor = best_score - _ROUNDING
+            word_f = _f1(_common(word_bag, words), len(pred_words), len(words))
+            if (word_f + 1.0) / 2.0 < floor:
+                continue
+            if (word_f + _f1(_common(char_bag, folded), len(pred), len(folded))) / 2.0 < floor:
+                continue
+        score = similarity(predicted, value).combined
+        if score > best_score:
+            best_value, best_score = value, score
+    return best_value, best_score
 
 
 def recover_value(
@@ -102,28 +144,24 @@ def recover_value(
     """Pick the most similar value from a column's value set.
 
     Returns (value, combined score). An exact member is returned as-is.
-    Ties go to the lexicographically smallest value. The prefilter kicks
-    in above :data:`PREFILTER_THRESHOLD` values and only skips candidates
-    whose score bound is strictly below the current best, so results are
-    identical with it on or off.
+    Ties go to the lexicographically smallest value. ``values`` is a
+    :class:`~medsql.store.ColumnValues` from a lookup, whose set answers
+    exact hits and whose memo answers a predicted string recovered before,
+    or any sequence, which is sorted and scanned. ``prefilter`` skips
+    candidates whose bag bound cannot reach the best score; the answer is
+    the same with it on or off. Two threads that miss the same string at
+    once may both score it; both store the same answer.
     """
+    if not isinstance(values, ColumnValues):
+        values = ColumnValues(sorted(values))
     if not values:
         raise UnknownColumn("empty value set")
     if predicted in values:
         return predicted, 1.0
-    ordered = sorted(values)
-    use_bound = prefilter and len(ordered) > PREFILTER_THRESHOLD
-    pred_folded = predicted.casefold()
-    pred_words = len(pred_folded.split())
-    best_value: str | None = None
-    best_score = -1.0
-    for value in ordered:
-        if use_bound and _score_bound(pred_folded, pred_words, value.casefold()) < best_score:
-            continue
-        score = similarity(predicted, value).combined
-        if score > best_score:
-            best_value, best_score = value, score
-    return best_value, best_score
+    answer = values.memo.get(predicted)
+    if answer is None:
+        answer = values.memo[predicted] = _best_value(predicted, values, prefilter)
+    return answer
 
 
 @dataclass(frozen=True)

@@ -190,6 +190,18 @@ class Sample:
         )
 
 
+def _check_question(question: Any, key: str) -> None:
+    if not question or not str(question).strip():
+        raise DataError(f"{key} is empty")
+    if not isinstance(question, str):
+        raise DataError(f"{key} must be a string, not {type(question).__name__}")
+
+
+def _check_sql(sql: Any, key: str) -> None:
+    if not isinstance(sql, str):
+        raise DataError(f"{key} must be a string, not {type(sql).__name__}")
+
+
 def validate_records(numbered: Iterable[tuple[int, Any]]) -> list[Sample]:
     """Validate (number, record) pairs into samples.
 
@@ -213,16 +225,11 @@ def validate_records(numbered: Iterable[tuple[int, Any]]) -> list[Sample]:
             ):
                 raise DataError("synthetic must be a list of objects with string text and pivot")
             sample = Sample.from_record(rec)
-            question = sample.template_question
-            if not question or not str(question).strip():
-                raise DataError("question_template is empty")
-            if not isinstance(question, str):
-                raise DataError(f"question_template must be a string, not {type(question).__name__}")
+            _check_question(sample.template_question, "question_template")
             paraphrase = sample.paraphrase_question
             if paraphrase is not None and not isinstance(paraphrase, str):
                 raise DataError(f"question_paraphrase must be a string or null, not {type(paraphrase).__name__}")
-            if not isinstance(sample.gold_sql, str):
-                raise DataError(f"sql must be a string, not {type(sample.gold_sql).__name__}")
+            _check_sql(sample.gold_sql, "sql")
             sample.gold_query  # SQL outside the dialect is a record error
         except RecordError:
             raise
@@ -409,48 +416,80 @@ def canonical_value(value: Any) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
-class ValueLookup:
-    """Distinct values per (table, column), canonically ordered.
+class ColumnValues(tuple):
+    """One column's distinct values in canonical (sorted) order, indexed
+    for value recovery.
 
-    Keys are uppercase; ``values`` raises :class:`UnknownColumn` for pairs
-    outside the schema the lookup was built from.
+    A tuple of the values. ``members`` answers exact hits, ``memo`` keeps
+    the recovered answer for each predicted string already seen, and
+    :attr:`folded` holds each value case-folded, with its words, once a
+    miss first needs it.
     """
 
-    _values: dict[tuple[str, str], tuple[str, ...]]
-    _attrs: dict[tuple[str, str], str]
+    def __init__(self, values: Iterable[str]):
+        self.members = frozenset(self)
+        self.memo: dict[str, tuple[str, float]] = {}
 
-    def values(self, table: str, column: str) -> tuple[str, ...]:
+    def __contains__(self, value: object) -> bool:
+        return value in self.members
+
+    @cached_property
+    def folded(self) -> tuple[tuple[str, list[str]], ...]:
+        """(case-folded value, its whitespace words) per value, in order."""
+        return tuple((f, f.split()) for f in (v.casefold() for v in self))
+
+
+class ValueLookup:
+    """Distinct values per (table, column) of a schema, canonically ordered.
+
+    Keys are uppercase. ``attr``, ``tables_for_column`` and the
+    :class:`UnknownColumn` of pairs outside the schema come from the
+    schema; a column's ``SELECT DISTINCT`` runs when :meth:`values` first
+    asks for it, under a lock, so threads share one load. A lookup built on
+    a borrowed :class:`sqlite3.Connection` must not outlive that connection.
+    """
+
+    def __init__(self, db: str | Path | sqlite3.Connection, schema: SchemaDef):
+        self._db = db
+        self._columns = {
+            (t.name.upper(), c.name.upper()): (t.name, c.name, c.attr)
+            for t in schema.tables
+            for c in t.columns
+        }
+        self._loaded: dict[tuple[str, str], ColumnValues] = {}
+        self._lock = threading.Lock()
+
+    def values(self, table: str, column: str) -> ColumnValues:
         key = (table.upper(), column.upper())
-        if key not in self._values:
+        if key not in self._columns:
             raise UnknownColumn(f"no values recorded for {table}.{column}")
-        return self._values[key]
+        with self._lock:
+            if key not in self._loaded:
+                tab, col, _ = self._columns[key]
+                with exec_connection(self._db) as conn:
+                    rows = run_select(
+                        conn, f'SELECT DISTINCT "{col}" FROM "{tab}" WHERE "{col}" IS NOT NULL'
+                    )
+                self._loaded[key] = ColumnValues(sorted(canonical_value(r[0]) for r in rows))
+            return self._loaded[key]
 
     def attr(self, table: str, column: str) -> str:
         key = (table.upper(), column.upper())
-        if key not in self._attrs:
+        if key not in self._columns:
             raise UnknownColumn(f"no such column {table}.{column}")
-        return self._attrs[key]
+        return self._columns[key][2]
 
     def tables_for_column(self, column: str) -> tuple[str, ...]:
         wanted = column.upper()
-        return tuple(sorted({t for (t, c) in self._values if c == wanted}))
+        return tuple(sorted({t for (t, c) in self._columns if c == wanted}))
 
 
 def build_value_lookup(db: str | Path | sqlite3.Connection, schema: SchemaDef) -> ValueLookup:
-    values: dict[tuple[str, str], tuple[str, ...]] = {}
-    attrs: dict[tuple[str, str], str] = {}
-    with exec_connection(db) as conn:
-        for table in schema.tables:
-            for col in table.columns:
-                rows = run_select(
-                    conn,
-                    f'SELECT DISTINCT "{col.name}" FROM "{table.name}" WHERE "{col.name}" IS NOT NULL',
-                )
-                key = (table.name.upper(), col.name.upper())
-                values[key] = tuple(sorted(canonical_value(r[0]) for r in rows))
-                attrs[key] = col.attr
-    return ValueLookup(values, attrs)
+    """A lookup over ``db``; a database path is opened once here, so a
+    missing or unreadable file fails now rather than on first use."""
+    with exec_connection(db):
+        pass
+    return ValueLookup(db, schema)
 
 
 @dataclass(frozen=True)
@@ -536,6 +575,8 @@ def _external_schemas(tables_path: Path) -> dict[str, SchemaDef]:
             table_names = entry.get("table_names_original") or entry["table_names"]
             column_names = entry.get("column_names_original") or entry["column_names"]
             column_types = entry["column_types"]
+            if len(column_names) != len(column_types):
+                raise DataError(f"{len(column_names)} column names but {len(column_types)} column types")
             columns: list[list[ColumnDef]] = [[] for _ in table_names]
             for (tab_idx, col_name), col_type in zip(column_names, column_types):
                 if tab_idx < 0:
@@ -562,9 +603,11 @@ def merge_out_of_domain(
     The external release is an examples JSON array of ``{db_id, question,
     query}`` records plus a ``tables.json`` schema file (defaulting to the
     sibling of the examples file). Converted samples carry their own
-    schema and ids prefixed with the examples file stem. Records whose SQL
-    falls outside the dialect raise :class:`RecordError`, or are skipped
-    and reported when ``lenient``.
+    schema and ids prefixed with the examples file stem. A record's
+    ``question`` must be a non-empty string and its ``query`` a string, as
+    in :func:`validate_records`. Records that break this or whose SQL falls
+    outside the dialect raise :class:`RecordError`, or are skipped and
+    reported when ``lenient``.
     """
     examples_path = Path(examples_path)
     tables_path = Path(tables_path) if tables_path else examples_path.with_name("tables.json")
@@ -584,6 +627,8 @@ def merge_out_of_domain(
         try:
             question = entry["question"]
             sql = entry["query"]
+            _check_question(question, "question")
+            _check_sql(sql, "query")
             db_id = entry["db_id"]
             if db_id not in schemas:
                 raise DataError(f"unknown db_id {db_id!r}")

@@ -418,6 +418,24 @@ class TestRecover:
         assert cmd(base + ["--no-prefilter", "--out", "without.jsonl"]) == 0
         assert Path("with.jsonl").read_bytes() == Path("without.jsonl").read_bytes()
 
+    def test_repeated_misses_give_the_same_bytes_at_any_jobs(self, workdir, clinic):
+        samples = clinic.corpus[:12]
+        write_jsonl("preds.jsonl", [
+            {"id": f"{s.id}-{k}", "sql": s.gold_sql.replace("ASSAY", "asay")}
+            for k in range(3) for s in samples
+        ])
+        base = ["recover", "--preds", "preds.jsonl", "--db", "clinic.db", "--schema", "schema.json"]
+        for jobs in ("1", "2"):
+            assert cmd(base + ["--jobs", jobs, "--out", f"j{jobs}.jsonl", "--report", f"j{jobs}.json"]) == 0
+        assert Path("j1.jsonl").read_bytes() == Path("j2.jsonl").read_bytes()
+        assert Path("j1.json").read_bytes() == Path("j2.json").read_bytes()
+        records = read_jsonl("j1.jsonl")
+        assert [r["sql"] for r in records] == [s.gold_sql for _ in range(3) for s in samples]
+
+    def test_missing_db_exits_three_when_no_column_is_needed(self, workdir):
+        write_jsonl("preds.jsonl", [{"id": "a", "sql": "SELECT NAME FROM DEMOGRAPHIC GROUP BY NAME"}])
+        assert cmd(["recover", "--preds", "preds.jsonl", "--db", "absent.db", "--schema", "schema.json"]) == 3
+
     def test_beam_predictions_are_recovered_per_candidate(self, workdir, clinic):
         sample = clinic.corpus[0]
         write_jsonl("beams.jsonl", [

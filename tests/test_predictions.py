@@ -24,6 +24,24 @@ class TestLoadPredictions:
         assert exc.value.line == 2
 
     @pytest.mark.parametrize(
+        "token",
+        ['"0.5"', '"2"', "true", "false", "null", "[1]", '{"v": 1}', pytest.param("1" + "0" * 400, id="huge-integer")],
+    )
+    def test_a_score_must_be_a_json_number(self, tmp_path, token):
+        # float() used to read "0.5" as 0.5 and true as 1.0, which outranked a real 0.5.
+        path = tmp_path / "p.jsonl"
+        path.write_text("\n" + _beam_line(token), encoding="utf-8")
+        with pytest.raises(RecordError, match="finite numbers") as exc:
+            load_predictions(path)
+        assert exc.value.line == 2
+
+    def test_integer_and_float_scores_load_as_floats(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        path.write_text(_beam_line("3"), encoding="utf-8")
+        beam = load_predictions(path)["q1"]
+        assert [(c.score, type(c.score)) for c in beam.candidates] == [(3.0, float), (2.0, float)]
+
+    @pytest.mark.parametrize(
         "line, message",
         [
             (b'{"id": null, "sql": "SELECT COUNT(*) FROM LAB"}', "id must be a string or an integer"),

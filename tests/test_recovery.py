@@ -15,10 +15,28 @@ from medsql.recovery import (
     rouge_l_f1,
     similarity,
 )
+from medsql.store import ColumnValues, build_value_lookup
 
 from .reference import ref_best_value, ref_combined, ref_lcs
 
 short_text = st.text(alphabet="abcdefg hi", max_size=12)
+# Lengths around and past 64 and 128 cross the word sizes of the bit vector.
+long_text = st.text(alphabet="abc", max_size=200)
+word_lists = st.lists(st.sampled_from(["self", "pay", "paid", "a", "b"]), max_size=150)
+column_values = st.lists(st.text(alphabet="ab c", max_size=6), min_size=1, max_size=25, unique=True)
+
+
+@pytest.fixture()
+def similarity_calls(monkeypatch):
+    """Counts the candidate pairs recover_value scores."""
+    calls = []
+
+    def counting(predicted, db_value):
+        calls.append((predicted, db_value))
+        return similarity(predicted, db_value)
+
+    monkeypatch.setattr(medsql.recovery, "similarity", counting)
+    return calls
 
 
 class TestLcs:
@@ -44,6 +62,22 @@ class TestLcs:
     @settings(max_examples=300)
     def test_agrees_with_full_matrix_reference(self, a, b):
         assert lcs_len(a, b) == ref_lcs(a, b)
+
+    @given(long_text, long_text)
+    @settings(max_examples=200)
+    def test_long_strings_agree_with_reference(self, a, b):
+        assert lcs_len(a, b) == ref_lcs(a, b)
+
+    @given(word_lists, word_lists)
+    @settings(max_examples=200)
+    def test_word_lists_agree_with_reference(self, a, b):
+        assert lcs_len(a, b) == ref_lcs(a, b)
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129])
+    def test_word_boundaries(self, n):
+        a = "ab" * n
+        assert lcs_len(a, "b" * n) == n
+        assert lcs_len(a[:n], a[1 : n + 1]) == n - 1
 
     @given(short_text, short_text)
     def test_symmetric_and_bounded(self, a, b):
@@ -116,8 +150,7 @@ class TestRecoverValue:
         with pytest.raises(UnknownColumn):
             recover_value("x", ())
 
-    def test_prefilter_never_changes_the_answer(self, monkeypatch):
-        monkeypatch.setattr(medsql.recovery, "PREFILTER_THRESHOLD", 5)
+    def test_prefilter_never_changes_the_answer(self):
         rng = random.Random(401)
         alphabet = "abcdef "
         values = sorted(
@@ -129,8 +162,60 @@ class TestRecoverValue:
             without = recover_value(pred, values, prefilter=False)
             assert with_filter == without == ref_best_value(pred, values)
 
+    @given(st.text(alphabet="ab cd", max_size=8), column_values)
+    @settings(max_examples=300)
+    def test_bound_on_and_off_agree_with_reference(self, pred, values):
+        expected = ref_best_value(pred, values)
+        assert recover_value(pred, values, prefilter=True) == expected
+        assert recover_value(pred, values, prefilter=False) == expected
+        assert recover_value(pred, ColumnValues(sorted(values)), prefilter=True) == expected
+        assert recover_value(pred, ColumnValues(sorted(values)), prefilter=False) == expected
+
+    def test_ties_and_the_empty_prediction(self):
+        # Every value scores 0 against an empty prediction; the smallest wins.
+        values = ("b", "a c", "c")
+        assert recover_value("", values) == recover_value("", values, prefilter=False) == ("a c", 0.0)
+        assert ref_best_value("", values) == ("a c", 0.0)
+        # "xb" and "bx" tie at every level; "bx" sorts first.
+        assert recover_value("x", ("xb", "bx")) == recover_value("x", ("xb", "bx"), prefilter=False)
+        assert recover_value("x", ("xb", "bx"))[0] == "bx"
+
+    def test_bound_skips_candidates_without_changing_the_answer(self, similarity_calls):
+        values = [f"VALUE {i:03d} UNIT" for i in range(200)] + ["HEMOGLOBIN A1C"]
+        assert recover_value("hemoglobin a1", values) == ref_best_value("hemoglobin a1", values)
+        scored = len(similarity_calls)
+        assert recover_value("hemoglobin a1", values, prefilter=False)[0] == "HEMOGLOBIN A1C"
+        assert len(similarity_calls) - scored == len(values)
+        assert scored < len(values)
+
+    def test_a_column_answers_exact_hits_from_its_set(self, similarity_calls):
+        column = ColumnValues(["ENGL", "HAITIAN"])
+        assert recover_value("HAITIAN", column) == ("HAITIAN", 1.0)
+        assert similarity_calls == []
+        assert column.memo == {}
+
+    def test_a_repeated_miss_is_scored_once(self, similarity_calls):
+        column = ColumnValues(["ENGL", "HAITIAN", "RUSSIAN"])
+        first = recover_value("hait", column, prefilter=False)
+        scored = len(similarity_calls)
+        assert scored == 3
+        assert recover_value("hait", column, prefilter=False) == first
+        assert recover_value("hait", column) == first
+        assert len(similarity_calls) == scored
+        assert column.memo == {"hait": first}
+
 
 class TestRecoverQuery:
+    def test_a_repeated_miss_on_a_lookup_scores_no_pair_twice(self, clinic, similarity_calls):
+        lookup = build_value_lookup(clinic.db_path, clinic.schema)
+        pred = 'SELECT LAB.VALUE_UNIT FROM LAB WHERE LAB.LABEL = "asay 007"'
+        first = recover_query(pred, lookup)
+        pairs = list(similarity_calls)
+        assert pairs and len(set(pairs)) == len(pairs)
+        assert recover_query(pred, lookup) == first
+        assert similarity_calls == pairs
+        assert first.replacements == (("asay 007", "ASSAY 007"),)
+
     def test_misspelled_value_is_replaced(self, clinic):
         pred = 'SELECT COUNT(DISTINCT DEMOGRAPHIC.SUBJECT_ID) FROM DEMOGRAPHIC WHERE DEMOGRAPHIC.LANGUAGE = "hait"'
         recovered = recover_query(pred, clinic.lookup)

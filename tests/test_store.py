@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import json
 import sqlite3
+import sys
 from dataclasses import replace
 
 import pytest
@@ -322,6 +323,70 @@ class TestValueLookup:
         assert clinic.lookup.tables_for_column("SHORT_TITLE") == ("DIAGNOSES", "PROCEDURES")
         assert clinic.lookup.tables_for_column("LANGUAGE") == ("DEMOGRAPHIC",)
 
+    @pytest.fixture()
+    def selects(self, monkeypatch):
+        """The SQL of every query the lookup runs."""
+        sqls = []
+
+        def counting(conn, sql, timeout_ms=None):
+            sqls.append(sql)
+            return run_select(conn, sql, timeout_ms)
+
+        monkeypatch.setattr(store, "run_select", counting)
+        return sqls
+
+    def test_a_column_is_loaded_on_first_use_only(self, clinic, selects):
+        lookup = build_value_lookup(clinic.db_path, clinic.schema)
+        assert lookup.attr("LAB", "LABEL") == "text"
+        assert lookup.tables_for_column("SHORT_TITLE") == ("DIAGNOSES", "PROCEDURES")
+        assert selects == []
+        labels = lookup.values("lab", "label")
+        assert lookup.values("LAB", "LABEL") is labels
+        assert selects == ['SELECT DISTINCT "LABEL" FROM "LAB" WHERE "LABEL" IS NOT NULL']
+        assert labels == clinic.lookup.values("LAB", "LABEL")
+
+    def test_unknown_pair_raises_without_a_query(self, clinic, selects):
+        lookup = build_value_lookup(clinic.db_path, clinic.schema)
+        with pytest.raises(UnknownColumn):
+            lookup.values("LAB", "NOPE")
+        with pytest.raises(UnknownColumn):
+            lookup.attr("NOPE", "LABEL")
+        assert selects == []
+
+    def test_threads_share_one_load_per_column(self, clinic, selects):
+        lookup = build_value_lookup(clinic.db_path, clinic.schema)
+        pairs = [("DEMOGRAPHIC", "LANGUAGE"), ("LAB", "LABEL"), ("PRESCRIPTIONS", "DRUG")]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = store.map_in_order(lambda i: lookup.values(*pairs[i % 3]), range(300), 8)
+        finally:
+            sys.setswitchinterval(previous)
+        # A lost check-then-load would run a column's query twice or hand out two objects.
+        assert len(selects) == 3
+        assert all(column is got[i % 3] for i, column in enumerate(got))
+
+    def test_borrowed_connection_is_used_for_loads(self, clinic):
+        conn = open_exec_db(clinic.db_path)
+        try:
+            lookup = build_value_lookup(conn, clinic.schema)
+            assert list(lookup.values("DEMOGRAPHIC", "LANGUAGE")) == list(
+                clinic.lookup.values("DEMOGRAPHIC", "LANGUAGE")
+            )
+            assert conn.execute("SELECT 1").fetchone() == (1,)
+        finally:
+            conn.close()
+
+    def test_missing_database_fails_when_the_lookup_is_built(self, clinic, tmp_path):
+        with pytest.raises(DbError):
+            build_value_lookup(tmp_path / "absent.db", clinic.schema)
+
+    def test_column_values_is_a_tuple_with_a_member_set(self):
+        column = store.ColumnValues(["a", "b b", "c"])
+        assert column == ("a", "b b", "c")
+        assert "c" in column and "d" not in column and "c" in column.members
+        assert column.folded == (("a", ["a"]), ("b b", ["b", "b"]), ("c", ["c"]))
+
 
 class TestCanonicalValue:
     def test_integral_float_drops_point(self):
@@ -454,6 +519,39 @@ class TestMergeOutOfDomain:
         tables_path.write_text(json.dumps([entry]), encoding="utf-8")
         with pytest.raises(DataError, match="tables entry 0 is malformed"):
             merge_out_of_domain(clinic.corpus, examples_path, tables_path, lenient=True)
+
+    @pytest.mark.parametrize("types", [["text", "text", "number"], ["text"] * 5])
+    def test_column_types_of_another_length_are_a_data_error(self, clinic, tmp_path, types):
+        # Zipping the two lists used to drop the trailing columns silently.
+        examples_path, tables_path = self._external_release(tmp_path)
+        entry = {**json.loads(tables_path.read_text(encoding="utf-8"))[0], "column_types": types}
+        tables_path.write_text(json.dumps([entry]), encoding="utf-8")
+        with pytest.raises(DataError, match="tables entry 0 is malformed: 4 column names but"):
+            merge_out_of_domain(clinic.corpus, examples_path, tables_path, lenient=True)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"question": 5}, "question must be a string, not int"),
+            ({"question": ""}, "question is empty"),
+            ({"question": "   "}, "question is empty"),
+            ({"question": None}, "question is empty"),
+            ({"question": ["list destinations"]}, "question must be a string, not list"),
+            ({"query": 5}, "query must be a string, not int"),
+            ({"query": None}, "query must be a string, not NoneType"),
+        ],
+    )
+    def test_malformed_example_is_a_record_error(self, clinic, tmp_path, change, message):
+        examples_path, tables_path = self._external_release(tmp_path)
+        examples = json.loads(examples_path.read_text(encoding="utf-8"))
+        examples[0].update(change)
+        examples_path.write_text(json.dumps(examples), encoding="utf-8")
+        with pytest.raises(RecordError, match=message) as exc:
+            merge_out_of_domain(clinic.corpus, examples_path, tables_path)
+        assert exc.value.line == 0
+        result = merge_out_of_domain(clinic.corpus, examples_path, tables_path, lenient=True)
+        assert [s.id for s in result.samples[len(clinic.corpus):]] == ["dev-00001"]
+        assert [(e.line, message in str(e)) for e in result.skipped] == [(0, True), (2, False)]
 
     @pytest.mark.parametrize("name", ["tables.json", "dev.json"])
     @pytest.mark.parametrize("body", [b'{"db_id": "flights"}', b'["flights"', b'["\xff"]'])
