@@ -17,6 +17,7 @@ import re
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import ParseError, UnsupportedSyntax, UnterminatedLiteral
 
@@ -76,7 +77,7 @@ class TablePosition(Enum):
     JOINED = "JOINED"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Star:
     """The all-columns symbol in a select list."""
 
@@ -87,7 +88,7 @@ class Star:
 STAR = Star()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ColumnRef:
     column: str
     table: str | None = None
@@ -96,21 +97,21 @@ class ColumnRef:
         return f"{self.table}.{self.column}" if self.table else self.column
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SelectItem:
     agg_op: AggOp = AggOp.NONE
     distinct: bool = False
     column: ColumnRef | Star = STAR
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JoinClause:
     table: str
     left: ColumnRef
     right: ColumnRef
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal:
     kind: LiteralKind
     value: str
@@ -121,7 +122,7 @@ class Literal:
         return self.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Condition:
     column: ColumnRef
     op: CompOp
@@ -129,7 +130,7 @@ class Condition:
     connector: Connector | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SqlQuery:
     select_items: tuple[SelectItem, ...]
     main_table: str
@@ -152,16 +153,29 @@ class SqlQuery:
                 raise ValueError("the first condition and only the first must lack a connector")
 
 
-# Lexer. Words are maximal runs of characters that are not whitespace,
-# quotes, or operator/punctuation characters; '.' stays inside words so
-# qualified names (T.C) and decimals (3.5) are single lexemes.
-_PUNCT_TWO = ("<=", ">=", "!=", "<>")
-_PUNCT_ONE = frozenset("=<>(),*")
-_QUOTES = frozenset("'\"")
+# Lexer: one compiled pattern, matched token after token; each match
+# takes the whitespace before its token. Words are maximal runs of
+# characters that are not whitespace, quotes, or operator/punctuation
+# characters; '.' stays inside words so qualified names (T.C) and decimals
+# (3.5) are single lexemes, and '!' does too unless '=' follows it. A
+# literal's closing quote may not be followed by a second quote (that pair
+# is an escape), so a literal that ends in an escape matches nothing and
+# falls through to the lone-quote alternative, which raises
+# UnterminatedLiteral. Python 3.10 has no atomic groups or possessive
+# quantifiers, hence the lookaheads.
+_TOKEN_RE = re.compile(
+    r"""\s*(?:
+        ("[^"]*(?:""[^"]*)*")(?!")      # 1: double-quoted literal
+      | ('[^']*(?:''[^']*)*')(?!')      # 2: single-quoted literal
+      | (["'])                          # 3: lone (unterminated) quote
+      | (<=|>=|!=|<>|[=<>(),*])         # 4: operator or punctuation
+      | ((?:[^\s"'=<>(),*!]+|!(?!=))+)  # 5: word
+    )""",
+    re.VERBOSE,
+)
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "word" | "string" | "punct" | "end"
     text: str
     offset: int
@@ -169,52 +183,21 @@ class _Token:
 
 def _lex(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _QUOTES:
-            quote = ch
-            j = i + 1
-            parts: list[str] = []
-            while True:
-                if j >= n:
-                    raise UnterminatedLiteral(i)
-                c = text[j]
-                if c == quote:
-                    if j + 1 < n and text[j + 1] == quote:
-                        parts.append(quote)
-                        j += 2
-                        continue
-                    j += 1
-                    break
-                parts.append(c)
-                j += 1
-            tokens.append(_Token("string", "".join(parts), i))
-            i = j
-            continue
-        if text[i : i + 2] in _PUNCT_TWO:
-            tokens.append(_Token("punct", text[i : i + 2], i))
-            i += 2
-            continue
-        if ch in _PUNCT_ONE:
-            tokens.append(_Token("punct", ch, i))
-            i += 1
-            continue
-        j = i
-        while (
-            j < n
-            and not text[j].isspace()
-            and text[j] not in _PUNCT_ONE
-            and text[j] not in _QUOTES
-            and text[j : j + 2] not in _PUNCT_TWO
-        ):
-            j += 1
-        tokens.append(_Token("word", text[i:j], i))
-        i = j
-    tokens.append(_Token("end", "", n))
+    append = tokens.append
+    # Trailing whitespace is cut off first, so every search finds a token.
+    for m in _TOKEN_RE.finditer(text, 0, len(text.rstrip())):
+        group = m.lastindex
+        if group == 5:
+            append(_Token("word", m[5], m.start(5)))
+        elif group == 4:
+            append(_Token("punct", m[4], m.start(4)))
+        elif group == 3:
+            raise UnterminatedLiteral(m.start(3))
+        else:
+            literal = m[group]
+            quote = literal[0]
+            append(_Token("string", literal[1:-1].replace(quote + quote, quote), m.start(group)))
+    append(_Token("end", "", len(text)))
     return tokens
 
 
@@ -257,27 +240,29 @@ _UNSUPPORTED_JOINS = frozenset({"join", "left", "right", "full", "outer", "cross
 _UNSUPPORTED_TAIL = frozenset({"group", "order", "having", "limit", "union", "intersect", "except"})
 _UNSUPPORTED_OPS = frozenset({"between", "in", "is", "not", "exists"})
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$#]*\Z")
+_IDENT = r"[A-Za-z_][A-Za-z0-9_$#]*"
+_IDENT_RE = re.compile(_IDENT + r"\Z")
+_COLUMN_RE = re.compile(rf"({_IDENT})(?:\.({_IDENT}))?\Z")
 _NUMBER_RE = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)\Z")
 
 
 class _Stream:
+    __slots__ = ("_tokens", "_pos", "current")
+
     def __init__(self, text: str):
         self._tokens = _lex(text)
         self._pos = 0
-
-    @property
-    def current(self) -> _Token:
-        return self._tokens[self._pos]
+        self.current: _Token = self._tokens[0]
 
     def peek(self) -> _Token:
         k = min(self._pos + 1, len(self._tokens) - 1)
         return self._tokens[k]
 
     def advance(self) -> _Token:
-        tok = self._tokens[self._pos]
+        tok = self.current
         if tok.kind != "end":
             self._pos += 1
+            self.current = self._tokens[self._pos]
         return tok
 
     def at_word(self, *words: str) -> bool:
@@ -299,22 +284,16 @@ class _Stream:
         return self.advance()
 
 
-def _identifier(word: str) -> bool:
-    return bool(_IDENT_RE.match(word))
-
-
 def _column_ref(ts: _Stream) -> ColumnRef:
     tok = ts.current
     if tok.kind != "word":
         raise ParseError("expected a column reference", tok.offset, {"column reference"})
-    parts = tok.text.split(".")
-    if len(parts) == 1 and _identifier(parts[0]):
-        ts.advance()
-        return ColumnRef(parts[0].upper())
-    if len(parts) == 2 and all(_identifier(p) for p in parts):
-        ts.advance()
-        return ColumnRef(parts[1].upper(), parts[0].upper())
-    raise ParseError(f"malformed column reference {tok.text!r}", tok.offset, {"column reference"})
+    m = _COLUMN_RE.match(tok.text)
+    if m is None:
+        raise ParseError(f"malformed column reference {tok.text!r}", tok.offset, {"column reference"})
+    ts.advance()
+    head, tail = m.groups()
+    return ColumnRef(tail.upper(), head.upper()) if tail else ColumnRef(head.upper())
 
 
 def _table_name(ts: _Stream) -> str:
@@ -323,7 +302,7 @@ def _table_name(ts: _Stream) -> str:
         if ts.peek().kind == "word" and ts.peek().text.casefold() == "select":
             raise UnsupportedSyntax("nested queries are outside the dialect", tok.offset)
         raise ParseError("expected a table name", tok.offset, {"table name"})
-    if tok.kind != "word" or not _identifier(tok.text):
+    if tok.kind != "word" or not _IDENT_RE.match(tok.text):
         raise ParseError("expected a table name", tok.offset, {"table name"})
     ts.advance()
     return tok.text.upper()

@@ -280,6 +280,7 @@ def build_exec_db(schema: SchemaDef, table_files: Mapping[str, str | Path], out_
 
 def _read_table_csv(table: TableDef, path: str | Path) -> list[tuple]:
     expected = [c.name for c in table.columns]
+    numeric = [c.attr == ATTR_NUMBER for c in table.columns]
     rows: list[tuple] = []
     if not Path(path).is_file():
         raise DataError(f"CSV for table {table.name} not found: {path}")
@@ -296,17 +297,15 @@ def _read_table_csv(table: TableDef, path: str | Path) -> list[tuple]:
                 continue
             if len(cells) != len(expected):
                 raise CsvError(rownum, f"{path}: expected {len(expected)} fields, got {len(cells)}")
-            rows.append(tuple(_convert_cell(table, rownum, name, cell) for name, cell in zip(expected, cells)))
+            # CSV cannot distinguish "missing" from "empty"; treat both as NULL.
+            rows.append(tuple(
+                None if cell == "" else _number_cell(rownum, name, cell) if number else cell
+                for number, name, cell in zip(numeric, expected, cells)
+            ))
     return rows
 
 
-def _convert_cell(table: TableDef, rownum: int, column: str, cell: str):
-    # CSV cannot distinguish "missing" from "empty"; treat both as NULL.
-    if cell == "":
-        return None
-    attr = table.column(column).attr
-    if attr != ATTR_NUMBER:
-        return cell
+def _number_cell(rownum: int, column: str, cell: str) -> int | float:
     try:
         return int(cell)
     except ValueError:
@@ -466,10 +465,17 @@ class ValueLookup:
         with self._lock:
             if key not in self._loaded:
                 tab, col, _ = self._columns[key]
-                with exec_connection(self._db) as conn:
-                    rows = run_select(
-                        conn, f'SELECT DISTINCT "{col}" FROM "{tab}" WHERE "{col}" IS NOT NULL'
-                    )
+                try:
+                    with exec_connection(self._db) as conn:
+                        # SQLite reads a quoted name it cannot resolve as a
+                        # string, so a missing column would load as its own
+                        # name; the qualified name has no such fallback.
+                        conn.execute(f'SELECT "{tab}"."{col}" FROM "{tab}" LIMIT 0')
+                        rows = run_select(
+                            conn, f'SELECT DISTINCT "{col}" FROM "{tab}" WHERE "{col}" IS NOT NULL'
+                        )
+                except (sqlite3.Error, QueryExecutionError) as exc:
+                    raise DataError(f"cannot read the values of {tab}.{col} from the database: {exc}") from None
                 self._loaded[key] = ColumnValues(sorted(canonical_value(r[0]) for r in rows))
             return self._loaded[key]
 

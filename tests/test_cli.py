@@ -432,6 +432,27 @@ class TestRecover:
         records = read_jsonl("j1.jsonl")
         assert [r["sql"] for r in records] == [s.gold_sql for _ in range(3) for s in samples]
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize(
+        "table, column, sql",
+        [
+            ("EXTRA", "NOTE", 'SELECT NOTE FROM EXTRA WHERE NOTE = "x"'),
+            ("DEMOGRAPHIC", "NOTE", 'SELECT NAME FROM DEMOGRAPHIC WHERE DEMOGRAPHIC.NOTE = "x"'),
+        ],
+        ids=["table", "column"],
+    )
+    def test_schema_pair_missing_from_the_db_exits_two(self, workdir, capsys, jobs, table, column, sql):
+        schema = read_json("schema.json")
+        tables = {t["name"]: t for t in schema["tables"]}
+        tables.setdefault(table, {"name": table, "columns": []})["columns"].append({"name": column, "attr": "text"})
+        schema["tables"] = list(tables.values())
+        Path("extra_schema.json").write_text(json.dumps(schema), encoding="utf-8")
+        write_jsonl("preds.jsonl", [{"id": "a", "sql": sql}])
+        assert cmd(["recover", "--preds", "preds.jsonl", "--db", "clinic.db", "--schema", "extra_schema.json",
+                    "--jobs", jobs, "--out", "out.jsonl"]) == 2
+        assert f"{table}.{column}" in capsys.readouterr().err
+        assert not Path("out.jsonl").exists()
+
     def test_missing_db_exits_three_when_no_column_is_needed(self, workdir):
         write_jsonl("preds.jsonl", [{"id": "a", "sql": "SELECT NAME FROM DEMOGRAPHIC GROUP BY NAME"}])
         assert cmd(["recover", "--preds", "preds.jsonl", "--db", "absent.db", "--schema", "schema.json"]) == 3

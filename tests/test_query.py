@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from medsql import query as query_module
 from medsql.errors import ParseError, UnsupportedSyntax, UnterminatedLiteral
 from medsql.query import (
     STAR,
@@ -91,6 +94,115 @@ class TestTokenize:
         except UnterminatedLiteral:
             assume(False)
         assert tokenize_sql(" ".join(tokens)) == tokens
+
+
+def scan_tokens(text: str) -> list[tuple[str, str, int]]:
+    """The character-by-character scanner the regex lexer replaced, kept
+    here as an oracle: (kind, text, offset) per token, "end" last."""
+    punct_two = ("<=", ">=", "!=", "<>")
+    punct_one = frozenset("=<>(),*")
+    quotes = frozenset("'\"")
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in quotes:
+            j = i + 1
+            parts = []
+            while True:
+                if j >= n:
+                    raise UnterminatedLiteral(i)
+                c = text[j]
+                if c == ch:
+                    if j + 1 < n and text[j + 1] == ch:
+                        parts.append(ch)
+                        j += 2
+                        continue
+                    j += 1
+                    break
+                parts.append(c)
+                j += 1
+            tokens.append(("string", "".join(parts), i))
+            i = j
+            continue
+        if text[i : i + 2] in punct_two:
+            tokens.append(("punct", text[i : i + 2], i))
+            i += 2
+            continue
+        if ch in punct_one:
+            tokens.append(("punct", ch, i))
+            i += 1
+            continue
+        j = i
+        while (
+            j < n
+            and not text[j].isspace()
+            and text[j] not in punct_one
+            and text[j] not in quotes
+            and text[j : j + 2] not in punct_two
+        ):
+            j += 1
+        tokens.append(("word", text[i:j], i))
+        i = j
+    tokens.append(("end", "", n))
+    return tokens
+
+
+def library_tokens(text: str) -> list[tuple[str, str, int]]:
+    return [(tok.kind, tok.text, tok.offset) for tok in query_module._lex(text)]
+
+
+def lex_or_offset(lex, text: str):
+    """The tokens of ``lex``, or the offset of the unterminated literal."""
+    try:
+        return lex(text)
+    except UnterminatedLiteral as exc:
+        return exc.offset
+
+
+# Quotes, doubled quotes, '!' alone and before '=', the two-character
+# operators, '.', digits, and three whitespace characters (no-break space,
+# space, and the file separator \x1c, which str.isspace counts).
+LEX_PIECES = ["'", '"', "''", '""', "!", "!=", "<>", "<=", ">=", ".", "1", "9", "a", "Z",
+              "\xa0", " ", "\x1c", "=", "<", ">", "(", ")", ",", "*"]
+
+
+class TestLexer:
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("'a''", 0),
+            ('"a"""', [("string", 'a"', 0), ("end", "", 5)]),
+            ("a!b", [("word", "a!b", 0), ("end", "", 3)]),
+            ("a!=b", [("word", "a", 0), ("punct", "!=", 1), ("word", "b", 3), ("end", "", 4)]),
+            ("x = 'it''s' ", [("word", "x", 0), ("punct", "=", 2), ("string", "it's", 4), ("end", "", 12)]),
+            ("\xa0a\x1c'b'\xa0", [("word", "a", 1), ("string", "b", 3), ("end", "", 7)]),
+        ],
+        ids=["single-ends-in-escape", "double-ends-in-escape", "bang-in-word", "bang-equals",
+             "escape-and-trailing-space", "unicode-whitespace"],
+    )
+    def test_pinned_cases(self, text, expected):
+        assert lex_or_offset(scan_tokens, text) == expected
+        assert lex_or_offset(library_tokens, text) == expected
+
+    @given(st.lists(st.sampled_from(LEX_PIECES), max_size=30).map("".join))
+    @settings(max_examples=2000)
+    def test_matches_the_character_scanner(self, text):
+        assert lex_or_offset(library_tokens, text) == lex_or_offset(scan_tokens, text)
+
+    @given(st.text(max_size=40))
+    @settings(max_examples=500)
+    def test_matches_the_character_scanner_on_any_text(self, text):
+        assert lex_or_offset(library_tokens, text) == lex_or_offset(scan_tokens, text)
+
+    @pytest.mark.parametrize("construct", ["(?>", "*+", "++", "?+"])
+    def test_pattern_runs_on_python_3_10(self, construct):
+        # Atomic groups and possessive quantifiers arrived in Python 3.11;
+        # the package supports 3.10.
+        assert construct not in query_module._TOKEN_RE.pattern
 
 
 class TestParse:
@@ -248,6 +360,24 @@ class TestQueryModel:
         first = Condition(ColumnRef("A"), CompOp.EQ, Literal(LiteralKind.NUMBER, "1"))
         with pytest.raises(ValueError):
             SqlQuery((SelectItem(column=STAR),), "T", (), (first, first))
+
+    def test_nodes_are_frozen_and_slotted(self):
+        query = parse_sql('SELECT COUNT(T.A) FROM T INNER JOIN U ON T.K = U.K WHERE T.B = "x"')
+        nodes = [query, query.select_items[0], query.select_items[0].column, query.joins[0],
+                 query.conditions[0], query.conditions[0].value, STAR]
+        for node in nodes:
+            assert not hasattr(node, "__dict__")
+            for field in dataclasses.fields(node):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(node, field.name, None)
+            # A name that is no field cannot be set either; CPython before
+            # 3.12 raises TypeError here for frozen slotted dataclasses.
+            with pytest.raises((AttributeError, TypeError)):
+                node.extra = 1
+        moved = dataclasses.replace(query, main_table="V")
+        assert moved.main_table == "V" and moved.joins == query.joins
+        assert dataclasses.replace(query) == query
+        assert hash(dataclasses.replace(query)) == hash(query)
 
 
 identifiers = st.from_regex(r"[A-Z_][A-Z0-9_]{0,9}", fullmatch=True).filter(

@@ -251,6 +251,20 @@ class TestExecDb:
                 (None, 2),
             ]
 
+    def test_each_column_converts_by_its_own_attribute(self, tmp_path):
+        columns = (ColumnDef("T1", "text"), ColumnDef("N1", "number"), ColumnDef("D", "datetime"),
+                   ColumnDef("N2", "number"))
+        schema = SchemaDef((TableDef("T", columns),))
+        csv_path = tmp_path / "T.csv"
+        csv_path.write_text("t1,n1,d,n2\n007,007,007,1.50\n2.5,2.5,,-3\n", encoding="utf-8")
+        db = build_exec_db(schema, {"T": csv_path}, tmp_path / "t.db")
+        with open_exec_db(db) as conn:
+            assert conn.execute("SELECT * FROM T").fetchall() == [("007", 7, "007", 1.5), ("2.5", 2.5, None, -3)]
+        csv_path.write_text("T1,N1,D,N2\nx,1,y,2\nx,1,y,nope\n", encoding="utf-8")
+        with pytest.raises(ColumnTypeError) as exc:
+            build_exec_db(schema, {"T": csv_path}, tmp_path / "t.db")
+        assert (exc.value.row, exc.value.column) == (3, "N2")
+
     def test_non_numeric_cell_in_number_column(self, tmp_path):
         schema = SchemaDef((TableDef("T", (ColumnDef("A", "number"),)),))
         csv_path = tmp_path / "T.csv"
