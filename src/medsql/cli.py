@@ -16,7 +16,7 @@ import codecs
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Any, Callable
 
@@ -29,10 +29,10 @@ from .augment import (
     TranslatorEndpoint,
     augment_corpus,
 )
-from .errors import DataError, EnvError
+from .errors import DataError, EnvError, RecordError
 from .linearize import DEFAULT_SEPARATOR, QuestionSource, export_training_file
 from .metrics import evaluate
-from .predictions import CandidateSet, Candidate, load_predictions, save_predictions
+from .predictions import Candidate, CandidateSet, load_predictions, save_predictions
 from .query import ColumnRef, SqlQuery, rename_tables, serialize_sql
 from .records import FORMAT_VERSION, read_json, read_jsonl, write_json, write_jsonl, write_manifest
 from .recovery import recover_query
@@ -69,18 +69,12 @@ class _UsageError(Exception):
     pass
 
 
-def _load_config(path: str | None) -> dict[str, Any]:
-    if not path:
-        return {}
-    return read_json(path, "config file", dict)
-
-
 def _resolve(args: argparse.Namespace) -> dict[str, Any]:
     """Merge defaults, config file, flags, and env vars, in that order.
 
     A config value must have its option's JSON type; null is accepted only
     where the default is null."""
-    config = _load_config(getattr(args, "config", None))
+    config = read_json(args.config, "config file", dict) if args.config else {}
     resolved: dict[str, Any] = {}
     for dest, default, kind, _ in _COMMANDS[args.subcommand][2]:
         value = default
@@ -101,32 +95,6 @@ def _resolve(args: argparse.Namespace) -> dict[str, Any]:
     return resolved
 
 
-def _require(resolved: dict[str, Any], *keys: str) -> None:
-    missing = [k for k in keys if resolved.get(k) in (None, "")]
-    if missing:
-        raise _UsageError("missing required option(s): " + ", ".join(f"--{k.replace('_', '-')}" for k in missing))
-
-
-def _write_manifests(
-    args: argparse.Namespace,
-    resolved: dict[str, Any],
-    outputs: list[Path],
-    inputs: tuple[str, ...],
-    seed: int | None = None,
-) -> None:
-    """One manifest per output; ``inputs`` names the resolved options that
-    hold input paths, and unset ones are left out."""
-    for out in outputs:
-        write_manifest(
-            out,
-            command=args.subcommand,
-            tool_version=__version__,
-            inputs={name: resolved[name] for name in inputs if resolved[name]},
-            config=resolved,
-            seed=seed,
-        )
-
-
 # ingest: normalize an external or canonical corpus into the canonical
 # corpus format, validating ids, questions, and SQL.
 
@@ -134,11 +102,12 @@ _CANONICAL_FIELDS = ("id", "question_template", "question_paraphrase", "sql")
 
 
 def _read_raw_records(path: str) -> list[Any]:
-    with open(path, "rb") as fh:
-        head = fh.read(64).removeprefix(codecs.BOM_UTF8).lstrip()
-    if head.startswith(b"["):
-        return read_json(path, "corpus file", list)
-    return [rec for _, rec in read_jsonl(path)]
+    """A JSON array when the first byte after a BOM and whitespace is ``[``,
+    JSON Lines otherwise."""
+    data = Path(path).read_bytes()
+    if data.removeprefix(codecs.BOM_UTF8).lstrip().startswith(b"["):
+        return read_json(data, "corpus file", list)
+    return [rec for _, rec in read_jsonl(data)]
 
 
 def _parse_field_map(text: str | None) -> dict[str, str]:
@@ -166,9 +135,10 @@ def _name_variants(name: str) -> set[str]:
     return out
 
 
-def _table_renames(query: SqlQuery, schema_tables: set[str]) -> dict[str, str]:
+def _table_renames(number: int, query: SqlQuery, schema_tables: set[str]) -> dict[str, str]:
     """Map each mentioned table name that differs from exactly one schema
-    name only by a trailing S/ES to that schema name."""
+    name only by a trailing S/ES to that schema name. A rename that would
+    make two FROM/JOIN tables one is an error of record ``number``."""
     mentioned = {query.main_table} | {j.table for j in query.joins}
     mentioned |= {c.column.table for c in query.conditions}
     mentioned |= {it.column.table for it in query.select_items if isinstance(it.column, ColumnRef)}
@@ -177,6 +147,12 @@ def _table_renames(query: SqlQuery, schema_tables: set[str]) -> dict[str, str]:
         matches = sorted(_name_variants(name) & schema_tables)
         if len(matches) == 1:
             rename[name] = matches[0]
+    seen: dict[str, str] = {}
+    for table in (query.main_table, *(j.table for j in query.joins)):
+        target = rename.get(table, table)
+        if target in seen:
+            raise RecordError(number, f"tables {seen[target]} and {table} would both be normalized to {target}")
+        seen[target] = table
     return rename
 
 
@@ -196,9 +172,10 @@ def _mapped_records(raw: list[Any], field_map: dict[str, str]):
         yield number, rec
 
 
-def _cmd_ingest(args: argparse.Namespace) -> int:
-    resolved = _resolve(args)
-    _require(resolved, "corpus", "schema")
+# Each handler does one stage's work on the resolved options and returns
+# (output files, summary line); cmd() does the rest.
+
+def _cmd_ingest(resolved: dict[str, Any]) -> tuple[list[Path], str]:
     schema = load_schema(resolved["schema"])
     schema_tables = {t.name.upper() for t in schema.tables}
     field_map = _parse_field_map(resolved["field_map"])
@@ -206,34 +183,22 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     normalized = 0
     if resolved["normalize_tables"]:
         for k, sample in enumerate(samples):
-            rename = _table_renames(sample.gold_query, schema_tables)
+            rename = _table_renames(k + 1, sample.gold_query, schema_tables)
             if rename:
                 samples[k] = replace(sample, gold_sql=serialize_sql(rename_tables(sample.gold_query, rename)))
                 normalized += 1
-
-    out = Path(resolved["out"])
-    save_corpus(samples, out)
-    _write_manifests(args, resolved, [out], ("corpus", "schema"))
-    print(f"ingested {len(samples)} samples ({normalized} with normalized table names) -> {out}")
-    return 0
+    out = save_corpus(samples, resolved["out"])
+    return [out], f"ingested {len(samples)} samples ({normalized} with normalized table names) -> {out}"
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
-    resolved = _resolve(args)
-    _require(resolved, "corpus", "schema")
+def _cmd_stats(resolved: dict[str, Any]) -> tuple[list[Path], str]:
     corpus = load_corpus(resolved["corpus"])
-    schema = load_schema(resolved["schema"])
-    stats = corpus_stats(corpus, schema)
-    out = Path(resolved["out"])
-    write_json(out, {"format_version": FORMAT_VERSION, **stats.to_dict()})
-    _write_manifests(args, resolved, [out], ("corpus", "schema"))
-    print(f"{stats.n_samples} samples over {stats.n_tables} tables -> {out}")
-    return 0
+    stats = corpus_stats(corpus, load_schema(resolved["schema"]))
+    out = write_json(resolved["out"], {"format_version": FORMAT_VERSION, **stats.to_dict()})
+    return [out], f"{stats.n_samples} samples over {stats.n_tables} tables -> {out}"
 
 
-def _cmd_split(args: argparse.Namespace) -> int:
-    resolved = _resolve(args)
-    _require(resolved, "corpus")
+def _cmd_split(resolved: dict[str, Any]) -> tuple[list[Path], str]:
     designated = frozenset(t.strip().upper() for t in resolved["designated"].split(",") if t.strip())
     spec = SplitSpec(designated, resolved["test_size"], resolved["seed"])
     corpus = load_corpus(resolved["corpus"])
@@ -251,24 +216,18 @@ def _cmd_split(args: argparse.Namespace) -> int:
     ]
     report["format_version"] = FORMAT_VERSION
 
-    out = Path(resolved["out"])
-    assignment.save(out)
-    report_path = Path(resolved["report"])
-    write_json(report_path, report)
-    _write_manifests(args, resolved, [out, report_path], ("corpus", "schema"), seed=spec.seed)
+    out = assignment.save(resolved["out"])
+    report_path = write_json(resolved["report"], report)
     sizes = report["sizes"]
     diff = report["reference"]["diff"]
-    print(
+    return [out, report_path], (
         f"TRAIN={sizes['TRAIN']} DEV={sizes['DEV']} TEST={sizes['TEST']} "
         f"(reference diff TRAIN{diff['TRAIN']:+d} DEV{diff['DEV']:+d} TEST{diff['TEST']:+d}; "
         f"violations={len(violations)}) -> {out}"
     )
-    return 0
 
 
-def _cmd_linearize(args: argparse.Namespace) -> int:
-    resolved = _resolve(args)
-    _require(resolved, "corpus", "schema", "assignment")
+def _cmd_linearize(resolved: dict[str, Any]) -> tuple[list[Path], str]:
     try:
         split = Split(resolved["split"].upper())
         source = QuestionSource(resolved["question_source"].lower())
@@ -279,18 +238,14 @@ def _cmd_linearize(args: argparse.Namespace) -> int:
     schema = load_schema(resolved["schema"])
     assignment = SplitAssignment.load(resolved["assignment"])
     report = export_training_file(corpus, assignment, split, schema, source, out, sep=resolved["sep"])
-    _write_manifests(args, resolved, [out], ("corpus", "schema", "assignment"))
     counts = ", ".join(f"{k}={v}" for k, v in report.per_source.items())
-    print(
+    return [out], (
         f"wrote {report.n_records} records from {report.n_samples} samples "
         f"({counts}; missing_paraphrase={report.missing_paraphrase}) -> {out}"
     )
-    return 0
 
 
-def _cmd_augment(args: argparse.Namespace) -> int:
-    resolved = _resolve(args)
-    _require(resolved, "corpus")
+def _cmd_augment(resolved: dict[str, Any]) -> tuple[list[Path], str]:
     pivots = tuple(p.strip() for p in resolved["pivots"].split(",") if p.strip())
     if resolved["stub"]:
         translator = StubTranslator()
@@ -301,22 +256,16 @@ def _cmd_augment(args: argparse.Namespace) -> int:
         raise _UsageError("augment needs --stub or a translation endpoint (--translate-url or MEDSQL_TRANSLATE_URL)")
     corpus = load_corpus(resolved["corpus"])
     result = augment_corpus(corpus, pivots, translator, jobs=resolved["jobs"])
-    out = Path(resolved["out"])
-    save_corpus(result.samples, out)
-    report_path = Path(resolved["report"])
-    write_json(report_path, {"format_version": FORMAT_VERSION, **result.report.to_dict()})
-    _write_manifests(args, resolved, [out, report_path], ("corpus",))
+    out = save_corpus(result.samples, resolved["out"])
+    report_path = write_json(resolved["report"], {"format_version": FORMAT_VERSION, **result.report.to_dict()})
     rep = result.report
-    print(
+    return [out, report_path], (
         f"added {rep.added} synthetic paraphrases "
         f"(degenerate={rep.dropped_degenerate}, errors={len(rep.errors)}) -> {out}"
     )
-    return 0
 
 
-def _cmd_rerank(args: argparse.Namespace) -> int:
-    resolved = _resolve(args)
-    _require(resolved, "preds", "db")
+def _cmd_rerank(resolved: dict[str, Any]) -> tuple[list[Path], str]:
     preds = load_predictions(resolved["preds"])
     choices = rerank_file(
         preds,
@@ -325,80 +274,43 @@ def _cmd_rerank(args: argparse.Namespace) -> int:
         timeout_ms=resolved["timeout_ms"],
         jobs=resolved["jobs"],
     )
-    out = Path(resolved["out"])
-    write_jsonl(
-        out,
-        (
-            {
-                "id": c.id,
-                "sql": c.sql,
-                "chosen_rank": c.chosen_rank,
-                "all_failed": c.all_failed,
-            }
-            for c in choices.values()
-        ),
-    )
-    _write_manifests(args, resolved, [out], ("preds", "db"))
+    out = write_jsonl(resolved["out"], (asdict(c) for c in choices.values()))
     failed = sum(1 for c in choices.values() if c.all_failed)
-    print(f"reranked {len(choices)} beams (all_failed={failed}) -> {out}")
-    return 0
+    return [out], f"reranked {len(choices)} beams (all_failed={failed}) -> {out}"
 
 
-def _cmd_recover(args: argparse.Namespace) -> int:
-    resolved = _resolve(args)
-    _require(resolved, "preds", "db", "schema")
+def _cmd_recover(resolved: dict[str, Any]) -> tuple[list[Path], str]:
     preds = load_predictions(resolved["preds"])
     schema = load_schema(resolved["schema"])
     lookup = build_value_lookup(resolved["db"], schema)
     prefilter = resolved["prefilter"]
 
-    def recover_one(sql: str) -> tuple[str, dict[str, int]]:
-        res = recover_query(sql, lookup, prefilter=prefilter)
-        return res.sql, {
-            "replaced": len(res.replacements),
-            "unresolved": len(res.unresolved),
-            "unparsed": 0 if res.parsed else 1,
-        }
-
-    items = list(preds.items())
-
     def work(item):
         sid, pred = item
-        totals = {"replaced": 0, "unresolved": 0, "unparsed": 0}
         if isinstance(pred, CandidateSet):
-            cands = []
-            for cand in pred.candidates:
-                sql, counts = recover_one(cand.sql)
-                for k in totals:
-                    totals[k] += counts[k]
-                cands.append(Candidate(sql, cand.score))
-            return sid, CandidateSet(sid, tuple(cands)), totals
-        sql, totals = recover_one(pred)
-        return sid, sql, totals
+            results = [recover_query(c.sql, lookup, prefilter=prefilter) for c in pred.candidates]
+            cands = tuple(Candidate(res.sql, c.score) for res, c in zip(results, pred.candidates))
+            return CandidateSet(sid, cands), results
+        res = recover_query(pred, lookup, prefilter=prefilter)
+        return res.sql, [res]
 
-    results = map_in_order(work, items, resolved["jobs"])
-
-    out_preds = {sid: pred for sid, pred, _ in results}
-    totals = {"replaced": 0, "unresolved": 0, "unparsed": 0}
-    for _, _, counts in results:
-        for k in totals:
-            totals[k] += counts[k]
-    out = Path(resolved["out"])
-    save_predictions(out_preds, out)
-    report_path = Path(resolved["report"])
-    write_json(report_path, {"format_version": FORMAT_VERSION, **totals})
-    _write_manifests(args, resolved, [out, report_path], ("preds", "db", "schema"))
-    print(
-        f"recovered {len(out_preds)} predictions "
+    recovered = map_in_order(work, list(preds.items()), resolved["jobs"])
+    results = [res for _, per_pred in recovered for res in per_pred]
+    totals = {
+        "replaced": sum(len(res.replacements) for res in results),
+        "unresolved": sum(len(res.unresolved) for res in results),
+        "unparsed": sum(not res.parsed for res in results),
+    }
+    out = save_predictions(dict(zip(preds, (pred for pred, _ in recovered))), resolved["out"])
+    report_path = write_json(resolved["report"], {"format_version": FORMAT_VERSION, **totals})
+    return [out, report_path], (
+        f"recovered {len(recovered)} predictions "
         f"(replaced={totals['replaced']}, unresolved={totals['unresolved']}, "
         f"unparsed={totals['unparsed']}) -> {out}"
     )
-    return 0
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
-    resolved = _resolve(args)
-    _require(resolved, "corpus", "assignment", "preds", "db")
+def _cmd_eval(resolved: dict[str, Any]) -> tuple[list[Path], str]:
     try:
         split = Split(resolved["split"].upper())
     except ValueError as exc:
@@ -416,18 +328,21 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         timeout_ms=resolved["timeout_ms"],
         jobs=resolved["jobs"],
     )
-    out = Path(resolved["out"])
-    write_json(out, report.to_dict())
-    _write_manifests(args, resolved, [out], ("corpus", "assignment", "preds", "db"))
-    print(f"acc_lf={report.acc_lf:.4f} acc_ex={report.acc_ex:.4f} n={report.n} -> {out}")
-    return 0
+    out = write_json(resolved["out"], report.to_dict())
+    return [out], f"acc_lf={report.acc_lf:.4f} acc_ex={report.acc_ex:.4f} n={report.n} -> {out}"
 
+
+# Options that name input files. Each one a subcommand declares is required,
+# in declaration order, unless listed here as optional; each one set is
+# recorded with its digest in every manifest of the run.
+_INPUTS = ("corpus", "schema", "assignment", "preds", "db")
+_OPTIONAL_INPUTS = {"split": ("schema",)}
 
 # Every subcommand's help, handler, and options, each option declared once
 # as (dest, default, kind, help). The flag is --dest with dashes; kind is
 # str, int, or bool (a --x/--no-x switch). Defaults live here, not in
 # argparse, so that an unset flag stays None and config values show through.
-_COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], int], tuple[tuple, ...]]] = {
+_COMMANDS: dict[str, tuple[str, Callable[[dict[str, Any]], tuple[list[Path], str]], tuple[tuple, ...]]] = {
     "ingest": ("validate and normalize a corpus into canonical form", _cmd_ingest, (
         ("corpus", None, str, None),
         ("schema", None, str, None),
@@ -505,7 +420,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="medsql", description=__doc__)
     parser.add_argument("--version", action="version", version=f"medsql {__version__}")
     subs = parser.add_subparsers(dest="subcommand", parser_class=_Parser)
-    for name, (help_text, handler, options) in _COMMANDS.items():
+    for name, (help_text, _, options) in _COMMANDS.items():
         p = subs.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file; flags and env vars override it")
         for dest, _, kind, option_help in options:
@@ -514,30 +429,44 @@ def build_parser() -> _Parser:
                 p.add_argument(flag, dest=dest, action=argparse.BooleanOptionalAction, help=option_help)
             else:
                 p.add_argument(flag, dest=dest, type=kind, help=option_help)
-        p.set_defaults(func=handler)
     return parser
 
 
 def cmd(argv: list[str]) -> int:
-    """Run one subcommand; returns the process exit code."""
+    """Run one subcommand and return the process exit code: resolve its
+    options, require its input files, run its stage, write one manifest per
+    output after all outputs, and print its summary line."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if not getattr(args, "subcommand", None):
+    name = getattr(args, "subcommand", None)
+    if not name:
         parser.print_usage(sys.stderr)
         return 1
+    _, handler, options = _COMMANDS[name]
+    inputs = [dest for dest, *_ in options if dest in _INPUTS]
     try:
-        return args.func(args)
+        resolved = _resolve(args)
+        optional = _OPTIONAL_INPUTS.get(name, ())
+        missing = [dest for dest in inputs if resolved[dest] in (None, "") and dest not in optional]
+        if missing:
+            raise _UsageError("missing required option(s): " + ", ".join(f"--{dest}" for dest in missing))
+        outputs, summary = handler(resolved)
+        for out in outputs:
+            write_manifest(out, command=name, tool_version=__version__, config=resolved, seed=resolved.get("seed"),
+                           inputs={dest: resolved[dest] for dest in inputs if resolved[dest]})
+        print(summary)
+        return 0
     except _UsageError as exc:
-        print(f"medsql {args.subcommand}: error: {exc}", file=sys.stderr)
+        print(f"medsql {name}: error: {exc}", file=sys.stderr)
         return 1
     except DataError as exc:
-        print(f"medsql {args.subcommand}: data error: {exc}", file=sys.stderr)
+        print(f"medsql {name}: data error: {exc}", file=sys.stderr)
         return 2
     except (EnvError, OSError) as exc:
-        print(f"medsql {args.subcommand}: environment error: {exc}", file=sys.stderr)
+        print(f"medsql {name}: environment error: {exc}", file=sys.stderr)
         return 3
 
 

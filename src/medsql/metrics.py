@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import sqlite3
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -118,13 +118,7 @@ class ComponentFlags:
     cond_val: bool
 
     def as_dict(self) -> dict[str, bool]:
-        return {
-            "agg_op": self.agg_op,
-            "agg_col": self.agg_col,
-            "table_joins": self.table_joins,
-            "cond_col_op": self.cond_col_op,
-            "cond_val": self.cond_val,
-        }
+        return asdict(self)
 
 
 _ALL_FALSE = ComponentFlags(False, False, False, False, False)
@@ -166,13 +160,7 @@ class SampleEval:
     pred_error: bool
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "id": self.id,
-            "lf_match": self.lf_match,
-            "ex_match": self.ex_match,
-            "gold_error": self.gold_error,
-            "pred_error": self.pred_error,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

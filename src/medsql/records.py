@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import tempfile
@@ -19,13 +20,15 @@ def dump_record(obj: Mapping[str, Any]) -> str:
     return json.dumps(obj, ensure_ascii=False)
 
 
-def read_json(path: str | Path, what: str, shape: type[dict] | type[list]) -> Any:
-    """The JSON document in a UTF-8 file, an object (``shape`` dict) or an
-    array (list); a leading byte order mark is skipped. Bytes that are not
-    UTF-8, not JSON (nesting too deep to parse included), or not of that
-    shape raise :class:`DataError` naming the file as ``what``."""
+def read_json(source: str | Path | bytes, what: str, shape: type[dict] | type[list]) -> Any:
+    """The JSON document in a UTF-8 file, given as its path or its bytes:
+    an object (``shape`` dict) or an array (list); a leading byte order mark
+    is skipped. Bytes that are not UTF-8, not JSON (nesting too deep to parse
+    included), or not of that shape raise :class:`DataError` naming the file
+    as ``what``."""
+    data = source if isinstance(source, bytes) else Path(source).read_bytes()
     try:
-        obj = json.loads(Path(path).read_bytes().decode("utf-8-sig"))
+        obj = json.loads(data.decode("utf-8-sig"))
     except (ValueError, RecursionError) as exc:
         raise DataError(f"{what} is not valid JSON: {exc}") from exc
     if not isinstance(obj, shape):
@@ -33,16 +36,22 @@ def read_json(path: str | Path, what: str, shape: type[dict] | type[list]) -> An
     return obj
 
 
-def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """Yield (line_number, line) pairs of a UTF-8 text file, newline kept;
-    a leading byte order mark is skipped. A byte that is not UTF-8 raises
-    :class:`RecordError` carrying its line number."""
+def read_lines(source: str | Path | bytes) -> Iterator[tuple[int, str]]:
+    """Yield (line_number, line) pairs of a UTF-8 text file, given as its
+    path or its bytes, newline kept; a leading byte order mark is skipped. A
+    byte that is not UTF-8 raises :class:`RecordError` carrying its line
+    number."""
+
+    def text(errors: str) -> io.TextIOWrapper:
+        raw = io.BytesIO(source) if isinstance(source, bytes) else open(source, "rb")
+        return io.TextIOWrapper(raw, encoding="utf-8-sig", errors=errors)
+
     try:
-        with open(path, encoding="utf-8-sig") as fh:
+        with text("strict") as fh:
             yield from enumerate(fh, start=1)
     except UnicodeDecodeError:
         # Text mode decodes in chunks, so the error does not tell the line.
-        with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
+        with text("surrogateescape") as fh:
             for lineno, line in enumerate(fh, start=1):
                 try:
                     line.encode("utf-8", "surrogateescape").decode("utf-8")
@@ -50,10 +59,10 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
                     raise RecordError(lineno, str(exc)) from None
 
 
-def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict[str, Any]]]:
+def read_jsonl(source: str | Path | bytes) -> Iterator[tuple[int, dict[str, Any]]]:
     """Yield (line_number, record) pairs of a :func:`read_lines` file;
     whitespace-only lines are skipped."""
-    for lineno, line in read_lines(path):
+    for lineno, line in read_lines(source):
         if not line.strip():
             continue
         try:
@@ -66,10 +75,14 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict[str, Any]]]:
 
 
 def record_id(value: Any) -> str:
-    """A record's id as text: a string or an integer, not a boolean."""
+    """A record's id as text: a string or an integer, not a boolean, and
+    without a tab or a line break, which would break the split file."""
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise DataError(f"id must be a string or an integer, not {json.dumps(value)}")
-    return str(value)
+    text = str(value)
+    if "\t" in text or "\n" in text or "\r" in text:
+        raise DataError(f"id must not contain a tab or a line break, not {json.dumps(value)}")
+    return text
 
 
 def atomic_write_text(path: str | Path, text: str) -> Path:

@@ -316,16 +316,13 @@ def _number_cell(rownum: int, column: str, cell: str) -> int | float:
         raise ColumnTypeError(rownum, f"{cell!r} is not a number", column=column) from None
 
 
-def open_exec_db(path: str | Path, *, readonly: bool = True) -> sqlite3.Connection:
-    """Open the execution database; read-only by default so that executing
-    untrusted predicted SQL cannot mutate it."""
+def open_exec_db(path: str | Path) -> sqlite3.Connection:
+    """Open the execution database read-only, so that executing untrusted
+    predicted SQL cannot mutate it."""
     path = Path(path)
     try:
-        if readonly:
-            conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True, check_same_thread=False)
-            conn.execute("SELECT 1").fetchone()
-        else:
-            conn = sqlite3.connect(path)
+        conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True, check_same_thread=False)
+        conn.execute("SELECT 1").fetchone()
         return conn
     except sqlite3.Error as exc:
         raise DbError(f"cannot open database {path}: {exc}") from exc

@@ -105,6 +105,20 @@ class TestIngest:
                     "--out", "from_array.jsonl"]) == 0
         assert len(load_corpus("from_array.jsonl")) == 1
 
+    @pytest.mark.parametrize("prefix", [b" " * 64, b"\xef\xbb\xbf" + b"\r\n\t " * 40], ids=["spaces", "bom-mixed"])
+    def test_json_array_after_long_leading_whitespace_is_accepted(self, workdir, prefix):
+        # Only the first 64 bytes were sniffed, so this array was read as JSON Lines and exited 2.
+        records = [{"id": k, "question_template": "q", "sql": "SELECT COUNT(*) FROM LAB"} for k in ("a", "b")]
+        Path("raw.json").write_bytes(prefix + json.dumps(records, indent=2).encode("utf-8"))
+        assert cmd(["ingest", "--corpus", "raw.json", "--schema", "schema.json", "--out", "indented.jsonl"]) == 0
+        assert [s.id for s in load_corpus("indented.jsonl")] == ["a", "b"]
+
+    def test_jsonl_after_long_leading_whitespace_stays_jsonl(self, workdir):
+        record = {"id": "a", "question_template": "q", "sql": "SELECT COUNT(*) FROM LAB"}
+        Path("raw.jsonl").write_text("\n" * 100 + json.dumps(record) + "\n", encoding="utf-8")
+        assert cmd(["ingest", "--corpus", "raw.jsonl", "--schema", "schema.json", "--out", "n.jsonl"]) == 0
+        assert [s.id for s in load_corpus("n.jsonl")] == ["a"]
+
     def test_singular_table_names_are_normalized(self, workdir, capsys):
         write_jsonl("raw.jsonl", [
             {"id": "a", "question_template": "q",
@@ -123,6 +137,27 @@ class TestIngest:
         assert cmd(["ingest", "--corpus", "raw.jsonl", "--schema", "schema.json",
                     "--no-normalize-tables", "--out", "kept.jsonl"]) == 0
         assert load_corpus("kept.jsonl")[0].gold_sql == "SELECT COUNT(*) FROM PROCEDURE"
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT COUNT(*) FROM LAB INNER JOIN LABS ON LAB.X = LABS.X",
+            "SELECT COUNT(*) FROM DEMOGRAPHIC INNER JOIN LAB ON DEMOGRAPHIC.X = LAB.X "
+            "INNER JOIN LABS ON DEMOGRAPHIC.X = LABS.X",
+        ],
+        ids=["onto-main-table", "onto-joined-table"],
+    )
+    def test_normalization_that_merges_two_tables_exits_two(self, workdir, capsys, sql):
+        # This crashed with an uncaught ValueError from the renamed query.
+        write_jsonl("raw.jsonl", [
+            {"id": "a", "question_template": "q", "sql": "SELECT COUNT(*) FROM LAB"},
+            {"id": "b", "question_template": "q", "sql": sql},
+        ])
+        assert cmd(["ingest", "--corpus", "raw.jsonl", "--schema", "schema.json", "--out", "merged.jsonl"]) == 2
+        assert "data error: record 2: tables LAB and LABS would both be normalized to LAB" in capsys.readouterr().err
+        assert not Path("merged.jsonl").exists()
+        assert cmd(["ingest", "--corpus", "raw.jsonl", "--schema", "schema.json", "--no-normalize-tables",
+                    "--out", "kept.jsonl"]) == 0
 
     def test_duplicate_id_exits_two(self, workdir, capsys):
         write_jsonl("raw.jsonl", [
@@ -206,6 +241,9 @@ class TestStats:
             {"id": "a", "question_template": "q", "sql": "SELECT COUNT(*) FROM LAB", "question_paraphrase": 3},
             {"id": None, "question_template": "q", "sql": "SELECT COUNT(*) FROM LAB"},
             {"id": [1], "question_template": "q", "sql": "SELECT COUNT(*) FROM LAB"},
+            {"id": "a\tb", "question_template": "q", "sql": "SELECT COUNT(*) FROM LAB"},
+            {"id": "a\nb", "question_template": "q", "sql": "SELECT COUNT(*) FROM LAB"},
+            {"id": "a\rb", "question_template": "q", "sql": "SELECT COUNT(*) FROM LAB"},
         ],
     )
     def test_bad_field_types_exit_two(self, workdir, capsys, record):
@@ -679,6 +717,30 @@ CLI_SURFACE = {
     ),
 }
 
+# The input options each manifest of the run below records (sorted, as
+# written), and every input option a subcommand requires, in the order
+# its missing-option message names them.
+MANIFEST_INPUTS = {
+    "ingest": ["corpus", "schema"],
+    "stats": ["corpus", "schema"],
+    "split": ["corpus"],
+    "linearize": ["assignment", "corpus", "schema"],
+    "augment": ["corpus"],
+    "rerank": ["db", "preds"],
+    "recover": ["db", "preds", "schema"],
+    "eval": ["assignment", "corpus", "db", "preds"],
+}
+MISSING = {
+    "ingest": "--corpus, --schema",
+    "stats": "--corpus, --schema",
+    "split": "--corpus",
+    "linearize": "--corpus, --schema, --assignment",
+    "augment": "--corpus",
+    "rerank": "--preds, --db",
+    "recover": "--preds, --db, --schema",
+    "eval": "--corpus, --assignment, --preds, --db",
+}
+
 
 class TestSurface:
     def test_option_strings(self):
@@ -710,5 +772,15 @@ class TestSurface:
         for name, (argv, out) in runs.items():
             assert cmd([name, *argv]) == 0, name
             assert read_json(f"{out}.manifest.json")["config"] == CLI_SURFACE[name][1], name
+            manifest = read_json(f"{out}.manifest.json")
+            assert manifest["command"] == name
+            assert manifest["seed"] == (0 if name == "split" else None), name
+            assert list(manifest["inputs"]) == MANIFEST_INPUTS[name], name
         keys = set().union(*(config for _, config in CLI_SURFACE.values()))
         assert len(keys) == 25
+
+    @pytest.mark.parametrize("name", list(CLI_SURFACE))
+    def test_missing_inputs_are_named_in_declaration_order(self, workdir, capsys, name):
+        assert cmd([name]) == 1
+        assert capsys.readouterr() == ("", f"medsql {name}: error: missing required option(s): {MISSING[name]}\n")
+        assert not list(workdir.glob("*.manifest.json"))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from contextlib import closing
 
 import pytest
 from hypothesis import given, settings
@@ -128,7 +129,7 @@ class TestExecutionMatch:
         assert not outcome.ex_match and outcome.gold_error and outcome.pred_error
 
     def test_agrees_with_reference_on_corpus_pairs(self, clinic):
-        with open_exec_db(clinic.db_path) as conn:
+        with closing(open_exec_db(clinic.db_path)) as conn:
             for sample in clinic.corpus[::97]:
                 for pred in (sample.gold_sql, "SELECT COUNT(*) FROM LAB", "SELECT NOPE FROM X"):
                     got = execution_match(sample.gold_sql, pred, conn).ex_match
@@ -136,7 +137,7 @@ class TestExecutionMatch:
                     assert got == want, (sample.gold_sql, pred)
 
     def test_lf_match_implies_ex_match_when_gold_executes(self, clinic):
-        with open_exec_db(clinic.db_path) as conn:
+        with closing(open_exec_db(clinic.db_path)) as conn:
             for sample in clinic.corpus[::53]:
                 assert logic_form_match(sample.gold_sql, sample.gold_sql)
                 outcome = execution_match(sample.gold_sql, sample.gold_sql, conn)

@@ -46,6 +46,9 @@ class TestLoadPredictions:
         [
             (b'{"id": null, "sql": "SELECT COUNT(*) FROM LAB"}', "id must be a string or an integer"),
             (b'{"id": [1], "sql": "SELECT COUNT(*) FROM LAB"}', "id must be a string or an integer"),
+            (b'{"id": "q\\t2", "sql": "SELECT COUNT(*) FROM LAB"}', "id must not contain a tab or a line break"),
+            (b'{"id": "q\\n2", "sql": "SELECT COUNT(*) FROM LAB"}', "id must not contain a tab or a line break"),
+            (b'{"id": "q\\r2", "sql": "SELECT COUNT(*) FROM LAB"}', "id must not contain a tab or a line break"),
             (b'{"id": "q2", "candidates": [{"sql": null, "score": 1.0}]}', "candidate sql must be a non-empty string"),
             (b'{"id": "q2", "candidates": [{"sql": 5, "score": 1.0}]}', "candidate sql must be a non-empty string"),
             (b'{"id": "q2", "sql": "SELECT \xff FROM LAB"}', "can't decode byte 0xff"),

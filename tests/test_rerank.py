@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib
+from contextlib import closing
 
 import pytest
 
@@ -78,7 +79,7 @@ class TestRerank:
             return original(conn, sql, timeout_ms)
 
         monkeypatch.setattr(rerank_mod, "run_select", counting)
-        with open_exec_db(clinic.db_path) as conn:
+        with closing(open_exec_db(clinic.db_path)) as conn:
             rerank(beam(GOOD, BAD, BAD), conn)
         assert calls == [GOOD]
 

@@ -4,6 +4,7 @@ import csv
 import json
 import sqlite3
 import sys
+from contextlib import closing
 from dataclasses import replace
 
 import pytest
@@ -147,6 +148,9 @@ class TestCorpusIo:
             ("id", None, "id must be a string or an integer, not null"),
             ("id", [1], "id must be a string or an integer, not \\[1\\]"),
             ("id", True, "id must be a string or an integer, not true"),
+            ("id", "a\tb", 'id must not contain a tab or a line break, not "a\\\\tb"'),
+            ("id", "a\nb", 'id must not contain a tab or a line break, not "a\\\\nb"'),
+            ("id", "a\rb", 'id must not contain a tab or a line break, not "a\\\\rb"'),
         ],
     )
     def test_bad_field_types_are_record_errors(self, tmp_path, field, value, message):
@@ -221,7 +225,7 @@ class TestGoldQuery:
 
 class TestExecDb:
     def test_row_counts_match_csvs(self, clinic):
-        with open_exec_db(clinic.db_path) as conn:
+        with closing(open_exec_db(clinic.db_path)) as conn:
             for table, path in clinic.csvs.items():
                 with open(path, encoding="utf-8", newline="") as fh:
                     expected = sum(1 for _ in csv.reader(fh)) - 1
@@ -229,12 +233,12 @@ class TestExecDb:
                 assert got == expected == 100
 
     def test_number_columns_store_numbers(self, clinic):
-        with open_exec_db(clinic.db_path) as conn:
+        with closing(open_exec_db(clinic.db_path)) as conn:
             ages = [row[0] for row in conn.execute("SELECT AGE FROM DEMOGRAPHIC")]
         assert all(isinstance(age, int) for age in ages)
 
     def test_quoted_comma_field_round_trips(self, clinic):
-        with open_exec_db(clinic.db_path) as conn:
+        with closing(open_exec_db(clinic.db_path)) as conn:
             row = conn.execute(
                 "SELECT LONG_TITLE FROM DIAGNOSES WHERE SHORT_TITLE = 'DIAGNOSIS 000'"
             ).fetchone()
@@ -245,7 +249,7 @@ class TestExecDb:
         csv_path = tmp_path / "T.csv"
         csv_path.write_text("A,B\nx,\n,2\n", encoding="utf-8")
         db = build_exec_db(schema, {"T": csv_path}, tmp_path / "t.db")
-        with open_exec_db(db) as conn:
+        with closing(open_exec_db(db)) as conn:
             assert conn.execute("SELECT A, B FROM T ORDER BY B").fetchall() == [
                 ("x", None),
                 (None, 2),
@@ -258,7 +262,7 @@ class TestExecDb:
         csv_path = tmp_path / "T.csv"
         csv_path.write_text("t1,n1,d,n2\n007,007,007,1.50\n2.5,2.5,,-3\n", encoding="utf-8")
         db = build_exec_db(schema, {"T": csv_path}, tmp_path / "t.db")
-        with open_exec_db(db) as conn:
+        with closing(open_exec_db(db)) as conn:
             assert conn.execute("SELECT * FROM T").fetchall() == [("007", 7, "007", 1.5), ("2.5", 2.5, None, -3)]
         csv_path.write_text("T1,N1,D,N2\nx,1,y,2\nx,1,y,nope\n", encoding="utf-8")
         with pytest.raises(ColumnTypeError) as exc:
@@ -286,7 +290,7 @@ class TestExecDb:
             build_exec_db(schema, {"T": tmp_path / "absent.csv"}, tmp_path / "t.db")
 
     def test_connection_is_read_only(self, clinic):
-        with open_exec_db(clinic.db_path) as conn:
+        with closing(open_exec_db(clinic.db_path)) as conn:
             with pytest.raises(QueryExecutionError):
                 run_select(conn, "DROP TABLE LAB")
             assert conn.execute("SELECT COUNT(*) FROM LAB").fetchone()[0] == 100
@@ -296,13 +300,13 @@ class TestExecDb:
             open_exec_db(tmp_path / "missing.db")
 
     def test_run_select_rejects_bad_sql(self, clinic):
-        with open_exec_db(clinic.db_path) as conn:
+        with closing(open_exec_db(clinic.db_path)) as conn:
             with pytest.raises(QueryExecutionError):
                 run_select(conn, "SELECT NOPE FROM LAB")
 
     def test_run_select_times_out(self, clinic):
         slow = "SELECT COUNT(*) FROM LAB a, LAB b, LAB c, LAB d"
-        with open_exec_db(clinic.db_path) as conn:
+        with closing(open_exec_db(clinic.db_path)) as conn:
             with pytest.raises(QueryExecutionError):
                 run_select(conn, slow, timeout_ms=50)
             # The interrupt must not poison the connection for later queries.
