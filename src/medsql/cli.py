@@ -34,7 +34,7 @@ from .linearize import DEFAULT_SEPARATOR, QuestionSource, export_training_file
 from .metrics import evaluate
 from .predictions import Candidate, CandidateSet, load_predictions, save_predictions
 from .query import ColumnRef, SqlQuery, rename_tables, serialize_sql
-from .records import FORMAT_VERSION, read_json, read_jsonl, write_json, write_jsonl, write_manifest
+from .records import FORMAT_VERSION, read_json, read_jsonl, write_json, write_jsonl, write_manifests
 from .recovery import recover_query
 from .rerank import DEFAULT_TIMEOUT_MS, rerank_file
 from .splits import (
@@ -52,7 +52,6 @@ from .store import (
     corpus_stats,
     load_corpus,
     load_schema,
-    map_in_order,
     save_corpus,
     validate_records,
 )
@@ -67,6 +66,10 @@ class _Parser(argparse.ArgumentParser):
 
 class _UsageError(Exception):
     pass
+
+
+# The least value of a numeric option, whichever source gives it.
+_MINIMUM = {"jobs": 1, "timeout_ms": 1, "retries": 0}
 
 
 def _resolve(args: argparse.Namespace) -> dict[str, Any]:
@@ -91,6 +94,9 @@ def _resolve(args: argparse.Namespace) -> dict[str, Any]:
         env_value = os.environ.get(TRANSLATE_URL_ENV) if dest == "translate_url" else None
         if env_value:
             value = env_value
+        least = _MINIMUM.get(dest)
+        if least is not None and value is not None and value < least:
+            raise DataError(f"--{dest.replace('_', '-')} must be at least {least}, not {value}")
         resolved[dest] = value
     return resolved
 
@@ -283,25 +289,23 @@ def _cmd_recover(resolved: dict[str, Any]) -> tuple[list[Path], str]:
     preds = load_predictions(resolved["preds"])
     schema = load_schema(resolved["schema"])
     lookup = build_value_lookup(resolved["db"], schema)
-    prefilter = resolved["prefilter"]
-
-    def work(item):
-        sid, pred = item
+    recovered: dict[str, Any] = {}
+    results = []
+    for sid, pred in preds.items():
         if isinstance(pred, CandidateSet):
-            results = [recover_query(c.sql, lookup, prefilter=prefilter) for c in pred.candidates]
-            cands = tuple(Candidate(res.sql, c.score) for res, c in zip(results, pred.candidates))
-            return CandidateSet(sid, cands), results
-        res = recover_query(pred, lookup, prefilter=prefilter)
-        return res.sql, [res]
-
-    recovered = map_in_order(work, list(preds.items()), resolved["jobs"])
-    results = [res for _, per_pred in recovered for res in per_pred]
+            per_pred = [recover_query(c.sql, lookup) for c in pred.candidates]
+            cands = tuple(Candidate(res.sql, c.score) for res, c in zip(per_pred, pred.candidates))
+            recovered[sid] = CandidateSet(sid, cands)
+        else:
+            per_pred = [recover_query(pred, lookup)]
+            recovered[sid] = per_pred[0].sql
+        results += per_pred
     totals = {
         "replaced": sum(len(res.replacements) for res in results),
         "unresolved": sum(len(res.unresolved) for res in results),
         "unparsed": sum(not res.parsed for res in results),
     }
-    out = save_predictions(dict(zip(preds, (pred for pred, _ in recovered))), resolved["out"])
+    out = save_predictions(recovered, resolved["out"])
     report_path = write_json(resolved["report"], {"format_version": FORMAT_VERSION, **totals})
     return [out, report_path], (
         f"recovered {len(recovered)} predictions "
@@ -398,8 +402,6 @@ _COMMANDS: dict[str, tuple[str, Callable[[dict[str, Any]], tuple[list[Path], str
         ("schema", None, str, None),
         ("out", "recovered_predictions.jsonl", str, None),
         ("report", "recover_report.json", str, None),
-        ("prefilter", True, bool, None),
-        ("jobs", 1, int, None),
     )),
     "eval": ("logic-form and execution accuracy for a prediction file", _cmd_eval, (
         ("corpus", None, str, None),
@@ -454,9 +456,8 @@ def cmd(argv: list[str]) -> int:
         if missing:
             raise _UsageError("missing required option(s): " + ", ".join(f"--{dest}" for dest in missing))
         outputs, summary = handler(resolved)
-        for out in outputs:
-            write_manifest(out, command=name, tool_version=__version__, config=resolved, seed=resolved.get("seed"),
-                           inputs={dest: resolved[dest] for dest in inputs if resolved[dest]})
+        write_manifests(outputs, command=name, tool_version=__version__, config=resolved, seed=resolved.get("seed"),
+                        inputs={dest: resolved[dest] for dest in inputs if resolved[dest]})
         print(summary)
         return 0
     except _UsageError as exc:

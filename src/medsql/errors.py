@@ -49,8 +49,8 @@ class UnterminatedLiteral(DataError):
 class RecordError(DataError):
     """A corpus, prediction, or external record is malformed.
 
-    ``line`` is the 1-based line number for line-delimited files and the
-    0-based record index for array-shaped files.
+    ``line`` is the record's line number in a line-delimited file and its
+    1-based position in a JSON array.
     """
 
     def __init__(self, line: int, message: str):

@@ -47,7 +47,10 @@ def _sort_key(value: Any):
     if value is None:
         return (0, "")
     if isinstance(value, (int, float)):
-        return (1, float(value))
+        # 8 significant digits, one coarser than REL_TOLERANCE, and 0 within
+        # ABS_TOLERANCE of 0: numbers equal under the tolerance share a key
+        # unless a rounding boundary falls between them.
+        return (1, 0.0 if abs(value) <= ABS_TOLERANCE else float(f"{value:.8g}"))
     if isinstance(value, bytes):
         return (2, value.decode("utf-8", "replace"))
     return (3, str(value))
@@ -69,7 +72,8 @@ def results_equal(rows_a: list[tuple], rows_b: list[tuple]) -> bool:
     """Multiset equality of two result sets under the value tolerance."""
     if len(rows_a) != len(rows_b):
         return False
-    key = lambda row: tuple(_sort_key(v) for v in row)
+    # Canonical keys, then exact numbers, so that rows sharing keys sort alike on both sides.
+    key = lambda row: (tuple(map(_sort_key, row)), tuple(v if isinstance(v, (int, float)) else 0 for v in row))
     for ra, rb in zip(sorted(rows_a, key=key), sorted(rows_b, key=key)):
         if len(ra) != len(rb) or not all(_values_equal(x, y) for x, y in zip(ra, rb)):
             return False

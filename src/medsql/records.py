@@ -130,21 +130,20 @@ def manifest_path(output_path: str | Path) -> Path:
     return output_path.with_name(output_path.name + ".manifest.json")
 
 
-def write_manifest(
-    output_path: str | Path,
+def write_manifests(
+    output_paths: Iterable[str | Path],
     *,
     command: str,
     tool_version: str,
     inputs: Mapping[str, str | Path],
     config: Mapping[str, Any],
     seed: int | None = None,
-) -> Path:
-    """Write the run manifest that accompanies an output file.
-
-    The manifest is fully determined by the inputs and configuration (no
-    timestamps), so identical reruns produce identical bytes.
+) -> list[Path]:
+    """Write the run manifest that accompanies each output file, hashing
+    each input once. A manifest is fully determined by the inputs and
+    configuration (no timestamps), so identical reruns produce identical bytes.
     """
-    manifest = {
+    shared = {
         "format_version": FORMAT_VERSION,
         "tool": {"name": "medsql", "version": tool_version},
         "command": command,
@@ -155,6 +154,5 @@ def write_manifest(
             name: {"path": str(path), "sha256": file_sha256(path)}
             for name, path in sorted(inputs.items())
         },
-        "output": Path(output_path).name,
     }
-    return write_json(manifest_path(output_path), manifest)
+    return [write_json(manifest_path(out), {**shared, "output": Path(out).name}) for out in output_paths]

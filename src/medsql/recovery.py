@@ -107,50 +107,45 @@ def _common(bag: Counter, items: Sequence[Hashable]) -> int:
     return total
 
 
-def _best_value(predicted: str, column: ColumnValues, prefilter: bool) -> tuple[str, float]:
+def _best_value(predicted: str, column: ColumnValues) -> tuple[str, float]:
     """The first value in order with the highest combined score.
 
-    With ``prefilter``, a value is scored only if its bound, the combined
-    score with each LCS replaced by the bag intersection, comes within
-    rounding of the best so far; the bound is never below the score, so
-    the answer is the one a full scan gives.
+    A value is scored only if its bound, the combined score with each LCS
+    replaced by the bag intersection, comes within rounding of the best so
+    far; the bound is never below the score, so the answer is the one a
+    full scan gives.
     """
     best_value: str | None = None
     best_score = -1.0
     pred = predicted.casefold()
     pred_words = pred.split()
     char_bag, word_bag = Counter(pred), Counter(pred_words)
-    profiles = column.folded if prefilter else column
-    for value, profile in zip(column, profiles):
-        if prefilter:
-            # The word half first: it is cheap, and a char half of 1 may
-            # already fall short.
-            folded, words = profile
-            floor = best_score - _ROUNDING
-            word_f = _f1(_common(word_bag, words), len(pred_words), len(words))
-            if (word_f + 1.0) / 2.0 < floor:
-                continue
-            if (word_f + _f1(_common(char_bag, folded), len(pred), len(folded))) / 2.0 < floor:
-                continue
+    for value, (folded, words) in zip(column, column.folded):
+        # The word half first: it is cheap, and a char half of 1 may
+        # already fall short.
+        floor = best_score - _ROUNDING
+        word_f = _f1(_common(word_bag, words), len(pred_words), len(words))
+        if (word_f + 1.0) / 2.0 < floor:
+            continue
+        if (word_f + _f1(_common(char_bag, folded), len(pred), len(folded))) / 2.0 < floor:
+            continue
         score = similarity(predicted, value).combined
         if score > best_score:
             best_value, best_score = value, score
     return best_value, best_score
 
 
-def recover_value(
-    predicted: str, values: Sequence[str], *, prefilter: bool = True
-) -> tuple[str, float]:
+def recover_value(predicted: str, values: Sequence[str]) -> tuple[str, float]:
     """Pick the most similar value from a column's value set.
 
     Returns (value, combined score). An exact member is returned as-is.
     Ties go to the lexicographically smallest value. ``values`` is a
     :class:`~medsql.store.ColumnValues` from a lookup, whose set answers
     exact hits and whose memo answers a predicted string recovered before,
-    or any sequence, which is sorted and scanned. ``prefilter`` skips
-    candidates whose bag bound cannot reach the best score; the answer is
-    the same with it on or off. Two threads that miss the same string at
-    once may both score it; both store the same answer.
+    or any sequence, which is sorted and scanned. Candidates whose bag
+    bound cannot reach the best score are not scored; the answer is the
+    one a full scan gives. Two threads that miss the same string at once
+    may both score it; both store the same answer.
     """
     if not isinstance(values, ColumnValues):
         values = ColumnValues(sorted(values))
@@ -160,7 +155,7 @@ def recover_value(
         return predicted, 1.0
     answer = values.memo.get(predicted)
     if answer is None:
-        answer = values.memo[predicted] = _best_value(predicted, values, prefilter)
+        answer = values.memo[predicted] = _best_value(predicted, values)
     return answer
 
 
@@ -182,7 +177,7 @@ def _resolve_column(cond: Condition, lookup: ValueLookup) -> tuple[str, str] | N
     return None
 
 
-def recover_query(pred_sql: str, lookup: ValueLookup, *, prefilter: bool = True) -> RecoveredQuery:
+def recover_query(pred_sql: str, lookup: ValueLookup) -> RecoveredQuery:
     """Rewrite every text condition value of a predicted query to its most
     similar database value.
 
@@ -214,7 +209,7 @@ def recover_query(pred_sql: str, lookup: ValueLookup, *, prefilter: bool = True)
                 new_conditions.append(cond)
                 continue
             values = lookup.values(table, column)
-            chosen, _ = recover_value(cond.value.value, values, prefilter=prefilter)
+            chosen, _ = recover_value(cond.value.value, values)
         except UnknownColumn:
             unresolved.append(cond.column.render())
             new_conditions.append(cond)

@@ -621,12 +621,12 @@ def merge_out_of_domain(
     existing = {s.id for s in primary}
     converted: list[Sample] = []
     skipped: list[RecordError] = []
-    for idx, entry in enumerate(entries):
+    for number, entry in enumerate(entries, start=1):
         # Id collisions are corpus-integrity failures; lenient mode only
         # forgives records that are malformed or outside the dialect.
-        sample_id = f"{prefix}-{idx:05d}"
+        sample_id = f"{prefix}-{number - 1:05d}"
         if sample_id in existing:
-            raise RecordError(idx, f"id collision with primary corpus: {sample_id!r}")
+            raise RecordError(number, f"id collision with primary corpus: {sample_id!r}")
         try:
             question = entry["question"]
             sql = entry["query"]
@@ -643,7 +643,7 @@ def merge_out_of_domain(
             )
             sample.gold_query  # SQL outside the dialect is a record error
         except (DataError, KeyError, TypeError) as exc:
-            err = RecordError(idx, str(exc))
+            err = RecordError(number, str(exc))
             if lenient:
                 skipped.append(err)
                 continue

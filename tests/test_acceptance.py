@@ -316,8 +316,6 @@ def test_criterion_8_round_trip_and_determinism(clinic, tmp_path, monkeypatch):
               "--preds", "preds.jsonl", "--db", "clinic.db"], "eval_report.json"),
             (["rerank", "--preds", "beams.jsonl", "--db", "clinic.db"],
              "reranked_predictions.jsonl"),
-            (["recover", "--preds", "typos.jsonl", "--db", "clinic.db",
-              "--schema", "schema.json"], "recovered_predictions.jsonl"),
             (["augment", "--corpus", "corpus.jsonl", "--stub"], "augmented_corpus.jsonl"),
         ]
         for argv, default_out in parallel:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from medsql import query
+from medsql import query, records
 from medsql.cli import build_parser, cmd
 from medsql.splits import Split, SplitAssignment, SplitSpec, assign_splits
 from medsql.store import load_corpus
@@ -446,31 +446,16 @@ class TestRecover:
         assert report["replaced"] == 10
         assert report["unparsed"] == 0
 
-    def test_prefilter_does_not_change_output(self, workdir, clinic):
-        samples = clinic.corpus[:10]
-        write_jsonl("preds.jsonl", [
-            {"id": s.id, "sql": s.gold_sql.replace("ASSAY", "asay")} for s in samples
-        ])
-        base = ["recover", "--preds", "preds.jsonl", "--db", "clinic.db", "--schema", "schema.json"]
-        assert cmd(base + ["--out", "with.jsonl"]) == 0
-        assert cmd(base + ["--no-prefilter", "--out", "without.jsonl"]) == 0
-        assert Path("with.jsonl").read_bytes() == Path("without.jsonl").read_bytes()
-
-    def test_repeated_misses_give_the_same_bytes_at_any_jobs(self, workdir, clinic):
+    def test_repeated_misses_are_recovered_alike(self, workdir, clinic):
         samples = clinic.corpus[:12]
         write_jsonl("preds.jsonl", [
             {"id": f"{s.id}-{k}", "sql": s.gold_sql.replace("ASSAY", "asay")}
             for k in range(3) for s in samples
         ])
-        base = ["recover", "--preds", "preds.jsonl", "--db", "clinic.db", "--schema", "schema.json"]
-        for jobs in ("1", "2"):
-            assert cmd(base + ["--jobs", jobs, "--out", f"j{jobs}.jsonl", "--report", f"j{jobs}.json"]) == 0
-        assert Path("j1.jsonl").read_bytes() == Path("j2.jsonl").read_bytes()
-        assert Path("j1.json").read_bytes() == Path("j2.json").read_bytes()
-        records = read_jsonl("j1.jsonl")
+        assert cmd(["recover", "--preds", "preds.jsonl", "--db", "clinic.db", "--schema", "schema.json"]) == 0
+        records = read_jsonl("recovered_predictions.jsonl")
         assert [r["sql"] for r in records] == [s.gold_sql for _ in range(3) for s in samples]
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize(
         "table, column, sql",
         [
@@ -479,7 +464,7 @@ class TestRecover:
         ],
         ids=["table", "column"],
     )
-    def test_schema_pair_missing_from_the_db_exits_two(self, workdir, capsys, jobs, table, column, sql):
+    def test_schema_pair_missing_from_the_db_exits_two(self, workdir, capsys, table, column, sql):
         schema = read_json("schema.json")
         tables = {t["name"]: t for t in schema["tables"]}
         tables.setdefault(table, {"name": table, "columns": []})["columns"].append({"name": column, "attr": "text"})
@@ -487,7 +472,7 @@ class TestRecover:
         Path("extra_schema.json").write_text(json.dumps(schema), encoding="utf-8")
         write_jsonl("preds.jsonl", [{"id": "a", "sql": sql}])
         assert cmd(["recover", "--preds", "preds.jsonl", "--db", "clinic.db", "--schema", "extra_schema.json",
-                    "--jobs", jobs, "--out", "out.jsonl"]) == 2
+                    "--out", "out.jsonl"]) == 2
         assert f"{table}.{column}" in capsys.readouterr().err
         assert not Path("out.jsonl").exists()
 
@@ -589,6 +574,15 @@ class TestPipeline:
         assert read_json("report.json")["acc_lf"] == 1.0
         assert read_json("report.json")["acc_ex"] == 1.0
 
+    def test_each_input_is_hashed_once(self, workdir, monkeypatch):
+        hashed = []
+        file_sha256 = records.file_sha256
+        monkeypatch.setattr(records, "file_sha256", lambda path: hashed.append(path) or file_sha256(path))
+        assert cmd(SPLIT_ARGS + ["--schema", "schema.json"]) == 0
+        assert sorted(hashed) == ["corpus.jsonl", "schema.json"]
+        manifests = [read_json(f"{out}.manifest.json") for out in ("split_assignment.tsv", "split_report.json")]
+        assert manifests[0]["inputs"] == manifests[1]["inputs"]
+
     def test_manifests_record_input_digests(self, workdir):
         assert cmd(SPLIT_ARGS) == 0
         manifest = read_json("split_assignment.tsv.manifest.json")
@@ -647,6 +641,41 @@ class TestConfigTypes:
         key = next(iter(config))
         assert f"data error: config key {key!r} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "argv, dest, value",
+        [
+            (["rerank", "--preds", "beams.jsonl", "--db", "clinic.db"], "timeout_ms", 0),
+            (["rerank", "--preds", "beams.jsonl", "--db", "clinic.db"], "timeout_ms", -1),
+            (["rerank", "--preds", "beams.jsonl", "--db", "clinic.db"], "jobs", 0),
+            (["eval", "--corpus", "corpus.jsonl", "--assignment", "a.tsv", "--preds", "beams.jsonl",
+              "--db", "clinic.db"], "timeout_ms", 0),
+            (["eval", "--corpus", "corpus.jsonl", "--assignment", "a.tsv", "--preds", "beams.jsonl",
+              "--db", "clinic.db"], "jobs", 0),
+            (["augment", "--corpus", "corpus.jsonl", "--stub"], "retries", -1),
+            (["augment", "--corpus", "corpus.jsonl", "--stub"], "timeout_ms", 0),
+            (["augment", "--corpus", "corpus.jsonl", "--stub"], "jobs", -3),
+        ],
+        ids=["rerank-timeout-0", "rerank-timeout-negative", "rerank-jobs", "eval-timeout", "eval-jobs",
+             "augment-retries", "augment-timeout", "augment-jobs"],
+    )
+    def test_value_below_its_minimum_exits_two(self, workdir, capsys, argv, dest, value, source):
+        option = "--" + dest.replace("_", "-")
+        if source == "flag":
+            argv = argv + [option, str(value)]
+        else:
+            Path("cfg.json").write_text(json.dumps({dest: value}), encoding="utf-8")
+            argv = argv + ["--config", "cfg.json"]
+        # The input files are never read: beams.jsonl and a.tsv do not exist.
+        assert cmd(argv + ["--out", "out.json"]) == 2
+        least = {"jobs": 1, "timeout_ms": 1, "retries": 0}[dest]
+        assert f"data error: {option} must be at least {least}, not {value}" in capsys.readouterr().err
+        assert not Path("out.json").exists()
+
+    def test_minimum_values_are_accepted(self, workdir):
+        assert cmd(["augment", "--corpus", "corpus.jsonl", "--stub", "--retries", "0", "--timeout-ms", "1",
+                    "--jobs", "1"]) == 0
+
     def test_typed_values_and_null_defaults_are_accepted(self, workdir):
         write_jsonl("raw.jsonl", [
             {"id": "a", "question_template": "q", "sql": "SELECT COUNT(*) FROM PROCEDURE"},
@@ -704,9 +733,9 @@ CLI_SURFACE = {
          "require_nonempty": False, "timeout_ms": 5000, "jobs": 1},
     ),
     "recover": (
-        {"--preds", "--db", "--schema", "--out", "--report", "--jobs"} | _switch("prefilter"),
+        {"--preds", "--db", "--schema", "--out", "--report"},
         {"preds": "reranked_predictions.jsonl", "db": "../clinic.db", "schema": "../schema.json",
-         "out": "recovered_predictions.jsonl", "report": "recover_report.json", "prefilter": True, "jobs": 1},
+         "out": "recovered_predictions.jsonl", "report": "recover_report.json"},
     ),
     "eval": (
         {"--corpus", "--assignment", "--split", "--preds", "--db", "--out", "--timeout-ms", "--jobs"}
@@ -746,7 +775,7 @@ class TestSurface:
     def test_option_strings(self):
         expected = {name: options | COMMON_OPTIONS for name, (options, _) in CLI_SURFACE.items()}
         assert _option_strings() == expected
-        assert sum(len(options) for options in expected.values()) == 84
+        assert sum(len(options) for options in expected.values()) == 81
 
     def test_manifests_record_every_option(self, workdir, clinic, monkeypatch):
         monkeypatch.setenv("MEDSQL_TRANSLATE_URL", "http://127.0.0.1:9/from-env")  # --stub wins
@@ -777,7 +806,7 @@ class TestSurface:
             assert manifest["seed"] == (0 if name == "split" else None), name
             assert list(manifest["inputs"]) == MANIFEST_INPUTS[name], name
         keys = set().union(*(config for _, config in CLI_SURFACE.values()))
-        assert len(keys) == 25
+        assert len(keys) == 24
 
     @pytest.mark.parametrize("name", list(CLI_SURFACE))
     def test_missing_inputs_are_named_in_declaration_order(self, workdir, capsys, name):

@@ -88,6 +88,36 @@ class TestResultsEqual:
         rng.shuffle(shuffled)
         assert results_equal(a, shuffled)
 
+    def test_rows_pair_up_under_the_tolerance(self):
+        # Sorted on exact floats, (1.0, "b") would meet (1.0, "a").
+        assert results_equal([(1.0, "b"), (1.0000000000001, "a")], [(1.0000000000001, "b"), (1.0, "a")])
+
+    # Multiples of 0.25 on a small grid, so that equal numbers recur in a
+    # column and sit far from the canonical rounding boundaries.
+    grid_rows = st.lists(
+        st.tuples(
+            st.one_of(st.integers(-8, 8).map(lambda k: k * 0.25), st.sampled_from("ab")),
+            st.one_of(st.integers(-8, 8).map(lambda k: k * 0.25), st.sampled_from("ab")),
+        ),
+        max_size=6,
+    )
+
+    @given(grid_rows, st.randoms(), st.data())
+    @settings(max_examples=300)
+    def test_nudges_below_the_tolerance_match_in_any_order(self, a, rng, data):
+        nudge = st.floats(-5e-10, 5e-10)
+
+        def nudged(cell):
+            if isinstance(cell, str):
+                return cell
+            # Relative below REL_TOLERANCE; absolute below ABS_TOLERANCE at 0.
+            return cell * (1 + data.draw(nudge)) if cell else data.draw(nudge) / 1000
+
+        b = [tuple(map(nudged, row)) for row in a]
+        rng.shuffle(b)
+        assert results_equal(a, b)
+        assert results_equal(b, a)
+
 
 class TestExecutionMatch:
     def test_identical_queries_match(self, clinic):

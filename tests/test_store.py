@@ -566,10 +566,10 @@ class TestMergeOutOfDomain:
         examples_path.write_text(json.dumps(examples), encoding="utf-8")
         with pytest.raises(RecordError, match=message) as exc:
             merge_out_of_domain(clinic.corpus, examples_path, tables_path)
-        assert exc.value.line == 0
+        assert exc.value.line == 1
         result = merge_out_of_domain(clinic.corpus, examples_path, tables_path, lenient=True)
         assert [s.id for s in result.samples[len(clinic.corpus):]] == ["dev-00001"]
-        assert [(e.line, message in str(e)) for e in result.skipped] == [(0, True), (2, False)]
+        assert [(e.line, message in str(e)) for e in result.skipped] == [(1, True), (3, False)]
 
     @pytest.mark.parametrize("name", ["tables.json", "dev.json"])
     @pytest.mark.parametrize("body", [b'{"db_id": "flights"}', b'["flights"', b'["\xff"]'])
