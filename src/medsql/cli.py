@@ -19,6 +19,7 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Any, Callable
+from urllib.parse import urlsplit
 
 from . import __version__
 from .augment import (
@@ -36,7 +37,7 @@ from .predictions import Candidate, CandidateSet, load_predictions, save_predict
 from .query import ColumnRef, SqlQuery, rename_tables, serialize_sql
 from .records import FORMAT_VERSION, read_json, read_jsonl, write_json, write_jsonl, write_manifests
 from .recovery import recover_query
-from .rerank import DEFAULT_TIMEOUT_MS, rerank_file
+from .rerank import rerank_file
 from .splits import (
     DEFAULT_DESIGNATED,
     DEFAULT_TEST_SIZE,
@@ -48,6 +49,7 @@ from .splits import (
     verify_split,
 )
 from .store import (
+    DEFAULT_TIMEOUT_MS,
     build_value_lookup,
     corpus_stats,
     load_corpus,
@@ -107,13 +109,14 @@ def _resolve(args: argparse.Namespace) -> dict[str, Any]:
 _CANONICAL_FIELDS = ("id", "question_template", "question_paraphrase", "sql")
 
 
-def _read_raw_records(path: str) -> list[Any]:
-    """A JSON array when the first byte after a BOM and whitespace is ``[``,
-    JSON Lines otherwise."""
+def _read_raw_records(path: str) -> list[tuple[int, Any]]:
+    """(number, record) pairs of a JSON array, numbered by position, when the
+    first byte after a BOM and whitespace is ``[``; of JSON Lines, numbered
+    by line, otherwise."""
     data = Path(path).read_bytes()
     if data.removeprefix(codecs.BOM_UTF8).lstrip().startswith(b"["):
-        return read_json(data, "corpus file", list)
-    return [rec for _, rec in read_jsonl(data)]
+        return list(enumerate(read_json(data, "corpus file", list), start=1))
+    return list(read_jsonl(data))
 
 
 def _parse_field_map(text: str | None) -> dict[str, str]:
@@ -162,10 +165,10 @@ def _table_renames(number: int, query: SqlQuery, schema_tables: set[str]) -> dic
     return rename
 
 
-def _mapped_records(raw: list[Any], field_map: dict[str, str]):
-    """(number, record) pairs with source fields renamed to canonical ones
-    and missing ids defaulted to the record number."""
-    for number, rec in enumerate(raw, start=1):
+def _mapped_records(numbered: list[tuple[int, Any]], field_map: dict[str, str]):
+    """The (number, record) pairs with source fields renamed to canonical
+    ones and missing ids defaulted to the record's ordinal."""
+    for ordinal, (number, rec) in enumerate(numbered, start=1):
         if isinstance(rec, dict):
             mapped = dict(rec)
             for canonical, source in field_map.items():
@@ -173,7 +176,7 @@ def _mapped_records(raw: list[Any], field_map: dict[str, str]):
                     mapped[canonical] = rec[source]
                     if source != canonical:
                         mapped.pop(source, None)
-            mapped.setdefault("id", str(number))
+            mapped.setdefault("id", str(ordinal))
             rec = mapped
         yield number, rec
 
@@ -185,11 +188,12 @@ def _cmd_ingest(resolved: dict[str, Any]) -> tuple[list[Path], str]:
     schema = load_schema(resolved["schema"])
     schema_tables = {t.name.upper() for t in schema.tables}
     field_map = _parse_field_map(resolved["field_map"])
-    samples = validate_records(_mapped_records(_read_raw_records(resolved["corpus"]), field_map))
+    numbered = list(_mapped_records(_read_raw_records(resolved["corpus"]), field_map))
+    samples = validate_records(numbered)
     normalized = 0
     if resolved["normalize_tables"]:
-        for k, sample in enumerate(samples):
-            rename = _table_renames(k + 1, sample.gold_query, schema_tables)
+        for k, ((number, _), sample) in enumerate(zip(numbered, samples)):
+            rename = _table_renames(number, sample.gold_query, schema_tables)
             if rename:
                 samples[k] = replace(sample, gold_sql=serialize_sql(rename_tables(sample.gold_query, rename)))
                 normalized += 1
@@ -256,7 +260,13 @@ def _cmd_augment(resolved: dict[str, Any]) -> tuple[list[Path], str]:
     if resolved["stub"]:
         translator = StubTranslator()
     elif resolved["translate_url"]:
-        endpoint = TranslatorEndpoint(resolved["translate_url"], resolved["timeout_ms"], resolved["retries"])
+        url = resolved["translate_url"]
+        try:
+            if urlsplit(url).scheme not in ("http", "https") or not urlsplit(url).hostname:
+                raise ValueError
+        except ValueError:
+            raise DataError(f"--translate-url must be an http or https URL with a host, not {url!r}") from None
+        endpoint = TranslatorEndpoint(url, resolved["timeout_ms"], resolved["retries"])
         translator = HttpTranslator(endpoint)
     else:
         raise _UsageError("augment needs --stub or a translation endpoint (--translate-url or MEDSQL_TRANSLATE_URL)")
@@ -321,7 +331,7 @@ def _cmd_eval(resolved: dict[str, Any]) -> tuple[list[Path], str]:
         raise _UsageError(str(exc)) from exc
     corpus = load_corpus(resolved["corpus"])
     assignment = SplitAssignment.load(resolved["assignment"])
-    samples = [s for s in corpus if assignment.by_id.get(s.id) is split]
+    samples = assignment.members(corpus, split)
     preds = load_predictions(resolved["preds"])
     report = evaluate(
         samples,
@@ -412,7 +422,7 @@ _COMMANDS: dict[str, tuple[str, Callable[[dict[str, Any]], tuple[list[Path], str
         ("out", "eval_report.json", str, None),
         ("strict", False, bool, None),
         ("breakdown", True, bool, None),
-        ("timeout_ms", None, int, None),
+        ("timeout_ms", DEFAULT_TIMEOUT_MS, int, None),
         ("jobs", 1, int, None),
     )),
 }

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .errors import DataError, EmptyQuestion, ReservedToken
+from .errors import EmptyQuestion, ReservedToken
 from .records import write_jsonl
 from .splits import Split, SplitAssignment
 from .store import Sample, SchemaDef
@@ -79,20 +79,15 @@ def export_training_file(
     synthetic paraphrases, or all of them. Samples carrying their own
     schema (out-of-domain merges) are linearized against it; everything
     else uses ``schema``. Samples lacking a paraphrase are counted, not
-    exported, under the paraphrase source.
+    exported, under the paraphrase source. A corpus sample missing from the
+    assignment is a :class:`DataError`.
     """
-    unassigned = [s.id for s in corpus if s.id not in assignment.by_id]
-    if unassigned:
-        raise DataError(f"{len(unassigned)} sample(s) missing from the assignment: {unassigned[:5]}")
+    samples = assignment.members(corpus, split)
     records: list[dict[str, str]] = []
     per_source = {"template": 0, "paraphrase": 0, "synthetic": 0}
     missing_paraphrase = 0
-    n_samples = 0
     want = question_source
-    for sample in corpus:
-        if assignment.by_id[sample.id] is not split:
-            continue
-        n_samples += 1
+    for sample in samples:
         sample_schema = sample.schema if sample.schema is not None else schema
         questions: list[tuple[str, str]] = []
         if want in (QuestionSource.TEMPLATE, QuestionSource.ALL):
@@ -112,7 +107,7 @@ def export_training_file(
     write_jsonl(out_path, records)
     return ExportReport(
         n_records=len(records),
-        n_samples=n_samples,
+        n_samples=len(samples),
         per_source=per_source,
         missing_paraphrase=missing_paraphrase,
     )

@@ -20,7 +20,7 @@ from .errors import MedsqlError, MissingPrediction, UnterminatedLiteral
 from .predictions import Prediction, top_sql
 from .query import SqlQuery, Star, parse_sql, tokenize_sql
 from .records import FORMAT_VERSION
-from .store import Sample, exec_connection, map_in_order, run_select, worker_connections
+from .store import DEFAULT_TIMEOUT_MS, Sample, exec_connection, map_on_db, run_select
 
 REL_TOLERANCE = 1e-9
 ABS_TOLERANCE = 1e-12
@@ -92,11 +92,12 @@ def execution_match(
     pred_sql: str,
     db: str | Path | sqlite3.Connection,
     *,
-    timeout_ms: int | None = None,
+    timeout_ms: int | None = DEFAULT_TIMEOUT_MS,
 ) -> ExecutionOutcome:
     """Execute both queries and compare result multisets.
 
-    A failing query sets its error flag; any error means no match.
+    A failing query, one that runs past ``timeout_ms`` included, sets its
+    error flag; any error means no match.
     """
     with exec_connection(db) as conn:
         gold_rows = pred_rows = None
@@ -204,7 +205,7 @@ def evaluate(
     *,
     strict: bool = False,
     with_breakdown: bool = True,
-    timeout_ms: int | None = None,
+    timeout_ms: int | None = DEFAULT_TIMEOUT_MS,
     jobs: int = 1,
 ) -> EvalReport:
     """Score a prediction file against gold SQL over one split.
@@ -222,23 +223,17 @@ def evaluate(
         if missing:
             raise MissingPrediction(missing)
 
-    with worker_connections(db) as get_conn:
+    def score(conn: sqlite3.Connection, sample: Sample) -> tuple[SampleEval, ComponentFlags]:
+        pred = preds.get(sample.id)
+        if pred is None:
+            return SampleEval(sample.id, False, False, False, True), _ALL_FALSE
+        pred_sql = top_sql(pred)
+        lf = logic_form_match(sample.gold_sql, pred_sql)
+        outcome = execution_match(sample.gold_sql, pred_sql, conn, timeout_ms=timeout_ms)
+        flags = _breakdown_flags(sample, pred_sql) if with_breakdown else _ALL_FALSE
+        return SampleEval(sample.id, lf, outcome.ex_match, outcome.gold_error, outcome.pred_error), flags
 
-        def score(sample: Sample) -> tuple[SampleEval, ComponentFlags]:
-            pred = preds.get(sample.id)
-            if pred is None:
-                return SampleEval(sample.id, False, False, False, True), _ALL_FALSE
-            pred_sql = top_sql(pred)
-            lf = logic_form_match(sample.gold_sql, pred_sql)
-            outcome = execution_match(sample.gold_sql, pred_sql, get_conn(), timeout_ms=timeout_ms)
-            flags = _breakdown_flags(sample, pred_sql) if with_breakdown else _ALL_FALSE
-            return (
-                SampleEval(sample.id, lf, outcome.ex_match, outcome.gold_error, outcome.pred_error),
-                flags,
-            )
-
-        scored = map_in_order(score, samples, jobs)
-
+    scored = map_on_db(score, samples, db, jobs)
     per_sample = tuple(entry for entry, _ in scored)
     n = len(per_sample)
     acc_lf = sum(e.lf_match for e in per_sample) / n if n else 0.0

@@ -14,9 +14,7 @@ from pathlib import Path
 
 from .errors import QueryExecutionError, RecordError
 from .predictions import CandidateSet, Prediction
-from .store import exec_connection, map_in_order, run_select, worker_connections
-
-DEFAULT_TIMEOUT_MS = 5000
+from .store import DEFAULT_TIMEOUT_MS, exec_connection, map_on_db, run_select
 
 
 @dataclass(frozen=True)
@@ -73,10 +71,7 @@ def rerank_file(
             raise RecordError(idx, f"id {sid!r} has no candidate beam to rerank")
         items.append(pred)
 
-    with worker_connections(db) as get_conn:
-
-        def work(cs: CandidateSet) -> RerankChoice:
-            return rerank(cs, get_conn(), require_nonempty=require_nonempty, timeout_ms=timeout_ms)
-
-        choices = map_in_order(work, items, jobs)
+    choices = map_on_db(
+        lambda conn, cs: rerank(cs, conn, require_nonempty=require_nonempty, timeout_ms=timeout_ms), items, db, jobs
+    )
     return {choice.id: choice for choice in choices}

@@ -58,6 +58,15 @@ class SplitAssignment:
             out[split.value] += 1
         return out
 
+    def members(self, corpus: Iterable[Sample], split: Split) -> list[Sample]:
+        """The samples of ``split``, in corpus order; a corpus sample missing
+        from the assignment is a :class:`DataError`."""
+        corpus = list(corpus)
+        unassigned = [s.id for s in corpus if s.id not in self.by_id]
+        if unassigned:
+            raise DataError(f"{len(unassigned)} sample(s) missing from the assignment: {unassigned[:5]}")
+        return [s for s in corpus if self.by_id[s.id] is split]
+
     def save(self, path: str | Path) -> Path:
         lines = [f"{sid}\t{split.value}" for sid, split in self.by_id.items()]
         return atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))

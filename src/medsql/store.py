@@ -63,16 +63,12 @@ class TableDef:
         if not isinstance(self.name, str):
             raise DataError(f"table name must be a string, not {type(self.name).__name__}")
         object.__setattr__(self, "columns", tuple(self.columns))
-        names = [c.name.upper() for c in self.columns]
-        if len(set(names)) != len(names):
+        object.__setattr__(self, "_by_name", {c.name.upper(): c for c in self.columns})
+        if len(self._by_name) != len(self.columns):
             raise DataError(f"table {self.name}: duplicate column names")
 
     def column(self, name: str) -> ColumnDef | None:
-        wanted = name.upper()
-        for col in self.columns:
-            if col.name.upper() == wanted:
-                return col
-        return None
+        return self._by_name.get(name.upper())
 
 
 @dataclass(frozen=True)
@@ -81,22 +77,16 @@ class SchemaDef:
 
     def __post_init__(self):
         object.__setattr__(self, "tables", tuple(self.tables))
-        names = [t.name.upper() for t in self.tables]
-        if len(set(names)) != len(names):
+        object.__setattr__(self, "_by_name", {t.name.upper(): t for t in self.tables})
+        if len(self._by_name) != len(self.tables):
             raise DataError("duplicate table names in schema")
 
     def table(self, name: str) -> TableDef | None:
-        wanted = name.upper()
-        for tab in self.tables:
-            if tab.name.upper() == wanted:
-                return tab
-        return None
+        return self._by_name.get(name.upper())
 
     def attr_of(self, table: str, column: str) -> str | None:
         tab = self.table(table)
-        if tab is None:
-            return None
-        col = tab.column(column)
+        col = tab.column(column) if tab else None
         return col.attr if col else None
 
     def to_dict(self) -> dict[str, Any]:
@@ -316,12 +306,20 @@ def _number_cell(rownum: int, column: str, cell: str) -> int | float:
         raise ColumnTypeError(rownum, f"{cell!r} is not a number", column=column) from None
 
 
+# What a statement on an execution connection may do: select, read columns,
+# call functions. ATTACH, PRAGMA (and the pragma_* table functions),
+# recursive CTEs and every write are denied when the statement is prepared.
+_ALLOWED_ACTIONS = frozenset({sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ, sqlite3.SQLITE_FUNCTION})
+
+
 def open_exec_db(path: str | Path) -> sqlite3.Connection:
-    """Open the execution database read-only, so that executing untrusted
-    predicted SQL cannot mutate it."""
+    """Open the execution database read-only, with an authorizer that lets
+    only reading SELECTs run, so that executing untrusted predicted SQL can
+    neither mutate it nor reach anything else."""
     path = Path(path)
     try:
         conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True, check_same_thread=False)
+        conn.set_authorizer(lambda action, *_: sqlite3.SQLITE_OK if action in _ALLOWED_ACTIONS else sqlite3.SQLITE_DENY)
         conn.execute("SELECT 1").fetchone()
         return conn
     except sqlite3.Error as exc:
@@ -342,32 +340,6 @@ def exec_connection(db: str | Path | sqlite3.Connection) -> Iterator[sqlite3.Con
         conn.close()
 
 
-@contextmanager
-def worker_connections(db: str | Path) -> Iterator[Callable[[], sqlite3.Connection]]:
-    """Yield a getter for the calling thread's own read-only connection.
-
-    Each thread's connection is opened on its first call; every connection
-    opened is closed on exit, also when the body raises.
-    """
-    local = threading.local()
-    opened: list[sqlite3.Connection] = []
-    lock = threading.Lock()
-
-    def get() -> sqlite3.Connection:
-        conn = getattr(local, "conn", None)
-        if conn is None:
-            conn = local.conn = open_exec_db(db)
-            with lock:
-                opened.append(conn)
-        return conn
-
-    try:
-        yield get
-    finally:
-        for conn in opened:
-            conn.close()
-
-
 _T = TypeVar("_T")
 _R = TypeVar("_R")
 
@@ -382,6 +354,32 @@ def map_in_order(work: Callable[[_T], _R], items: Sequence[_T], jobs: int) -> li
         return [work(item) for item in items]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(work, items))
+
+
+def map_on_db(work: Callable[[sqlite3.Connection, _T], _R], items: Sequence[_T], db: str | Path, jobs: int) -> list[_R]:
+    """``[work(conn, item) for item in items]`` as :func:`map_in_order` runs
+    it, where ``conn`` is the running thread's own read-only connection to
+    ``db``, opened on that thread's first item. Every connection opened is
+    closed before this returns, also when ``work`` raises.
+    """
+    local = threading.local()
+    opened: list[sqlite3.Connection] = []
+
+    def run(item: _T) -> _R:
+        if not hasattr(local, "conn"):
+            local.conn = open_exec_db(db)
+            opened.append(local.conn)
+        return work(local.conn, item)
+
+    try:
+        return map_in_order(run, items, jobs)
+    finally:
+        for conn in opened:
+            conn.close()
+
+
+# The per-query bound of every command that executes predicted SQL.
+DEFAULT_TIMEOUT_MS = 5000
 
 
 def run_select(conn: sqlite3.Connection, sql: str, timeout_ms: int | None = None) -> list[tuple]:
@@ -438,30 +436,31 @@ class ColumnValues(tuple):
 class ValueLookup:
     """Distinct values per (table, column) of a schema, canonically ordered.
 
-    Keys are uppercase. ``attr``, ``tables_for_column`` and the
-    :class:`UnknownColumn` of pairs outside the schema come from the
-    schema; a column's ``SELECT DISTINCT`` runs when :meth:`values` first
-    asks for it, under a lock, so threads share one load. A lookup built on
-    a borrowed :class:`sqlite3.Connection` must not outlive that connection.
+    The schema resolves names, case-insensitively, and answers ``attr``,
+    ``tables_for_column`` (uppercase) and the :class:`UnknownColumn` of
+    pairs outside it; a column's ``SELECT DISTINCT`` runs when
+    :meth:`values` first asks for it, under a lock, so threads share one
+    load. A lookup built on a borrowed :class:`sqlite3.Connection` must not
+    outlive that connection.
     """
 
     def __init__(self, db: str | Path | sqlite3.Connection, schema: SchemaDef):
         self._db = db
-        self._columns = {
-            (t.name.upper(), c.name.upper()): (t.name, c.name, c.attr)
-            for t in schema.tables
-            for c in t.columns
-        }
+        self._schema = schema
         self._loaded: dict[tuple[str, str], ColumnValues] = {}
         self._lock = threading.Lock()
 
+    def _column(self, table: str, column: str, missing: str) -> tuple[TableDef, ColumnDef]:
+        tab = self._schema.table(table)
+        col = tab.column(column) if tab else None
+        if col is None:
+            raise UnknownColumn(f"{missing} {table}.{column}")
+        return tab, col
+
     def values(self, table: str, column: str) -> ColumnValues:
-        key = (table.upper(), column.upper())
-        if key not in self._columns:
-            raise UnknownColumn(f"no values recorded for {table}.{column}")
+        tab, col = (d.name for d in self._column(table, column, "no values recorded for"))
         with self._lock:
-            if key not in self._loaded:
-                tab, col, _ = self._columns[key]
+            if (tab, col) not in self._loaded:
                 try:
                     with exec_connection(self._db) as conn:
                         # SQLite reads a quoted name it cannot resolve as a
@@ -473,18 +472,14 @@ class ValueLookup:
                         )
                 except (sqlite3.Error, QueryExecutionError) as exc:
                     raise DataError(f"cannot read the values of {tab}.{col} from the database: {exc}") from None
-                self._loaded[key] = ColumnValues(sorted(canonical_value(r[0]) for r in rows))
-            return self._loaded[key]
+                self._loaded[tab, col] = ColumnValues(sorted(canonical_value(r[0]) for r in rows))
+            return self._loaded[tab, col]
 
     def attr(self, table: str, column: str) -> str:
-        key = (table.upper(), column.upper())
-        if key not in self._columns:
-            raise UnknownColumn(f"no such column {table}.{column}")
-        return self._columns[key][2]
+        return self._column(table, column, "no such column")[1].attr
 
     def tables_for_column(self, column: str) -> tuple[str, ...]:
-        wanted = column.upper()
-        return tuple(sorted({t for (t, c) in self._columns if c == wanted}))
+        return tuple(sorted(t.name.upper() for t in self._schema.tables if t.column(column) is not None))
 
 
 def build_value_lookup(db: str | Path | sqlite3.Connection, schema: SchemaDef) -> ValueLookup:
@@ -573,7 +568,7 @@ class MergeResult:
 
 def _external_schemas(tables_path: Path) -> dict[str, SchemaDef]:
     schemas: dict[str, SchemaDef] = {}
-    for idx, entry in enumerate(read_json(tables_path, "tables file", list)):
+    for number, entry in enumerate(read_json(tables_path, "tables file", list), start=1):
         try:
             table_names = entry.get("table_names_original") or entry["table_names"]
             column_names = entry.get("column_names_original") or entry["column_names"]
@@ -590,7 +585,7 @@ def _external_schemas(tables_path: Path) -> dict[str, SchemaDef]:
                 tuple(TableDef(name, tuple(cols)) for name, cols in zip(table_names, columns))
             )
         except (AttributeError, DataError, LookupError, TypeError, ValueError) as exc:
-            raise DataError(f"tables entry {idx} is malformed: {exc}") from exc
+            raise DataError(f"tables entry {number} is malformed: {exc}") from exc
     return schemas
 
 

@@ -2,12 +2,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import sqlite3
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import medsql
 from medsql import query, records
 from medsql.cli import build_parser, cmd
 from medsql.splits import Split, SplitAssignment, SplitSpec, assign_splits
@@ -67,6 +71,32 @@ class TestTopLevel:
     def test_missing_required_options_exit_one(self, workdir, capsys):
         assert cmd(["stats"]) == 1
         assert "--corpus" in capsys.readouterr().err
+
+
+class TestEntryPoint:
+    """``python -m medsql.cli`` runs ``main``, which the console script calls."""
+
+    def _run(self, *args: str) -> subprocess.CompletedProcess:
+        src = str(Path(medsql.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        return subprocess.run([sys.executable, "-m", "medsql.cli", *args], capture_output=True, text=True,
+                              env=env, timeout=120)
+
+    def test_version_exits_zero(self):
+        done = self._run("--version")
+        assert (done.returncode, done.stdout) == (0, f"medsql {medsql.__version__}\n")
+
+    def test_no_subcommand_exits_one(self):
+        done = self._run()
+        assert done.returncode == 1
+        assert done.stderr.startswith("usage: medsql")
+
+    def test_data_error_exits_two_with_the_message_on_stderr(self, workdir):
+        Path("broken.jsonl").write_text("{not json}\n", encoding="utf-8")
+        done = self._run("stats", "--corpus", "broken.jsonl", "--schema", "schema.json")
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("medsql stats: data error: record 1: invalid JSON")
+        assert not Path("corpus_stats.json").exists()
 
 
 class TestIngest:
@@ -208,6 +238,25 @@ class TestIngest:
         Path(name).write_bytes(b"\xef\xbb\xbf" + body.encode("utf-8"))
         assert cmd(["ingest", "--corpus", name, "--schema", "schema.json", "--out", "bom.jsonl"]) == 0
         assert [s.id for s in load_corpus("bom.jsonl")] == ["a"]
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ({"id": "b", "question_template": 5, "sql": "SELECT COUNT(*) FROM LAB"},
+             "record 2: question_template must be a string, not int"),
+            ({"id": "b", "question_template": "q", "sql": "SELECT COUNT(*) FROM LAB INNER JOIN LABS ON LAB.X = LABS.X"},
+             "record 2: tables LAB and LABS would both be normalized to LAB"),
+        ],
+        ids=["question", "rename"],
+    )
+    def test_record_numbers_are_line_numbers(self, workdir, capsys, record, message):
+        # A blank first line used to make the record on line 2 "record 1" here.
+        Path("raw.jsonl").write_text("\n" + json.dumps(record) + "\n", encoding="utf-8")
+        assert cmd(["ingest", "--corpus", "raw.jsonl", "--schema", "schema.json", "--out", "bad.jsonl"]) == 2
+        assert f"medsql ingest: data error: {message}" in capsys.readouterr().err
+        if record["question_template"] == 5:
+            assert cmd(["stats", "--corpus", "raw.jsonl", "--schema", "schema.json"]) == 2
+            assert f"medsql stats: data error: {message}" in capsys.readouterr().err
 
     def test_ids_follow_record_order_across_blank_lines(self, workdir):
         Path("raw.jsonl").write_text(
@@ -365,6 +414,24 @@ class TestAugment:
         monkeypatch.delenv("MEDSQL_TRANSLATE_URL", raising=False)
         assert cmd(["augment", "--corpus", "corpus.jsonl"]) == 1
 
+    @pytest.mark.parametrize("source", ["flag", "config", "env"])
+    @pytest.mark.parametrize("url", ["not-a-url", "ftp://127.0.0.1/x", "http://", "http://[::1"])
+    def test_malformed_translate_url_exits_two(self, workdir, monkeypatch, capsys, url, source):
+        # urllib used to fail on it with a ValueError traceback (exit 1).
+        monkeypatch.delenv("MEDSQL_TRANSLATE_URL", raising=False)
+        argv = ["augment", "--corpus", "corpus.jsonl", "--out", "aug.jsonl"]
+        if source == "flag":
+            argv += ["--translate-url", url]
+        elif source == "config":
+            Path("cfg.json").write_text(json.dumps({"translate_url": url}), encoding="utf-8")
+            argv += ["--config", "cfg.json"]
+        else:
+            monkeypatch.setenv("MEDSQL_TRANSLATE_URL", url)
+        assert cmd(argv) == 2
+        assert (f"medsql augment: data error: --translate-url must be an http or https URL with a host, not {url!r}"
+                in capsys.readouterr().err)
+        assert not Path("aug.jsonl").exists()
+
     def test_env_var_overrides_flag_and_config(self, workdir, monkeypatch, translate_server):
         base_url, handler = translate_server("echo")
         Path("cfg.json").write_text(
@@ -422,6 +489,21 @@ class TestRerank:
         assert cmd(["rerank", "--preds", "beams.jsonl", "--db", "clinic.db",
                     "--out", "parallel.jsonl", "--jobs", "8"]) == 0
         assert Path("serial.jsonl").read_bytes() == Path("parallel.jsonl").read_bytes()
+
+    def test_attach_and_pragma_candidates_never_win(self, workdir, capsys):
+        good = "SELECT COUNT(*) FROM LAB"
+        write_jsonl("beams.jsonl", [
+            {"id": "attach", "candidates": [{"sql": f"ATTACH DATABASE '{workdir / 'planted.db'}' AS x", "score": 0.9},
+                                            {"sql": good, "score": 0.5}]},
+            {"id": "pragma", "candidates": [{"sql": "PRAGMA table_info(LAB)", "score": 0.9},
+                                            {"sql": good, "score": 0.5}]},
+        ])
+        for flag in ("--no-require-nonempty", "--require-nonempty"):
+            assert cmd(["rerank", "--preds", "beams.jsonl", "--db", "clinic.db", "--out", "r.jsonl", flag]) == 0
+            assert [(r["id"], r["chosen_rank"], r["sql"]) for r in read_jsonl("r.jsonl")] == [
+                ("attach", 2, good), ("pragma", 2, good)
+            ]
+        assert not (workdir / "planted.db").exists()
 
     def test_single_sql_records_exit_two(self, workdir):
         write_jsonl("flat.jsonl", [{"id": "a", "sql": "SELECT COUNT(*) FROM LAB"}])
@@ -535,6 +617,21 @@ class TestEval:
         ])
         assert cmd(["eval", "--corpus", "corpus.jsonl", "--assignment", "split_assignment.tsv",
                     "--preds", "partial.jsonl", "--db", "clinic.db", "--strict"]) == 2
+
+    def test_samples_missing_from_the_assignment_exit_two(self, workdir, clinic, capsys):
+        # eval used to score the assigned part of the split and exit 0.
+        assert cmd(SPLIT_ARGS) == 0
+        self._write_gold_preds(clinic)
+        lines = Path("split_assignment.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+        Path("partial.tsv").write_text("".join(lines[:250]), encoding="utf-8")
+        message = f"data error: {len(lines) - 250} sample(s) missing from the assignment"
+        assert cmd(["eval", "--corpus", "corpus.jsonl", "--assignment", "partial.tsv",
+                    "--preds", "preds.jsonl", "--db", "clinic.db", "--out", "partial.json"]) == 2
+        assert f"medsql eval: {message}" in capsys.readouterr().err
+        assert not Path("partial.json").exists()
+        assert cmd(["linearize", "--corpus", "corpus.jsonl", "--schema", "schema.json",
+                    "--assignment", "partial.tsv", "--split", "TEST"]) == 2
+        assert f"medsql linearize: {message}" in capsys.readouterr().err
 
     def test_malformed_predictions_exit_two(self, workdir):
         assert cmd(SPLIT_ARGS) == 0
@@ -742,7 +839,7 @@ CLI_SURFACE = {
         | _switch("strict") | _switch("breakdown"),
         {"corpus": "corpus.jsonl", "assignment": "split_assignment.tsv", "split": "TEST",
          "preds": "recovered_predictions.jsonl", "db": "../clinic.db", "out": "eval_report.json",
-         "strict": False, "breakdown": True, "timeout_ms": None, "jobs": 1},
+         "strict": False, "breakdown": True, "timeout_ms": 5000, "jobs": 1},
     ),
 }
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from medsql import metrics
 from medsql.errors import MissingPrediction
 from medsql.metrics import (
     component_breakdown,
@@ -17,7 +18,7 @@ from medsql.metrics import (
 )
 from medsql.predictions import Candidate, CandidateSet
 from medsql.query import parse_sql
-from medsql.store import Sample, open_exec_db
+from medsql.store import DEFAULT_TIMEOUT_MS, Sample, open_exec_db
 
 from .reference import ref_execution_match
 
@@ -293,6 +294,20 @@ class TestEvaluate:
         serial = evaluate(samples, preds, clinic.db_path, jobs=1)
         parallel = evaluate(samples, preds, clinic.db_path, jobs=8)
         assert serial == parallel
+
+    def test_every_query_is_bounded_by_default(self, clinic, four_samples, monkeypatch):
+        bounds = []
+        original = metrics.run_select
+
+        def recording(conn, sql, timeout_ms=None):
+            bounds.append(timeout_ms)
+            return original(conn, sql, timeout_ms)
+
+        monkeypatch.setattr(metrics, "run_select", recording)
+        evaluate(four_samples, self._preds(four_samples), clinic.db_path)
+        assert bounds == [DEFAULT_TIMEOUT_MS] * 6  # gold and prediction of three samples
+        execution_match(four_samples[0].gold_sql, four_samples[0].gold_sql, clinic.db_path)
+        assert bounds[6:] == [DEFAULT_TIMEOUT_MS] * 2
 
     def test_breakdown_fractions(self, clinic, four_samples):
         report = evaluate(four_samples, self._preds(four_samples), clinic.db_path)

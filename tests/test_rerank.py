@@ -83,6 +83,16 @@ class TestRerank:
             rerank(beam(GOOD, BAD, BAD), conn)
         assert calls == [GOOD]
 
+    @pytest.mark.parametrize("require_nonempty", [False, True])
+    @pytest.mark.parametrize(
+        "top", ["ATTACH DATABASE '{planted}' AS x", "PRAGMA table_info(LAB)"], ids=["attach", "pragma"]
+    )
+    def test_attach_or_pragma_never_wins(self, clinic, tmp_path, top, require_nonempty):
+        planted = tmp_path / "planted.db"
+        choice = rerank(beam(top.format(planted=planted), GOOD), clinic.db_path, require_nonempty=require_nonempty)
+        assert (choice.chosen_rank, choice.sql, choice.all_failed) == (2, GOOD, False)
+        assert not planted.exists()
+
     def test_timed_out_candidate_counts_as_failed(self, clinic):
         choice = rerank(beam(SLOW, GOOD), clinic.db_path, timeout_ms=50)
         assert choice.chosen_rank == 2

@@ -137,6 +137,23 @@ class TestVerify:
         assert [v.rule for v in violations if v.sample_id == dropped] == ["unassigned"]
 
 
+class TestMembers:
+    def test_members_come_in_corpus_order(self, clinic):
+        assignment = assign_splits(clinic.corpus, SPEC)
+        for split in Split:
+            members = assignment.members(reversed(clinic.corpus), split)
+            assert [s.id for s in members] == [
+                s.id for s in reversed(clinic.corpus) if assignment.by_id[s.id] is split
+            ]
+
+    def test_a_sample_missing_from_the_assignment_is_a_data_error(self, clinic):
+        assignment = assign_splits(clinic.corpus, SPEC)
+        partial = SplitAssignment({sid: split for sid, split in assignment.by_id.items()
+                                   if sid not in {clinic.corpus[3].id, clinic.corpus[5].id}})
+        with pytest.raises(DataError, match=r"2 sample\(s\) missing from the assignment"):
+            partial.members(clinic.corpus, Split.TRAIN)
+
+
 class TestAssignmentIo:
     def test_save_load_round_trip(self, clinic, tmp_path):
         assignment = assign_splits(clinic.corpus, SPEC)

@@ -312,6 +312,24 @@ class TestExecDb:
             # The interrupt must not poison the connection for later queries.
             assert run_select(conn, "SELECT COUNT(*) FROM LAB") == [(100,)]
 
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "ATTACH DATABASE '{planted}' AS x",
+            "PRAGMA table_info(LAB)",
+            "SELECT name FROM pragma_table_info('LAB')",
+            "WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL SELECT n + 1 FROM r WHERE n < 5) SELECT n FROM r",
+        ],
+        ids=["attach", "pragma", "pragma-function", "recursive-cte"],
+    )
+    def test_only_reading_selects_may_run(self, clinic, tmp_path, sql):
+        planted = tmp_path / "planted.db"
+        with closing(open_exec_db(clinic.db_path)) as conn:
+            with pytest.raises(QueryExecutionError, match="not authorized"):
+                run_select(conn, sql.format(planted=planted))
+            assert run_select(conn, "SELECT COUNT(*) FROM LAB") == [(100,)]
+        assert not planted.exists()
+
 
 class TestValueLookup:
     def test_text_values_match_direct_query(self, clinic):
@@ -535,7 +553,7 @@ class TestMergeOutOfDomain:
         examples_path, tables_path = self._external_release(tmp_path)
         entry = {**json.loads(tables_path.read_text(encoding="utf-8"))[0], **change}
         tables_path.write_text(json.dumps([entry]), encoding="utf-8")
-        with pytest.raises(DataError, match="tables entry 0 is malformed"):
+        with pytest.raises(DataError, match="tables entry 1 is malformed"):
             merge_out_of_domain(clinic.corpus, examples_path, tables_path, lenient=True)
 
     @pytest.mark.parametrize("types", [["text", "text", "number"], ["text"] * 5])
@@ -544,7 +562,7 @@ class TestMergeOutOfDomain:
         examples_path, tables_path = self._external_release(tmp_path)
         entry = {**json.loads(tables_path.read_text(encoding="utf-8"))[0], "column_types": types}
         tables_path.write_text(json.dumps([entry]), encoding="utf-8")
-        with pytest.raises(DataError, match="tables entry 0 is malformed: 4 column names but"):
+        with pytest.raises(DataError, match="tables entry 1 is malformed: 4 column names but"):
             merge_out_of_domain(clinic.corpus, examples_path, tables_path, lenient=True)
 
     @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from medsql import store
-from medsql.store import exec_connection, map_in_order, worker_connections
+from medsql.store import exec_connection, map_in_order, map_on_db
 
 
 def _is_closed(conn: sqlite3.Connection) -> bool:
@@ -62,51 +62,50 @@ class TestMapInOrder:
 
 
 class TestWorkerConnections:
+    """The per-thread connections that map_on_db hands to its work."""
+
     def test_nothing_is_opened_until_asked(self, clinic, opened):
-        with worker_connections(clinic.db_path):
-            pass
+        assert map_on_db(lambda conn, item: item, [], clinic.db_path, 2) == []
         assert opened == []
 
     def test_one_connection_per_thread(self, clinic, opened):
-        with worker_connections(clinic.db_path) as get_conn:
-            assert get_conn() is get_conn()
-            barrier = threading.Barrier(2)
+        assert map_on_db(lambda conn, _: conn, [0, 1, 2], clinic.db_path, 1) == [opened[0]] * 3
+        barrier = threading.Barrier(2)
 
-            def work(_):
-                conn = get_conn()
-                barrier.wait(timeout=5)
-                return conn
+        def work(conn, _):
+            barrier.wait(timeout=5)
+            return conn
 
-            conns = map_in_order(work, [0, 1], 2)
+        conns = map_on_db(work, [0, 1], clinic.db_path, 2)
         assert conns[0] is not conns[1]
         assert len(opened) == 3
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_every_connection_is_closed_on_exit(self, clinic, opened, jobs):
-        with worker_connections(clinic.db_path) as get_conn:
-            rows = map_in_order(lambda _: get_conn().execute("SELECT COUNT(*) FROM LAB").fetchone(), range(8), jobs)
-        assert len(set(rows)) == 1
+        def work(conn, i):
+            return i, conn.execute("SELECT COUNT(*) FROM LAB").fetchone()
+
+        rows = map_on_db(work, range(8), clinic.db_path, jobs)
+        assert [i for i, _ in rows] == list(range(8))
+        assert len({count for _, count in rows}) == 1
         assert opened and all(_is_closed(c) for c in opened)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_every_connection_is_closed_when_work_raises(self, clinic, opened, jobs):
-        def work(i):
-            get_conn()
+        def work(conn, i):
             if i == 5:
                 raise RuntimeError("worker failed")
             return i
 
         with pytest.raises(RuntimeError, match="worker failed"):
-            with worker_connections(clinic.db_path) as get_conn:
-                map_in_order(work, list(range(8)), jobs)
+            map_on_db(work, list(range(8)), clinic.db_path, jobs)
         assert opened and all(_is_closed(c) for c in opened)
 
     def test_stress_more_threads_than_cores(self, clinic, opened):
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with worker_connections(clinic.db_path) as get_conn:
-                owners = map_in_order(lambda _: (threading.get_ident(), id(get_conn())), range(400), 8)
+            owners = map_on_db(lambda conn, _: (threading.get_ident(), id(conn)), range(400), clinic.db_path, 8)
         finally:
             sys.setswitchinterval(previous)
         # One connection per worker thread, and every one of them recorded and closed.
