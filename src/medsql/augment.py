@@ -25,7 +25,7 @@ from .errors import (
     UnknownColumn,
     UnknownPivot,
 )
-from .records import read_json
+from .records import parse_json, read_json
 from .store import Paraphrase, Sample, ValueLookup, map_in_order, with_synthetic
 
 DEFAULT_PIVOTS = ("fr", "de")
@@ -80,7 +80,7 @@ class HttpTranslator:
                 last = f"HTTP {status}"
                 continue
             try:
-                reply = json.loads(payload)
+                reply = parse_json(payload.decode("utf-8-sig"))
             except ValueError as exc:
                 raise TranslateError(f"malformed 200 response from {url}: {exc}") from exc
             if not isinstance(reply, dict) or not isinstance(reply.get("text"), str):

@@ -35,7 +35,7 @@ from .linearize import DEFAULT_SEPARATOR, QuestionSource, export_training_file
 from .metrics import evaluate
 from .predictions import Candidate, CandidateSet, load_predictions, save_predictions
 from .query import ColumnRef, SqlQuery, rename_tables, serialize_sql
-from .records import FORMAT_VERSION, read_json, read_jsonl, write_json, write_jsonl, write_manifests
+from .records import FORMAT_VERSION, hash_inputs, read_json, read_jsonl, write_json, write_jsonl, write_manifests
 from .recovery import recover_query
 from .rerank import rerank_file
 from .splits import (
@@ -237,9 +237,17 @@ def _cmd_split(resolved: dict[str, Any]) -> tuple[list[Path], str]:
     )
 
 
-def _cmd_linearize(resolved: dict[str, Any]) -> tuple[list[Path], str]:
+def _split(name: str) -> Split:
+    """The split named by ``--split``, in any case; a usage error otherwise."""
     try:
-        split = Split(resolved["split"].upper())
+        return Split(name.upper())
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
+
+
+def _cmd_linearize(resolved: dict[str, Any]) -> tuple[list[Path], str]:
+    split = _split(resolved["split"])
+    try:
         source = QuestionSource(resolved["question_source"].lower())
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
@@ -325,10 +333,7 @@ def _cmd_recover(resolved: dict[str, Any]) -> tuple[list[Path], str]:
 
 
 def _cmd_eval(resolved: dict[str, Any]) -> tuple[list[Path], str]:
-    try:
-        split = Split(resolved["split"].upper())
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    split = _split(resolved["split"])
     corpus = load_corpus(resolved["corpus"])
     assignment = SplitAssignment.load(resolved["assignment"])
     samples = assignment.members(corpus, split)
@@ -446,8 +451,8 @@ def build_parser() -> _Parser:
 
 def cmd(argv: list[str]) -> int:
     """Run one subcommand and return the process exit code: resolve its
-    options, require its input files, run its stage, write one manifest per
-    output after all outputs, and print its summary line."""
+    options, require its input files and hash them, run its stage, write one
+    manifest per output after all outputs, and print its summary line."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -465,9 +470,11 @@ def cmd(argv: list[str]) -> int:
         missing = [dest for dest in inputs if resolved[dest] in (None, "") and dest not in optional]
         if missing:
             raise _UsageError("missing required option(s): " + ", ".join(f"--{dest}" for dest in missing))
+        # Hashed before the stage runs: an output may overwrite its input.
+        digests = hash_inputs({dest: resolved[dest] for dest in inputs if resolved[dest]})
         outputs, summary = handler(resolved)
         write_manifests(outputs, command=name, tool_version=__version__, config=resolved, seed=resolved.get("seed"),
-                        inputs={dest: resolved[dest] for dest in inputs if resolved[dest]})
+                        inputs=digests)
         print(summary)
         return 0
     except _UsageError as exc:

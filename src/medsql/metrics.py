@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
-from .errors import MedsqlError, MissingPrediction, UnterminatedLiteral
+from .errors import MedsqlError, MissingPrediction, QueryExecutionError, UnterminatedLiteral
 from .predictions import Prediction, top_sql
 from .query import SqlQuery, Star, parse_sql, tokenize_sql
 from .records import FORMAT_VERSION
@@ -96,22 +96,20 @@ def execution_match(
 ) -> ExecutionOutcome:
     """Execute both queries and compare result multisets.
 
-    A failing query, one that runs past ``timeout_ms`` included, sets its
-    error flag; any error means no match.
+    A query that raises :class:`QueryExecutionError` (a timeout or a denied
+    action included) sets its error flag; any error means no match. A
+    connection passed as ``db`` gets the execution authorizer and keeps it.
     """
+    rows: list[list[tuple] | None] = []
     with exec_connection(db) as conn:
-        gold_rows = pred_rows = None
-        gold_error = pred_error = False
-        try:
-            gold_rows = run_select(conn, gold_sql, timeout_ms)
-        except MedsqlError:
-            gold_error = True
-        try:
-            pred_rows = run_select(conn, pred_sql, timeout_ms)
-        except MedsqlError:
-            pred_error = True
-    matched = not gold_error and not pred_error and results_equal(gold_rows, pred_rows)
-    return ExecutionOutcome(matched, gold_error, pred_error)
+        for sql in (gold_sql, pred_sql):
+            try:
+                rows.append(run_select(conn, sql, timeout_ms))
+            except QueryExecutionError:
+                rows.append(None)
+    gold_rows, pred_rows = rows
+    matched = gold_rows is not None and pred_rows is not None and results_equal(gold_rows, pred_rows)
+    return ExecutionOutcome(matched, gold_rows is None, pred_rows is None)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import tempfile
 from collections.abc import Iterable, Iterator, Mapping
 from pathlib import Path
@@ -20,15 +21,33 @@ def dump_record(obj: Mapping[str, Any]) -> str:
     return json.dumps(obj, ensure_ascii=False)
 
 
+# The escape of a UTF-16 surrogate, \uD800-\uDFFF: only text holding one
+# can decode to a lone surrogate.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def parse_json(text: str) -> Any:
+    """``json.loads(text)``, except that an escape decoding to a lone
+    surrogate (``"\\ud800"``) raises ``ValueError``: neither a UTF-8 file nor
+    SQLite can take it. An escaped pair decodes to its one character."""
+    obj = json.loads(text)
+    if _SURROGATE_ESCAPE.search(text):
+        try:
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ValueError(f"lone surrogate {exc.object[exc.start]!r} is not text") from None
+    return obj
+
+
 def read_json(source: str | Path | bytes, what: str, shape: type[dict] | type[list]) -> Any:
     """The JSON document in a UTF-8 file, given as its path or its bytes:
     an object (``shape`` dict) or an array (list); a leading byte order mark
     is skipped. Bytes that are not UTF-8, not JSON (nesting too deep to parse
-    included), or not of that shape raise :class:`DataError` naming the file
-    as ``what``."""
+    and a lone surrogate included), or not of that shape raise
+    :class:`DataError` naming the file as ``what``."""
     data = source if isinstance(source, bytes) else Path(source).read_bytes()
     try:
-        obj = json.loads(data.decode("utf-8-sig"))
+        obj = parse_json(data.decode("utf-8-sig"))
     except (ValueError, RecursionError) as exc:
         raise DataError(f"{what} is not valid JSON: {exc}") from exc
     if not isinstance(obj, shape):
@@ -61,12 +80,13 @@ def read_lines(source: str | Path | bytes) -> Iterator[tuple[int, str]]:
 
 def read_jsonl(source: str | Path | bytes) -> Iterator[tuple[int, dict[str, Any]]]:
     """Yield (line_number, record) pairs of a :func:`read_lines` file;
-    whitespace-only lines are skipped."""
+    whitespace-only lines are skipped. A line that :func:`parse_json`
+    rejects raises :class:`RecordError` carrying its line number."""
     for lineno, line in read_lines(source):
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            obj = parse_json(line)
         except (ValueError, RecursionError) as exc:
             raise RecordError(lineno, f"invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):
@@ -130,18 +150,25 @@ def manifest_path(output_path: str | Path) -> Path:
     return output_path.with_name(output_path.name + ".manifest.json")
 
 
+def hash_inputs(inputs: Mapping[str, str | Path]) -> dict[str, dict[str, str]]:
+    """A manifest's ``inputs``: each named input file's path and digest,
+    hashed once, in name order."""
+    return {name: {"path": str(path), "sha256": file_sha256(path)} for name, path in sorted(inputs.items())}
+
+
 def write_manifests(
     output_paths: Iterable[str | Path],
     *,
     command: str,
     tool_version: str,
-    inputs: Mapping[str, str | Path],
+    inputs: Mapping[str, Mapping[str, str]],
     config: Mapping[str, Any],
     seed: int | None = None,
 ) -> list[Path]:
-    """Write the run manifest that accompanies each output file, hashing
-    each input once. A manifest is fully determined by the inputs and
-    configuration (no timestamps), so identical reruns produce identical bytes.
+    """Write the run manifest that accompanies each output file; ``inputs``
+    is what :func:`hash_inputs` gave before the run. A manifest is fully
+    determined by the inputs and configuration (no timestamps), so
+    identical reruns produce identical bytes.
     """
     shared = {
         "format_version": FORMAT_VERSION,
@@ -150,9 +177,6 @@ def write_manifests(
         "seed": seed,
         "config": dict(config),
         "config_hash": config_hash(config),
-        "inputs": {
-            name: {"path": str(path), "sha256": file_sha256(path)}
-            for name, path in sorted(inputs.items())
-        },
+        "inputs": dict(inputs),
     }
     return [write_json(manifest_path(out), {**shared, "output": Path(out).name}) for out in output_paths]

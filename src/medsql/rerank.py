@@ -34,8 +34,10 @@ def rerank(
 ) -> RerankChoice:
     """Pick the first executable candidate, in descending score order.
 
-    Execution stops at the first success. A timed-out candidate counts as
-    failed. ``chosen_rank`` is 1-based over the sorted beam.
+    Execution stops at the first success. A candidate that raises
+    :class:`QueryExecutionError`, a timed-out or denied one included, counts
+    as failed. A connection passed as ``db`` gets the execution authorizer
+    and keeps it. ``chosen_rank`` is 1-based over the sorted beam.
     """
     with exec_connection(db) as conn:
         for rank, cand in enumerate(candidates.candidates, start=1):

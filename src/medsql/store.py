@@ -221,8 +221,6 @@ def validate_records(numbered: Iterable[tuple[int, Any]]) -> list[Sample]:
                 raise DataError(f"question_paraphrase must be a string or null, not {type(paraphrase).__name__}")
             _check_sql(sample.gold_sql, "sql")
             sample.gold_query  # SQL outside the dialect is a record error
-        except RecordError:
-            raise
         except DataError as exc:
             raise RecordError(number, str(exc)) from exc
         if sample.id in seen:
@@ -306,20 +304,25 @@ def _number_cell(rownum: int, column: str, cell: str) -> int | float:
         raise ColumnTypeError(rownum, f"{cell!r} is not a number", column=column) from None
 
 
-# What a statement on an execution connection may do: select, read columns,
-# call functions. ATTACH, PRAGMA (and the pragma_* table functions),
-# recursive CTEs and every write are denied when the statement is prepared.
 _ALLOWED_ACTIONS = frozenset({sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ, sqlite3.SQLITE_FUNCTION})
 
 
+def _authorize(action: int, *_: Any) -> int:
+    """The authorizer of every execution connection: a statement may select,
+    read columns and call functions. ATTACH, PRAGMA (and the pragma_* table
+    functions), recursive CTEs and every write are denied when the statement
+    is prepared."""
+    return sqlite3.SQLITE_OK if action in _ALLOWED_ACTIONS else sqlite3.SQLITE_DENY
+
+
 def open_exec_db(path: str | Path) -> sqlite3.Connection:
-    """Open the execution database read-only, with an authorizer that lets
-    only reading SELECTs run, so that executing untrusted predicted SQL can
-    neither mutate it nor reach anything else."""
+    """Open the execution database read-only, with the authorizer, so that
+    executing untrusted predicted SQL can neither mutate it nor reach
+    anything else."""
     path = Path(path)
     try:
         conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True, check_same_thread=False)
-        conn.set_authorizer(lambda action, *_: sqlite3.SQLITE_OK if action in _ALLOWED_ACTIONS else sqlite3.SQLITE_DENY)
+        conn.set_authorizer(_authorize)
         conn.execute("SELECT 1").fetchone()
         return conn
     except sqlite3.Error as exc:
@@ -329,8 +332,10 @@ def open_exec_db(path: str | Path) -> sqlite3.Connection:
 @contextmanager
 def exec_connection(db: str | Path | sqlite3.Connection) -> Iterator[sqlite3.Connection]:
     """Borrow ``db`` if it is a connection; otherwise open it read-only
-    and close it on exit."""
+    and close it on exit. A borrowed connection gets the authorizer of
+    :func:`open_exec_db` and keeps it after the call."""
     if isinstance(db, sqlite3.Connection):
+        db.set_authorizer(_authorize)
         yield db
         return
     conn = open_exec_db(db)
@@ -383,20 +388,21 @@ DEFAULT_TIMEOUT_MS = 5000
 
 
 def run_select(conn: sqlite3.Connection, sql: str, timeout_ms: int | None = None) -> list[tuple]:
-    """Execute one query and fetch all rows.
+    """Execute one query and fetch all rows: the one place where a statement
+    runs on an execution connection.
 
-    Any SQLite error or an elapsed per-query timeout raises
-    :class:`QueryExecutionError`; the timeout is enforced with a progress
-    handler so runaway queries are interrupted.
+    Every way the statement can fail raises :class:`QueryExecutionError`:
+    an SQLite error (a denied action included), the ``sqlite3.Warning``
+    that some Python versions raise for two statements, text that SQLite
+    cannot take, and an elapsed per-query timeout, which a progress handler
+    enforces so that runaway queries are interrupted.
     """
     if timeout_ms is not None:
         deadline = time.monotonic() + timeout_ms / 1000.0
         conn.set_progress_handler(lambda: 1 if time.monotonic() > deadline else 0, 2000)
     try:
         return conn.execute(sql).fetchall()
-    except sqlite3.Error as exc:
-        raise QueryExecutionError(str(exc)) from exc
-    except sqlite3.Warning as exc:
+    except (sqlite3.Error, sqlite3.Warning, UnicodeEncodeError) as exc:
         raise QueryExecutionError(str(exc)) from exc
     finally:
         if timeout_ms is not None:
@@ -461,16 +467,11 @@ class ValueLookup:
         tab, col = (d.name for d in self._column(table, column, "no values recorded for"))
         with self._lock:
             if (tab, col) not in self._loaded:
+                name = f'"{tab}"."{col}"'  # qualified: a missing column is an error, not a string
                 try:
                     with exec_connection(self._db) as conn:
-                        # SQLite reads a quoted name it cannot resolve as a
-                        # string, so a missing column would load as its own
-                        # name; the qualified name has no such fallback.
-                        conn.execute(f'SELECT "{tab}"."{col}" FROM "{tab}" LIMIT 0')
-                        rows = run_select(
-                            conn, f'SELECT DISTINCT "{col}" FROM "{tab}" WHERE "{col}" IS NOT NULL'
-                        )
-                except (sqlite3.Error, QueryExecutionError) as exc:
+                        rows = run_select(conn, f'SELECT DISTINCT {name} FROM "{tab}" WHERE {name} IS NOT NULL')
+                except QueryExecutionError as exc:
                     raise DataError(f"cannot read the values of {tab}.{col} from the database: {exc}") from None
                 self._loaded[tab, col] = ColumnValues(sorted(canonical_value(r[0]) for r in rows))
             return self._loaded[tab, col]

@@ -319,7 +319,7 @@ def clinic_templates() -> list[QuestionTemplate]:
 class TranslateHandler(BaseHTTPRequestHandler):
     """Translation endpoint double: echo mirrors the offline stub, fail
     answers 503, flaky fails once then echoes, malformed omits "text",
-    not_object answers a JSON array."""
+    not_object answers a JSON array, surrogate a lone surrogate escape."""
 
     behavior = "echo"
     hits = 0
@@ -337,6 +337,8 @@ class TranslateHandler(BaseHTTPRequestHandler):
             body = b'{"no_text_key": 1}'
         elif cls.behavior == "not_object":
             body = b"[]"
+        elif cls.behavior == "surrogate":
+            body = b'{"text": "[fr] q \\ud800"}'
         else:
             text = StubTranslator().translate(payload["text"], payload["src"], payload["tgt"])
             body = json.dumps({"text": text}).encode("utf-8")

@@ -102,6 +102,14 @@ class TestHttpTranslator:
             translator.translate("q", "en", "fr")
         assert handler.hits == 1
 
+    def test_lone_surrogate_text_is_malformed(self, translate_server):
+        # It used to come back as a string that no UTF-8 writer can take.
+        base_url, handler = translate_server("surrogate")
+        translator = HttpTranslator(TranslatorEndpoint(base_url, retries=3))
+        with pytest.raises(TranslateError, match="malformed 200 .*lone surrogate"):
+            translator.translate("q", "en", "fr")
+        assert handler.hits == 1
+
     def test_timeout_is_retried(self):
         # A listener that never answers: every attempt connects, then times out.
         with socket.create_server(("127.0.0.1", 0)) as silent:

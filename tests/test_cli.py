@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import shutil
@@ -633,6 +634,16 @@ class TestEval:
                     "--assignment", "partial.tsv", "--split", "TEST"]) == 2
         assert f"medsql linearize: {message}" in capsys.readouterr().err
 
+    def test_bad_split_name_is_the_usage_error_of_linearize(self, workdir, clinic, capsys):
+        assert cmd(SPLIT_ARGS) == 0
+        self._write_gold_preds(clinic)
+        assert cmd(["eval", "--corpus", "corpus.jsonl", "--assignment", "split_assignment.tsv",
+                    "--preds", "preds.jsonl", "--db", "clinic.db", "--split", "validation"]) == 1
+        assert "medsql eval: error: 'VALIDATION' is not a valid Split" in capsys.readouterr().err
+        assert cmd(["linearize", "--corpus", "corpus.jsonl", "--schema", "schema.json",
+                    "--assignment", "split_assignment.tsv", "--split", "validation"]) == 1
+        assert "medsql linearize: error: 'VALIDATION' is not a valid Split" in capsys.readouterr().err
+
     def test_malformed_predictions_exit_two(self, workdir):
         assert cmd(SPLIT_ARGS) == 0
         Path("broken.jsonl").write_text("{not json}\n", encoding="utf-8")
@@ -680,6 +691,15 @@ class TestPipeline:
         manifests = [read_json(f"{out}.manifest.json") for out in ("split_assignment.tsv", "split_report.json")]
         assert manifests[0]["inputs"] == manifests[1]["inputs"]
 
+    def test_an_in_place_run_records_the_digest_of_what_it_read(self, workdir):
+        # The digest used to be taken after the stage, i.e. of its own output.
+        lines = Path("corpus.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        Path("c.jsonl").write_text("".join(lines[:20]), encoding="utf-8")
+        read = hashlib.sha256(Path("c.jsonl").read_bytes()).hexdigest()
+        assert cmd(["augment", "--corpus", "c.jsonl", "--stub", "--out", "c.jsonl"]) == 0
+        assert read_json("c.jsonl.manifest.json")["inputs"]["corpus"] == {"path": "c.jsonl", "sha256": read}
+        assert hashlib.sha256(Path("c.jsonl").read_bytes()).hexdigest() != read
+
     def test_manifests_record_input_digests(self, workdir):
         assert cmd(SPLIT_ARGS) == 0
         manifest = read_json("split_assignment.tsv.manifest.json")
@@ -717,6 +737,53 @@ class TestMalformedInputFiles:
         assert cmd(argv + ["--out", "out.json"]) == 2
         assert "data error:" in capsys.readouterr().err
         assert not Path("out.json").exists()
+
+
+class TestLoneSurrogate:
+    """JSON may escape a lone surrogate, which neither a UTF-8 file nor SQLite
+    can take: each of these used to die with a UnicodeEncodeError traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["ingest", "--corpus", "raw.jsonl", "--schema", "schema.json"],
+             r'{"id": "a", "question_template": "q \ud800", "sql": "SELECT COUNT(*) FROM LAB"}'),
+            (["stats", "--corpus", "raw.jsonl", "--schema", "schema.json"],
+             r'{"id": "a", "question_template": "q \ud800", "sql": "SELECT COUNT(*) FROM LAB"}'),
+            (["rerank", "--preds", "raw.jsonl", "--db", "clinic.db"],
+             r'{"id": "a", "candidates": [{"sql": "SELECT LABEL FROM LAB WHERE LABEL = \"\ud800\"", "score": 1}]}'),
+            (["eval", "--corpus", "corpus.jsonl", "--assignment", "split_assignment.tsv", "--preds", "raw.jsonl",
+              "--db", "clinic.db"], r'{"id": "%s", "sql": "SELECT LABEL FROM LAB WHERE LABEL = \"\ud800\""}'),
+            (["recover", "--preds", "raw.jsonl", "--db", "clinic.db", "--schema", "schema.json"],
+             r'{"id": "a", "sql": "SELEC \uDFFF"}'),
+        ],
+        ids=["ingest", "stats", "rerank", "eval", "recover"],
+    )
+    def test_is_a_data_error_of_its_record(self, workdir, clinic, capsys, argv, line):
+        assert cmd(SPLIT_ARGS) == 0
+        # eval scores only the predictions of TEST samples.
+        Path("raw.jsonl").write_text("\n" + line.replace("%s", _test_samples(clinic)[0].id) + "\n", encoding="ascii")
+        assert cmd(argv + ["--out", "out.jsonl"]) == 2
+        assert "data error: record 2: invalid JSON: lone surrogate" in capsys.readouterr().err
+        assert not Path("out.jsonl").exists()
+
+    def test_in_a_json_document_is_a_data_error_of_the_file(self, workdir, capsys):
+        Path("raw.json").write_text(
+            r'[{"id": "a", "question_template": "q \ud800", "sql": "SELECT COUNT(*) FROM LAB"}]', encoding="ascii"
+        )
+        assert cmd(["ingest", "--corpus", "raw.json", "--schema", "schema.json", "--out", "out.jsonl"]) == 2
+        assert ("data error: corpus file is not valid JSON: lone surrogate '\\ud800' is not text"
+                in capsys.readouterr().err)
+
+    def test_an_escaped_pair_ingests_as_its_character(self, workdir):
+        record = '{"id": "a", "question_template": "q %s", "sql": "SELECT COUNT(*) FROM LAB"}\n'
+        Path("escaped.jsonl").write_text(record % "\\ud83d\\ude00", encoding="ascii")
+        Path("plain.jsonl").write_text(record % "\N{GRINNING FACE}", encoding="utf-8")
+        for name in ("escaped", "plain"):
+            assert cmd(["ingest", "--corpus", f"{name}.jsonl", "--schema", "schema.json",
+                        "--out", f"{name}_out.jsonl"]) == 0
+        assert Path("escaped_out.jsonl").read_bytes() == Path("plain_out.jsonl").read_bytes()
+        assert load_corpus("escaped_out.jsonl")[0].template_question == "q \N{GRINNING FACE}"
 
 
 class TestConfigTypes:

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import json
+import shutil
+import sqlite3
 from contextlib import closing
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -158,6 +161,15 @@ class TestExecutionMatch:
     def test_both_failing(self, clinic):
         outcome = execution_match("SELECT NOPE FROM LAB", "SELECT NOPE FROM LAB", clinic.db_path)
         assert not outcome.ex_match and outcome.gold_error and outcome.pred_error
+
+    def test_a_borrowed_connection_cannot_write(self, clinic, tmp_path):
+        # A caller's own connection used to run the PRAGMA, with pred_error unset.
+        db = shutil.copy(clinic.db_path, tmp_path / "clinic.db")
+        before = Path(db).read_bytes()
+        with closing(sqlite3.connect(db)) as conn:
+            outcome = execution_match("SELECT 1", "PRAGMA user_version = 7", conn)
+        assert (outcome.ex_match, outcome.gold_error, outcome.pred_error) == (False, False, True)
+        assert Path(db).read_bytes() == before
 
     def test_agrees_with_reference_on_corpus_pairs(self, clinic):
         with closing(open_exec_db(clinic.db_path)) as conn:

@@ -61,6 +61,46 @@ class TestLoadPredictions:
             load_predictions(path)
         assert exc.value.line == 3
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            (b'{"sql": "SELECT COUNT(*) FROM LAB"}', "record 3: missing id"),
+            (b'{"id": "q1", "sql": "SELECT COUNT(*) FROM LAB"}', "record 3: duplicate id 'q1'"),
+            (b'{"id": "q2", "candidates": []}', "record 3: candidates must be a non-empty list"),
+            (b'{"id": "q2", "candidates": {"sql": "SELECT 1", "score": 1}}',
+             "record 3: candidates must be a non-empty list"),
+            (b'{"id": "q2", "candidates": [{"score": 1.0}]}', "record 3: malformed candidate: 'sql'"),
+            (b'{"id": "q2", "candidates": [{"sql": "SELECT 1"}]}', "record 3: malformed candidate: 'score'"),
+            (b'{"id": "q2", "sql": ""}', "record 3: sql must be a non-empty string"),
+            (b'{"id": "q2", "sql": ["SELECT 1"]}', "record 3: sql must be a non-empty string"),
+            (b'{"id": "q2", "score": 1.0}', "record 3: record has neither sql nor candidates"),
+            (b'{"id": "q2", "sql": "SELECT \\ud800"}', "record 3: invalid JSON: lone surrogate '\\ud800' is not text"),
+            (b'{"id": "q2", "sql": "SELECT \\udc00\\ud83d"}',
+             "record 3: invalid JSON: lone surrogate '\\udc00' is not text"),
+            (b'{"id": "q2", "\\uD800": 1, "sql": "SELECT 1"}',
+             "record 3: invalid JSON: lone surrogate '\\ud800' is not text"),
+        ],
+        ids=["missing-id", "duplicate-id", "empty-candidates", "candidates-not-a-list", "candidate-without-sql",
+             "candidate-without-score", "empty-sql", "sql-not-a-string", "neither", "lone-surrogate",
+             "reversed-pair", "surrogate-key"],
+    )
+    def test_each_malformed_shape_names_its_line(self, tmp_path, line, message):
+        path = tmp_path / "p.jsonl"
+        path.write_bytes(b'{"id": "q1", "sql": "SELECT COUNT(*) FROM LAB"}\n\n' + line + b"\n")
+        with pytest.raises(RecordError) as exc:
+            load_predictions(path)
+        assert (str(exc.value), exc.value.line) == (message, 3)
+
+    @pytest.mark.parametrize(
+        "escaped, text",
+        [(b"\\ud83d\\ude00", "\N{GRINNING FACE}"), (b"\\\\ud800", "\\ud800"), (b"\\u00e9\\uDBFF\\uDFFF", "\xe9\U0010ffff")],
+        ids=["pair", "escaped-backslash", "upper-case-pair"],
+    )
+    def test_escapes_that_decode_to_text_load(self, tmp_path, escaped, text):
+        path = tmp_path / "p.jsonl"
+        path.write_bytes(b'{"id": "q1", "sql": "SELECT ' + escaped + b'"}\n')
+        assert load_predictions(path) == {"q1": "SELECT " + text}
+
     def test_integer_id_is_read_as_text(self, tmp_path):
         path = tmp_path / "p.jsonl"
         path.write_bytes(b'{"id": 7, "sql": "SELECT COUNT(*) FROM LAB"}\n')

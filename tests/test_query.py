@@ -330,6 +330,13 @@ class TestParse:
         with pytest.raises(UnsupportedSyntax):
             parse_sql(sql)
 
+    @pytest.mark.parametrize("op", ["=", ">", "LIKE"])
+    def test_nested_query_as_a_value_is_unsupported(self, op):
+        sql = f"SELECT A FROM T WHERE B {op} (SELECT C FROM U)"
+        with pytest.raises(UnsupportedSyntax, match="nested queries are outside the dialect") as exc:
+            parse_sql(sql)
+        assert exc.value.offset == sql.index("(")
+
     def test_unsupported_is_a_parse_error_subtype(self):
         assert issubclass(UnsupportedSyntax, ParseError)
 

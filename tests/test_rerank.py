@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import importlib
+import shutil
+import sqlite3
 from contextlib import closing
 
 import pytest
@@ -90,6 +92,15 @@ class TestRerank:
     def test_attach_or_pragma_never_wins(self, clinic, tmp_path, top, require_nonempty):
         planted = tmp_path / "planted.db"
         choice = rerank(beam(top.format(planted=planted), GOOD), clinic.db_path, require_nonempty=require_nonempty)
+        assert (choice.chosen_rank, choice.sql, choice.all_failed) == (2, GOOD, False)
+        assert not planted.exists()
+
+    def test_a_borrowed_connection_is_guarded(self, clinic, tmp_path):
+        # A caller's own connection used to run the ATTACH, which won at rank 1 and created the file.
+        db = shutil.copy(clinic.db_path, tmp_path / "clinic.db")
+        planted = tmp_path / "planted.db"
+        with closing(sqlite3.connect(db)) as conn:
+            choice = rerank(beam(f"ATTACH DATABASE '{planted}' AS x", GOOD), conn)
         assert (choice.chosen_rank, choice.sql, choice.all_failed) == (2, GOOD, False)
         assert not planted.exists()
 

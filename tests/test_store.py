@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import shutil
 import sqlite3
 import sys
 from contextlib import closing
@@ -313,6 +314,29 @@ class TestExecDb:
             assert run_select(conn, "SELECT COUNT(*) FROM LAB") == [(100,)]
 
     @pytest.mark.parametrize(
+        "sql", ["SELECT 1; SELECT 2", "SELECT 1\x00", "SELECT '\ud800'"], ids=["two-statements", "nul-byte", "lone-surrogate"]
+    )
+    def test_every_failure_is_a_query_execution_error(self, clinic, sql):
+        # A lone surrogate used to escape as a UnicodeEncodeError.
+        with closing(open_exec_db(clinic.db_path)) as conn:
+            with pytest.raises(QueryExecutionError):
+                run_select(conn, sql)
+            assert run_select(conn, "SELECT COUNT(*) FROM LAB") == [(100,)]
+
+    def test_a_borrowed_connection_gets_the_authorizer_and_keeps_it(self, clinic, tmp_path):
+        db = shutil.copy(clinic.db_path, tmp_path / "clinic.db")
+        with closing(sqlite3.connect(db)) as conn:
+            with store.exec_connection(conn) as borrowed:
+                assert borrowed is conn
+                with pytest.raises(QueryExecutionError, match="not authorized"):
+                    run_select(borrowed, "PRAGMA user_version = 7")
+            with pytest.raises(sqlite3.DatabaseError, match="not authorized"):
+                conn.execute("PRAGMA user_version = 7")
+            assert conn.execute("SELECT COUNT(*) FROM LAB").fetchone() == (100,)
+        with closing(sqlite3.connect(db)) as conn:
+            assert conn.execute("PRAGMA user_version").fetchone() == (0,)
+
+    @pytest.mark.parametrize(
         "sql",
         [
             "ATTACH DATABASE '{planted}' AS x",
@@ -333,7 +357,7 @@ class TestExecDb:
 
 class TestValueLookup:
     def test_text_values_match_direct_query(self, clinic):
-        with sqlite3.connect(clinic.db_path) as conn:
+        with closing(sqlite3.connect(clinic.db_path)) as conn:
             expected = sorted(
                 row[0]
                 for row in conn.execute(
@@ -378,7 +402,7 @@ class TestValueLookup:
         assert selects == []
         labels = lookup.values("lab", "label")
         assert lookup.values("LAB", "LABEL") is labels
-        assert selects == ['SELECT DISTINCT "LABEL" FROM "LAB" WHERE "LABEL" IS NOT NULL']
+        assert selects == ['SELECT DISTINCT "LAB"."LABEL" FROM "LAB" WHERE "LAB"."LABEL" IS NOT NULL']
         assert labels == clinic.lookup.values("LAB", "LABEL")
 
     def test_unknown_pair_raises_without_a_query(self, clinic, selects):
@@ -412,6 +436,29 @@ class TestValueLookup:
             assert conn.execute("SELECT 1").fetchone() == (1,)
         finally:
             conn.close()
+
+    @pytest.mark.parametrize(
+        "table, column, reason",
+        [("EXTRA", "NOTE", "no such table: EXTRA"), ("DEMOGRAPHIC", "NOTE", "no such column: DEMOGRAPHIC.NOTE")],
+        ids=["table", "column"],
+    )
+    def test_a_pair_missing_from_the_database_is_a_data_error(self, clinic, table, column, reason):
+        tables = {t.name: t for t in clinic.schema.tables}
+        columns = tables[table].columns if table in tables else ()
+        tables[table] = TableDef(table, columns + (ColumnDef(column, "text"),))
+        lookup = build_value_lookup(clinic.db_path, SchemaDef(tuple(tables.values())))
+        with pytest.raises(DataError) as exc:
+            lookup.values(table.lower(), column.lower())
+        assert str(exc.value) == f"cannot read the values of {table}.{column} from the database: {reason}"
+
+    def test_a_borrowed_connection_is_guarded(self, clinic, tmp_path):
+        db = shutil.copy(clinic.db_path, tmp_path / "clinic.db")
+        with closing(sqlite3.connect(db)) as conn:
+            lookup = build_value_lookup(conn, clinic.schema)
+            assert lookup.values("LAB", "LABEL") == clinic.lookup.values("LAB", "LABEL")
+            with pytest.raises(sqlite3.DatabaseError, match="not authorized"):
+                conn.execute(f"ATTACH DATABASE '{tmp_path / 'planted.db'}' AS x")
+        assert not (tmp_path / "planted.db").exists()
 
     def test_missing_database_fails_when_the_lookup_is_built(self, clinic, tmp_path):
         with pytest.raises(DbError):
