@@ -11,11 +11,14 @@ SQLite file.
 from __future__ import annotations
 
 import csv
+import os
 import sqlite3
+import tempfile
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -245,31 +248,47 @@ def build_exec_db(schema: SchemaDef, table_files: Mapping[str, str | Path], out_
     Every schema table needs an entry in ``table_files``. Number columns
     must parse as int or float (empty cells become NULL); offending cells
     raise :class:`ColumnTypeError` with their row and column.
+
+    Every column whose name, compared case-insensitively, appears in two or
+    more tables (the columns that queries join on) gets an index. They are
+    created after the inserts, table by table and column by column in schema
+    order, and the index of ``T.C`` is named ``ix_<len(T)>_T_C``: the length
+    prefix keeps the names of different columns apart. Two builds of the
+    same inputs give the same bytes.
+
+    The database is built in a temporary directory beside ``out_path`` and
+    renamed onto it once committed, so a failed build leaves ``out_path``
+    as it was.
     """
     out_path = Path(out_path)
     for table in schema.tables:
         if table.name not in table_files:
             raise DataError(f"no CSV provided for table {table.name}")
-    if out_path.exists():
-        out_path.unlink()
-    conn = sqlite3.connect(out_path)
-    try:
-        for table in schema.tables:
-            decls = ", ".join(f'"{c.name}" {_SQLITE_TYPES[c.attr]}' for c in table.columns)
-            conn.execute(f'CREATE TABLE "{table.name}" ({decls})')
-            rows = _read_table_csv(table, table_files[table.name])
-            placeholders = ", ".join("?" for _ in table.columns)
-            conn.executemany(f'INSERT INTO "{table.name}" VALUES ({placeholders})', rows)
-        conn.commit()
-    finally:
-        conn.close()
+    tables_with = Counter(c.name.upper() for t in schema.tables for c in t.columns)
+    with tempfile.TemporaryDirectory(dir=out_path.parent, prefix=f".{out_path.name}.") as tmp:
+        building = Path(tmp) / out_path.name
+        with closing(sqlite3.connect(building)) as conn:
+            for table in schema.tables:
+                decls = ", ".join(f'"{c.name}" {_SQLITE_TYPES[c.attr]}' for c in table.columns)
+                conn.execute(f'CREATE TABLE "{table.name}" ({decls})')
+                rows = _read_table_csv(table, table_files[table.name])
+                placeholders = ", ".join("?" for _ in table.columns)
+                conn.executemany(f'INSERT INTO "{table.name}" VALUES ({placeholders})', rows)
+            for table in schema.tables:
+                for c in table.columns:
+                    if tables_with[c.name.upper()] > 1:
+                        index = f"ix_{len(table.name)}_{table.name}_{c.name}"
+                        conn.execute(f'CREATE INDEX "{index}" ON "{table.name}" ("{c.name}")')
+            conn.commit()
+        os.replace(building, out_path)
     return out_path
 
 
-def _read_table_csv(table: TableDef, path: str | Path) -> list[tuple]:
+def _read_table_csv(table: TableDef, path: str | Path) -> Iterator[tuple]:
+    """The rows of a table's CSV file, converted by column attribute, read
+    one at a time as the caller consumes them."""
     expected = [c.name for c in table.columns]
     numeric = [c.attr == ATTR_NUMBER for c in table.columns]
-    rows: list[tuple] = []
     if not Path(path).is_file():
         raise DataError(f"CSV for table {table.name} not found: {path}")
     with open(path, encoding="utf-8", newline="") as fh:
@@ -286,11 +305,10 @@ def _read_table_csv(table: TableDef, path: str | Path) -> list[tuple]:
             if len(cells) != len(expected):
                 raise CsvError(rownum, f"{path}: expected {len(expected)} fields, got {len(cells)}")
             # CSV cannot distinguish "missing" from "empty"; treat both as NULL.
-            rows.append(tuple(
+            yield tuple(
                 None if cell == "" else _number_cell(rownum, name, cell) if number else cell
                 for number, name, cell in zip(numeric, expected, cells)
-            ))
-    return rows
+            )
 
 
 def _number_cell(rownum: int, column: str, cell: str) -> int | float:
@@ -333,7 +351,10 @@ def open_exec_db(path: str | Path) -> sqlite3.Connection:
 def exec_connection(db: str | Path | sqlite3.Connection) -> Iterator[sqlite3.Connection]:
     """Borrow ``db`` if it is a connection; otherwise open it read-only
     and close it on exit. A borrowed connection gets the authorizer of
-    :func:`open_exec_db` and keeps it after the call."""
+    :func:`open_exec_db` and keeps it after the call. It loses any progress
+    handler its caller set: :func:`run_select` bounds a query with its own
+    handler and removes it afterwards, because Python cannot read a handler
+    back to restore it."""
     if isinstance(db, sqlite3.Connection):
         db.set_authorizer(_authorize)
         yield db

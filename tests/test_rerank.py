@@ -104,6 +104,19 @@ class TestRerank:
         assert (choice.chosen_rank, choice.sql, choice.all_failed) == (2, GOOD, False)
         assert not planted.exists()
 
+    def test_a_borrowed_connection_loses_its_progress_handler(self, clinic):
+        # The per-query bound replaces the caller's handler and cannot restore it.
+        fired = []
+        cross_join = "SELECT COUNT(*) FROM LAB a, LAB b"
+        with closing(open_exec_db(clinic.db_path)) as conn:
+            conn.set_progress_handler(lambda: fired.append(1), 100)
+            conn.execute(cross_join).fetchall()
+            assert fired
+            fired.clear()
+            assert rerank(beam(GOOD), conn).chosen_rank == 1
+            conn.execute(cross_join).fetchall()
+        assert not fired
+
     def test_timed_out_candidate_counts_as_failed(self, clinic):
         choice = rerank(beam(SLOW, GOOD), clinic.db_path, timeout_ms=50)
         assert choice.chosen_rank == 2

@@ -45,6 +45,24 @@ from medsql.store import (
 )
 
 
+def _build(directory, tables, *, write=True):
+    """Build ``directory/t.db`` from number-column tables given as
+    ``{name: column names}``, writing a one-row CSV per table first unless
+    ``write`` is false."""
+    schema = SchemaDef(tuple(TableDef(t, tuple(ColumnDef(c, "number") for c in cols)) for t, cols in tables.items()))
+    files = {t: directory / f"{t}.csv" for t in tables}
+    if write:
+        for t, cols in tables.items():
+            files[t].write_text(",".join(cols) + "\n" + ",".join("1" for _ in cols) + "\n", encoding="utf-8")
+    return build_exec_db(schema, files, directory / "t.db")
+
+
+def _indexes(db):
+    """(name, table) of every index in ``db``, in creation order."""
+    with closing(sqlite3.connect(db)) as conn:
+        return conn.execute("SELECT name, tbl_name FROM sqlite_master WHERE type = 'index' ORDER BY rowid").fetchall()
+
+
 class TestSchema:
     def test_save_load_round_trip(self, clinic, tmp_path):
         path = tmp_path / "schema.json"
@@ -289,6 +307,79 @@ class TestExecDb:
         schema = SchemaDef((TableDef("T", (ColumnDef("A", "text"),)),))
         with pytest.raises(DataError):
             build_exec_db(schema, {"T": tmp_path / "absent.csv"}, tmp_path / "t.db")
+
+    @pytest.mark.parametrize(
+        "body, error, message",
+        [
+            (None, DataError, "CSV for table B not found: {path}"),
+            ("WRONG\n1\n", CsvError, "row 1: {path}: header ['WRONG'] does not match columns ['ID']"),
+            ("ID\n1\n1,2\n", CsvError, "row 3: {path}: expected 1 fields, got 2"),
+            ("ID\n1\nnope\n", ColumnTypeError, "row 3, column ID: 'nope' is not a number"),
+        ],
+        ids=["missing-csv", "bad-header", "field-count", "bad-number"],
+    )
+    def test_a_failed_build_changes_no_file(self, tmp_path, body, error, message):
+        # The build used to delete the old database first and leave the tables built before the fault.
+        tables = {"A": ("ID",), "B": ("ID",)}
+        db = _build(tmp_path, tables)
+        before = db.read_bytes()
+        path = tmp_path / "B.csv"
+        if body is None:
+            path.unlink()
+        else:
+            path.write_text(body, encoding="utf-8")
+        listing = sorted(tmp_path.iterdir())
+        for _ in ("over the old database", "with no database"):
+            with pytest.raises(error) as exc:
+                _build(tmp_path, tables, write=False)
+            assert type(exc.value) is error and str(exc.value) == message.format(path=path)
+            assert sorted(tmp_path.iterdir()) == listing
+            if db.exists():
+                assert db.read_bytes() == before
+                db.unlink()
+                listing.remove(db)
+
+    def test_the_join_columns_are_indexed_in_schema_order(self, clinic):
+        keys = ("SUBJECT_ID", "HADM_ID")
+        titles = keys + ("ICD9_CODE", "SHORT_TITLE", "LONG_TITLE")
+        expected = [
+            (f"ix_{len(table)}_{table}_{column}", table)
+            for table, columns in [
+                ("DEMOGRAPHIC", keys), ("DIAGNOSES", titles), ("PROCEDURES", titles), ("PRESCRIPTIONS", keys), ("LAB", keys)
+            ]
+            for column in columns
+        ]
+        assert _indexes(clinic.db_path) == expected
+
+    def test_two_builds_give_the_same_bytes(self, clinic, tmp_path):
+        again = build_exec_db(clinic.schema, clinic.csvs, tmp_path / "clinic.db")
+        assert again.read_bytes() == clinic.db_path.read_bytes()
+        assert len(_indexes(again)) == 16
+
+    @pytest.mark.parametrize(
+        "tables, expected",
+        [
+            ({"A": ("ID", "X"), "B": ("Y", "ID")}, [("ix_1_A_ID", "A"), ("ix_1_B_ID", "B")]),
+            ({"ADM": ("hadm_id",), "LAB": ("HADM_ID", "LABEL")}, [("ix_3_ADM_hadm_id", "ADM"), ("ix_3_LAB_HADM_ID", "LAB")]),
+            # Named ix_<table>_<column>, A_B.C and A.B_C would both be ix_A_B_C.
+            (
+                {"A_B": ("C", "B_C"), "A": ("B_C", "C")},
+                [("ix_3_A_B_C", "A_B"), ("ix_3_A_B_B_C", "A_B"), ("ix_1_A_B_C", "A"), ("ix_1_A_C", "A")],
+            ),
+        ],
+        ids=["one-table-column-is-not-indexed", "names-compare-case-insensitively", "index-names-cannot-collide"],
+    )
+    def test_columns_named_in_two_tables_are_indexed(self, tmp_path, tables, expected):
+        assert _indexes(_build(tmp_path, tables)) == expected
+
+    def test_a_join_searches_the_index(self, clinic):
+        sql = (
+            "SELECT PRESCRIPTIONS.DRUG FROM DEMOGRAPHIC, PRESCRIPTIONS"
+            " WHERE DEMOGRAPHIC.HADM_ID = PRESCRIPTIONS.HADM_ID AND DEMOGRAPHIC.NAME = 'x'"
+        )
+        with closing(sqlite3.connect(clinic.db_path)) as conn:
+            plan = " | ".join(row[-1] for row in conn.execute(f"EXPLAIN QUERY PLAN {sql}"))
+        assert "ix_13_PRESCRIPTIONS_HADM_ID" in plan and "AUTOMATIC" not in plan, plan
 
     def test_connection_is_read_only(self, clinic):
         with closing(open_exec_db(clinic.db_path)) as conn:
