@@ -16,11 +16,11 @@ import sqlite3
 import tempfile
 import threading
 import time
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing, contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -242,6 +242,12 @@ def save_corpus(samples: list[Sample], path: str | Path) -> Path:
     return write_jsonl(path, (s.to_record() for s in samples))
 
 
+def _quote(name: str) -> str:
+    """``name`` as an SQL identifier: in double quotes, with an embedded
+    double quote doubled."""
+    return '"' + name.replace('"', '""') + '"'
+
+
 def build_exec_db(schema: SchemaDef, table_files: Mapping[str, str | Path], out_path: str | Path) -> Path:
     """Build a SQLite database from per-table CSV files.
 
@@ -249,12 +255,14 @@ def build_exec_db(schema: SchemaDef, table_files: Mapping[str, str | Path], out_
     must parse as int or float (empty cells become NULL); offending cells
     raise :class:`ColumnTypeError` with their row and column.
 
-    Every column whose name, compared case-insensitively, appears in two or
-    more tables (the columns that queries join on) gets an index. They are
-    created after the inserts, table by table and column by column in schema
-    order, and the index of ``T.C`` is named ``ix_<len(T)>_T_C``: the length
-    prefix keeps the names of different columns apart. Two builds of the
-    same inputs give the same bytes.
+    Every column gets an index, so that conditions and ``SELECT DISTINCT``
+    search it instead of scanning the table. They are created after the
+    inserts, table by table and column by column in schema order, and the
+    index of ``T.C`` is named ``ix_<len(T)>_T_C``: the length prefix keeps
+    the names of different columns apart. An index name that is also a
+    table name, compared case-insensitively, is a :class:`DataError`
+    raised before anything is written. Two builds of the same inputs give
+    the same bytes.
 
     The database is built in a temporary directory beside ``out_path`` and
     renamed onto it once committed, so a failed build leaves ``out_path``
@@ -264,29 +272,38 @@ def build_exec_db(schema: SchemaDef, table_files: Mapping[str, str | Path], out_
     for table in schema.tables:
         if table.name not in table_files:
             raise DataError(f"no CSV provided for table {table.name}")
-    tables_with = Counter(c.name.upper() for t in schema.tables for c in t.columns)
+    indexes = [(f"ix_{len(t.name)}_{t.name}_{c.name}", t.name, c.name) for t in schema.tables for c in t.columns]
+    for index, table, column in indexes:
+        clash = schema.table(index)
+        if clash is not None:
+            raise DataError(f"index {index} of column {table}.{column} has the name of table {clash.name}")
     with tempfile.TemporaryDirectory(dir=out_path.parent, prefix=f".{out_path.name}.") as tmp:
         building = Path(tmp) / out_path.name
         with closing(sqlite3.connect(building)) as conn:
             for table in schema.tables:
-                decls = ", ".join(f'"{c.name}" {_SQLITE_TYPES[c.attr]}' for c in table.columns)
-                conn.execute(f'CREATE TABLE "{table.name}" ({decls})')
+                decls = ", ".join(f"{_quote(c.name)} {_SQLITE_TYPES[c.attr]}" for c in table.columns)
+                conn.execute(f"CREATE TABLE {_quote(table.name)} ({decls})")
                 rows = _read_table_csv(table, table_files[table.name])
                 placeholders = ", ".join("?" for _ in table.columns)
-                conn.executemany(f'INSERT INTO "{table.name}" VALUES ({placeholders})', rows)
-            for table in schema.tables:
-                for c in table.columns:
-                    if tables_with[c.name.upper()] > 1:
-                        index = f"ix_{len(table.name)}_{table.name}_{c.name}"
-                        conn.execute(f'CREATE INDEX "{index}" ON "{table.name}" ("{c.name}")')
+                conn.executemany(f"INSERT INTO {_quote(table.name)} VALUES ({placeholders})", rows)
+            for index, table, column in indexes:
+                conn.execute(f"CREATE INDEX {_quote(index)} ON {_quote(table)} ({_quote(column)})")
             conn.commit()
         os.replace(building, out_path)
     return out_path
 
 
+# Rows per batch of the CSV reader: enough to convert cells a column at a
+# time, few enough that a batch adds nothing to the build's peak memory.
+_BATCH_ROWS = 512
+
+
 def _read_table_csv(table: TableDef, path: str | Path) -> Iterator[tuple]:
     """The rows of a table's CSV file, converted by column attribute, read
-    one at a time as the caller consumes them."""
+    a batch at a time as the caller consumes them.
+
+    A batch is converted column by column; a batch that holds a fault goes
+    through :func:`_convert_rows`, which raises its error."""
     expected = [c.name for c in table.columns]
     numeric = [c.attr == ATTR_NUMBER for c in table.columns]
     if not Path(path).is_file():
@@ -299,25 +316,58 @@ def _read_table_csv(table: TableDef, path: str | Path) -> Iterator[tuple]:
             raise CsvError(1, f"{path}: missing header row") from None
         if [h.upper() for h in header] != [c.upper() for c in expected]:
             raise CsvError(1, f"{path}: header {header!r} does not match columns {expected!r}")
-        for rownum, cells in enumerate(reader, start=2):
-            if not cells:
-                continue
-            if len(cells) != len(expected):
-                raise CsvError(rownum, f"{path}: expected {len(expected)} fields, got {len(cells)}")
-            # CSV cannot distinguish "missing" from "empty"; treat both as NULL.
-            yield tuple(
-                None if cell == "" else _number_cell(rownum, name, cell) if number else cell
-                for number, name, cell in zip(numeric, expected, cells)
-            )
+        rownum = 2
+        # A batch of blank lines converts to no rows; only the end of the file ends the loop.
+        while batch := list(islice(reader, _BATCH_ROWS)):
+            rows = _convert_batch(batch, numeric)
+            yield from _convert_rows(path, expected, numeric, rownum, batch) if rows is None else rows
+            rownum += len(batch)
+
+
+def _convert_batch(batch: list[list[str]], numeric: list[bool]) -> Iterator[tuple] | None:
+    """The rows of ``batch``, blank lines skipped, each column converted as
+    a whole; None when a row has the wrong number of fields or a number
+    cell does not parse."""
+    rows = [cells for cells in batch if cells]
+    if any(len(cells) != len(numeric) for cells in rows):
+        return None
+    try:
+        # CSV cannot distinguish "missing" from "empty"; treat both as NULL.
+        columns = [
+            [None if cell == "" else _number(cell) for cell in column] if number else [cell or None for cell in column]
+            for number, column in zip(numeric, zip(*rows))
+        ]
+    except ValueError:
+        return None
+    return zip(*columns)
+
+
+def _convert_rows(
+    path: str | Path, expected: list[str], numeric: list[bool], start: int, batch: list[list[str]]
+) -> Iterator[tuple]:
+    """The rows of ``batch``, whose first row has number ``start``, converted
+    one at a time: the one place that raises a row's :class:`CsvError`."""
+    for rownum, cells in enumerate(batch, start=start):
+        if not cells:
+            continue
+        if len(cells) != len(expected):
+            raise CsvError(rownum, f"{path}: expected {len(expected)} fields, got {len(cells)}")
+        yield tuple(
+            None if cell == "" else _number_cell(rownum, name, cell) if number else cell
+            for number, name, cell in zip(numeric, expected, cells)
+        )
+
+
+def _number(cell: str) -> int | float:
+    try:
+        return int(cell)
+    except ValueError:
+        return float(cell)
 
 
 def _number_cell(rownum: int, column: str, cell: str) -> int | float:
     try:
-        return int(cell)
-    except ValueError:
-        pass
-    try:
-        return float(cell)
+        return _number(cell)
     except ValueError:
         raise ColumnTypeError(rownum, f"{cell!r} is not a number", column=column) from None
 
@@ -488,10 +538,11 @@ class ValueLookup:
         tab, col = (d.name for d in self._column(table, column, "no values recorded for"))
         with self._lock:
             if (tab, col) not in self._loaded:
-                name = f'"{tab}"."{col}"'  # qualified: a missing column is an error, not a string
+                # Qualified: a missing column is an error, not a string.
+                name = f"{_quote(tab)}.{_quote(col)}"
                 try:
                     with exec_connection(self._db) as conn:
-                        rows = run_select(conn, f'SELECT DISTINCT {name} FROM "{tab}" WHERE {name} IS NOT NULL')
+                        rows = run_select(conn, f"SELECT DISTINCT {name} FROM {_quote(tab)} WHERE {name} IS NOT NULL")
                 except QueryExecutionError as exc:
                     raise DataError(f"cannot read the values of {tab}.{col} from the database: {exc}") from None
                 self._loaded[tab, col] = ColumnValues(sorted(canonical_value(r[0]) for r in rows))

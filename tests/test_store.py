@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import shutil
 import sqlite3
 import sys
@@ -22,8 +23,10 @@ from medsql.errors import (
     UnsupportedSyntax,
 )
 from medsql import store
+from medsql.metrics import results_equal
 from medsql.query import parse_sql
 from medsql.store import (
+    DEFAULT_TIMEOUT_MS,
     ColumnDef,
     Paraphrase,
     Sample,
@@ -61,6 +64,33 @@ def _indexes(db):
     """(name, table) of every index in ``db``, in creation order."""
     with closing(sqlite3.connect(db)) as conn:
         return conn.execute("SELECT name, tbl_name FROM sqlite_master WHERE type = 'index' ORDER BY rowid").fetchall()
+
+
+def _plan(db, sql, *params):
+    """The query plan of ``sql`` on ``db``, its details joined by " | "."""
+    with closing(sqlite3.connect(db)) as conn:
+        return " | ".join(row[-1] for row in conn.execute(f"EXPLAIN QUERY PLAN {sql}", params))
+
+
+def _beam_candidates(gold):
+    """A beam for ``gold``: the gold query, its values lowercased, a COUNT(*) select list,
+    a quoted number, a column that does not exist and a table that does not exist."""
+    return [
+        gold,
+        re.sub(r'"([^"]*)"', lambda m: f'"{m[1].lower()}"', gold),
+        "SELECT COUNT(*) FROM " + gold.split(" FROM ", 1)[1],
+        re.sub(r"(\d+)$", r'"\1"', gold),
+        gold.replace(".HADM_ID", ".NOPE", 1),
+        "SELECT NOPE FROM NOWHERE",
+    ]
+
+
+def _outcome(conn, sql):
+    """The rows of ``sql``, or None when it fails."""
+    try:
+        return run_select(conn, sql, DEFAULT_TIMEOUT_MS)
+    except QueryExecutionError:
+        return None
 
 
 class TestSchema:
@@ -339,47 +369,97 @@ class TestExecDb:
                 db.unlink()
                 listing.remove(db)
 
-    def test_the_join_columns_are_indexed_in_schema_order(self, clinic):
-        keys = ("SUBJECT_ID", "HADM_ID")
-        titles = keys + ("ICD9_CODE", "SHORT_TITLE", "LONG_TITLE")
+    def test_every_column_is_indexed_in_schema_order(self, clinic):
         expected = [
-            (f"ix_{len(table)}_{table}_{column}", table)
-            for table, columns in [
-                ("DEMOGRAPHIC", keys), ("DIAGNOSES", titles), ("PROCEDURES", titles), ("PRESCRIPTIONS", keys), ("LAB", keys)
-            ]
-            for column in columns
+            (f"ix_{len(table.name)}_{table.name}_{column.name}", table.name)
+            for table in clinic.schema.tables
+            for column in table.columns
         ]
         assert _indexes(clinic.db_path) == expected
+        assert expected[:3] == [
+            ("ix_11_DEMOGRAPHIC_SUBJECT_ID", "DEMOGRAPHIC"), ("ix_11_DEMOGRAPHIC_HADM_ID", "DEMOGRAPHIC"),
+            ("ix_11_DEMOGRAPHIC_NAME", "DEMOGRAPHIC"),
+        ]
 
     def test_two_builds_give_the_same_bytes(self, clinic, tmp_path):
         again = build_exec_db(clinic.schema, clinic.csvs, tmp_path / "clinic.db")
         assert again.read_bytes() == clinic.db_path.read_bytes()
-        assert len(_indexes(again)) == 16
+        assert len(_indexes(again)) == 32
 
     @pytest.mark.parametrize(
         "tables, expected",
         [
-            ({"A": ("ID", "X"), "B": ("Y", "ID")}, [("ix_1_A_ID", "A"), ("ix_1_B_ID", "B")]),
-            ({"ADM": ("hadm_id",), "LAB": ("HADM_ID", "LABEL")}, [("ix_3_ADM_hadm_id", "ADM"), ("ix_3_LAB_HADM_ID", "LAB")]),
+            (
+                {"A": ("ID", "X"), "B": ("Y", "ID")},
+                [("ix_1_A_ID", "A"), ("ix_1_A_X", "A"), ("ix_1_B_Y", "B"), ("ix_1_B_ID", "B")],
+            ),
+            (
+                {"ADM": ("hadm_id",), "LAB": ("HADM_ID", "LABEL")},
+                [("ix_3_ADM_hadm_id", "ADM"), ("ix_3_LAB_HADM_ID", "LAB"), ("ix_3_LAB_LABEL", "LAB")],
+            ),
             # Named ix_<table>_<column>, A_B.C and A.B_C would both be ix_A_B_C.
             (
                 {"A_B": ("C", "B_C"), "A": ("B_C", "C")},
                 [("ix_3_A_B_C", "A_B"), ("ix_3_A_B_B_C", "A_B"), ("ix_1_A_B_C", "A"), ("ix_1_A_C", "A")],
             ),
         ],
-        ids=["one-table-column-is-not-indexed", "names-compare-case-insensitively", "index-names-cannot-collide"],
+        ids=["one-table-column-is-indexed", "names-keep-their-case", "index-names-cannot-collide"],
     )
-    def test_columns_named_in_two_tables_are_indexed(self, tmp_path, tables, expected):
+    def test_every_column_is_indexed(self, tmp_path, tables, expected):
         assert _indexes(_build(tmp_path, tables)) == expected
 
+    def test_quotes_in_names_are_escaped(self, tmp_path):
+        # Names were wrapped in quotes without doubling an embedded one: a raw sqlite3.OperationalError.
+        db = _build(tmp_path, {'A"B': ('X"Y', "ID")})
+        assert _indexes(db) == [('ix_3_A"B_X"Y', 'A"B'), ('ix_3_A"B_ID', 'A"B')]
+        with closing(open_exec_db(db)) as conn:
+            assert run_select(conn, 'SELECT "X""Y", ID FROM "A""B"') == [(1, 1)]
+
+    @pytest.mark.parametrize(
+        "tables, message",
+        [
+            (
+                {"A": ("B",), "C": ("B",), "ix_1_A_B": ("X",)},
+                "index ix_1_A_B of column A.B has the name of table ix_1_A_B",
+            ),
+            ({"A": ("B",), "IX_1_a_b": ("X",)}, "index ix_1_A_B of column A.B has the name of table IX_1_a_b"),
+        ],
+        ids=["join-column", "names-compare-case-insensitively"],
+    )
+    def test_an_index_named_like_a_table_is_a_data_error(self, tmp_path, tables, message):
+        # It used to fail half-built with a raw "there is already a table named ..." error.
+        with pytest.raises(DataError) as exc:
+            _build(tmp_path, tables)
+        assert type(exc.value) is DataError and str(exc.value) == message
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{t}.csv" for t in tables)
+
     def test_a_join_searches_the_index(self, clinic):
-        sql = (
+        plan = _plan(
+            clinic.db_path,
             "SELECT PRESCRIPTIONS.DRUG FROM DEMOGRAPHIC, PRESCRIPTIONS"
-            " WHERE DEMOGRAPHIC.HADM_ID = PRESCRIPTIONS.HADM_ID AND DEMOGRAPHIC.NAME = 'x'"
+            " WHERE DEMOGRAPHIC.HADM_ID = PRESCRIPTIONS.HADM_ID AND DEMOGRAPHIC.NAME = 'x'",
         )
-        with closing(sqlite3.connect(clinic.db_path)) as conn:
-            plan = " | ".join(row[-1] for row in conn.execute(f"EXPLAIN QUERY PLAN {sql}"))
         assert "ix_13_PRESCRIPTIONS_HADM_ID" in plan and "AUTOMATIC" not in plan, plan
+
+    def test_a_condition_searches_the_index_of_its_column(self, clinic):
+        plan = _plan(clinic.db_path, "SELECT COUNT(DISTINCT LAB.HADM_ID) FROM LAB WHERE LAB.LABEL = ?", "x")
+        assert "ix_3_LAB_LABEL" in plan and "SCAN LAB" not in plan, plan
+
+    def test_indexes_change_no_result(self, clinic, tmp_path):
+        # A guard: every gold query and beam candidate gives the same outcome on an unindexed copy.
+        bare = shutil.copy(clinic.db_path, tmp_path / "bare.db")
+        with closing(sqlite3.connect(bare)) as conn:
+            for name, _ in _indexes(bare):
+                conn.execute(f'DROP INDEX "{name}"')
+            conn.commit()
+        assert _indexes(bare) == []
+        sqls = dict.fromkeys(sql for sample in clinic.corpus for sql in _beam_candidates(sample.gold_sql))
+        assert len(sqls) > 2500
+        with closing(open_exec_db(clinic.db_path)) as indexed, closing(open_exec_db(bare)) as unindexed:
+            for sql in sqls:
+                got = [_outcome(conn, sql) for conn in (indexed, unindexed)]
+                assert (got[0] is None) == (got[1] is None), sql
+                assert got[0] is None or results_equal(*got), sql
 
     def test_connection_is_read_only(self, clinic):
         with closing(open_exec_db(clinic.db_path)) as conn:
@@ -446,6 +526,69 @@ class TestExecDb:
         assert not planted.exists()
 
 
+class TestCsvBatches:
+    """A guard: the reader converts a batch of rows column by column, and hands a batch
+    with a fault to the row-by-row code, so nothing the build yields or raises changes."""
+
+    TABLE = TableDef("T", (ColumnDef("A", "text"), ColumnDef("N", "number"), ColumnDef("D", "datetime")))
+
+    def _write(self, path, fault=None):
+        """1,300 rows in more than two batches; 600 blank lines after the first 512 rows fill
+        the whole second batch. ``fault`` replaces line 1,800, the 1,199th row, in the fourth batch."""
+        lines = ["A,N,D"]
+        for i in range(1300):
+            if i == 512:
+                lines += [""] * 600
+            lines.append(f'"v {i}, {i % 3}",{i if i % 7 else ""}{".5" if i % 5 == 0 else ""},{"" if i % 4 else "2020"}')
+        if fault is not None:
+            lines[1800 - 1] = fault
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    def _read(self, path):
+        """The rows read before a fault, and the fault's (type, row, column, message)."""
+        rows = []
+        try:
+            for row in store._read_table_csv(self.TABLE, path):
+                rows.append(row)
+        except CsvError as exc:
+            return rows, (type(exc), exc.row, exc.column, str(exc))
+        return rows, None
+
+    def _row_by_row(self, monkeypatch, path):
+        with monkeypatch.context() as m:
+            m.setattr(store, "_convert_batch", lambda *args: None)
+            return self._read(path)
+
+    @pytest.mark.parametrize(
+        "fault, expected",
+        [
+            (None, None),
+            ("x,nope,", (ColumnTypeError, 1800, "N", "row 1800, column N: 'nope' is not a number")),
+            ("x,1,2,3", (CsvError, 1800, None, "row 1800: {path}: expected 3 fields, got 4")),
+        ],
+        ids=["clean", "bad-number", "field-count"],
+    )
+    def test_batches_read_as_rows_do(self, tmp_path, monkeypatch, fault, expected):
+        path = tmp_path / "T.csv"
+        self._write(path, fault)
+        rows, error = self._read(path)
+        one_by_one, one_by_one_error = self._row_by_row(monkeypatch, path)
+        assert rows == one_by_one and error == one_by_one_error
+        types = lambda rows: [tuple(map(type, row)) for row in rows]  # 1 == 1.0, but an int is not a float
+        assert types(rows) == types(one_by_one)
+        assert len(rows) == (1300 if fault is None else 1198)
+        assert rows[:2] == [("v 0, 0", 0.5, "2020"), ("v 1, 1", 1, None)]
+        if expected is not None:
+            type_, row, column, message = expected
+            assert error == (type_, row, column, message.format(path=path))
+
+    @pytest.mark.parametrize("batch_rows", [1, 7, 100_000])
+    def test_the_database_does_not_depend_on_the_batch_size(self, clinic, tmp_path, monkeypatch, batch_rows):
+        monkeypatch.setattr(store, "_BATCH_ROWS", batch_rows)
+        db = build_exec_db(clinic.schema, clinic.csvs, tmp_path / "clinic.db")
+        assert db.read_bytes() == clinic.db_path.read_bytes()
+
+
 class TestValueLookup:
     def test_text_values_match_direct_query(self, clinic):
         with closing(sqlite3.connect(clinic.db_path)) as conn:
@@ -495,6 +638,21 @@ class TestValueLookup:
         assert lookup.values("LAB", "LABEL") is labels
         assert selects == ['SELECT DISTINCT "LAB"."LABEL" FROM "LAB" WHERE "LAB"."LABEL" IS NOT NULL']
         assert labels == clinic.lookup.values("LAB", "LABEL")
+
+    def test_distinct_values_read_a_covering_index(self, clinic, selects):
+        build_value_lookup(clinic.db_path, clinic.schema).values("PRESCRIPTIONS", "DRUG")
+        plan = _plan(clinic.db_path, *selects)
+        assert "COVERING INDEX ix_13_PRESCRIPTIONS_DRUG" in plan and "TEMP B-TREE" not in plan, plan
+
+    def test_a_quote_in_a_column_name_is_escaped(self, tmp_path):
+        # The name was wrapped in quotes without doubling the embedded one: "unrecognized token".
+        db = tmp_path / "t.db"
+        with closing(sqlite3.connect(db)) as conn:
+            conn.execute('CREATE TABLE T ("X""Y" TEXT)')
+            conn.executemany("INSERT INTO T VALUES (?)", [("b",), ("a",), ("b",), (None,)])
+            conn.commit()
+        lookup = build_value_lookup(db, SchemaDef((TableDef("T", (ColumnDef('X"Y', "text"),)),)))
+        assert lookup.values("t", 'x"y') == ("a", "b")
 
     def test_unknown_pair_raises_without_a_query(self, clinic, selects):
         lookup = build_value_lookup(clinic.db_path, clinic.schema)
