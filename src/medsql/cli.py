@@ -34,7 +34,7 @@ from .errors import DataError, EnvError, RecordError
 from .linearize import DEFAULT_SEPARATOR, QuestionSource, export_training_file
 from .metrics import evaluate
 from .predictions import Candidate, CandidateSet, load_predictions, save_predictions
-from .query import ColumnRef, SqlQuery, rename_tables, serialize_sql
+from .query import ColumnRef, SqlQuery, rename_tables, serialize_sql, shared_lexing
 from .records import FORMAT_VERSION, hash_inputs, read_json, read_jsonl, write_json, write_jsonl, write_manifests
 from .recovery import recover_query
 from .rerank import rerank_file
@@ -433,11 +433,19 @@ _COMMANDS: dict[str, tuple[str, Callable[[dict[str, Any]], tuple[list[Path], str
 }
 
 
-def build_parser() -> _Parser:
+def build_parser(only: str | None = None) -> _Parser:
+    """The ``medsql`` parser with every subcommand, or with only the one
+    named ``only``, so that a run adds no options it cannot use. The usage
+    line names all eight subcommands either way."""
     parser = _Parser(prog="medsql", description=__doc__)
     parser.add_argument("--version", action="version", version=f"medsql {__version__}")
-    subs = parser.add_subparsers(dest="subcommand", parser_class=_Parser)
-    for name, (help_text, _, options) in _COMMANDS.items():
+    # The usage line lists the choices, so a parser holding one subcommand
+    # lists all eight as its metavar. The full parser has none: a metavar
+    # would also rename "argument subcommand" in its "invalid choice" error.
+    metavar = "{" + ",".join(_COMMANDS) + "}" if only else None
+    subs = parser.add_subparsers(dest="subcommand", parser_class=_Parser, metavar=metavar)
+    for name in [only] if only else _COMMANDS:
+        help_text, _, options = _COMMANDS[name]
         p = subs.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file; flags and env vars override it")
         for dest, _, kind, option_help in options:
@@ -451,9 +459,10 @@ def build_parser() -> _Parser:
 
 def cmd(argv: list[str]) -> int:
     """Run one subcommand and return the process exit code: resolve its
-    options, require its input files and hash them, run its stage, write one
-    manifest per output after all outputs, and print its summary line."""
-    parser = build_parser()
+    options, require its input files and hash them, run its stage (lexing
+    each SQL string once), write one manifest per output after all outputs,
+    and print its summary line."""
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -472,7 +481,8 @@ def cmd(argv: list[str]) -> int:
             raise _UsageError("missing required option(s): " + ", ".join(f"--{dest}" for dest in missing))
         # Hashed before the stage runs: an output may overwrite its input.
         digests = hash_inputs({dest: resolved[dest] for dest in inputs if resolved[dest]})
-        outputs, summary = handler(resolved)
+        with shared_lexing():
+            outputs, summary = handler(resolved)
         write_manifests(outputs, command=name, tool_version=__version__, config=resolved, seed=resolved.get("seed"),
                         inputs=digests)
         print(summary)

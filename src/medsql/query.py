@@ -14,7 +14,9 @@ stored uppercase), literal values keep their original case.
 from __future__ import annotations
 
 import re
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple
@@ -35,6 +37,7 @@ __all__ = [
     "Literal",
     "Condition",
     "SqlQuery",
+    "shared_lexing",
     "tokenize_sql",
     "parse_sql",
     "serialize_sql",
@@ -201,6 +204,36 @@ def _lex(text: str) -> list[_Token]:
     return tokens
 
 
+# The tokens of every string lexed inside the current shared_lexing()
+# block, by text; None outside one.
+_SHARED_TOKENS: ContextVar[dict[str, list[_Token]] | None] = ContextVar("_SHARED_TOKENS", default=None)
+
+
+@contextmanager
+def shared_lexing() -> Iterator[None]:
+    """Within the block, :func:`parse_sql` and :func:`tokenize_sql` lex each
+    distinct string once and share its tokens; the tokens are dropped when
+    the block ends. Results and errors are those of lexing every time."""
+    reset = _SHARED_TOKENS.set({})
+    try:
+        yield
+    finally:
+        _SHARED_TOKENS.reset(reset)
+
+
+def _lexed(text: str) -> list[_Token]:
+    """``_lex(text)``, taken from the shared tokens when there are any.
+    A string that fails to lex is not kept, so it raises every time. Two
+    threads that miss the same string both lex it and keep equal tokens."""
+    shared = _SHARED_TOKENS.get()
+    if shared is None:
+        return _lex(text)
+    tokens = shared.get(text)
+    if tokens is None:
+        tokens = shared[text] = _lex(text)
+    return tokens
+
+
 def tokenize_sql(text: str) -> list[str]:
     """Normalize SQL text into the token list used for logic-form matching.
 
@@ -210,7 +243,7 @@ def tokenize_sql(text: str) -> list[str]:
     preserved. Raises :class:`UnterminatedLiteral` on an unclosed quote.
     """
     out: list[str] = []
-    for tok in _lex(text):
+    for tok in _lexed(text):
         if tok.kind == "word":
             out.append(tok.text.casefold())
         elif tok.kind == "string":
@@ -250,7 +283,7 @@ class _Stream:
     __slots__ = ("_tokens", "_pos", "current")
 
     def __init__(self, text: str):
-        self._tokens = _lex(text)
+        self._tokens = _lexed(text)
         self._pos = 0
         self.current: _Token = self._tokens[0]
 

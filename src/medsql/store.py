@@ -10,6 +10,7 @@ SQLite file.
 
 from __future__ import annotations
 
+import contextvars
 import csv
 import os
 import sqlite3
@@ -259,10 +260,12 @@ def build_exec_db(schema: SchemaDef, table_files: Mapping[str, str | Path], out_
     search it instead of scanning the table. They are created after the
     inserts, table by table and column by column in schema order, and the
     index of ``T.C`` is named ``ix_<len(T)>_T_C``: the length prefix keeps
-    the names of different columns apart. An index name that is also a
-    table name, compared case-insensitively, is a :class:`DataError`
-    raised before anything is written. Two builds of the same inputs give
-    the same bytes.
+    the names of different columns apart. Names SQLite cannot take are a
+    :class:`DataError` raised before anything is written: a table name
+    that begins with ``sqlite_`` in any case (reserved by SQLite), a table
+    or column name that holds a NUL character, and an index name that is
+    also a table name, compared case-insensitively. Two builds of the same
+    inputs give the same bytes.
 
     The database is built in a temporary directory beside ``out_path`` and
     renamed onto it once committed, so a failed build leaves ``out_path``
@@ -272,6 +275,13 @@ def build_exec_db(schema: SchemaDef, table_files: Mapping[str, str | Path], out_
     for table in schema.tables:
         if table.name not in table_files:
             raise DataError(f"no CSV provided for table {table.name}")
+        if table.name[:7].isascii() and table.name[:7].lower() == "sqlite_":
+            raise DataError(f"table {table.name}: SQLite reserves names that begin with sqlite_")
+        if "\0" in table.name:
+            raise DataError(f"table {table.name!r}: a name cannot hold a NUL character")
+        for column in table.columns:
+            if "\0" in column.name:
+                raise DataError(f"column {column.name!r} of table {table.name!r}: a name cannot hold a NUL character")
     indexes = [(f"ix_{len(t.name)}_{t.name}_{c.name}", t.name, c.name) for t in schema.tables for c in t.columns]
     for index, table, column in indexes:
         clash = schema.table(index)
@@ -424,12 +434,16 @@ def map_in_order(work: Callable[[_T], _R], items: Sequence[_T], jobs: int) -> li
     """``[work(item) for item in items]``, spread over ``jobs`` threads.
 
     Results come back in input order whatever ``jobs`` is. With one job
-    or one item this is a plain loop with no executor.
+    or one item this is a plain loop with no executor. Each item runs in a
+    copy of the caller's context, so that ``work`` sees the caller's
+    context variables (the tokens of :func:`medsql.query.shared_lexing`)
+    on every thread.
     """
     if jobs <= 1 or len(items) <= 1:
         return [work(item) for item in items]
+    caller = contextvars.copy_context()
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(work, items))
+        return list(pool.map(lambda item: caller.copy().run(work, item), items))
 
 
 def map_on_db(work: Callable[[sqlite3.Connection, _T], _R], items: Sequence[_T], db: str | Path, jobs: int) -> list[_R]:

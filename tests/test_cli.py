@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import medsql
-from medsql import query, records
+from medsql import cli, query, records
 from medsql.cli import build_parser, cmd
 from medsql.splits import Split, SplitAssignment, SplitSpec, assign_splits
 from medsql.store import load_corpus
@@ -31,6 +31,15 @@ def workdir(clinic, tmp_path, monkeypatch) -> Path:
     _stage(clinic, tmp_path)
     monkeypatch.chdir(tmp_path)
     return tmp_path
+
+
+@pytest.fixture()
+def lexed(monkeypatch) -> list[str]:
+    """Every string medsql.query lexes during the test, in order."""
+    lexed: list[str] = []
+    lex = query._lex
+    monkeypatch.setattr(query, "_lex", lambda text: lexed.append(text) or lex(text))
+    return lexed
 
 
 def read_json(path: str | Path):
@@ -280,6 +289,21 @@ class TestStats:
 
     def test_missing_corpus_file_exits_three(self, workdir):
         assert cmd(["stats", "--corpus", "absent.jsonl", "--schema", "schema.json"]) == 3
+
+    def test_each_gold_query_is_lexed_once(self, workdir, clinic, lexed):
+        # The token count used to lex every gold query a second time.
+        assert cmd(["stats", "--corpus", "corpus.jsonl", "--schema", "schema.json"]) == 0
+        assert sorted(lexed) == sorted(s.gold_sql for s in clinic.corpus)
+
+    def test_no_tokens_outlive_the_command(self, workdir, clinic, lexed):
+        argv = ["stats", "--corpus", "corpus.jsonl", "--schema", "schema.json"]
+        assert cmd(argv) == 0
+        assert cmd(argv) == 0
+        assert len(lexed) == 2 * len(clinic.corpus)
+        Path("broken.jsonl").write_text('{"id": "1", "question_template": "q", "sql": "SELECT A FROM T WHERE"}\n',
+                                        encoding="utf-8")
+        assert cmd(["stats", "--corpus", "broken.jsonl", "--schema", "schema.json"]) == 2
+        assert query._SHARED_TOKENS.get() is None
 
     @pytest.mark.parametrize(
         "record",
@@ -601,6 +625,20 @@ class TestEval:
         assert report["breakdown"]["cond_val"] == 1.0
         assert "acc_lf=1.0000" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_each_string_is_lexed_once(self, workdir, clinic, lexed, jobs):
+        # Gold queries were lexed again for logic form, and each prediction for
+        # logic form and again for the breakdown.
+        assert cmd(SPLIT_ARGS) == 0
+        # Distinct predictions, so that no two workers miss one string at once.
+        preds = {s.id: s.gold_sql + " " * (k + 1) for k, s in enumerate(_test_samples(clinic))}
+        write_jsonl("preds.jsonl", [{"id": sid, "sql": sql} for sid, sql in preds.items()])
+        lexed.clear()
+        assert cmd(["eval", "--corpus", "corpus.jsonl", "--assignment", "split_assignment.tsv",
+                    "--preds", "preds.jsonl", "--db", "clinic.db", "--jobs", jobs]) == 0
+        assert sorted(lexed) == sorted([s.gold_sql for s in clinic.corpus] + list(preds.values()))
+        assert read_json("eval_report.json")["acc_lf"] == 1.0
+
     def test_jobs_do_not_change_output_bytes(self, workdir, clinic):
         assert cmd(SPLIT_ARGS) == 0
         self._write_gold_preds(clinic)
@@ -850,8 +888,8 @@ class TestConfigTypes:
         assert load_corpus("kept.jsonl")[0].gold_sql == "SELECT COUNT(*) FROM PROCEDURE"
 
 
-def _option_strings() -> dict[str, set[str]]:
-    parser = build_parser()
+def _option_strings(only: str | None = None) -> dict[str, set[str]]:
+    parser = build_parser(only)
     subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return {name: {s for a in sub._actions for s in a.option_strings} for name, sub in subs.choices.items()}
 
@@ -977,3 +1015,63 @@ class TestSurface:
         assert cmd([name]) == 1
         assert capsys.readouterr() == ("", f"medsql {name}: error: missing required option(s): {MISSING[name]}\n")
         assert not list(workdir.glob("*.manifest.json"))
+
+
+# Help, version and usage errors: what a run prints and returns must not
+# depend on which parser it built.
+PARSER_PARITY_ARGV = [
+    ["--help"],
+    *([name, "--help"] for name in CLI_SURFACE),
+    [],
+    ["frobnicate"],
+    ["--version"],
+    ["eval", "--bogus"],
+    ["ingest", "--corpus"],
+    ["eval", "--timeout-ms", "x"],
+]
+
+
+class TestOneSubcommandParser:
+    """A run builds only the parser of the subcommand that argv[0] names."""
+
+    @pytest.mark.parametrize("argv", PARSER_PARITY_ARGV, ids=lambda argv: " ".join(argv) or "no-arguments")
+    def test_output_is_that_of_the_full_parser(self, capsys, monkeypatch, argv):
+        got = (cmd(argv), *capsys.readouterr())
+        full = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda only=None: full())
+        assert (cmd(argv), *capsys.readouterr()) == got
+        assert got[1] or got[2]
+
+    def test_the_usage_line_names_every_subcommand(self, capsys):
+        assert cmd(["eval", "--bogus"]) == 1
+        usage, error = capsys.readouterr().err.split("medsql: error: ")
+        assert usage.startswith("usage: medsql [-h] [--version]")
+        assert "{ingest,stats,split,linearize,augment,rerank,recover,eval} ...\n" in usage
+        assert error == "unrecognized arguments: --bogus\n"
+
+    def test_only_the_invoked_subcommands_options_are_added(self, workdir, monkeypatch):
+        added = []
+        add_argument = argparse._ActionsContainer.add_argument
+
+        def spy(container, *args, **kwargs):
+            added.append(args[0])
+            return add_argument(container, *args, **kwargs)
+
+        monkeypatch.setattr(argparse._ActionsContainer, "add_argument", spy)
+        assert cmd(["stats", "--corpus", "corpus.jsonl", "--schema", "schema.json"]) == 0
+        # -h of the top-level parser and of stats's.
+        assert sorted(added) == sorted(["-h", "--version", "-h", "--config", "--corpus", "--schema", "--out"])
+
+    @pytest.mark.parametrize("name", list(CLI_SURFACE))
+    def test_a_subcommand_parser_holds_that_subcommand_alone(self, name):
+        assert _option_strings(name) == {name: CLI_SURFACE[name][0] | COMMON_OPTIONS}
+
+    @pytest.mark.parametrize("name", list(CLI_SURFACE))
+    def test_every_option_parses_as_in_the_full_parser(self, name):
+        argv = [name, "--config", "c.json"]
+        for dest, default, kind, _ in cli._COMMANDS[name][2]:
+            flag = dest.replace("_", "-")
+            argv += [f"--no-{flag}"] if kind is bool else [f"--{flag}", "3"]
+        args = build_parser(name).parse_args(argv)
+        assert vars(args) == vars(build_parser().parse_args(argv))
+        assert args.config == "c.json" and args.subcommand == name

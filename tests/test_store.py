@@ -433,6 +433,31 @@ class TestExecDb:
         assert type(exc.value) is DataError and str(exc.value) == message
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{t}.csv" for t in tables)
 
+    @pytest.mark.parametrize(
+        "tables, message",
+        [
+            ({"A": ("B",), "sqlite_stat": ("X",)}, "table sqlite_stat: SQLite reserves names that begin with sqlite_"),
+            ({"sqlite_master": ("X",)}, "table sqlite_master: SQLite reserves names that begin with sqlite_"),
+            ({"SQLITE_x": ("X",)}, "table SQLITE_x: SQLite reserves names that begin with sqlite_"),
+            ({"A": ("B\0C",)}, "column 'B\\x00C' of table 'A': a name cannot hold a NUL character"),
+            ({"A\0B": ("X",)}, "table 'A\\x00B': a name cannot hold a NUL character"),
+        ],
+        ids=["sqlite_stat", "sqlite_master", "any-case", "nul-in-a-column", "nul-in-a-table"],
+    )
+    def test_a_name_sqlite_cannot_take_is_a_data_error(self, tmp_path, tables, message):
+        # These used to escape as a raw sqlite3.OperationalError ("object name reserved for
+        # internal use") or sqlite3.ProgrammingError ("the query contains a null character").
+        # A path cannot hold a NUL, so that table's CSV is not written: the names fail first.
+        writable = all("\0" not in t for t in tables)
+        with pytest.raises(DataError) as exc:
+            _build(tmp_path, tables, write=writable)
+        assert type(exc.value) is DataError and str(exc.value) == message
+        assert sorted(p.name for p in tmp_path.iterdir()) == (sorted(f"{t}.csv" for t in tables) if writable else [])
+
+    @pytest.mark.parametrize("name", ["sqlitex", "xsqlite_a", "ſqlite_a"])
+    def test_names_near_the_reserved_prefix_are_built(self, tmp_path, name):
+        assert _indexes(_build(tmp_path, {name: ("sqlite_col",)})) == [(f"ix_{len(name)}_{name}_sqlite_col", name)]
+
     def test_a_join_searches_the_index(self, clinic):
         plan = _plan(
             clinic.db_path,
