@@ -34,7 +34,7 @@ from .errors import DataError, EnvError, RecordError
 from .linearize import DEFAULT_SEPARATOR, QuestionSource, export_training_file
 from .metrics import evaluate
 from .predictions import Candidate, CandidateSet, load_predictions, save_predictions
-from .query import ColumnRef, SqlQuery, rename_tables, serialize_sql, shared_lexing
+from .query import ColumnRef, SqlQuery, rename_tables, serialize_sql
 from .records import FORMAT_VERSION, hash_inputs, read_json, read_jsonl, write_json, write_jsonl, write_manifests
 from .recovery import recover_query
 from .rerank import rerank_file
@@ -459,9 +459,8 @@ def build_parser(only: str | None = None) -> _Parser:
 
 def cmd(argv: list[str]) -> int:
     """Run one subcommand and return the process exit code: resolve its
-    options, require its input files and hash them, run its stage (lexing
-    each SQL string once), write one manifest per output after all outputs,
-    and print its summary line."""
+    options, require its input files and hash them, run its stage, write one
+    manifest per output after all outputs, and print its summary line."""
     parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
@@ -481,8 +480,7 @@ def cmd(argv: list[str]) -> int:
             raise _UsageError("missing required option(s): " + ", ".join(f"--{dest}" for dest in missing))
         # Hashed before the stage runs: an output may overwrite its input.
         digests = hash_inputs({dest: resolved[dest] for dest in inputs if resolved[dest]})
-        with shared_lexing():
-            outputs, summary = handler(resolved)
+        outputs, summary = handler(resolved)
         write_manifests(outputs, command=name, tool_version=__version__, config=resolved, seed=resolved.get("seed"),
                         inputs=digests)
         print(summary)

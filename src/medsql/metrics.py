@@ -18,7 +18,7 @@ from typing import Any, Sequence
 
 from .errors import MedsqlError, MissingPrediction, QueryExecutionError, UnterminatedLiteral
 from .predictions import Prediction, top_sql
-from .query import SqlQuery, Star, parse_sql, tokenize_sql
+from .query import SqlQuery, Star, _lex, _normalized, _parse_tokens, _Token
 from .records import FORMAT_VERSION
 from .store import DEFAULT_TIMEOUT_MS, Sample, exec_connection, map_on_db, run_select
 
@@ -26,11 +26,15 @@ REL_TOLERANCE = 1e-9
 ABS_TOLERANCE = 1e-12
 
 
-def _safe_tokens(sql: str) -> list[str] | None:
+def _safe_tokens(sql: str) -> list[_Token] | None:
     try:
-        return tokenize_sql(sql)
+        return _lex(sql)
     except UnterminatedLiteral:
         return None
+
+
+def _same_logic_form(gold: list[_Token] | None, pred: list[_Token] | None) -> bool:
+    return gold is not None and pred is not None and _normalized(gold) == _normalized(pred)
 
 
 def logic_form_match(gold_sql: str, pred_sql: str) -> bool:
@@ -38,9 +42,7 @@ def logic_form_match(gold_sql: str, pred_sql: str) -> bool:
 
     A side with an unterminated literal cannot match anything.
     """
-    gold = _safe_tokens(gold_sql)
-    pred = _safe_tokens(pred_sql)
-    return gold is not None and pred is not None and gold == pred
+    return _same_logic_form(_safe_tokens(gold_sql), _safe_tokens(pred_sql))
 
 
 def _sort_key(value: Any):
@@ -187,10 +189,12 @@ class EvalReport:
         return out
 
 
-def _breakdown_flags(sample: Sample, pred_sql: str) -> ComponentFlags:
+def _breakdown_flags(sample: Sample, pred_tokens: list[_Token] | None) -> ComponentFlags:
+    if pred_tokens is None:
+        return _ALL_FALSE
     try:
         gold = sample.gold_query
-        pred = parse_sql(pred_sql)
+        pred = _parse_tokens(pred_tokens)
     except MedsqlError:
         return _ALL_FALSE
     return component_breakdown(gold, pred)
@@ -226,9 +230,10 @@ def evaluate(
         if pred is None:
             return SampleEval(sample.id, False, False, False, True), _ALL_FALSE
         pred_sql = top_sql(pred)
-        lf = logic_form_match(sample.gold_sql, pred_sql)
+        pred_tokens = _safe_tokens(pred_sql)  # for logic form and the breakdown both
+        lf = _same_logic_form(_safe_tokens(sample.gold_sql), pred_tokens)
         outcome = execution_match(sample.gold_sql, pred_sql, conn, timeout_ms=timeout_ms)
-        flags = _breakdown_flags(sample, pred_sql) if with_breakdown else _ALL_FALSE
+        flags = _breakdown_flags(sample, pred_tokens) if with_breakdown else _ALL_FALSE
         return SampleEval(sample.id, lf, outcome.ex_match, outcome.gold_error, outcome.pred_error), flags
 
     scored = map_on_db(score, samples, db, jobs)

@@ -14,9 +14,7 @@ stored uppercase), literal values keep their original case.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator, Mapping
-from contextlib import contextmanager
-from contextvars import ContextVar
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple
@@ -37,7 +35,6 @@ __all__ = [
     "Literal",
     "Condition",
     "SqlQuery",
-    "shared_lexing",
     "tokenize_sql",
     "parse_sql",
     "serialize_sql",
@@ -204,36 +201,6 @@ def _lex(text: str) -> list[_Token]:
     return tokens
 
 
-# The tokens of every string lexed inside the current shared_lexing()
-# block, by text; None outside one.
-_SHARED_TOKENS: ContextVar[dict[str, list[_Token]] | None] = ContextVar("_SHARED_TOKENS", default=None)
-
-
-@contextmanager
-def shared_lexing() -> Iterator[None]:
-    """Within the block, :func:`parse_sql` and :func:`tokenize_sql` lex each
-    distinct string once and share its tokens; the tokens are dropped when
-    the block ends. Results and errors are those of lexing every time."""
-    reset = _SHARED_TOKENS.set({})
-    try:
-        yield
-    finally:
-        _SHARED_TOKENS.reset(reset)
-
-
-def _lexed(text: str) -> list[_Token]:
-    """``_lex(text)``, taken from the shared tokens when there are any.
-    A string that fails to lex is not kept, so it raises every time. Two
-    threads that miss the same string both lex it and keep equal tokens."""
-    shared = _SHARED_TOKENS.get()
-    if shared is None:
-        return _lex(text)
-    tokens = shared.get(text)
-    if tokens is None:
-        tokens = shared[text] = _lex(text)
-    return tokens
-
-
 def tokenize_sql(text: str) -> list[str]:
     """Normalize SQL text into the token list used for logic-form matching.
 
@@ -242,8 +209,13 @@ def tokenize_sql(text: str) -> list[str]:
     single token in canonical double-quoted form with its original case
     preserved. Raises :class:`UnterminatedLiteral` on an unclosed quote.
     """
+    return _normalized(_lex(text))
+
+
+def _normalized(tokens: list[_Token]) -> list[str]:
+    """:func:`tokenize_sql` of the text that lexed to ``tokens``."""
     out: list[str] = []
-    for tok in _lexed(text):
+    for tok in tokens:
         if tok.kind == "word":
             out.append(tok.text.casefold())
         elif tok.kind == "string":
@@ -282,8 +254,8 @@ _NUMBER_RE = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)\Z")
 class _Stream:
     __slots__ = ("_tokens", "_pos", "current")
 
-    def __init__(self, text: str):
-        self._tokens = _lexed(text)
+    def __init__(self, tokens: list[_Token]):
+        self._tokens = tokens
         self._pos = 0
         self.current: _Token = self._tokens[0]
 
@@ -416,7 +388,18 @@ def parse_sql(text: str) -> SqlQuery:
     outside the dialect, and :class:`UnterminatedLiteral` on an unclosed
     quote.
     """
-    ts = _Stream(text)
+    return _parse_tokens(_lex(text))
+
+
+def _parse_and_count(text: str) -> tuple[SqlQuery, int]:
+    """``(parse_sql(text), len(tokenize_sql(text)))`` from one lexing."""
+    tokens = _lex(text)
+    return _parse_tokens(tokens), len(tokens) - 1  # the end marker is no token
+
+
+def _parse_tokens(tokens: list[_Token]) -> SqlQuery:
+    """:func:`parse_sql` of the text that lexed to ``tokens``."""
+    ts = _Stream(tokens)
     ts.expect_word("select")
     items = [_select_item(ts)]
     while ts.at_punct(","):

@@ -10,7 +10,6 @@ SQLite file.
 
 from __future__ import annotations
 
-import contextvars
 import csv
 import os
 import sqlite3
@@ -35,7 +34,7 @@ from .errors import (
     RecordError,
     UnknownColumn,
 )
-from .query import SqlQuery, parse_sql, tokenize_sql
+from .query import SqlQuery, _parse_and_count
 from .records import read_json, read_jsonl, record_id, write_json, write_jsonl
 
 ATTR_TEXT = "text"
@@ -147,10 +146,21 @@ class Sample:
         object.__setattr__(self, "synthetic_paraphrases", tuple(self.synthetic_paraphrases))
 
     @cached_property
+    def _gold(self) -> tuple[SqlQuery, int]:
+        # The tokens are not kept: most commands never read them again.
+        return _parse_and_count(self.gold_sql)
+
+    @property
     def gold_query(self) -> SqlQuery:
         """The parsed gold SQL: parsed on first use, then kept. A parse
         error is raised again on every access."""
-        return parse_sql(self.gold_sql)
+        return self._gold[0]
+
+    @property
+    def gold_token_count(self) -> int:
+        """``len(tokenize_sql(self.gold_sql))``, counted as :attr:`gold_query`
+        is parsed. Raises the parse error of SQL outside the dialect."""
+        return self._gold[1]
 
     def to_record(self) -> dict[str, Any]:
         rec: dict[str, Any] = {"id": self.id, "question_template": self.template_question}
@@ -434,16 +444,12 @@ def map_in_order(work: Callable[[_T], _R], items: Sequence[_T], jobs: int) -> li
     """``[work(item) for item in items]``, spread over ``jobs`` threads.
 
     Results come back in input order whatever ``jobs`` is. With one job
-    or one item this is a plain loop with no executor. Each item runs in a
-    copy of the caller's context, so that ``work`` sees the caller's
-    context variables (the tokens of :func:`medsql.query.shared_lexing`)
-    on every thread.
+    or one item this is a plain loop with no executor.
     """
     if jobs <= 1 or len(items) <= 1:
         return [work(item) for item in items]
-    caller = contextvars.copy_context()
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(lambda item: caller.copy().run(work, item), items))
+        return list(pool.map(work, items))
 
 
 def map_on_db(work: Callable[[sqlite3.Connection, _T], _R], items: Sequence[_T], db: str | Path, jobs: int) -> list[_R]:
@@ -621,7 +627,7 @@ def corpus_stats(corpus: list[Sample], schema: SchemaDef) -> CorpusStats:
         if sample.paraphrase_question is not None:
             paraphrase_words += len(sample.paraphrase_question.split())
             paraphrase_count += 1
-        sql_tokens += len(tokenize_sql(sample.gold_sql))
+        sql_tokens += sample.gold_token_count
         query = sample.gold_query
         select_items += len(query.select_items)
         conditions += len(query.conditions)

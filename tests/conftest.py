@@ -4,6 +4,7 @@ import csv
 import itertools
 import json
 import random
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
@@ -11,6 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from medsql import query
 from medsql.augment import QuestionTemplate, StubTranslator, instantiate_templates
 from medsql.store import (
     ColumnDef,
@@ -350,6 +352,23 @@ class TranslateHandler(BaseHTTPRequestHandler):
 
     def log_message(self, *args):
         pass
+
+
+@pytest.fixture()
+def lexed(monkeypatch) -> list[str]:
+    """Every string medsql lexes during the test, in order. Modules import
+    the lexer by name, so each module's reference to it is replaced."""
+    lexed: list[str] = []
+    lex = query._lex
+
+    def spy(text):
+        lexed.append(text)
+        return lex(text)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "medsql" or name.startswith("medsql.")) and vars(module).get("_lex") is lex:
+            monkeypatch.setattr(module, "_lex", spy)
+    return lexed
 
 
 @pytest.fixture()

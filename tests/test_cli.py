@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import medsql
-from medsql import cli, query, records
+from medsql import cli, records
 from medsql.cli import build_parser, cmd
 from medsql.splits import Split, SplitAssignment, SplitSpec, assign_splits
 from medsql.store import load_corpus
@@ -31,15 +31,6 @@ def workdir(clinic, tmp_path, monkeypatch) -> Path:
     _stage(clinic, tmp_path)
     monkeypatch.chdir(tmp_path)
     return tmp_path
-
-
-@pytest.fixture()
-def lexed(monkeypatch) -> list[str]:
-    """Every string medsql.query lexes during the test, in order."""
-    lexed: list[str] = []
-    lex = query._lex
-    monkeypatch.setattr(query, "_lex", lambda text: lexed.append(text) or lex(text))
-    return lexed
 
 
 def read_json(path: str | Path):
@@ -295,16 +286,6 @@ class TestStats:
         assert cmd(["stats", "--corpus", "corpus.jsonl", "--schema", "schema.json"]) == 0
         assert sorted(lexed) == sorted(s.gold_sql for s in clinic.corpus)
 
-    def test_no_tokens_outlive_the_command(self, workdir, clinic, lexed):
-        argv = ["stats", "--corpus", "corpus.jsonl", "--schema", "schema.json"]
-        assert cmd(argv) == 0
-        assert cmd(argv) == 0
-        assert len(lexed) == 2 * len(clinic.corpus)
-        Path("broken.jsonl").write_text('{"id": "1", "question_template": "q", "sql": "SELECT A FROM T WHERE"}\n',
-                                        encoding="utf-8")
-        assert cmd(["stats", "--corpus", "broken.jsonl", "--schema", "schema.json"]) == 2
-        assert query._SHARED_TOKENS.get() is None
-
     @pytest.mark.parametrize(
         "record",
         [
@@ -361,10 +342,7 @@ class TestSplit:
                     "--test-size", "7"]) == 0
         assert read_json("split_report.json")["sizes"]["TEST"] == 7
 
-    def test_each_gold_query_is_lexed_once(self, workdir, monkeypatch):
-        lexed = []
-        lex = query._lex
-        monkeypatch.setattr(query, "_lex", lambda text: lexed.append(text) or lex(text))
+    def test_each_gold_query_is_lexed_once(self, workdir, lexed):
         assert cmd(SPLIT_ARGS) == 0
         assert len(lexed) == 1000
 
@@ -626,17 +604,17 @@ class TestEval:
         assert "acc_lf=1.0000" in capsys.readouterr().out
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_each_string_is_lexed_once(self, workdir, clinic, lexed, jobs):
-        # Gold queries were lexed again for logic form, and each prediction for
-        # logic form and again for the breakdown.
+    def test_each_prediction_is_lexed_once(self, workdir, clinic, lexed, jobs):
+        # Each prediction was lexed for logic form and again for the breakdown.
         assert cmd(SPLIT_ARGS) == 0
-        # Distinct predictions, so that no two workers miss one string at once.
-        preds = {s.id: s.gold_sql + " " * (k + 1) for k, s in enumerate(_test_samples(clinic))}
+        preds = {s.id: s.gold_sql + " " for s in _test_samples(clinic)}
         write_jsonl("preds.jsonl", [{"id": sid, "sql": sql} for sid, sql in preds.items()])
         lexed.clear()
         assert cmd(["eval", "--corpus", "corpus.jsonl", "--assignment", "split_assignment.tsv",
                     "--preds", "preds.jsonl", "--db", "clinic.db", "--jobs", jobs]) == 0
-        assert sorted(lexed) == sorted([s.gold_sql for s in clinic.corpus] + list(preds.values()))
+        # Every gold query for validation, a test one again for logic form.
+        golds = [s.gold_sql for s in clinic.corpus] + [s.gold_sql for s in _test_samples(clinic)]
+        assert sorted(lexed) == sorted(golds + list(preds.values()))
         assert read_json("eval_report.json")["acc_lf"] == 1.0
 
     def test_jobs_do_not_change_output_bytes(self, workdir, clinic):

@@ -337,6 +337,24 @@ class TestEvaluate:
             ("agg_op", "agg_col", "table_joins", "cond_col_op", "cond_val"), 0.0
         )
 
+    def test_an_unterminated_side_matches_nothing_and_clears_the_breakdown(self, clinic):
+        gold = clinic.corpus[0].gold_sql
+        open_quote = 'SELECT A FROM T WHERE B = "open'
+        cases = [(Sample("p", "q", gold), open_quote), (Sample("g", "q", open_quote), gold)]
+        for sample, pred in cases:
+            report = evaluate([sample], {sample.id: pred}, clinic.db_path)
+            assert report.acc_lf == report.acc_ex == 0.0
+            assert set(report.breakdown.values()) == {0.0}
+
+    def test_each_prediction_is_lexed_once(self, clinic, four_samples, lexed):
+        preds = self._preds(four_samples)
+        for sample in four_samples:
+            sample.gold_query  # parsed, as load_corpus leaves it
+        lexed.clear()
+        evaluate(four_samples, preds, clinic.db_path)
+        # A prediction used to be lexed for logic form and again for the breakdown.
+        assert lexed == [sql for s in four_samples if s.id in preds for sql in (preds[s.id], s.gold_sql)]
+
     def test_breakdown_can_be_disabled(self, clinic, four_samples):
         report = evaluate(
             four_samples, self._preds(four_samples), clinic.db_path, with_breakdown=False

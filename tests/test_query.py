@@ -205,76 +205,6 @@ class TestLexer:
         assert construct not in query_module._TOKEN_RE.pattern
 
 
-def outcome(function, text: str):
-    """``function(text)``, or the type, message and offset of what it raised."""
-    try:
-        return function(text)
-    except (ParseError, UnsupportedSyntax, UnterminatedLiteral) as exc:
-        return type(exc), str(exc), exc.offset
-
-
-SHARED_CASES = [
-    'SELECT COUNT(DISTINCT T.A) FROM T WHERE T.B = "Self Pay" OR T.C >= 3.5',
-    "select a from t inner join u on t.k = u.k where u.x = 'it''s'",
-    "SELECT A FROM T GROUP BY A",
-    "SELECT A FROM",
-    'SELECT A FROM T WHERE B = "open',
-    "",
-]
-
-
-class TestSharedLexing:
-    @pytest.fixture()
-    def lexed(self, monkeypatch):
-        lexed: list[str] = []
-        lex = query_module._lex
-        monkeypatch.setattr(query_module, "_lex", lambda text: lexed.append(text) or lex(text))
-        return lexed
-
-    def test_results_and_errors_are_those_of_lexing_every_time(self):
-        expected = [(outcome(parse_sql, t), outcome(tokenize_sql, t)) for t in SHARED_CASES]
-        with query_module.shared_lexing():
-            for _ in range(2):
-                assert [(outcome(parse_sql, t), outcome(tokenize_sql, t)) for t in SHARED_CASES] == expected
-
-    def test_a_string_is_lexed_once_in_a_block(self, lexed):
-        text = SHARED_CASES[0]
-        with query_module.shared_lexing():
-            tokens = tokenize_sql(text)
-            parse_sql(text)
-            assert tokenize_sql(text) == tokens
-        assert lexed == [text]
-
-    def test_a_string_that_fails_to_lex_is_lexed_every_time(self, lexed):
-        text = 'SELECT A FROM T WHERE B = "open'
-        with query_module.shared_lexing():
-            for function in (tokenize_sql, parse_sql):
-                with pytest.raises(UnterminatedLiteral):
-                    function(text)
-        assert lexed == [text, text]
-
-    def test_nothing_is_kept_after_the_block(self, lexed):
-        text = SHARED_CASES[1]
-        with query_module.shared_lexing():
-            parse_sql(text)
-        parse_sql(text)
-        with query_module.shared_lexing():
-            parse_sql(text)
-        assert lexed == [text] * 3
-        assert query_module._SHARED_TOKENS.get() is None
-
-    def test_a_nested_block_shares_its_own_tokens(self, lexed):
-        outer, inner = SHARED_CASES[:2]
-        with query_module.shared_lexing():
-            parse_sql(outer)
-            with query_module.shared_lexing():
-                parse_sql(outer)
-                parse_sql(inner)
-            parse_sql(outer)
-            parse_sql(inner)
-        assert lexed == [outer, outer, inner, inner]
-
-
 class TestParse:
     def test_star_query(self):
         q = parse_sql("SELECT * FROM DEMOGRAPHIC")

@@ -21,10 +21,11 @@ from medsql.errors import (
     RecordError,
     UnknownColumn,
     UnsupportedSyntax,
+    UnterminatedLiteral,
 )
-from medsql import store
+from medsql import query, store
 from medsql.metrics import results_equal
-from medsql.query import parse_sql
+from medsql.query import parse_sql, tokenize_sql
 from medsql.store import (
     DEFAULT_TIMEOUT_MS,
     ColumnDef,
@@ -238,12 +239,14 @@ class TestGoldQuery:
         sample = clinic.corpus[0]
         assert sample.gold_query == parse_sql(sample.gold_sql)
 
-    def test_is_parsed_once_and_kept(self, monkeypatch):
+    def test_is_parsed_once_and_kept(self, monkeypatch, lexed):
         parsed = []
-        monkeypatch.setattr(store, "parse_sql", lambda text: parsed.append(text) or parse_sql(text))
+        parse = query._parse_tokens
+        monkeypatch.setattr(query, "_parse_tokens", lambda tokens: parsed.append(tokens) or parse(tokens))
         sample = Sample("a", "q", "SELECT * FROM T")
         assert sample.gold_query is sample.gold_query
-        assert parsed == ["SELECT * FROM T"]
+        assert sample.gold_token_count == 4
+        assert len(parsed) == 1 and lexed == ["SELECT * FROM T"]
 
     def test_replaced_sql_gets_its_own_query(self):
         sample = Sample("a", "q", "SELECT * FROM T")
@@ -258,18 +261,32 @@ class TestGoldQuery:
             with pytest.raises(UnsupportedSyntax):
                 sample.gold_query
 
+    @pytest.mark.parametrize("attribute", ["gold_query", "gold_token_count"])
+    def test_unterminated_sql_raises_on_every_access(self, attribute):
+        sample = Sample("a", "q", 'SELECT A FROM T WHERE B = "open')
+        for _ in range(2):
+            with pytest.raises(UnterminatedLiteral):
+                getattr(sample, attribute)
+
     def test_a_parsed_sample_still_equals_an_unparsed_one(self):
         parsed = Sample("a", "q", "SELECT * FROM T")
         parsed.gold_query
         assert parsed == Sample("a", "q", "SELECT * FROM T")
         assert parsed.to_record() == {"id": "a", "question_template": "q", "sql": "SELECT * FROM T"}
 
-    def test_load_corpus_parses_each_record_once(self, clinic, monkeypatch):
+    def test_token_count_is_that_of_tokenize_sql(self, clinic):
+        for sample in clinic.corpus[:50]:
+            assert sample.gold_token_count == len(tokenize_sql(sample.gold_sql))
+
+    def test_load_corpus_parses_each_record_once(self, clinic, monkeypatch, lexed):
         parsed = []
-        monkeypatch.setattr(store, "parse_sql", lambda text: parsed.append(text) or parse_sql(text))
+        parse = query._parse_tokens
+        monkeypatch.setattr(query, "_parse_tokens", lambda tokens: parsed.append(tokens) or parse(tokens))
         corpus = load_corpus(clinic.corpus_path)
         corpus_stats(corpus, clinic.schema)
         assert len(parsed) == len(corpus)
+        # The token count of corpus_stats used to lex every gold query again.
+        assert lexed == [s.gold_sql for s in corpus]
 
 
 class TestExecDb:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextvars
 import sqlite3
 import sys
 import threading
@@ -10,7 +9,7 @@ import time
 
 import pytest
 
-from medsql import query, store
+from medsql import store
 from medsql.store import exec_connection, map_in_order, map_on_db
 
 
@@ -60,32 +59,6 @@ class TestMapInOrder:
 
         with pytest.raises(ValueError, match="boom"):
             map_in_order(work, list(range(6)), jobs)
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_work_sees_the_callers_context_variables(self, jobs):
-        var = contextvars.ContextVar("var", default="unset")
-        reset = var.set("caller")
-        try:
-            assert map_in_order(lambda _: var.get(), range(4), jobs) == ["caller"] * 4
-        finally:
-            var.reset(reset)
-
-    def test_stress_threads_share_the_callers_lexed_tokens(self, clinic, monkeypatch):
-        texts = [s.gold_sql for s in clinic.corpus[:100]] * 4
-        expected = [query.parse_sql(t) for t in texts]
-        lexed = []
-        lex = query._lex
-        monkeypatch.setattr(query, "_lex", lambda text: lexed.append(text) or lex(text))
-        previous = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with query.shared_lexing():
-                got = map_in_order(query.parse_sql, texts, 8)
-        finally:
-            sys.setswitchinterval(previous)
-        assert got == expected
-        # A string two threads miss at once is lexed by both; the rest are shared.
-        assert set(lexed) == set(texts) and len(lexed) < len(texts)
 
 
 class TestWorkerConnections:
