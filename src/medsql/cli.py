@@ -296,7 +296,6 @@ def _cmd_rerank(resolved: dict[str, Any]) -> tuple[list[Path], str]:
         resolved["db"],
         require_nonempty=resolved["require_nonempty"],
         timeout_ms=resolved["timeout_ms"],
-        jobs=resolved["jobs"],
     )
     out = write_jsonl(resolved["out"], (asdict(c) for c in choices.values()))
     failed = sum(1 for c in choices.values() if c.all_failed)
@@ -345,7 +344,6 @@ def _cmd_eval(resolved: dict[str, Any]) -> tuple[list[Path], str]:
         strict=resolved["strict"],
         with_breakdown=resolved["breakdown"],
         timeout_ms=resolved["timeout_ms"],
-        jobs=resolved["jobs"],
     )
     out = write_json(resolved["out"], report.to_dict())
     return [out], f"acc_lf={report.acc_lf:.4f} acc_ex={report.acc_ex:.4f} n={report.n} -> {out}"
@@ -409,7 +407,6 @@ _COMMANDS: dict[str, tuple[str, Callable[[dict[str, Any]], tuple[list[Path], str
         ("out", "reranked_predictions.jsonl", str, None),
         ("require_nonempty", False, bool, None),
         ("timeout_ms", DEFAULT_TIMEOUT_MS, int, None),
-        ("jobs", 1, int, None),
     )),
     "recover": ("replace condition values with database values", _cmd_recover, (
         ("preds", None, str, None),
@@ -428,7 +425,6 @@ _COMMANDS: dict[str, tuple[str, Callable[[dict[str, Any]], tuple[list[Path], str
         ("strict", False, bool, None),
         ("breakdown", True, bool, None),
         ("timeout_ms", DEFAULT_TIMEOUT_MS, int, None),
-        ("jobs", 1, int, None),
     )),
 }
 

@@ -20,7 +20,7 @@ from .errors import MedsqlError, MissingPrediction, QueryExecutionError, Untermi
 from .predictions import Prediction, top_sql
 from .query import SqlQuery, Star, _lex, _normalized, _parse_tokens, _Token
 from .records import FORMAT_VERSION
-from .store import DEFAULT_TIMEOUT_MS, Sample, exec_connection, map_on_db, run_select
+from .store import DEFAULT_TIMEOUT_MS, Sample, exec_connection, run_select
 
 REL_TOLERANCE = 1e-9
 ABS_TOLERANCE = 1e-12
@@ -203,21 +203,20 @@ def _breakdown_flags(sample: Sample, pred_tokens: list[_Token] | None) -> Compon
 def evaluate(
     samples: Sequence[Sample],
     preds: dict[str, Prediction],
-    db: str | Path,
+    db: str | Path | sqlite3.Connection,
     *,
     strict: bool = False,
     with_breakdown: bool = True,
     timeout_ms: int | None = DEFAULT_TIMEOUT_MS,
-    jobs: int = 1,
 ) -> EvalReport:
     """Score a prediction file against gold SQL over one split.
 
     Beam-shaped records are scored on their top candidate. A sample
     without a prediction counts as both matches false (``pred_error``
     set), or raises :class:`MissingPrediction` listing every such id when
-    ``strict``. ``jobs`` parallelizes execution across samples with one
-    database connection per worker; results are reduced in sample order,
-    so the report does not depend on ``jobs``.
+    ``strict``. Every query runs on one connection: ``db`` itself if it is
+    one (it gets the execution authorizer and stays open), else ``db``
+    opened read-only for this call.
     """
     samples = list(samples)
     if strict:
@@ -236,7 +235,8 @@ def evaluate(
         flags = _breakdown_flags(sample, pred_tokens) if with_breakdown else _ALL_FALSE
         return SampleEval(sample.id, lf, outcome.ex_match, outcome.gold_error, outcome.pred_error), flags
 
-    scored = map_on_db(score, samples, db, jobs)
+    with exec_connection(db) as conn:
+        scored = [score(conn, sample) for sample in samples]
     per_sample = tuple(entry for entry, _ in scored)
     n = len(per_sample)
     acc_lf = sum(e.lf_match for e in per_sample) / n if n else 0.0

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .errors import QueryExecutionError, RecordError
 from .predictions import CandidateSet, Prediction
-from .store import DEFAULT_TIMEOUT_MS, exec_connection, map_on_db, run_select
+from .store import DEFAULT_TIMEOUT_MS, exec_connection, run_select
 
 
 @dataclass(frozen=True)
@@ -54,26 +54,21 @@ def rerank(
 
 def rerank_file(
     preds: dict[str, Prediction],
-    db: str | Path,
+    db: str | Path | sqlite3.Connection,
     *,
     require_nonempty: bool = False,
     timeout_ms: int = DEFAULT_TIMEOUT_MS,
-    jobs: int = 1,
 ) -> dict[str, RerankChoice]:
-    """Rerank every beam in a prediction file.
+    """Rerank every beam in a prediction file, in input order, on one
+    connection: ``db`` itself if it is one (it gets the execution
+    authorizer and stays open), else ``db`` opened read-only for this call.
 
     Single-prediction records have no beam to rerank and raise
-    :class:`RecordError`. Records are processed independently (optionally
-    in parallel with one connection per worker) and returned in input
-    order regardless of completion order.
+    :class:`RecordError` before any candidate runs.
     """
-    items: list[CandidateSet] = []
     for idx, (sid, pred) in enumerate(preds.items(), start=1):
         if not isinstance(pred, CandidateSet):
             raise RecordError(idx, f"id {sid!r} has no candidate beam to rerank")
-        items.append(pred)
-
-    choices = map_on_db(
-        lambda conn, cs: rerank(cs, conn, require_nonempty=require_nonempty, timeout_ms=timeout_ms), items, db, jobs
-    )
+    with exec_connection(db) as conn:
+        choices = [rerank(cs, conn, require_nonempty=require_nonempty, timeout_ms=timeout_ms) for cs in preds.values()]
     return {choice.id: choice for choice in choices}

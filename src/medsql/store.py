@@ -406,10 +406,10 @@ def _authorize(action: int, *_: Any) -> int:
 def open_exec_db(path: str | Path) -> sqlite3.Connection:
     """Open the execution database read-only, with the authorizer, so that
     executing untrusted predicted SQL can neither mutate it nor reach
-    anything else."""
+    anything else. Only the thread that opened it may use it."""
     path = Path(path)
     try:
-        conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True, check_same_thread=False)
+        conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
         conn.set_authorizer(_authorize)
         conn.execute("SELECT 1").fetchone()
         return conn
@@ -450,28 +450,6 @@ def map_in_order(work: Callable[[_T], _R], items: Sequence[_T], jobs: int) -> li
         return [work(item) for item in items]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(work, items))
-
-
-def map_on_db(work: Callable[[sqlite3.Connection, _T], _R], items: Sequence[_T], db: str | Path, jobs: int) -> list[_R]:
-    """``[work(conn, item) for item in items]`` as :func:`map_in_order` runs
-    it, where ``conn`` is the running thread's own read-only connection to
-    ``db``, opened on that thread's first item. Every connection opened is
-    closed before this returns, also when ``work`` raises.
-    """
-    local = threading.local()
-    opened: list[sqlite3.Connection] = []
-
-    def run(item: _T) -> _R:
-        if not hasattr(local, "conn"):
-            local.conn = open_exec_db(db)
-            opened.append(local.conn)
-        return work(local.conn, item)
-
-    try:
-        return map_in_order(run, items, jobs)
-    finally:
-        for conn in opened:
-            conn.close()
 
 
 # The per-query bound of every command that executes predicted SQL.

@@ -301,30 +301,16 @@ def test_criterion_8_round_trip_and_determinism(clinic, tmp_path, monkeypatch):
         assert first.keys() == second.keys()
         assert first == second
 
-        # The split command is hash-driven and has no parallel path; every
-        # command that takes --jobs must not let the worker count leak into
-        # its data outputs.
+        # The split command is hash-driven and has no parallel path; augment,
+        # the one command that takes --jobs, must not let the worker count
+        # leak into its data outputs.
         jobs_dir = tmp_path / "jobs"
         _stage_inputs(clinic, jobs_dir)
-        _write_jsonl(jobs_dir / "preds.jsonl", preds)
-        _write_jsonl(jobs_dir / "beams.jsonl", beams)
-        _write_jsonl(jobs_dir / "typos.jsonl", typos)
         monkeypatch.chdir(jobs_dir)
-        assert cmd(commands[0]) == 0
-        parallel = [
-            (["eval", "--corpus", "corpus.jsonl", "--assignment", "split_assignment.tsv",
-              "--preds", "preds.jsonl", "--db", "clinic.db"], "eval_report.json"),
-            (["rerank", "--preds", "beams.jsonl", "--db", "clinic.db"],
-             "reranked_predictions.jsonl"),
-            (["augment", "--corpus", "corpus.jsonl", "--stub"], "augmented_corpus.jsonl"),
-        ]
-        for argv, default_out in parallel:
-            stem = Path(default_out)
-            serial_out = f"{stem.stem}_serial{stem.suffix}"
-            parallel_out = f"{stem.stem}_parallel{stem.suffix}"
-            assert cmd(argv + ["--out", serial_out, "--jobs", "1"]) == 0
-            assert cmd(argv + ["--out", parallel_out, "--jobs", "8"]) == 0
-            assert Path(serial_out).read_bytes() == Path(parallel_out).read_bytes()
+        argv = ["augment", "--corpus", "corpus.jsonl", "--stub"]
+        assert cmd(argv + ["--out", "augmented_serial.jsonl", "--jobs", "1"]) == 0
+        assert cmd(argv + ["--out", "augmented_parallel.jsonl", "--jobs", "8"]) == 0
+        assert Path("augmented_serial.jsonl").read_bytes() == Path("augmented_parallel.jsonl").read_bytes()
 
 
 def test_criterion_9_augmentation_contract(clinic):

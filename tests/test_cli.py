@@ -485,14 +485,6 @@ class TestRerank:
         assert all(r["chosen_rank"] == 2 and not r["all_failed"] for r in records)
         assert "all_failed=0" in capsys.readouterr().out
 
-    def test_jobs_do_not_change_output_bytes(self, workdir, clinic):
-        self._write_beams(clinic)
-        assert cmd(["rerank", "--preds", "beams.jsonl", "--db", "clinic.db",
-                    "--out", "serial.jsonl", "--jobs", "1"]) == 0
-        assert cmd(["rerank", "--preds", "beams.jsonl", "--db", "clinic.db",
-                    "--out", "parallel.jsonl", "--jobs", "8"]) == 0
-        assert Path("serial.jsonl").read_bytes() == Path("parallel.jsonl").read_bytes()
-
     def test_attach_and_pragma_candidates_never_win(self, workdir, capsys):
         good = "SELECT COUNT(*) FROM LAB"
         write_jsonl("beams.jsonl", [
@@ -603,28 +595,18 @@ class TestEval:
         assert report["breakdown"]["cond_val"] == 1.0
         assert "acc_lf=1.0000" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_each_prediction_is_lexed_once(self, workdir, clinic, lexed, jobs):
+    def test_each_prediction_is_lexed_once(self, workdir, clinic, lexed):
         # Each prediction was lexed for logic form and again for the breakdown.
         assert cmd(SPLIT_ARGS) == 0
         preds = {s.id: s.gold_sql + " " for s in _test_samples(clinic)}
         write_jsonl("preds.jsonl", [{"id": sid, "sql": sql} for sid, sql in preds.items()])
         lexed.clear()
         assert cmd(["eval", "--corpus", "corpus.jsonl", "--assignment", "split_assignment.tsv",
-                    "--preds", "preds.jsonl", "--db", "clinic.db", "--jobs", jobs]) == 0
+                    "--preds", "preds.jsonl", "--db", "clinic.db"]) == 0
         # Every gold query for validation, a test one again for logic form.
         golds = [s.gold_sql for s in clinic.corpus] + [s.gold_sql for s in _test_samples(clinic)]
         assert sorted(lexed) == sorted(golds + list(preds.values()))
         assert read_json("eval_report.json")["acc_lf"] == 1.0
-
-    def test_jobs_do_not_change_output_bytes(self, workdir, clinic):
-        assert cmd(SPLIT_ARGS) == 0
-        self._write_gold_preds(clinic)
-        base = ["eval", "--corpus", "corpus.jsonl", "--assignment", "split_assignment.tsv",
-                "--preds", "preds.jsonl", "--db", "clinic.db"]
-        assert cmd(base + ["--out", "serial.json", "--jobs", "1"]) == 0
-        assert cmd(base + ["--out", "parallel.json", "--jobs", "8"]) == 0
-        assert read_json("serial.json") == read_json("parallel.json")
 
     def test_strict_with_missing_predictions_exits_two(self, workdir, clinic):
         assert cmd(SPLIT_ARGS) == 0
@@ -827,17 +809,14 @@ class TestConfigTypes:
         [
             (["rerank", "--preds", "beams.jsonl", "--db", "clinic.db"], "timeout_ms", 0),
             (["rerank", "--preds", "beams.jsonl", "--db", "clinic.db"], "timeout_ms", -1),
-            (["rerank", "--preds", "beams.jsonl", "--db", "clinic.db"], "jobs", 0),
             (["eval", "--corpus", "corpus.jsonl", "--assignment", "a.tsv", "--preds", "beams.jsonl",
               "--db", "clinic.db"], "timeout_ms", 0),
-            (["eval", "--corpus", "corpus.jsonl", "--assignment", "a.tsv", "--preds", "beams.jsonl",
-              "--db", "clinic.db"], "jobs", 0),
             (["augment", "--corpus", "corpus.jsonl", "--stub"], "retries", -1),
             (["augment", "--corpus", "corpus.jsonl", "--stub"], "timeout_ms", 0),
             (["augment", "--corpus", "corpus.jsonl", "--stub"], "jobs", -3),
         ],
-        ids=["rerank-timeout-0", "rerank-timeout-negative", "rerank-jobs", "eval-timeout", "eval-jobs",
-             "augment-retries", "augment-timeout", "augment-jobs"],
+        ids=["rerank-timeout-0", "rerank-timeout-negative", "eval-timeout", "augment-retries", "augment-timeout",
+             "augment-jobs"],
     )
     def test_value_below_its_minimum_exits_two(self, workdir, capsys, argv, dest, value, source):
         option = "--" + dest.replace("_", "-")
@@ -851,6 +830,14 @@ class TestConfigTypes:
         least = {"jobs": 1, "timeout_ms": 1, "retries": 0}[dest]
         assert f"data error: {option} must be at least {least}, not {value}" in capsys.readouterr().err
         assert not Path("out.json").exists()
+
+    @pytest.mark.parametrize("name", ["eval", "rerank"])
+    def test_jobs_is_a_usage_error_where_undeclared(self, workdir, capsys, name):
+        # Only augment takes --jobs; eval and rerank run one loop on one connection.
+        argv = [name, "--corpus", "corpus.jsonl", "--assignment", "a.tsv"] if name == "eval" else [name]
+        assert cmd(argv + ["--preds", "p.jsonl", "--db", "clinic.db", "--out", "out.json", "--jobs", "2"]) == 1
+        assert capsys.readouterr().err.endswith("medsql: error: unrecognized arguments: --jobs 2\n")
+        assert sorted(p.name for p in workdir.iterdir()) == ["clinic.db", "corpus.jsonl", "schema.json"]
 
     def test_minimum_values_are_accepted(self, workdir):
         assert cmd(["augment", "--corpus", "corpus.jsonl", "--stub", "--retries", "0", "--timeout-ms", "1",
@@ -908,9 +895,9 @@ CLI_SURFACE = {
          "retries": 2, "jobs": 1},
     ),
     "rerank": (
-        {"--preds", "--db", "--out", "--timeout-ms", "--jobs"} | _switch("require-nonempty"),
+        {"--preds", "--db", "--out", "--timeout-ms"} | _switch("require-nonempty"),
         {"preds": "beams.jsonl", "db": "../clinic.db", "out": "reranked_predictions.jsonl",
-         "require_nonempty": False, "timeout_ms": 5000, "jobs": 1},
+         "require_nonempty": False, "timeout_ms": 5000},
     ),
     "recover": (
         {"--preds", "--db", "--schema", "--out", "--report"},
@@ -918,11 +905,11 @@ CLI_SURFACE = {
          "out": "recovered_predictions.jsonl", "report": "recover_report.json"},
     ),
     "eval": (
-        {"--corpus", "--assignment", "--split", "--preds", "--db", "--out", "--timeout-ms", "--jobs"}
+        {"--corpus", "--assignment", "--split", "--preds", "--db", "--out", "--timeout-ms"}
         | _switch("strict") | _switch("breakdown"),
         {"corpus": "corpus.jsonl", "assignment": "split_assignment.tsv", "split": "TEST",
          "preds": "recovered_predictions.jsonl", "db": "../clinic.db", "out": "eval_report.json",
-         "strict": False, "breakdown": True, "timeout_ms": 5000, "jobs": 1},
+         "strict": False, "breakdown": True, "timeout_ms": 5000},
     ),
 }
 
@@ -955,7 +942,7 @@ class TestSurface:
     def test_option_strings(self):
         expected = {name: options | COMMON_OPTIONS for name, (options, _) in CLI_SURFACE.items()}
         assert _option_strings() == expected
-        assert sum(len(options) for options in expected.values()) == 81
+        assert sum(len(options) for options in expected.values()) == 79
 
     def test_manifests_record_every_option(self, workdir, clinic, monkeypatch):
         monkeypatch.setenv("MEDSQL_TRANSLATE_URL", "http://127.0.0.1:9/from-env")  # --stub wins

@@ -297,16 +297,6 @@ class TestEvaluate:
         assert forward.acc_lf == backward.acc_lf
         assert forward.acc_ex == backward.acc_ex
 
-    def test_jobs_do_not_change_the_report(self, clinic):
-        samples = clinic.corpus[:40]
-        preds = {
-            s.id: (s.gold_sql if i % 3 else "SELECT NOPE FROM LAB")
-            for i, s in enumerate(samples)
-        }
-        serial = evaluate(samples, preds, clinic.db_path, jobs=1)
-        parallel = evaluate(samples, preds, clinic.db_path, jobs=8)
-        assert serial == parallel
-
     def test_every_query_is_bounded_by_default(self, clinic, four_samples, monkeypatch):
         bounds = []
         original = metrics.run_select

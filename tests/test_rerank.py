@@ -148,12 +148,6 @@ class TestRerankFile:
         with pytest.raises(RecordError):
             rerank_file({"q1": GOOD}, clinic.db_path)
 
-    def test_jobs_do_not_change_choices(self, clinic):
-        beams = self._beams(clinic.corpus[:30])
-        serial = rerank_file(beams, clinic.db_path, jobs=1)
-        parallel = rerank_file(beams, clinic.db_path, jobs=8)
-        assert serial == parallel
-
     def test_reranking_never_hurts_execution_accuracy(self, clinic):
         samples = clinic.corpus[:30]
         beams = self._beams(samples)

@@ -1,16 +1,21 @@
-"""The shared worker map and the connection helpers in medsql.store."""
+"""The shared worker map, the connection helpers in medsql.store, and the
+connection each function that executes SQL runs on."""
 
 from __future__ import annotations
 
 import sqlite3
-import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 
 import pytest
 
 from medsql import store
-from medsql.store import exec_connection, map_in_order, map_on_db
+from medsql.metrics import evaluate, execution_match
+from medsql.predictions import Candidate, CandidateSet
+from medsql.rerank import rerank, rerank_file
+from medsql.store import exec_connection, map_in_order, open_exec_db
 
 
 def _is_closed(conn: sqlite3.Connection) -> bool:
@@ -61,58 +66,6 @@ class TestMapInOrder:
             map_in_order(work, list(range(6)), jobs)
 
 
-class TestWorkerConnections:
-    """The per-thread connections that map_on_db hands to its work."""
-
-    def test_nothing_is_opened_until_asked(self, clinic, opened):
-        assert map_on_db(lambda conn, item: item, [], clinic.db_path, 2) == []
-        assert opened == []
-
-    def test_one_connection_per_thread(self, clinic, opened):
-        assert map_on_db(lambda conn, _: conn, [0, 1, 2], clinic.db_path, 1) == [opened[0]] * 3
-        barrier = threading.Barrier(2)
-
-        def work(conn, _):
-            barrier.wait(timeout=5)
-            return conn
-
-        conns = map_on_db(work, [0, 1], clinic.db_path, 2)
-        assert conns[0] is not conns[1]
-        assert len(opened) == 3
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_every_connection_is_closed_on_exit(self, clinic, opened, jobs):
-        def work(conn, i):
-            return i, conn.execute("SELECT COUNT(*) FROM LAB").fetchone()
-
-        rows = map_on_db(work, range(8), clinic.db_path, jobs)
-        assert [i for i, _ in rows] == list(range(8))
-        assert len({count for _, count in rows}) == 1
-        assert opened and all(_is_closed(c) for c in opened)
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_every_connection_is_closed_when_work_raises(self, clinic, opened, jobs):
-        def work(conn, i):
-            if i == 5:
-                raise RuntimeError("worker failed")
-            return i
-
-        with pytest.raises(RuntimeError, match="worker failed"):
-            map_on_db(work, list(range(8)), clinic.db_path, jobs)
-        assert opened and all(_is_closed(c) for c in opened)
-
-    def test_stress_more_threads_than_cores(self, clinic, opened):
-        previous = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            owners = map_on_db(lambda conn, _: (threading.get_ident(), id(conn)), range(400), clinic.db_path, 8)
-        finally:
-            sys.setswitchinterval(previous)
-        # One connection per worker thread, and every one of them recorded and closed.
-        assert len(set(owners)) == len({thread for thread, _ in owners}) == len(opened)
-        assert all(_is_closed(c) for c in opened)
-
-
 class TestExecConnection:
     def test_a_borrowed_connection_stays_open(self, clinic, opened):
         conn = sqlite3.connect(clinic.db_path)
@@ -129,3 +82,47 @@ class TestExecConnection:
             with exec_connection(clinic.db_path):
                 raise RuntimeError("body failed")
         assert len(opened) == 1 and _is_closed(opened[0])
+
+    def test_an_opened_connection_belongs_to_its_thread(self, clinic):
+        with closing(open_exec_db(clinic.db_path)) as conn, ThreadPoolExecutor(1) as pool:
+            with pytest.raises(sqlite3.ProgrammingError, match="same thread"):
+                pool.submit(conn.execute, "SELECT 1").result()
+            assert conn.execute("SELECT COUNT(*) FROM LAB").fetchone()
+
+
+BAD = "SELECT NOPE FROM LAB"
+
+# The four functions that execute SQL, each called on the first samples of
+# the clinic with a prediction that fails and one that does not.
+ENTRY_POINTS = {
+    "evaluate": lambda clinic, db: evaluate(
+        clinic.corpus[:6], {s.id: s.gold_sql if i % 2 else BAD for i, s in enumerate(clinic.corpus[:6])}, db
+    ),
+    "rerank_file": lambda clinic, db: rerank_file(
+        {s.id: CandidateSet(s.id, (Candidate(BAD, 0.9), Candidate(s.gold_sql, 0.5))) for s in clinic.corpus[:6]}, db
+    ),
+    "rerank": lambda clinic, db: rerank(
+        CandidateSet("q", (Candidate(BAD, 0.9), Candidate(clinic.corpus[0].gold_sql, 0.5))), db
+    ),
+    "execution_match": lambda clinic, db: execution_match(clinic.corpus[0].gold_sql, clinic.corpus[1].gold_sql, db),
+}
+
+
+@pytest.mark.parametrize("name", list(ENTRY_POINTS))
+class TestOneConnectionPerCall:
+    """Each function takes a database path or a connection, and runs every
+    query of one call on one connection."""
+
+    def test_a_path_opens_one_connection_and_closes_it(self, clinic, opened, name):
+        ENTRY_POINTS[name](clinic, clinic.db_path)
+        assert len(opened) == 1 and _is_closed(opened[0])
+
+    def test_a_borrowed_connection_gives_the_result_of_a_path(self, clinic, name):
+        with closing(sqlite3.connect(clinic.db_path)) as conn:
+            assert ENTRY_POINTS[name](clinic, conn) == ENTRY_POINTS[name](clinic, clinic.db_path)
+
+    def test_a_borrowed_connection_stays_open(self, clinic, opened, name):
+        with closing(sqlite3.connect(clinic.db_path)) as conn:
+            ENTRY_POINTS[name](clinic, conn)
+            assert not _is_closed(conn)
+        assert opened == []
