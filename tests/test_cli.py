@@ -595,17 +595,20 @@ class TestEval:
         assert report["breakdown"]["cond_val"] == 1.0
         assert "acc_lf=1.0000" in capsys.readouterr().out
 
-    def test_each_prediction_is_lexed_once(self, workdir, clinic, lexed):
+    @pytest.mark.parametrize("runs", [1, 2])
+    def test_each_prediction_is_lexed_once(self, workdir, clinic, lexed, runs):
         # Each prediction was lexed for logic form and again for the breakdown.
+        # A second run in the same process lexes afresh: no tokens outlive a command.
         assert cmd(SPLIT_ARGS) == 0
         preds = {s.id: s.gold_sql + " " for s in _test_samples(clinic)}
         write_jsonl("preds.jsonl", [{"id": sid, "sql": sql} for sid, sql in preds.items()])
         lexed.clear()
-        assert cmd(["eval", "--corpus", "corpus.jsonl", "--assignment", "split_assignment.tsv",
-                    "--preds", "preds.jsonl", "--db", "clinic.db"]) == 0
+        for _ in range(runs):
+            assert cmd(["eval", "--corpus", "corpus.jsonl", "--assignment", "split_assignment.tsv",
+                        "--preds", "preds.jsonl", "--db", "clinic.db"]) == 0
         # Every gold query for validation, a test one again for logic form.
         golds = [s.gold_sql for s in clinic.corpus] + [s.gold_sql for s in _test_samples(clinic)]
-        assert sorted(lexed) == sorted(golds + list(preds.values()))
+        assert sorted(lexed) == sorted((golds + list(preds.values())) * runs)
         assert read_json("eval_report.json")["acc_lf"] == 1.0
 
     def test_strict_with_missing_predictions_exits_two(self, workdir, clinic):
