@@ -13,9 +13,10 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Protocol
+from typing import Any, Callable, Iterable, Protocol, Sequence, TypeVar
 
 from .errors import (
     DataError,
@@ -26,7 +27,7 @@ from .errors import (
     UnknownPivot,
 )
 from .records import parse_json, read_json
-from .store import Paraphrase, Sample, ValueLookup, map_in_order, with_synthetic
+from .store import Paraphrase, Sample, ValueLookup, with_synthetic
 
 DEFAULT_PIVOTS = ("fr", "de")
 TRANSLATE_URL_ENV = "MEDSQL_TRANSLATE_URL"
@@ -152,6 +153,22 @@ class AugmentReport:
 class AugmentResult:
     samples: list[Sample]
     report: AugmentReport
+
+
+_T = TypeVar("_T")
+_R = TypeVar("_R")
+
+
+def map_in_order(work: Callable[[_T], _R], items: Sequence[_T], jobs: int) -> list[_R]:
+    """``[work(item) for item in items]``, spread over ``jobs`` threads.
+
+    Results come back in input order whatever ``jobs`` is. With one job
+    or one item this is a plain loop with no executor.
+    """
+    if jobs <= 1 or len(items) <= 1:
+        return [work(item) for item in items]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(work, items))
 
 
 def augment_corpus(

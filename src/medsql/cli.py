@@ -35,7 +35,16 @@ from .linearize import DEFAULT_SEPARATOR, QuestionSource, export_training_file
 from .metrics import evaluate
 from .predictions import Candidate, CandidateSet, load_predictions, save_predictions
 from .query import ColumnRef, SqlQuery, rename_tables, serialize_sql
-from .records import FORMAT_VERSION, hash_inputs, read_json, read_jsonl, write_json, write_jsonl, write_manifests
+from .records import (
+    FORMAT_VERSION,
+    hash_inputs,
+    manifest_path,
+    read_json,
+    read_jsonl,
+    write_json,
+    write_jsonl,
+    write_manifests,
+)
 from .recovery import recover_query
 from .rerank import rerank_file
 from .splits import (
@@ -52,6 +61,7 @@ from .store import (
     DEFAULT_TIMEOUT_MS,
     build_value_lookup,
     corpus_stats,
+    exec_connection,
     load_corpus,
     load_schema,
     save_corpus,
@@ -99,6 +109,8 @@ def _resolve(args: argparse.Namespace) -> dict[str, Any]:
         least = _MINIMUM.get(dest)
         if least is not None and value is not None and value < least:
             raise DataError(f"--{dest.replace('_', '-')} must be at least {least}, not {value}")
+        if dest == "sep" and not value.strip():
+            raise DataError(f"--sep must hold a character other than whitespace, not {value!r}")
         resolved[dest] = value
     return resolved
 
@@ -305,18 +317,19 @@ def _cmd_rerank(resolved: dict[str, Any]) -> tuple[list[Path], str]:
 def _cmd_recover(resolved: dict[str, Any]) -> tuple[list[Path], str]:
     preds = load_predictions(resolved["preds"])
     schema = load_schema(resolved["schema"])
-    lookup = build_value_lookup(resolved["db"], schema)
     recovered: dict[str, Any] = {}
     results = []
-    for sid, pred in preds.items():
-        if isinstance(pred, CandidateSet):
-            per_pred = [recover_query(c.sql, lookup) for c in pred.candidates]
-            cands = tuple(Candidate(res.sql, c.score) for res, c in zip(per_pred, pred.candidates))
-            recovered[sid] = CandidateSet(sid, cands)
-        else:
-            per_pred = [recover_query(pred, lookup)]
-            recovered[sid] = per_pred[0].sql
-        results += per_pred
+    with exec_connection(resolved["db"]) as conn:
+        lookup = build_value_lookup(conn, schema)
+        for sid, pred in preds.items():
+            if isinstance(pred, CandidateSet):
+                per_pred = [recover_query(c.sql, lookup) for c in pred.candidates]
+                cands = tuple(Candidate(res.sql, c.score) for res, c in zip(per_pred, pred.candidates))
+                recovered[sid] = CandidateSet(sid, cands)
+            else:
+                per_pred = [recover_query(pred, lookup)]
+                recovered[sid] = per_pred[0].sql
+            results += per_pred
     totals = {
         "replaced": sum(len(res.replacements) for res in results),
         "unresolved": sum(len(res.unresolved) for res in results),
@@ -453,10 +466,25 @@ def build_parser(only: str | None = None) -> _Parser:
     return parser
 
 
+def _check_outputs(resolved: dict[str, Any]) -> None:
+    """A usage error unless a run's outputs (``--out``, ``--report``) and the
+    manifest beside each are all different files, so that none replaces another."""
+    named: dict[Path, str] = {}
+    for dest in ("out", "report"):
+        if resolved.get(dest):
+            out = Path(resolved[dest])
+            for path, role in ((out, f"--{dest}"), (manifest_path(out), f"the manifest of --{dest}")):
+                target = path.resolve()
+                if target in named:
+                    raise _UsageError(f"{named[target]} and {role} name the same file {target}")
+                named[target] = role
+
+
 def cmd(argv: list[str]) -> int:
     """Run one subcommand and return the process exit code: resolve its
-    options, require its input files and hash them, run its stage, write one
-    manifest per output after all outputs, and print its summary line."""
+    options, require its input files and distinct output files, hash the
+    inputs, run its stage, write one manifest per output after all outputs,
+    and print its summary line."""
     parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
@@ -474,6 +502,7 @@ def cmd(argv: list[str]) -> int:
         missing = [dest for dest in inputs if resolved[dest] in (None, "") and dest not in optional]
         if missing:
             raise _UsageError("missing required option(s): " + ", ".join(f"--{dest}" for dest in missing))
+        _check_outputs(resolved)
         # Hashed before the stage runs: an output may overwrite its input.
         digests = hash_inputs({dest: resolved[dest] for dest in inputs if resolved[dest]})
         outputs, summary = handler(resolved)

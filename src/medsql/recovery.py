@@ -144,8 +144,7 @@ def recover_value(predicted: str, values: Sequence[str]) -> tuple[str, float]:
     exact hits and whose memo answers a predicted string recovered before,
     or any sequence, which is sorted and scanned. Candidates whose bag
     bound cannot reach the best score are not scored; the answer is the
-    one a full scan gives. Two threads that miss the same string at once
-    may both score it; both store the same answer.
+    one a full scan gives.
     """
     if not isinstance(values, ColumnValues):
         values = ColumnValues(sorted(values))

@@ -14,15 +14,13 @@ import csv
 import os
 import sqlite3
 import tempfile
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing, contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import islice
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Any, Iterable, Iterator, Mapping
 
 from .errors import (
     ColumnTypeError,
@@ -406,14 +404,19 @@ def _authorize(action: int, *_: Any) -> int:
 def open_exec_db(path: str | Path) -> sqlite3.Connection:
     """Open the execution database read-only, with the authorizer, so that
     executing untrusted predicted SQL can neither mutate it nor reach
-    anything else. Only the thread that opened it may use it."""
+    anything else. Only the thread that opened it may use it. A file that
+    is missing or is not an SQLite database fails here."""
     path = Path(path)
+    conn = None
     try:
         conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
         conn.set_authorizer(_authorize)
-        conn.execute("SELECT 1").fetchone()
+        # Reads the schema: "SELECT 1" reads no page, so it passes on any file.
+        conn.execute("SELECT 1 FROM sqlite_master LIMIT 1").fetchall()
         return conn
     except sqlite3.Error as exc:
+        if conn is not None:
+            conn.close()
         raise DbError(f"cannot open database {path}: {exc}") from exc
 
 
@@ -434,22 +437,6 @@ def exec_connection(db: str | Path | sqlite3.Connection) -> Iterator[sqlite3.Con
         yield conn
     finally:
         conn.close()
-
-
-_T = TypeVar("_T")
-_R = TypeVar("_R")
-
-
-def map_in_order(work: Callable[[_T], _R], items: Sequence[_T], jobs: int) -> list[_R]:
-    """``[work(item) for item in items]``, spread over ``jobs`` threads.
-
-    Results come back in input order whatever ``jobs`` is. With one job
-    or one item this is a plain loop with no executor.
-    """
-    if jobs <= 1 or len(items) <= 1:
-        return [work(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(work, items))
 
 
 # The per-query bound of every command that executes predicted SQL.
@@ -513,17 +500,17 @@ class ValueLookup:
 
     The schema resolves names, case-insensitively, and answers ``attr``,
     ``tables_for_column`` (uppercase) and the :class:`UnknownColumn` of
-    pairs outside it; a column's ``SELECT DISTINCT`` runs when
-    :meth:`values` first asks for it, under a lock, so threads share one
-    load. A lookup built on a borrowed :class:`sqlite3.Connection` must not
-    outlive that connection.
+    pairs outside it; a column's ``SELECT DISTINCT`` runs on the borrowed
+    connection when :meth:`values` first asks for it. The connection gets
+    the authorizer of :func:`open_exec_db`, as in :func:`exec_connection`;
+    the lookup must not outlive it.
     """
 
-    def __init__(self, db: str | Path | sqlite3.Connection, schema: SchemaDef):
-        self._db = db
+    def __init__(self, conn: sqlite3.Connection, schema: SchemaDef):
+        conn.set_authorizer(_authorize)
+        self._conn = conn
         self._schema = schema
         self._loaded: dict[tuple[str, str], ColumnValues] = {}
-        self._lock = threading.Lock()
 
     def _column(self, table: str, column: str, missing: str) -> tuple[TableDef, ColumnDef]:
         tab = self._schema.table(table)
@@ -534,17 +521,15 @@ class ValueLookup:
 
     def values(self, table: str, column: str) -> ColumnValues:
         tab, col = (d.name for d in self._column(table, column, "no values recorded for"))
-        with self._lock:
-            if (tab, col) not in self._loaded:
-                # Qualified: a missing column is an error, not a string.
-                name = f"{_quote(tab)}.{_quote(col)}"
-                try:
-                    with exec_connection(self._db) as conn:
-                        rows = run_select(conn, f"SELECT DISTINCT {name} FROM {_quote(tab)} WHERE {name} IS NOT NULL")
-                except QueryExecutionError as exc:
-                    raise DataError(f"cannot read the values of {tab}.{col} from the database: {exc}") from None
-                self._loaded[tab, col] = ColumnValues(sorted(canonical_value(r[0]) for r in rows))
-            return self._loaded[tab, col]
+        if (tab, col) not in self._loaded:
+            # Qualified: a missing column is an error, not a string.
+            name = f"{_quote(tab)}.{_quote(col)}"
+            try:
+                rows = run_select(self._conn, f"SELECT DISTINCT {name} FROM {_quote(tab)} WHERE {name} IS NOT NULL")
+            except QueryExecutionError as exc:
+                raise DataError(f"cannot read the values of {tab}.{col} from the database: {exc}") from None
+            self._loaded[tab, col] = ColumnValues(sorted(canonical_value(r[0]) for r in rows))
+        return self._loaded[tab, col]
 
     def attr(self, table: str, column: str) -> str:
         return self._column(table, column, "no such column")[1].attr
@@ -553,12 +538,9 @@ class ValueLookup:
         return tuple(sorted(t.name.upper() for t in self._schema.tables if t.column(column) is not None))
 
 
-def build_value_lookup(db: str | Path | sqlite3.Connection, schema: SchemaDef) -> ValueLookup:
-    """A lookup over ``db``; a database path is opened once here, so a
-    missing or unreadable file fails now rather than on first use."""
-    with exec_connection(db):
-        pass
-    return ValueLookup(db, schema)
+def build_value_lookup(conn: sqlite3.Connection, schema: SchemaDef) -> ValueLookup:
+    """A lookup over ``conn``, which its caller opens and closes."""
+    return ValueLookup(conn, schema)
 
 
 @dataclass(frozen=True)

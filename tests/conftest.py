@@ -6,9 +6,11 @@ import json
 import random
 import sys
 import threading
+from contextlib import closing
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 from types import SimpleNamespace
+from typing import Iterator
 
 import pytest
 
@@ -20,6 +22,7 @@ from medsql.store import (
     TableDef,
     build_exec_db,
     build_value_lookup,
+    open_exec_db,
     save_corpus,
     save_schema,
 )
@@ -389,31 +392,34 @@ def translate_server():
 
 
 @pytest.fixture(scope="session")
-def clinic(tmp_path_factory) -> SimpleNamespace:
+def clinic(tmp_path_factory) -> Iterator[SimpleNamespace]:
+    """The clinic corpus, schema, CSVs and database, with one value lookup
+    on a read-only connection that stays open for the session."""
     root = tmp_path_factory.mktemp("clinic")
     schema = clinic_schema()
     csvs = write_clinic_csvs(root / "tables")
     db_path = build_exec_db(schema, csvs, root / "clinic.db")
-    lookup = build_value_lookup(db_path, schema)
-    templates = clinic_templates()
-    full = instantiate_templates(templates, lookup, limit_per_template=200)
-    assert len(full) >= 1000, f"fixture corpus shrank to {len(full)} samples"
-    corpus = full[:1000]
-    corpus_path = root / "corpus.jsonl"
-    save_corpus(corpus, corpus_path)
-    schema_path = root / "schema.json"
-    save_schema(schema, schema_path)
-    return SimpleNamespace(
-        root=root,
-        schema=schema,
-        schema_path=schema_path,
-        csvs=csvs,
-        db_path=db_path,
-        lookup=lookup,
-        templates=templates,
-        corpus=corpus,
-        corpus_path=corpus_path,
-    )
+    with closing(open_exec_db(db_path)) as conn:
+        lookup = build_value_lookup(conn, schema)
+        templates = clinic_templates()
+        full = instantiate_templates(templates, lookup, limit_per_template=200)
+        assert len(full) >= 1000, f"fixture corpus shrank to {len(full)} samples"
+        corpus = full[:1000]
+        corpus_path = root / "corpus.jsonl"
+        save_corpus(corpus, corpus_path)
+        schema_path = root / "schema.json"
+        save_schema(schema, schema_path)
+        yield SimpleNamespace(
+            root=root,
+            schema=schema,
+            schema_path=schema_path,
+            csvs=csvs,
+            db_path=db_path,
+            lookup=lookup,
+            templates=templates,
+            corpus=corpus,
+            corpus_path=corpus_path,
+        )
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

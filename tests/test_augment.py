@@ -25,7 +25,7 @@ from medsql.errors import (
     UnknownPivot,
 )
 from medsql.query import parse_sql
-from medsql.store import ColumnDef, Sample, SchemaDef, TableDef, build_exec_db, build_value_lookup
+from medsql.store import ColumnDef, Sample, SchemaDef, TableDef, build_exec_db, build_value_lookup, open_exec_db
 
 
 class TestStubTranslator:
@@ -215,11 +215,11 @@ class TestTemplates:
         csv_path = tmp_path / "T.csv"
         csv_path.write_text('A\nsay ""hi"" value\n'.replace('""', '"'), encoding="utf-8")
         db = build_exec_db(schema, {"T": csv_path}, tmp_path / "t.db")
-        lookup = build_value_lookup(db, schema)
         template = QuestionTemplate(
             "quoted", "find [V]", 'SELECT A FROM T WHERE A = "[V]"', (("V", ("T", "A")),)
         )
-        samples = instantiate_templates([template], lookup)
+        with contextlib.closing(open_exec_db(db)) as conn:
+            samples = instantiate_templates([template], build_value_lookup(conn, schema))
         assert len(samples) == 1
         query = parse_sql(samples[0].gold_sql)
         assert query.conditions[0].value.value == 'say "hi" value'
@@ -248,12 +248,11 @@ class TestTemplates:
         csv_path = tmp_path / "T.csv"
         csv_path.write_text('A\n""\n""\n', encoding="utf-8")
         db = build_exec_db(schema, {"T": csv_path}, tmp_path / "t.db")
-        lookup = build_value_lookup(db, schema)
         template = QuestionTemplate(
             "empty", "find [V]", 'SELECT A FROM T WHERE A = "[V]"', (("V", ("T", "A")),)
         )
-        with pytest.raises(EmptyValueSet):
-            instantiate_templates([template], lookup)
+        with contextlib.closing(open_exec_db(db)) as conn, pytest.raises(EmptyValueSet):
+            instantiate_templates([template], build_value_lookup(conn, schema))
 
 
 class TestTemplateFile:

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import medsql
-from medsql import cli, records
+from medsql import cli, records, store
 from medsql.cli import build_parser, cmd
 from medsql.splits import Split, SplitAssignment, SplitSpec, assign_splits
 from medsql.store import load_corpus
@@ -389,6 +389,21 @@ class TestLinearize:
         assert cmd(["linearize", "--corpus", "corpus.jsonl", "--schema", "schema.json",
                     "--assignment", "split_assignment.tsv", "--split", "VALIDATION"]) == 1
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("sep", ["", " ", "\t "])
+    def test_a_blank_separator_exits_two_before_any_input_is_read(self, workdir, capsys, sep, source):
+        # It used to fail on the first record, blaming the question for holding the separator.
+        if source == "flag":
+            option = ["--sep", sep]
+        else:
+            Path("cfg.json").write_text(json.dumps({"sep": sep}), encoding="utf-8")
+            option = ["--config", "cfg.json"]
+        # The input files are never read: absent.jsonl and a.tsv do not exist.
+        assert cmd(["linearize", "--corpus", "absent.jsonl", "--schema", "schema.json", "--assignment", "a.tsv",
+                    "--out", "out.jsonl", *option]) == 2
+        assert f"data error: --sep must hold a character other than whitespace, not {sep!r}" in capsys.readouterr().err
+        assert not Path("out.jsonl").exists()
+
 
 class TestAugment:
     def test_stub_run_is_deterministic(self, clinic, tmp_path, monkeypatch):
@@ -557,6 +572,14 @@ class TestRecover:
         write_jsonl("preds.jsonl", [{"id": "a", "sql": "SELECT NAME FROM DEMOGRAPHIC GROUP BY NAME"}])
         assert cmd(["recover", "--preds", "preds.jsonl", "--db", "absent.db", "--schema", "schema.json"]) == 3
 
+    def test_a_db_that_is_not_sqlite_exits_three_when_no_column_is_needed(self, workdir, capsys):
+        # absent.db fails as its digest is taken; this file is hashed and fails when the run opens it.
+        Path("notes.db").write_text("not an SQLite database\n" * 10, encoding="utf-8")
+        write_jsonl("preds.jsonl", [{"id": "a", "sql": "SELECT NAME FROM DEMOGRAPHIC GROUP BY NAME"}])
+        assert cmd(["recover", "--preds", "preds.jsonl", "--db", "notes.db", "--schema", "schema.json"]) == 3
+        assert "environment error: cannot open database notes.db: file is not a database" in capsys.readouterr().err
+        assert not Path("recovered_predictions.jsonl").exists()
+
     def test_beam_predictions_are_recovered_per_candidate(self, workdir, clinic):
         sample = clinic.corpus[0]
         write_jsonl("beams.jsonl", [
@@ -683,6 +706,32 @@ class TestPipeline:
         assert read_json("report.json")["acc_lf"] == 1.0
         assert read_json("report.json")["acc_ex"] == 1.0
 
+    def test_rerank_recover_and_eval_each_open_the_database_once(self, workdir, clinic, monkeypatch):
+        # recover used to open it once to check it and once more for each column it loaded.
+        assert cmd(SPLIT_ARGS) == 0
+        samples = _test_samples(clinic)
+        write_jsonl("beams.jsonl", [
+            {"id": s.id, "candidates": [{"sql": "SELECT NOPE FROM NOWHERE", "score": 0.9},
+                                        {"sql": s.gold_sql.replace("ASSAY", "assay"), "score": 0.5}]}
+            for s in samples
+        ])
+        opened = []
+        open_exec_db = store.open_exec_db
+        monkeypatch.setattr(store, "open_exec_db", lambda path: opened.append(open_exec_db(path)) or opened[-1])
+        runs = [
+            ["rerank", "--preds", "beams.jsonl", "--db", "clinic.db", "--out", "reranked.jsonl"],
+            ["recover", "--preds", "reranked.jsonl", "--db", "clinic.db", "--schema", "schema.json"],
+            ["eval", "--corpus", "corpus.jsonl", "--assignment", "split_assignment.tsv",
+             "--preds", "recovered_predictions.jsonl", "--db", "clinic.db"],
+        ]
+        for argv in runs:
+            opened.clear()
+            assert cmd(argv) == 0
+            assert len(opened) == 1, argv[0]
+            with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+                opened[0].execute("SELECT 1")
+        assert read_json("recover_report.json")["replaced"] > 0
+
     def test_each_input_is_hashed_once(self, workdir, monkeypatch):
         hashed = []
         file_sha256 = records.file_sha256
@@ -710,6 +759,36 @@ class TestPipeline:
         assert len(manifest["inputs"]["corpus"]["sha256"]) == 64
         assert "config_hash" in manifest
         assert "timestamp" not in json.dumps(manifest)
+
+
+class TestCollidingOutputs:
+    @pytest.mark.parametrize(
+        "out, report, message",
+        [
+            ("same.out", "same.out", "--out and --report name the same file"),
+            ("same.out", "sub/../same.out", "--out and --report name the same file"),
+            ("a.tsv", "a.tsv.manifest.json", "the manifest of --out and --report name the same file"),
+            ("a.tsv.manifest.json", "a.tsv", "--out and the manifest of --report name the same file"),
+        ],
+        ids=["same", "same-after-resolve", "report-is-the-manifest-of-out", "out-is-the-manifest-of-report"],
+    )
+    @pytest.mark.parametrize("name", ["split", "augment", "recover"])
+    def test_exit_one_and_leave_every_file_as_it_was(self, workdir, capsys, name, out, report, message):
+        # The later output used to replace the earlier one, and the run exited 0.
+        write_jsonl("preds.jsonl", [{"id": "a", "sql": 'SELECT NAME FROM DEMOGRAPHIC WHERE LANGUAGE = "engl"'}])
+        Path("sub").mkdir()
+        for path in (out, report):
+            Path(path).write_text("kept\n", encoding="utf-8")
+        argv = {
+            "split": SPLIT_ARGS,
+            "augment": ["augment", "--corpus", "corpus.jsonl", "--stub"],
+            "recover": ["recover", "--preds", "preds.jsonl", "--db", "clinic.db", "--schema", "schema.json"],
+        }[name]
+        before = {p.name: p.read_bytes() for p in workdir.iterdir() if p.is_file()}
+        assert cmd(argv + ["--out", out, "--report", report]) == 1
+        assert f"medsql {name}: error: {message} " in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in workdir.iterdir() if p.is_file()} == before
+        assert list(Path("sub").iterdir()) == []
 
 
 class TestMalformedInputFiles:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from contextlib import closing
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from medsql.recovery import (
     rouge_l_f1,
     similarity,
 )
-from medsql.store import ColumnValues, build_value_lookup
+from medsql.store import ColumnValues, build_value_lookup, open_exec_db
 
 from .reference import ref_best_value, ref_combined, ref_lcs
 
@@ -200,12 +201,13 @@ class TestRecoverValue:
 
 class TestRecoverQuery:
     def test_a_repeated_miss_on_a_lookup_scores_no_pair_twice(self, clinic, similarity_calls):
-        lookup = build_value_lookup(clinic.db_path, clinic.schema)
         pred = 'SELECT LAB.VALUE_UNIT FROM LAB WHERE LAB.LABEL = "asay 007"'
-        first = recover_query(pred, lookup)
-        pairs = list(similarity_calls)
-        assert pairs and len(set(pairs)) == len(pairs)
-        assert recover_query(pred, lookup) == first
+        with closing(open_exec_db(clinic.db_path)) as conn:
+            lookup = build_value_lookup(conn, clinic.schema)
+            first = recover_query(pred, lookup)
+            pairs = list(similarity_calls)
+            assert pairs and len(set(pairs)) == len(pairs)
+            assert recover_query(pred, lookup) == first
         assert similarity_calls == pairs
         assert first.replacements == (("asay 007", "ASSAY 007"),)
 

@@ -5,7 +5,6 @@ import json
 import re
 import shutil
 import sqlite3
-import sys
 from contextlib import closing
 from dataclasses import replace
 
@@ -513,6 +512,18 @@ class TestExecDb:
         with pytest.raises(DbError):
             open_exec_db(tmp_path / "missing.db")
 
+    def test_a_file_that_is_not_a_database_raises_env_error_and_is_closed(self, tmp_path, monkeypatch):
+        # "SELECT 1" reads no page: it used to pass, so the first real query failed instead.
+        path = tmp_path / "notes.db"
+        path.write_text("not an SQLite database\n" * 10, encoding="utf-8")
+        made = []
+        connect = sqlite3.connect
+        monkeypatch.setattr(sqlite3, "connect", lambda *args, **kw: made.append(connect(*args, **kw)) or made[-1])
+        with pytest.raises(DbError, match="file is not a database"):
+            open_exec_db(path)
+        with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+            made[0].execute("SELECT 1")
+
     def test_run_select_rejects_bad_sql(self, clinic):
         with closing(open_exec_db(clinic.db_path)) as conn:
             with pytest.raises(QueryExecutionError):
@@ -660,6 +671,11 @@ class TestValueLookup:
         assert clinic.lookup.tables_for_column("LANGUAGE") == ("DEMOGRAPHIC",)
 
     @pytest.fixture()
+    def conn(self, clinic):
+        with closing(open_exec_db(clinic.db_path)) as conn:
+            yield conn
+
+    @pytest.fixture()
     def selects(self, monkeypatch):
         """The SQL of every query the lookup runs."""
         sqls = []
@@ -671,8 +687,8 @@ class TestValueLookup:
         monkeypatch.setattr(store, "run_select", counting)
         return sqls
 
-    def test_a_column_is_loaded_on_first_use_only(self, clinic, selects):
-        lookup = build_value_lookup(clinic.db_path, clinic.schema)
+    def test_a_column_is_loaded_on_first_use_only(self, clinic, conn, selects):
+        lookup = build_value_lookup(conn, clinic.schema)
         assert lookup.attr("LAB", "LABEL") == "text"
         assert lookup.tables_for_column("SHORT_TITLE") == ("DIAGNOSES", "PROCEDURES")
         assert selects == []
@@ -681,8 +697,8 @@ class TestValueLookup:
         assert selects == ['SELECT DISTINCT "LAB"."LABEL" FROM "LAB" WHERE "LAB"."LABEL" IS NOT NULL']
         assert labels == clinic.lookup.values("LAB", "LABEL")
 
-    def test_distinct_values_read_a_covering_index(self, clinic, selects):
-        build_value_lookup(clinic.db_path, clinic.schema).values("PRESCRIPTIONS", "DRUG")
+    def test_distinct_values_read_a_covering_index(self, clinic, conn, selects):
+        build_value_lookup(conn, clinic.schema).values("PRESCRIPTIONS", "DRUG")
         plan = _plan(clinic.db_path, *selects)
         assert "COVERING INDEX ix_13_PRESCRIPTIONS_DRUG" in plan and "TEMP B-TREE" not in plan, plan
 
@@ -693,29 +709,17 @@ class TestValueLookup:
             conn.execute('CREATE TABLE T ("X""Y" TEXT)')
             conn.executemany("INSERT INTO T VALUES (?)", [("b",), ("a",), ("b",), (None,)])
             conn.commit()
-        lookup = build_value_lookup(db, SchemaDef((TableDef("T", (ColumnDef('X"Y', "text"),)),)))
-        assert lookup.values("t", 'x"y') == ("a", "b")
+        with closing(open_exec_db(db)) as conn:
+            lookup = build_value_lookup(conn, SchemaDef((TableDef("T", (ColumnDef('X"Y', "text"),)),)))
+            assert lookup.values("t", 'x"y') == ("a", "b")
 
-    def test_unknown_pair_raises_without_a_query(self, clinic, selects):
-        lookup = build_value_lookup(clinic.db_path, clinic.schema)
+    def test_unknown_pair_raises_without_a_query(self, clinic, conn, selects):
+        lookup = build_value_lookup(conn, clinic.schema)
         with pytest.raises(UnknownColumn):
             lookup.values("LAB", "NOPE")
         with pytest.raises(UnknownColumn):
             lookup.attr("NOPE", "LABEL")
         assert selects == []
-
-    def test_threads_share_one_load_per_column(self, clinic, selects):
-        lookup = build_value_lookup(clinic.db_path, clinic.schema)
-        pairs = [("DEMOGRAPHIC", "LANGUAGE"), ("LAB", "LABEL"), ("PRESCRIPTIONS", "DRUG")]
-        previous = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = store.map_in_order(lambda i: lookup.values(*pairs[i % 3]), range(300), 8)
-        finally:
-            sys.setswitchinterval(previous)
-        # A lost check-then-load would run a column's query twice or hand out two objects.
-        assert len(selects) == 3
-        assert all(column is got[i % 3] for i, column in enumerate(got))
 
     def test_borrowed_connection_is_used_for_loads(self, clinic):
         conn = open_exec_db(clinic.db_path)
@@ -733,11 +737,11 @@ class TestValueLookup:
         [("EXTRA", "NOTE", "no such table: EXTRA"), ("DEMOGRAPHIC", "NOTE", "no such column: DEMOGRAPHIC.NOTE")],
         ids=["table", "column"],
     )
-    def test_a_pair_missing_from_the_database_is_a_data_error(self, clinic, table, column, reason):
+    def test_a_pair_missing_from_the_database_is_a_data_error(self, clinic, conn, table, column, reason):
         tables = {t.name: t for t in clinic.schema.tables}
         columns = tables[table].columns if table in tables else ()
         tables[table] = TableDef(table, columns + (ColumnDef(column, "text"),))
-        lookup = build_value_lookup(clinic.db_path, SchemaDef(tuple(tables.values())))
+        lookup = build_value_lookup(conn, SchemaDef(tuple(tables.values())))
         with pytest.raises(DataError) as exc:
             lookup.values(table.lower(), column.lower())
         assert str(exc.value) == f"cannot read the values of {table}.{column} from the database: {reason}"
@@ -750,10 +754,6 @@ class TestValueLookup:
             with pytest.raises(sqlite3.DatabaseError, match="not authorized"):
                 conn.execute(f"ATTACH DATABASE '{tmp_path / 'planted.db'}' AS x")
         assert not (tmp_path / "planted.db").exists()
-
-    def test_missing_database_fails_when_the_lookup_is_built(self, clinic, tmp_path):
-        with pytest.raises(DbError):
-            build_value_lookup(tmp_path / "absent.db", clinic.schema)
 
     def test_column_values_is_a_tuple_with_a_member_set(self):
         column = store.ColumnValues(["a", "b b", "c"])

@@ -1,4 +1,4 @@
-"""The shared worker map, the connection helpers in medsql.store, and the
+"""augment's worker map, the connection helpers in medsql.store, and the
 connection each function that executes SQL runs on."""
 
 from __future__ import annotations
@@ -12,10 +12,11 @@ from contextlib import closing
 import pytest
 
 from medsql import store
+from medsql.augment import map_in_order
 from medsql.metrics import evaluate, execution_match
 from medsql.predictions import Candidate, CandidateSet
 from medsql.rerank import rerank, rerank_file
-from medsql.store import exec_connection, map_in_order, open_exec_db
+from medsql.store import exec_connection, open_exec_db
 
 
 def _is_closed(conn: sqlite3.Connection) -> bool:
