@@ -6,8 +6,8 @@ keyed on the FROM table (:mod:`medsql.splits`), logic-form and execution
 metrics (:mod:`medsql.metrics`), execution-guided beam reranking
 (:mod:`medsql.rerank`), condition-value recovery (:mod:`medsql.recovery`),
 schema linearization (:mod:`medsql.linearize`), and corpus augmentation by
-back-translation or template instantiation (:mod:`medsql.augment`). The
-``medsql`` command line exposes the pipeline end to end.
+back-translation (:mod:`medsql.augment`). The ``medsql`` command line
+exposes the pipeline end to end.
 """
 
 __version__ = "0.1.0"
@@ -27,12 +27,11 @@ from .store import (  # noqa: F401
     corpus_stats,
     load_corpus,
     load_schema,
-    merge_out_of_domain,
     save_corpus,
 )
 from .splits import SplitSpec, assign_splits, verify_split  # noqa: F401
 from .metrics import evaluate, execution_match, logic_form_match  # noqa: F401
-from .rerank import rerank, rerank_file  # noqa: F401
+from .rerank import rerank_file  # noqa: F401
 from .recovery import recover_query, recover_value, rouge_l_f1, similarity  # noqa: F401
 from .linearize import build_model_input, export_training_file, linearize_schema  # noqa: F401
-from .augment import augment_corpus, back_translate, instantiate_templates  # noqa: F401
+from .augment import augment_corpus, back_translate  # noqa: F401

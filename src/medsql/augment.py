@@ -1,4 +1,4 @@
-"""Corpus growth: back-translation paraphrases and template instantiation.
+"""Corpus growth: back-translation paraphrases.
 
 Back-translation round-trips a question through a pivot language using a
 translation endpoint (``POST {base_url}/translate`` with ``{"text",
@@ -10,24 +10,14 @@ offline stub translator stands in for the endpoint in tests and in
 
 from __future__ import annotations
 
-import hashlib
-import itertools
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Callable, Iterable, Protocol, Sequence, TypeVar
 
-from .errors import (
-    DataError,
-    EmptyValueSet,
-    TranslateError,
-    UnboundSlot,
-    UnknownColumn,
-    UnknownPivot,
-)
-from .records import parse_json, read_json
-from .store import Paraphrase, Sample, ValueLookup, with_synthetic
+from .errors import TranslateError, UnknownPivot
+from .records import parse_json
+from .store import Paraphrase, Sample, with_synthetic
 
 DEFAULT_PIVOTS = ("fr", "de")
 TRANSLATE_URL_ENV = "MEDSQL_TRANSLATE_URL"
@@ -219,88 +209,3 @@ def augment_corpus(
         all_errors.extend(errors)
     report = AugmentReport(total_added, total_degenerate, tuple(all_errors))
     return AugmentResult(samples=out, report=report)
-
-
-@dataclass(frozen=True)
-class QuestionTemplate:
-    name: str
-    text_pattern: str
-    sql_pattern: str
-    slot_bindings: tuple[tuple[str, tuple[str, str]], ...]  # (slot, (table, column))
-
-
-def load_templates(path: str | Path) -> list[QuestionTemplate]:
-    """Read a template file: a JSON array of ``{name, question, sql,
-    slots}`` objects where slots maps slot names to [table, column]."""
-    templates: list[QuestionTemplate] = []
-    for idx, entry in enumerate(read_json(path, "template file", list)):
-        try:
-            templates.append(
-                QuestionTemplate(
-                    name=entry.get("name", f"t{idx}"),
-                    text_pattern=entry["question"],
-                    sql_pattern=entry["sql"],
-                    slot_bindings=tuple(
-                        (slot, (table, column))
-                        for slot, (table, column) in sorted(entry["slots"].items())
-                    ),
-                )
-            )
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"template {idx}: malformed entry: {exc}") from exc
-    return templates
-
-
-def _slot_token(slot: str) -> str:
-    return f"[{slot}]"
-
-
-def _substitute(pattern: str, slot: str, value: str, *, sql_side: bool) -> str:
-    token = _slot_token(slot)
-    if token not in pattern:
-        raise UnboundSlot(f"slot {slot!r} does not appear in pattern {pattern!r}")
-    replacement = value.replace('"', '""') if sql_side else value
-    return pattern.replace(token, replacement)
-
-
-def instantiate_templates(
-    templates: Iterable[QuestionTemplate],
-    lookup: ValueLookup,
-    *,
-    limit_per_template: int = 200,
-) -> list[Sample]:
-    """Generate samples by filling template slots with database values.
-
-    Values are drawn in canonical (sorted) order; multi-slot templates
-    take the cartesian product. Sample ids are deterministic: the template
-    name plus a digest of the chosen values. Every generated SQL string
-    must parse; quotes inside values are escaped on the SQL side.
-    """
-    samples: list[Sample] = []
-    for template in templates:
-        if not template.slot_bindings:
-            raise UnboundSlot(f"template {template.name} has no slots")
-        value_sets: list[tuple[str, tuple[str, ...]]] = []
-        for slot, (table, column) in template.slot_bindings:
-            try:
-                values = lookup.values(table, column)
-            except UnknownColumn as exc:
-                raise UnboundSlot(f"template {template.name}: {exc}") from exc
-            if not values:
-                raise EmptyValueSet(f"template {template.name}: {table}.{column} has no values")
-            value_sets.append((slot, values))
-        produced = 0
-        for combo in itertools.product(*(values for _, values in value_sets)):
-            if produced >= limit_per_template:
-                break
-            question = template.text_pattern
-            sql = template.sql_pattern
-            for (slot, _), value in zip(value_sets, combo):
-                question = _substitute(question, slot, value, sql_side=False)
-                sql = _substitute(sql, slot, value, sql_side=True)
-            digest = hashlib.sha256("\x1f".join(combo).encode("utf-8")).hexdigest()[:10]
-            sample = Sample(id=f"{template.name}-{digest}", template_question=question, gold_sql=sql)
-            sample.gold_query  # every generated SQL string must parse
-            samples.append(sample)
-            produced += 1
-    return samples

@@ -47,7 +47,7 @@ class UnterminatedLiteral(DataError):
 
 
 class RecordError(DataError):
-    """A corpus, prediction, or external record is malformed.
+    """A corpus or prediction record is malformed.
 
     ``line`` is the record's line number in a line-delimited file and its
     1-based position in a JSON array.
@@ -108,14 +108,6 @@ class MissingPrediction(DataError):
 
 class UnknownColumn(DataError):
     """A (table, column) pair is absent from the value lookup."""
-
-
-class UnboundSlot(DataError):
-    """A template slot has no binding or its binding has no values."""
-
-
-class EmptyValueSet(DataError):
-    """A bound column has no values to instantiate."""
 
 
 class EmptyQuestion(DataError):

@@ -77,8 +77,8 @@ def export_training_file(
 
     ``question_source`` picks template questions, human paraphrases,
     synthetic paraphrases, or all of them. Samples carrying their own
-    schema (out-of-domain merges) are linearized against it; everything
-    else uses ``schema``. Samples lacking a paraphrase are counted, not
+    schema (a corpus record's ``schema`` key) are linearized against it;
+    everything else uses ``schema``. Samples lacking a paraphrase are counted, not
     exported, under the paraphrase source. A corpus sample missing from the
     assignment is a :class:`DataError`.
     """

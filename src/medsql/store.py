@@ -2,7 +2,8 @@
 
 File formats: the corpus is UTF-8 JSON Lines with one sample per line
 (fields ``id``, ``question_template``, ``question_paraphrase``,
-``synthetic``, ``sql``; unknown fields survive a load/save round trip),
+``synthetic``, ``sql`` and a sample's own ``schema``; unknown fields
+survive a load/save round trip),
 the schema is a JSON document mirroring :class:`SchemaDef`, table data is
 RFC 4180 CSV with a header row, and the execution database is a single
 SQLite file.
@@ -192,18 +193,6 @@ class Sample:
         )
 
 
-def _check_question(question: Any, key: str) -> None:
-    if not question or not str(question).strip():
-        raise DataError(f"{key} is empty")
-    if not isinstance(question, str):
-        raise DataError(f"{key} must be a string, not {type(question).__name__}")
-
-
-def _check_sql(sql: Any, key: str) -> None:
-    if not isinstance(sql, str):
-        raise DataError(f"{key} must be a string, not {type(sql).__name__}")
-
-
 def validate_records(numbered: Iterable[tuple[int, Any]]) -> list[Sample]:
     """Validate (number, record) pairs into samples.
 
@@ -227,11 +216,16 @@ def validate_records(numbered: Iterable[tuple[int, Any]]) -> list[Sample]:
             ):
                 raise DataError("synthetic must be a list of objects with string text and pivot")
             sample = Sample.from_record(rec)
-            _check_question(sample.template_question, "question_template")
+            question = sample.template_question
+            if not question or not str(question).strip():
+                raise DataError("question_template is empty")
+            if not isinstance(question, str):
+                raise DataError(f"question_template must be a string, not {type(question).__name__}")
             paraphrase = sample.paraphrase_question
             if paraphrase is not None and not isinstance(paraphrase, str):
                 raise DataError(f"question_paraphrase must be a string or null, not {type(paraphrase).__name__}")
-            _check_sql(sample.gold_sql, "sql")
+            if not isinstance(sample.gold_sql, str):
+                raise DataError(f"sql must be a string, not {type(sample.gold_sql).__name__}")
             sample.gold_query  # SQL outside the dialect is a record error
         except DataError as exc:
             raise RecordError(number, str(exc)) from exc
@@ -602,102 +596,6 @@ def corpus_stats(corpus: list[Sample], schema: SchemaDef) -> CorpusStats:
         avg_agg_columns=_mean2(select_items, n),
         avg_conditions=_mean2(conditions, n),
     )
-
-
-_EXTERNAL_ATTR_MAP = {
-    "text": ATTR_TEXT,
-    "number": ATTR_NUMBER,
-    "time": ATTR_DATETIME,
-    "boolean": ATTR_NUMBER,
-    "others": ATTR_TEXT,
-}
-
-
-@dataclass(frozen=True)
-class MergeResult:
-    samples: list[Sample]
-    skipped: tuple[RecordError, ...]
-
-
-def _external_schemas(tables_path: Path) -> dict[str, SchemaDef]:
-    schemas: dict[str, SchemaDef] = {}
-    for number, entry in enumerate(read_json(tables_path, "tables file", list), start=1):
-        try:
-            table_names = entry.get("table_names_original") or entry["table_names"]
-            column_names = entry.get("column_names_original") or entry["column_names"]
-            column_types = entry["column_types"]
-            if len(column_names) != len(column_types):
-                raise DataError(f"{len(column_names)} column names but {len(column_types)} column types")
-            columns: list[list[ColumnDef]] = [[] for _ in table_names]
-            for (tab_idx, col_name), col_type in zip(column_names, column_types):
-                if tab_idx < 0:
-                    continue
-                attr = _EXTERNAL_ATTR_MAP.get(col_type, ATTR_TEXT)
-                columns[tab_idx].append(ColumnDef(col_name, attr))
-            schemas[entry["db_id"]] = SchemaDef(
-                tuple(TableDef(name, tuple(cols)) for name, cols in zip(table_names, columns))
-            )
-        except (AttributeError, DataError, LookupError, TypeError, ValueError) as exc:
-            raise DataError(f"tables entry {number} is malformed: {exc}") from exc
-    return schemas
-
-
-def merge_out_of_domain(
-    primary: list[Sample],
-    examples_path: str | Path,
-    tables_path: str | Path | None = None,
-    *,
-    lenient: bool = False,
-) -> MergeResult:
-    """Append an external (question, SQL, per-database schema) corpus.
-
-    The external release is an examples JSON array of ``{db_id, question,
-    query}`` records plus a ``tables.json`` schema file (defaulting to the
-    sibling of the examples file). Converted samples carry their own
-    schema and ids prefixed with the examples file stem. A record's
-    ``question`` must be a non-empty string and its ``query`` a string, as
-    in :func:`validate_records`. Records that break this or whose SQL falls
-    outside the dialect raise :class:`RecordError`, or are skipped and
-    reported when ``lenient``.
-    """
-    examples_path = Path(examples_path)
-    tables_path = Path(tables_path) if tables_path else examples_path.with_name("tables.json")
-    schemas = _external_schemas(tables_path)
-    prefix = examples_path.stem
-    entries = read_json(examples_path, "examples file", list)
-
-    existing = {s.id for s in primary}
-    converted: list[Sample] = []
-    skipped: list[RecordError] = []
-    for number, entry in enumerate(entries, start=1):
-        # Id collisions are corpus-integrity failures; lenient mode only
-        # forgives records that are malformed or outside the dialect.
-        sample_id = f"{prefix}-{number - 1:05d}"
-        if sample_id in existing:
-            raise RecordError(number, f"id collision with primary corpus: {sample_id!r}")
-        try:
-            question = entry["question"]
-            sql = entry["query"]
-            _check_question(question, "question")
-            _check_sql(sql, "query")
-            db_id = entry["db_id"]
-            if db_id not in schemas:
-                raise DataError(f"unknown db_id {db_id!r}")
-            sample = Sample(
-                id=sample_id,
-                template_question=question,
-                gold_sql=sql,
-                schema=schemas[db_id],
-            )
-            sample.gold_query  # SQL outside the dialect is a record error
-        except (DataError, KeyError, TypeError) as exc:
-            err = RecordError(number, str(exc))
-            if lenient:
-                skipped.append(err)
-                continue
-            raise err from exc
-        converted.append(sample)
-    return MergeResult(samples=list(primary) + converted, skipped=tuple(skipped))
 
 
 def with_synthetic(sample: Sample, paraphrases: Iterable[Paraphrase]) -> Sample:

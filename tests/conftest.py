@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import itertools
 import json
 import random
@@ -15,9 +16,10 @@ from typing import Iterator
 import pytest
 
 from medsql import query
-from medsql.augment import QuestionTemplate, StubTranslator, instantiate_templates
+from medsql.augment import StubTranslator
 from medsql.store import (
     ColumnDef,
+    Sample,
     SchemaDef,
     TableDef,
     build_exec_db,
@@ -218,9 +220,13 @@ def write_clinic_csvs(directory: Path) -> dict[str, Path]:
     }
 
 
-def clinic_templates() -> list[QuestionTemplate]:
-    def tpl(name: str, question: str, sql: str, **slots: tuple[str, str]) -> QuestionTemplate:
-        return QuestionTemplate(name, question, sql, tuple(sorted(slots.items())))
+# (name, question, sql, ((slot, (table, column)), ...)): each [SLOT] token takes a value of its column.
+Template = tuple[str, str, str, tuple[tuple[str, tuple[str, str]], ...]]
+
+
+def clinic_templates() -> list[Template]:
+    def tpl(name: str, question: str, sql: str, **slots: tuple[str, str]) -> Template:
+        return name, question, sql, tuple(sorted(slots.items()))
 
     count_subjects = "SELECT COUNT(DISTINCT {t}.SUBJECT_ID) FROM {t}"
     return [
@@ -321,6 +327,25 @@ def clinic_templates() -> list[QuestionTemplate]:
     ]
 
 
+def fill_templates(templates: list[Template], lookup, limit_per_template: int) -> list[Sample]:
+    """Fill each template with the product of its slots' sorted column values, at
+    most ``limit_per_template`` times. A value's quotes are doubled in the SQL, and
+    an id is the template name plus a digest of the values."""
+    samples = []
+    for name, question, sql, slots in templates:
+        value_sets = [lookup.values(table, column) for _, (table, column) in slots]
+        for combo in itertools.islice(itertools.product(*value_sets), limit_per_template):
+            text, gold = question, sql
+            for (slot, _), value in zip(slots, combo):
+                text = text.replace(f"[{slot}]", value)
+                gold = gold.replace(f"[{slot}]", value.replace('"', '""'))
+            digest = hashlib.sha256("\x1f".join(combo).encode("utf-8")).hexdigest()[:10]
+            sample = Sample(f"{name}-{digest}", text, gold)
+            sample.gold_query  # every generated SQL string must parse
+            samples.append(sample)
+    return samples
+
+
 class TranslateHandler(BaseHTTPRequestHandler):
     """Translation endpoint double: echo mirrors the offline stub, fail
     answers 503, flaky fails once then echoes, malformed omits "text",
@@ -401,8 +426,7 @@ def clinic(tmp_path_factory) -> Iterator[SimpleNamespace]:
     db_path = build_exec_db(schema, csvs, root / "clinic.db")
     with closing(open_exec_db(db_path)) as conn:
         lookup = build_value_lookup(conn, schema)
-        templates = clinic_templates()
-        full = instantiate_templates(templates, lookup, limit_per_template=200)
+        full = fill_templates(clinic_templates(), lookup, limit_per_template=200)
         assert len(full) >= 1000, f"fixture corpus shrank to {len(full)} samples"
         corpus = full[:1000]
         corpus_path = root / "corpus.jsonl"
@@ -416,7 +440,6 @@ def clinic(tmp_path_factory) -> Iterator[SimpleNamespace]:
             csvs=csvs,
             db_path=db_path,
             lookup=lookup,
-            templates=templates,
             corpus=corpus,
             corpus_path=corpus_path,
         )

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import contextlib
-import json
 import socket
 
 import pytest
@@ -9,23 +8,14 @@ import pytest
 from medsql.augment import (
     AugmentReport,
     HttpTranslator,
-    QuestionTemplate,
     StubTranslator,
     TranslatorEndpoint,
     augment_corpus,
     back_translate,
-    instantiate_templates,
-    load_templates,
 )
-from medsql.errors import (
-    DataError,
-    EmptyValueSet,
-    TranslateError,
-    UnboundSlot,
-    UnknownPivot,
-)
+from medsql.errors import TranslateError, UnknownPivot
 from medsql.query import parse_sql
-from medsql.store import ColumnDef, Sample, SchemaDef, TableDef, build_exec_db, build_value_lookup, open_exec_db
+from medsql.store import Sample
 
 
 class TestStubTranslator:
@@ -184,116 +174,11 @@ class TestAugmentCorpus:
 
 
 class TestTemplates:
-    def test_instantiation_is_deterministic(self, clinic):
-        first = instantiate_templates(clinic.templates, clinic.lookup, limit_per_template=200)
-        second = instantiate_templates(clinic.templates, clinic.lookup, limit_per_template=200)
-        assert first == second
-
     def test_ids_are_unique(self, clinic):
         ids = [s.id for s in clinic.corpus]
         assert len(set(ids)) == len(ids)
-
-    def test_limit_per_template(self, clinic):
-        template = clinic.templates[0]
-        samples = instantiate_templates([template], clinic.lookup, limit_per_template=5)
-        assert len(samples) == 5
-
-    def test_multi_slot_template_takes_the_product(self, clinic):
-        template = next(t for t in clinic.templates if t.name == "join-rx")
-        samples = instantiate_templates([template], clinic.lookup, limit_per_template=10_000)
-        n_ins = len(clinic.lookup.values("DEMOGRAPHIC", "INSURANCE"))
-        n_types = len(clinic.lookup.values("PRESCRIPTIONS", "DRUG_TYPE"))
-        assert len(samples) == n_ins * n_types
 
     def test_generated_sql_parses_and_questions_carry_values(self, clinic):
         for sample in clinic.corpus[::101]:
             parse_sql(sample.gold_sql)
             assert "[" not in sample.template_question
-
-    def test_value_containing_a_quote_is_escaped(self, tmp_path):
-        schema = SchemaDef((TableDef("T", (ColumnDef("A", "text"),)),))
-        csv_path = tmp_path / "T.csv"
-        csv_path.write_text('A\nsay ""hi"" value\n'.replace('""', '"'), encoding="utf-8")
-        db = build_exec_db(schema, {"T": csv_path}, tmp_path / "t.db")
-        template = QuestionTemplate(
-            "quoted", "find [V]", 'SELECT A FROM T WHERE A = "[V]"', (("V", ("T", "A")),)
-        )
-        with contextlib.closing(open_exec_db(db)) as conn:
-            samples = instantiate_templates([template], build_value_lookup(conn, schema))
-        assert len(samples) == 1
-        query = parse_sql(samples[0].gold_sql)
-        assert query.conditions[0].value.value == 'say "hi" value'
-
-    def test_unknown_slot_column_is_an_unbound_slot(self, clinic):
-        template = QuestionTemplate(
-            "bad", "find [V]", 'SELECT LABEL FROM LAB WHERE LABEL = "[V]"', (("V", ("LAB", "NOPE")),)
-        )
-        with pytest.raises(UnboundSlot):
-            instantiate_templates([template], clinic.lookup)
-
-    def test_slot_missing_from_pattern_is_an_unbound_slot(self, clinic):
-        template = QuestionTemplate(
-            "bad", "find labels", "SELECT LABEL FROM LAB", (("V", ("LAB", "LABEL")),)
-        )
-        with pytest.raises(UnboundSlot):
-            instantiate_templates([template], clinic.lookup)
-
-    def test_template_without_slots_is_rejected(self, clinic):
-        template = QuestionTemplate("bad", "find labels", "SELECT LABEL FROM LAB", ())
-        with pytest.raises(UnboundSlot):
-            instantiate_templates([template], clinic.lookup)
-
-    def test_all_null_column_is_an_empty_value_set(self, tmp_path):
-        schema = SchemaDef((TableDef("T", (ColumnDef("A", "text"),)),))
-        csv_path = tmp_path / "T.csv"
-        csv_path.write_text('A\n""\n""\n', encoding="utf-8")
-        db = build_exec_db(schema, {"T": csv_path}, tmp_path / "t.db")
-        template = QuestionTemplate(
-            "empty", "find [V]", 'SELECT A FROM T WHERE A = "[V]"', (("V", ("T", "A")),)
-        )
-        with contextlib.closing(open_exec_db(db)) as conn, pytest.raises(EmptyValueSet):
-            instantiate_templates([template], build_value_lookup(conn, schema))
-
-
-class TestTemplateFile:
-    def test_load_round_trip(self, clinic, tmp_path):
-        path = tmp_path / "templates.json"
-        entries = [
-            {
-                "name": t.name,
-                "question": t.text_pattern,
-                "sql": t.sql_pattern,
-                "slots": {slot: list(binding) for slot, binding in t.slot_bindings},
-            }
-            for t in clinic.templates
-        ]
-        path.write_text(json.dumps(entries), encoding="utf-8")
-        assert load_templates(path) == clinic.templates
-
-    def test_byte_order_mark_is_accepted(self, clinic, tmp_path):
-        path = tmp_path / "templates.json"
-        t = clinic.templates[0]
-        entry = {"name": t.name, "question": t.text_pattern, "sql": t.sql_pattern,
-                 "slots": {slot: list(binding) for slot, binding in t.slot_bindings}}
-        path.write_bytes(b"\xef\xbb\xbf" + json.dumps([entry]).encode("utf-8"))
-        assert load_templates(path) == [t]
-
-    def test_malformed_json_is_a_data_error(self, tmp_path):
-        path = tmp_path / "templates.json"
-        path.write_text("not json", encoding="utf-8")
-        with pytest.raises(DataError):
-            load_templates(path)
-
-    @pytest.mark.parametrize("body", [b"5", b'{"question": "q"}', b'["q"]', b'[{"question": "q", "sql": "s", "slots": []}]',
-                                      b'[{"question": "\xff"}]'])
-    def test_malformed_document_is_a_data_error(self, tmp_path, body):
-        path = tmp_path / "templates.json"
-        path.write_bytes(body)
-        with pytest.raises(DataError):
-            load_templates(path)
-
-    def test_missing_keys_are_a_data_error(self, tmp_path):
-        path = tmp_path / "templates.json"
-        path.write_text(json.dumps([{"question": "q"}]), encoding="utf-8")
-        with pytest.raises(DataError):
-            load_templates(path)

@@ -404,6 +404,23 @@ class TestLinearize:
         assert f"data error: --sep must hold a character other than whitespace, not {sep!r}" in capsys.readouterr().err
         assert not Path("out.jsonl").exists()
 
+    def test_a_record_carrying_its_own_schema_is_linearized_against_it(self, workdir):
+        own = {"tables": [{"name": "FLIGHT", "columns": [
+            {"name": "DEST", "attr": "text"}, {"name": "DELAY", "attr": "number"}, {"name": "DAY", "attr": "datetime"},
+        ]}]}
+        write_jsonl("raw.jsonl", [
+            {"id": "a", "question_template": "how many patients are there", "sql": "SELECT COUNT(*) FROM DEMOGRAPHIC"},
+            {"id": "b", "question_template": "list destinations", "sql": "SELECT DEST FROM FLIGHT", "schema": own},
+        ])
+        assert cmd(["ingest", "--corpus", "raw.jsonl", "--schema", "schema.json", "--out", "own.jsonl"]) == 0
+        assert [r.get("schema") for r in read_jsonl("own.jsonl")] == [None, own]
+        Path("own.tsv").write_text("a\tTEST\nb\tTEST\n", encoding="utf-8")
+        assert cmd(["linearize", "--corpus", "own.jsonl", "--schema", "schema.json", "--assignment", "own.tsv",
+                    "--split", "TEST", "--out", "own_test.jsonl"]) == 0
+        inputs = [r["input"] for r in read_jsonl("own_test.jsonl")]
+        assert inputs[0].startswith("* DEMOGRAPHIC SUBJECT_ID number")
+        assert inputs[1] == "* FLIGHT DEST text DELAY number DAY datetime [SEP] list destinations"
+
 
 class TestAugment:
     def test_stub_run_is_deterministic(self, clinic, tmp_path, monkeypatch):
@@ -1062,6 +1079,23 @@ class TestSurface:
         assert cmd([name]) == 1
         assert capsys.readouterr() == ("", f"medsql {name}: error: missing required option(s): {MISSING[name]}\n")
         assert not list(workdir.glob("*.manifest.json"))
+
+
+# What `import medsql` offers, submodules aside: a name joins or leaves on purpose.
+PACKAGE_SURFACE = [
+    "Sample", "SchemaDef", "SplitSpec", "SqlQuery", "assign_splits", "augment_corpus", "back_translate",
+    "build_exec_db", "build_model_input", "build_value_lookup", "corpus_stats", "evaluate",
+    "execution_match", "export_training_file", "linearize_schema", "load_corpus", "load_schema",
+    "logic_form_match", "parse_sql", "recover_query", "recover_value", "rerank_file", "rouge_l_f1",
+    "save_corpus", "serialize_sql", "similarity", "table_positions", "tokenize_sql", "verify_split",
+]
+
+
+class TestPackageSurface:
+    def test_public_names(self):
+        names = [name for name, value in vars(medsql).items()
+                 if not name.startswith("_") and not isinstance(value, type(medsql))]
+        assert sorted(names) == PACKAGE_SURFACE
 
 
 # Help, version and usage errors: what a run prints and returns must not

@@ -1,15 +1,14 @@
 from __future__ import annotations
 
-import importlib
+import inspect
 import shutil
 import sqlite3
 from contextlib import closing
 
 import pytest
 
+import medsql.rerank as rerank_mod
 from medsql.errors import RecordError
-
-rerank_mod = importlib.import_module("medsql.rerank")
 from medsql.metrics import evaluate
 from medsql.predictions import Candidate, CandidateSet
 from medsql.rerank import rerank, rerank_file
@@ -26,6 +25,12 @@ def beam(*sqls: str) -> CandidateSet:
     return CandidateSet(
         "q1", tuple(Candidate(sql, (n - i) / n) for i, sql in enumerate(sqls))
     )
+
+
+def test_the_package_attribute_is_the_submodule():
+    # The package used to re-export the function under the submodule's name.
+    assert inspect.ismodule(rerank_mod)
+    assert rerank_mod.rerank is rerank
 
 
 class TestRerank:

@@ -38,7 +38,6 @@ from medsql.store import (
     corpus_stats,
     load_corpus,
     load_schema,
-    merge_out_of_domain,
     open_exec_db,
     run_select,
     save_corpus,
@@ -819,127 +818,3 @@ class TestCorpusStats:
     def test_to_dict_is_json_friendly(self, clinic):
         stats = corpus_stats(self._mini_corpus(), clinic.schema)
         assert json.loads(json.dumps(stats.to_dict()))["n_samples"] == 3
-
-
-class TestMergeOutOfDomain:
-    def _external_release(self, tmp_path):
-        tables = [
-            {
-                "db_id": "flights",
-                "table_names_original": ["FLIGHT"],
-                "column_names_original": [[-1, "*"], [0, "DEST"], [0, "DELAY"], [0, "DAY"]],
-                "column_types": ["text", "text", "number", "time"],
-            }
-        ]
-        examples = [
-            {"db_id": "flights", "question": "list destinations", "query": "SELECT DEST FROM FLIGHT"},
-            {
-                "db_id": "flights",
-                "question": "count delayed flights",
-                "query": "SELECT COUNT(*) FROM FLIGHT WHERE DELAY > 30",
-            },
-            {
-                "db_id": "flights",
-                "question": "destinations by count",
-                "query": "SELECT DEST FROM FLIGHT GROUP BY DEST",
-            },
-        ]
-        tables_path = tmp_path / "tables.json"
-        tables_path.write_text(json.dumps(tables), encoding="utf-8")
-        examples_path = tmp_path / "dev.json"
-        examples_path.write_text(json.dumps(examples), encoding="utf-8")
-        return examples_path, tables_path
-
-    def test_lenient_merge_skips_out_of_dialect_queries(self, clinic, tmp_path):
-        examples_path, tables_path = self._external_release(tmp_path)
-        result = merge_out_of_domain(
-            clinic.corpus, examples_path, tables_path, lenient=True
-        )
-        assert len(result.samples) == len(clinic.corpus) + 2
-        assert len(result.skipped) == 1
-        merged = result.samples[-2:]
-        assert [s.id for s in merged] == ["dev-00000", "dev-00001"]
-        schema = merged[0].schema
-        assert schema is not None
-        assert schema.attr_of("FLIGHT", "DAY") == "datetime"
-        assert schema.attr_of("FLIGHT", "DELAY") == "number"
-
-    def test_strict_merge_raises_on_out_of_dialect_query(self, clinic, tmp_path):
-        examples_path, tables_path = self._external_release(tmp_path)
-        with pytest.raises(RecordError):
-            merge_out_of_domain(clinic.corpus, examples_path, tables_path)
-
-    def test_byte_order_marks_are_accepted(self, clinic, tmp_path):
-        examples_path, tables_path = self._external_release(tmp_path)
-        for path in (examples_path, tables_path):
-            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
-        result = merge_out_of_domain(clinic.corpus, examples_path, tables_path, lenient=True)
-        assert [s.id for s in result.samples[-2:]] == ["dev-00000", "dev-00001"]
-
-    @pytest.mark.parametrize(
-        "change",
-        [
-            {"column_names_original": None},
-            {"column_names_original": [[0]]},
-            {"column_names_original": [[-1, "*"], [3, "DEST"]]},
-            {"column_names_original": [[-1, "*"], [0, 7]]},
-            {"table_names_original": [None]},
-            {"column_types": 5},
-        ],
-    )
-    def test_malformed_tables_entry_is_a_data_error(self, clinic, tmp_path, change):
-        examples_path, tables_path = self._external_release(tmp_path)
-        entry = {**json.loads(tables_path.read_text(encoding="utf-8"))[0], **change}
-        tables_path.write_text(json.dumps([entry]), encoding="utf-8")
-        with pytest.raises(DataError, match="tables entry 1 is malformed"):
-            merge_out_of_domain(clinic.corpus, examples_path, tables_path, lenient=True)
-
-    @pytest.mark.parametrize("types", [["text", "text", "number"], ["text"] * 5])
-    def test_column_types_of_another_length_are_a_data_error(self, clinic, tmp_path, types):
-        # Zipping the two lists used to drop the trailing columns silently.
-        examples_path, tables_path = self._external_release(tmp_path)
-        entry = {**json.loads(tables_path.read_text(encoding="utf-8"))[0], "column_types": types}
-        tables_path.write_text(json.dumps([entry]), encoding="utf-8")
-        with pytest.raises(DataError, match="tables entry 1 is malformed: 4 column names but"):
-            merge_out_of_domain(clinic.corpus, examples_path, tables_path, lenient=True)
-
-    @pytest.mark.parametrize(
-        "change, message",
-        [
-            ({"question": 5}, "question must be a string, not int"),
-            ({"question": ""}, "question is empty"),
-            ({"question": "   "}, "question is empty"),
-            ({"question": None}, "question is empty"),
-            ({"question": ["list destinations"]}, "question must be a string, not list"),
-            ({"query": 5}, "query must be a string, not int"),
-            ({"query": None}, "query must be a string, not NoneType"),
-        ],
-    )
-    def test_malformed_example_is_a_record_error(self, clinic, tmp_path, change, message):
-        examples_path, tables_path = self._external_release(tmp_path)
-        examples = json.loads(examples_path.read_text(encoding="utf-8"))
-        examples[0].update(change)
-        examples_path.write_text(json.dumps(examples), encoding="utf-8")
-        with pytest.raises(RecordError, match=message) as exc:
-            merge_out_of_domain(clinic.corpus, examples_path, tables_path)
-        assert exc.value.line == 1
-        result = merge_out_of_domain(clinic.corpus, examples_path, tables_path, lenient=True)
-        assert [s.id for s in result.samples[len(clinic.corpus):]] == ["dev-00001"]
-        assert [(e.line, message in str(e)) for e in result.skipped] == [(1, True), (3, False)]
-
-    @pytest.mark.parametrize("name", ["tables.json", "dev.json"])
-    @pytest.mark.parametrize("body", [b'{"db_id": "flights"}', b'["flights"', b'["\xff"]'])
-    def test_malformed_document_is_a_data_error(self, clinic, tmp_path, name, body):
-        examples_path, tables_path = self._external_release(tmp_path)
-        (tmp_path / name).write_bytes(body)
-        with pytest.raises(DataError):
-            merge_out_of_domain(clinic.corpus, examples_path, tables_path, lenient=True)
-
-    def test_id_collision_rejected(self, clinic, tmp_path):
-        examples_path, tables_path = self._external_release(tmp_path)
-        collided = [
-            Sample("dev-00000", "q", "SELECT * FROM T"),
-            *clinic.corpus,
-        ]
-        with pytest.raises(RecordError):
-            merge_out_of_domain(collided, examples_path, tables_path, lenient=True)
