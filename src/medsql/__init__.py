@@ -16,7 +16,6 @@ from .query import (  # noqa: F401
     SqlQuery,
     parse_sql,
     serialize_sql,
-    table_positions,
     tokenize_sql,
 )
 from .store import (  # noqa: F401

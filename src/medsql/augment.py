@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Protocol, Sequence, TypeVar
+from typing import Callable, Iterable, Protocol, Sequence, TypeVar
 
 from .errors import TranslateError, UnknownPivot
 from .records import parse_json
@@ -23,22 +23,17 @@ DEFAULT_PIVOTS = ("fr", "de")
 TRANSLATE_URL_ENV = "MEDSQL_TRANSLATE_URL"
 
 
-@dataclass(frozen=True)
-class TranslatorEndpoint:
-    base_url: str
-    timeout_ms: int = 10_000
-    retries: int = 2
-
-
 class Translator(Protocol):
     def translate(self, text: str, src: str, tgt: str) -> str: ...
 
 
 class HttpTranslator:
-    """Client for the translation endpoint, with bounded retries."""
+    """Client for the endpoint at ``base_url``: ``timeout_ms`` per request, up to ``retries`` retries."""
 
-    def __init__(self, endpoint: TranslatorEndpoint):
-        self.endpoint = endpoint
+    def __init__(self, base_url: str, timeout_ms: int = 10_000, retries: int = 2):
+        self.base_url = base_url
+        self.timeout_ms = timeout_ms
+        self.retries = retries
 
     def translate(self, text: str, src: str, tgt: str) -> str:
         """POST one translation request. A non-200 status, a connection
@@ -49,16 +44,16 @@ class HttpTranslator:
         import urllib.error
         import urllib.request
 
-        url = self.endpoint.base_url.rstrip("/") + "/translate"
+        url = self.base_url.rstrip("/") + "/translate"
         body = json.dumps({"text": text, "src": src, "tgt": tgt}).encode("utf-8")
-        attempts = self.endpoint.retries + 1
+        attempts = self.retries + 1
         last = "no attempt made"
         for _ in range(attempts):
             request = urllib.request.Request(
                 url, data=body, headers={"Content-Type": "application/json"}, method="POST"
             )
             try:
-                with urllib.request.urlopen(request, timeout=self.endpoint.timeout_ms / 1000.0) as resp:
+                with urllib.request.urlopen(request, timeout=self.timeout_ms / 1000.0) as resp:
                     status, payload = resp.status, resp.read()
             except urllib.error.HTTPError as exc:
                 exc.close()
@@ -131,13 +126,6 @@ class AugmentReport:
     dropped_degenerate: int
     errors: tuple[tuple[str, str, str], ...]  # (sample id, pivot, message)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "added": self.added,
-            "dropped_degenerate": self.dropped_degenerate,
-            "errors": [list(e) for e in self.errors],
-        }
-
 
 @dataclass(frozen=True)
 class AugmentResult:
@@ -207,5 +195,4 @@ def augment_corpus(
         total_added += len(added)
         total_degenerate += degenerate
         all_errors.extend(errors)
-    report = AugmentReport(total_added, total_degenerate, tuple(all_errors))
-    return AugmentResult(samples=out, report=report)
+    return AugmentResult(out, AugmentReport(total_added, total_degenerate, tuple(all_errors)))

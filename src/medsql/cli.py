@@ -18,6 +18,7 @@ import os
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
+from enum import Enum
 from typing import Any, Callable
 from urllib.parse import urlsplit
 
@@ -27,7 +28,6 @@ from .augment import (
     TRANSLATE_URL_ENV,
     HttpTranslator,
     StubTranslator,
-    TranslatorEndpoint,
     augment_corpus,
 )
 from .errors import DataError, EnvError, RecordError
@@ -111,8 +111,18 @@ def _resolve(args: argparse.Namespace) -> dict[str, Any]:
             raise DataError(f"--{dest.replace('_', '-')} must be at least {least}, not {value}")
         if dest == "sep" and not value.strip():
             raise DataError(f"--sep must hold a character other than whitespace, not {value!r}")
+        if dest == "pivots":
+            _pivots(value)
         resolved[dest] = value
     return resolved
+
+
+def _pivots(text: str) -> tuple[str, ...]:
+    """The pivots ``--pivots`` names: at least one, each once, or a data error."""
+    pivots = tuple(p.strip() for p in text.split(",") if p.strip())
+    if not pivots or len(set(pivots)) < len(pivots):
+        raise DataError(f"--pivots must name at least one pivot, each once, not {text!r}")
+    return pivots
 
 
 # ingest: normalize an external or canonical corpus into the canonical
@@ -216,7 +226,7 @@ def _cmd_ingest(resolved: dict[str, Any]) -> tuple[list[Path], str]:
 def _cmd_stats(resolved: dict[str, Any]) -> tuple[list[Path], str]:
     corpus = load_corpus(resolved["corpus"])
     stats = corpus_stats(corpus, load_schema(resolved["schema"]))
-    out = write_json(resolved["out"], {"format_version": FORMAT_VERSION, **stats.to_dict()})
+    out = write_json(resolved["out"], {"format_version": FORMAT_VERSION, **asdict(stats)})
     return [out], f"{stats.n_samples} samples over {stats.n_tables} tables -> {out}"
 
 
@@ -230,9 +240,8 @@ def _cmd_split(resolved: dict[str, Any]) -> tuple[list[Path], str]:
         if missing:
             raise DataError("designated table(s) not in schema: " + ", ".join(missing))
     assignment = assign_splits(corpus, spec)
-    pool = sum(1 for s in corpus if assignment.by_id[s.id] is not Split.TRAIN)
     violations = verify_split(corpus, assignment, spec)
-    report = split_report(assignment, spec, pool)
+    report = split_report(assignment, spec)
     report["violations"] = [
         {"id": v.sample_id, "rule": v.rule, "detail": v.detail} for v in violations
     ]
@@ -249,20 +258,17 @@ def _cmd_split(resolved: dict[str, Any]) -> tuple[list[Path], str]:
     )
 
 
-def _split(name: str) -> Split:
-    """The split named by ``--split``, in any case; a usage error otherwise."""
+def _choice(enum: type[Enum], value: str) -> Any:
+    """The member of ``enum`` whose value is ``value``; a usage error otherwise."""
     try:
-        return Split(name.upper())
+        return enum(value)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
 
 
 def _cmd_linearize(resolved: dict[str, Any]) -> tuple[list[Path], str]:
-    split = _split(resolved["split"])
-    try:
-        source = QuestionSource(resolved["question_source"].lower())
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    split = _choice(Split, resolved["split"].upper())
+    source = _choice(QuestionSource, resolved["question_source"].lower())
     out = Path(resolved["out"] or f"{split.value.lower()}_{source.value}.jsonl")
     corpus = load_corpus(resolved["corpus"])
     schema = load_schema(resolved["schema"])
@@ -276,7 +282,7 @@ def _cmd_linearize(resolved: dict[str, Any]) -> tuple[list[Path], str]:
 
 
 def _cmd_augment(resolved: dict[str, Any]) -> tuple[list[Path], str]:
-    pivots = tuple(p.strip() for p in resolved["pivots"].split(",") if p.strip())
+    pivots = _pivots(resolved["pivots"])
     if resolved["stub"]:
         translator = StubTranslator()
     elif resolved["translate_url"]:
@@ -286,15 +292,14 @@ def _cmd_augment(resolved: dict[str, Any]) -> tuple[list[Path], str]:
                 raise ValueError
         except ValueError:
             raise DataError(f"--translate-url must be an http or https URL with a host, not {url!r}") from None
-        endpoint = TranslatorEndpoint(url, resolved["timeout_ms"], resolved["retries"])
-        translator = HttpTranslator(endpoint)
+        translator = HttpTranslator(url, resolved["timeout_ms"], resolved["retries"])
     else:
         raise _UsageError("augment needs --stub or a translation endpoint (--translate-url or MEDSQL_TRANSLATE_URL)")
     corpus = load_corpus(resolved["corpus"])
     result = augment_corpus(corpus, pivots, translator, jobs=resolved["jobs"])
     out = save_corpus(result.samples, resolved["out"])
-    report_path = write_json(resolved["report"], {"format_version": FORMAT_VERSION, **result.report.to_dict()})
     rep = result.report
+    report_path = write_json(resolved["report"], {"format_version": FORMAT_VERSION, **asdict(rep)})
     return [out, report_path], (
         f"added {rep.added} synthetic paraphrases "
         f"(degenerate={rep.dropped_degenerate}, errors={len(rep.errors)}) -> {out}"
@@ -345,7 +350,7 @@ def _cmd_recover(resolved: dict[str, Any]) -> tuple[list[Path], str]:
 
 
 def _cmd_eval(resolved: dict[str, Any]) -> tuple[list[Path], str]:
-    split = _split(resolved["split"])
+    split = _choice(Split, resolved["split"].upper())
     corpus = load_corpus(resolved["corpus"])
     assignment = SplitAssignment.load(resolved["assignment"])
     samples = assignment.members(corpus, split)

@@ -37,13 +37,8 @@ def linearize_schema(schema: SchemaDef) -> str:
     return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class ModelInput:
-    text: str
-
-
-def build_model_input(schema: SchemaDef, question: str, sep: str = DEFAULT_SEPARATOR) -> ModelInput:
-    """Join the linearized schema and the question with the separator.
+def build_model_input(schema_text: str, question: str, sep: str = DEFAULT_SEPARATOR) -> str:
+    """Join a :func:`linearize_schema` string and the question with the separator.
 
     Raises :class:`EmptyQuestion` for blank questions and
     :class:`ReservedToken` if the question already contains the separator.
@@ -52,7 +47,7 @@ def build_model_input(schema: SchemaDef, question: str, sep: str = DEFAULT_SEPAR
         raise EmptyQuestion("question is empty")
     if sep in question:
         raise ReservedToken(f"question contains the separator token {sep!r}")
-    return ModelInput(f"{linearize_schema(schema)} {sep} {question}")
+    return f"{schema_text} {sep} {question}"
 
 
 @dataclass(frozen=True)
@@ -78,31 +73,35 @@ def export_training_file(
     ``question_source`` picks template questions, human paraphrases,
     synthetic paraphrases, or all of them. Samples carrying their own
     schema (a corpus record's ``schema`` key) are linearized against it;
-    everything else uses ``schema``. Samples lacking a paraphrase are counted, not
-    exported, under the paraphrase source. A corpus sample missing from the
-    assignment is a :class:`DataError`.
+    everything else uses ``schema``, flattened once. Samples lacking a
+    paraphrase are counted, not exported, under the paraphrase source. A
+    corpus sample missing from the assignment is a :class:`DataError`, and
+    so is a rejected question, naming its sample and question source.
     """
     samples = assignment.members(corpus, split)
     records: list[dict[str, str]] = []
     per_source = {"template": 0, "paraphrase": 0, "synthetic": 0}
     missing_paraphrase = 0
-    want = question_source
+    schema_text = linearize_schema(schema)
     for sample in samples:
-        sample_schema = sample.schema if sample.schema is not None else schema
+        sample_text = schema_text if sample.schema is None else linearize_schema(sample.schema)
         questions: list[tuple[str, str]] = []
-        if want in (QuestionSource.TEMPLATE, QuestionSource.ALL):
+        if question_source in (QuestionSource.TEMPLATE, QuestionSource.ALL):
             questions.append(("template", sample.template_question))
-        if want in (QuestionSource.PARAPHRASE, QuestionSource.ALL):
+        if question_source in (QuestionSource.PARAPHRASE, QuestionSource.ALL):
             if sample.paraphrase_question is None:
                 missing_paraphrase += 1
             else:
                 questions.append(("paraphrase", sample.paraphrase_question))
-        if want in (QuestionSource.SYNTHETIC, QuestionSource.ALL):
+        if question_source in (QuestionSource.SYNTHETIC, QuestionSource.ALL):
             for paraphrase in sample.synthetic_paraphrases:
                 questions.append(("synthetic", paraphrase.text))
         for source, question in questions:
-            model_input = build_model_input(sample_schema, question, sep)
-            records.append({"input": model_input.text, "target": sample.gold_sql})
+            try:
+                model_input = build_model_input(sample_text, question, sep)
+            except (EmptyQuestion, ReservedToken) as exc:
+                raise type(exc)(f"sample {sample.id!r}, {source} question: {exc}") from exc
+            records.append({"input": model_input, "target": sample.gold_sql})
             per_source[source] += 1
     write_jsonl(out_path, records)
     return ExportReport(

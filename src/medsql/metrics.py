@@ -122,9 +122,6 @@ class ComponentFlags:
     cond_col_op: bool
     cond_val: bool
 
-    def as_dict(self) -> dict[str, bool]:
-        return asdict(self)
-
 
 _ALL_FALSE = ComponentFlags(False, False, False, False, False)
 
@@ -164,9 +161,6 @@ class SampleEval:
     gold_error: bool
     pred_error: bool
 
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -182,7 +176,7 @@ class EvalReport:
             "acc_lf": self.acc_lf,
             "acc_ex": self.acc_ex,
             "n": self.n,
-            "per_sample": [s.to_dict() for s in self.per_sample],
+            "per_sample": [asdict(s) for s in self.per_sample],
         }
         if self.breakdown is not None:
             out["breakdown"] = self.breakdown
@@ -243,8 +237,6 @@ def evaluate(
     acc_ex = sum(e.ex_match for e in per_sample) / n if n else 0.0
     breakdown = None
     if with_breakdown and n:
-        flag_dicts = [flags.as_dict() for _, flags in scored]
-        breakdown = {
-            name: sum(d[name] for d in flag_dicts) / n for name in flag_dicts[0]
-        }
+        flag_dicts = [asdict(flags) for _, flags in scored]
+        breakdown = {name: sum(d[name] for d in flag_dicts) / n for name in flag_dicts[0]}
     return EvalReport(acc_lf=acc_lf, acc_ex=acc_ex, n=n, per_sample=per_sample, breakdown=breakdown)

@@ -26,7 +26,6 @@ __all__ = [
     "CompOp",
     "Connector",
     "LiteralKind",
-    "TablePosition",
     "Star",
     "STAR",
     "ColumnRef",
@@ -38,7 +37,6 @@ __all__ = [
     "tokenize_sql",
     "parse_sql",
     "serialize_sql",
-    "table_positions",
     "rename_tables",
 ]
 
@@ -70,11 +68,6 @@ class Connector(Enum):
 class LiteralKind(Enum):
     TEXT = "text"
     NUMBER = "number"
-
-
-class TablePosition(Enum):
-    MAIN = "MAIN"
-    JOINED = "JOINED"
 
 
 @dataclass(frozen=True, slots=True)
@@ -474,14 +467,6 @@ def serialize_sql(query: SqlQuery) -> str:
                 parts.append(cond.connector.value)
             parts += [cond.column.render(), cond.op.value, cond.value.render()]
     return " ".join(parts)
-
-
-def table_positions(query: SqlQuery) -> dict[str, TablePosition]:
-    """Map every table mentioned by the query to MAIN or JOINED."""
-    positions = {query.main_table: TablePosition.MAIN}
-    for join in query.joins:
-        positions[join.table] = TablePosition.JOINED
-    return positions
 
 
 def rename_tables(query: SqlQuery, mapping: Mapping[str, str]) -> SqlQuery:

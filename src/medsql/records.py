@@ -17,10 +17,6 @@ from .errors import DataError, RecordError
 FORMAT_VERSION = 1
 
 
-def dump_record(obj: Mapping[str, Any]) -> str:
-    return json.dumps(obj, ensure_ascii=False)
-
-
 # The escape of a UTF-16 surrogate, \uD800-\uDFFF: only text holding one
 # can decode to a lone surrogate.
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
@@ -121,11 +117,7 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
 
 
 def write_jsonl(path: str | Path, records: Iterable[Mapping[str, Any]]) -> Path:
-    lines = [dump_record(rec) for rec in records]
-    body = "\n".join(lines)
-    if lines:
-        body += "\n"
-    return atomic_write_text(path, body)
+    return atomic_write_text(path, "".join(json.dumps(rec, ensure_ascii=False) + "\n" for rec in records))
 
 
 def write_json(path: str | Path, obj: Mapping[str, Any]) -> Path:

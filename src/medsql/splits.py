@@ -68,8 +68,7 @@ class SplitAssignment:
         return [s for s in corpus if self.by_id[s.id] is split]
 
     def save(self, path: str | Path) -> Path:
-        lines = [f"{sid}\t{split.value}" for sid, split in self.by_id.items()]
-        return atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+        return atomic_write_text(path, "".join(f"{sid}\t{split.value}\n" for sid, split in self.by_id.items()))
 
     @classmethod
     def load(cls, path: str | Path) -> "SplitAssignment":
@@ -174,10 +173,11 @@ def verify_split(
     return violations
 
 
-def split_report(assignment: SplitAssignment, spec: SplitSpec, pool_size: int) -> dict[str, Any]:
+def split_report(assignment: SplitAssignment, spec: SplitSpec) -> dict[str, Any]:
     """Sizes of the produced splits plus a diff against the published
-    MIMICSQL 2.0 sizes, with the pool arithmetic spelled out."""
+    MIMICSQL 2.0 sizes, with the pool (DEV + TEST) arithmetic spelled out."""
     counts = assignment.counts()
+    pool_size = counts["DEV"] + counts["TEST"]
     diff = {name: counts[name] - expected for name, expected in REFERENCE_SPLIT_SIZES.items()}
     return {
         "sizes": counts,

@@ -52,7 +52,7 @@ class ColumnDef:
     def __post_init__(self):
         if not isinstance(self.name, str):
             raise DataError(f"column name must be a string, not {type(self.name).__name__}")
-        if self.attr not in ATTRS:
+        if not isinstance(self.attr, str) or self.attr not in ATTRS:
             raise DataError(f"column {self.name}: unknown attribute {self.attr!r}")
 
 
@@ -86,11 +86,6 @@ class SchemaDef:
     def table(self, name: str) -> TableDef | None:
         return self._by_name.get(name.upper())
 
-    def attr_of(self, table: str, column: str) -> str | None:
-        tab = self.table(table)
-        col = tab.column(column) if tab else None
-        return col.attr if col else None
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "tables": [
@@ -100,22 +95,35 @@ class SchemaDef:
         }
 
     @classmethod
-    def from_dict(cls, obj: Mapping[str, Any]) -> "SchemaDef":
-        try:
-            tables = tuple(
-                TableDef(
-                    t["name"],
-                    tuple(ColumnDef(c["name"], c["attr"]) for c in t["columns"]),
-                )
-                for t in obj["tables"]
-            )
-        except (KeyError, TypeError) as exc:
-            raise DataError(f"malformed schema document: {exc}") from exc
-        return cls(tables)
+    def from_dict(cls, obj: Any) -> "SchemaDef":
+        """The schema a JSON document describes; a :class:`DataError` in its terms otherwise."""
+        if not isinstance(obj, dict):
+            raise DataError("a schema must be a JSON object")
+        return cls(tuple(
+            TableDef(_key(t, "name"), tuple(ColumnDef(_key(c, "name"), _key(c, "attr")) for c in _objects(t, "columns")))
+            for t in _objects(obj, "tables")
+        ))
+
+
+def _key(obj: Mapping[str, Any], key: str) -> Any:
+    if key not in obj:
+        raise DataError(f"missing key {key!r}")
+    return obj[key]
+
+
+def _objects(obj: Mapping[str, Any], key: str) -> list[dict[str, Any]]:
+    items = _key(obj, key)
+    if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
+        raise DataError(f"{key!r} must be a list of objects")
+    return items
 
 
 def load_schema(path: str | Path) -> SchemaDef:
-    return SchemaDef.from_dict(read_json(path, "schema file", dict))
+    """The schema in a JSON file; every :class:`DataError` names the file."""
+    try:
+        return SchemaDef.from_dict(read_json(path, "the document", dict))
+    except DataError as exc:
+        raise DataError(f"schema file {path}: {exc}") from exc
 
 
 def save_schema(schema: SchemaDef, path: str | Path) -> Path:
@@ -547,18 +555,6 @@ class CorpusStats:
     avg_sql_len: float
     avg_agg_columns: float
     avg_conditions: float
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "n_samples": self.n_samples,
-            "n_tables": self.n_tables,
-            "columns_per_table": list(self.columns_per_table),
-            "avg_template_question_len": self.avg_template_question_len,
-            "avg_paraphrase_question_len": self.avg_paraphrase_question_len,
-            "avg_sql_len": self.avg_sql_len,
-            "avg_agg_columns": self.avg_agg_columns,
-            "avg_conditions": self.avg_conditions,
-        }
 
 
 def _mean2(total: float, count: int) -> float:

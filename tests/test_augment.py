@@ -9,7 +9,6 @@ from medsql.augment import (
     AugmentReport,
     HttpTranslator,
     StubTranslator,
-    TranslatorEndpoint,
     augment_corpus,
     back_translate,
 )
@@ -61,25 +60,25 @@ class TestBackTranslate:
 class TestHttpTranslator:
     def test_round_trip_against_a_live_endpoint(self, translate_server):
         base_url, _ = translate_server("echo")
-        translator = HttpTranslator(TranslatorEndpoint(base_url))
+        translator = HttpTranslator(base_url)
         assert back_translate("How Many", "fr", translator) == "how many"
 
     def test_persistent_failure_exhausts_retries(self, translate_server):
         base_url, handler = translate_server("fail")
-        translator = HttpTranslator(TranslatorEndpoint(base_url, retries=1))
+        translator = HttpTranslator(base_url, retries=1)
         with pytest.raises(TranslateError):
             translator.translate("q", "en", "fr")
         assert handler.hits == 2
 
     def test_transient_failure_is_retried(self, translate_server):
         base_url, handler = translate_server("flaky")
-        translator = HttpTranslator(TranslatorEndpoint(base_url, retries=1))
+        translator = HttpTranslator(base_url, retries=1)
         assert translator.translate("How", "en", "fr") == "[fr] How"
         assert handler.hits == 2
 
     def test_malformed_success_body_is_not_retried(self, translate_server):
         base_url, handler = translate_server("malformed")
-        translator = HttpTranslator(TranslatorEndpoint(base_url, retries=3))
+        translator = HttpTranslator(base_url, retries=3)
         with pytest.raises(TranslateError):
             translator.translate("q", "en", "fr")
         assert handler.hits == 1
@@ -87,7 +86,7 @@ class TestHttpTranslator:
     def test_non_object_success_body_is_not_retried(self, translate_server):
         # A 200 carrying a JSON array used to raise an uncaught TypeError.
         base_url, handler = translate_server("not_object")
-        translator = HttpTranslator(TranslatorEndpoint(base_url, retries=3))
+        translator = HttpTranslator(base_url, retries=3)
         with pytest.raises(TranslateError, match="malformed 200"):
             translator.translate("q", "en", "fr")
         assert handler.hits == 1
@@ -95,7 +94,7 @@ class TestHttpTranslator:
     def test_lone_surrogate_text_is_malformed(self, translate_server):
         # It used to come back as a string that no UTF-8 writer can take.
         base_url, handler = translate_server("surrogate")
-        translator = HttpTranslator(TranslatorEndpoint(base_url, retries=3))
+        translator = HttpTranslator(base_url, retries=3)
         with pytest.raises(TranslateError, match="malformed 200 .*lone surrogate"):
             translator.translate("q", "en", "fr")
         assert handler.hits == 1
@@ -104,7 +103,7 @@ class TestHttpTranslator:
         # A listener that never answers: every attempt connects, then times out.
         with socket.create_server(("127.0.0.1", 0)) as silent:
             port = silent.getsockname()[1]
-            translator = HttpTranslator(TranslatorEndpoint(f"http://127.0.0.1:{port}", timeout_ms=100, retries=1))
+            translator = HttpTranslator(f"http://127.0.0.1:{port}", timeout_ms=100, retries=1)
             with pytest.raises(TranslateError, match="2 attempt"):
                 translator.translate("q", "en", "fr")
             silent.setblocking(False)
@@ -116,9 +115,7 @@ class TestHttpTranslator:
         assert attempts == 2
 
     def test_unreachable_endpoint(self):
-        translator = HttpTranslator(
-            TranslatorEndpoint("http://127.0.0.1:9", timeout_ms=200, retries=0)
-        )
+        translator = HttpTranslator("http://127.0.0.1:9", timeout_ms=200, retries=0)
         with pytest.raises(TranslateError):
             translator.translate("q", "en", "fr")
 

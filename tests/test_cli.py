@@ -8,6 +8,7 @@ import shutil
 import sqlite3
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -275,7 +276,8 @@ class TestStats:
         assert cmd(["stats", "--corpus", "corpus.jsonl", "--schema", "schema.json",
                     "--out", "stats.json"]) == 0
         payload = read_json("stats.json")
-        expected = corpus_stats(clinic.corpus, clinic.schema).to_dict()
+        # The file holds the tuple columns_per_table as a JSON array.
+        expected = json.loads(json.dumps(asdict(corpus_stats(clinic.corpus, clinic.schema))))
         assert payload == {"format_version": 1, **expected}
 
     def test_missing_corpus_file_exits_three(self, workdir):
@@ -422,6 +424,24 @@ class TestLinearize:
         assert inputs[1] == "* FLIGHT DEST text DELAY number DAY datetime [SEP] list destinations"
 
 
+    @pytest.mark.parametrize("record, message", [
+        ({"id": "t1", "question_template": "why is [SEP] here", "sql": "SELECT COUNT(*) FROM DEMOGRAPHIC"},
+         "sample 't1', template question: question contains the separator token '[SEP]'"),
+        ({"id": "s1", "question_template": "how many patients are there", "synthetic": [{"text": " ", "pivot": "fr"}],
+          "sql": "SELECT COUNT(*) FROM DEMOGRAPHIC"},
+         "sample 's1', synthetic question: question is empty"),
+    ], ids=["separator-in-template", "blank-synthetic"])
+    def test_a_rejected_question_names_its_sample_and_source(self, workdir, capsys, record, message):
+        # Both used to exit 2 without saying which sample was at fault.
+        write_jsonl("bad.jsonl", [{"id": "ok", "question_template": "how many", "sql": "SELECT COUNT(*) FROM LAB"},
+                                  record])
+        Path("bad.tsv").write_text(f"ok\tTRAIN\n{record['id']}\tTRAIN\n", encoding="utf-8")
+        assert cmd(["linearize", "--corpus", "bad.jsonl", "--schema", "schema.json", "--assignment", "bad.tsv",
+                    "--question-source", "all", "--out", "bad_train.jsonl"]) == 2
+        assert capsys.readouterr().err == f"medsql linearize: data error: {message}\n"
+        assert not Path("bad_train.jsonl").exists()
+
+
 class TestAugment:
     def test_stub_run_is_deterministic(self, clinic, tmp_path, monkeypatch):
         outputs = {}
@@ -495,6 +515,30 @@ class TestAugment:
         assert cmd(["augment", "--corpus", "small.jsonl", "--out", "via_stub.jsonl",
                     "--report", "stub_report.json", "--stub"]) == 0
         assert load_corpus("via_http.jsonl") == load_corpus("via_stub.jsonl")
+
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("pivots", ["fr,fr", "de, fr,de", "", " , "])
+    def test_pivots_naming_none_or_one_twice_exit_two_before_any_input_is_read(
+        self, workdir, capsys, pivots, source
+    ):
+        # "fr,fr" used to add every fr paraphrase twice; "" used to add nothing and exit 0.
+        if source == "flag":
+            option = ["--pivots", pivots]
+        else:
+            Path("cfg.json").write_text(json.dumps({"pivots": pivots}), encoding="utf-8")
+            option = ["--config", "cfg.json"]
+        # absent.jsonl does not exist: reading it would exit 3.
+        assert cmd(["augment", "--corpus", "absent.jsonl", "--stub", "--out", "aug.jsonl", *option]) == 2
+        assert capsys.readouterr().err == (
+            f"medsql augment: data error: --pivots must name at least one pivot, each once, not {pivots!r}\n")
+        assert not Path("aug.jsonl").exists() and not Path("augment_report.json").exists()
+
+    def test_pivots_are_trimmed_and_blank_entries_skipped(self, workdir):
+        assert cmd(["augment", "--corpus", "corpus.jsonl", "--stub", "--out", "a.jsonl", "--report", "a.json"]) == 0
+        assert cmd(["augment", "--corpus", "corpus.jsonl", "--stub", "--out", "b.jsonl", "--report", "b.json",
+                    "--pivots", " fr,, de "]) == 0
+        assert Path("a.jsonl").read_bytes() == Path("b.jsonl").read_bytes()
 
 
 class TestRerank:
@@ -836,6 +880,49 @@ class TestMalformedInputFiles:
         assert not Path("out.json").exists()
 
 
+class TestSchemaErrors:
+    @pytest.mark.parametrize("body, detail", [
+        (b"{", "the document is not valid JSON: "),
+        (b"[]", "the document must hold a JSON object"),
+        (b"{}", "missing key 'tables'"),
+        (b'{"tables": "LAB"}', "'tables' must be a list of objects"),
+        (b'{"tables": 1.5}', "'tables' must be a list of objects"),
+        (b'{"tables": ["LAB"]}', "'tables' must be a list of objects"),
+        (b'{"tables": [{"columns": []}]}', "missing key 'name'"),
+        (b'{"tables": [{"name": "T"}]}', "missing key 'columns'"),
+        (b'{"tables": [{"name": "T", "columns": {"A": "text"}}]}', "'columns' must be a list of objects"),
+        (b'{"tables": [{"name": "T", "columns": [null]}]}', "'columns' must be a list of objects"),
+        (b'{"tables": [{"name": "T", "columns": [{"name": "A"}]}]}', "missing key 'attr'"),
+        (b'{"tables": [{"name": "T", "columns": [{"attr": "text"}]}]}', "missing key 'name'"),
+        (b'{"tables": [{"name": 5, "columns": []}]}', "table name must be a string, not int"),
+        (b'{"tables": [{"name": "T", "columns": [{"name": "A", "attr": ["text"]}]}]}',
+         "column A: unknown attribute ['text']"),
+    ])
+    @pytest.mark.parametrize("argv", [
+        ["ingest", "--corpus", "corpus.jsonl"],
+        ["stats", "--corpus", "corpus.jsonl"],
+        ["recover", "--preds", "preds.jsonl", "--db", "clinic.db", "--report", "r.json"],
+    ], ids=["ingest", "stats", "recover"])
+    def test_name_the_file_in_the_terms_of_the_schema_format(self, workdir, capsys, argv, body, detail):
+        # These used to name no file, and several carried Python's own text
+        # ("'tables'", "string indices must be integers, not 'str'").
+        write_jsonl("preds.jsonl", [{"id": "a", "sql": "SELECT COUNT(*) FROM LAB"}])
+        Path("bad_schema.json").write_bytes(body)
+        assert cmd(argv + ["--schema", "bad_schema.json", "--out", "out.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"medsql {argv[0]}: data error: schema file bad_schema.json: {detail}")
+        assert err.count("\n") == 1
+        assert not Path("out.json").exists()
+
+    def test_a_record_schema_keeps_its_record_prefix(self, workdir, capsys):
+        write_jsonl("raw.jsonl", [
+            {"id": "a", "question_template": "q", "sql": "SELECT COUNT(*) FROM LAB"},
+            {"id": "b", "question_template": "q", "sql": "SELECT COUNT(*) FROM LAB", "schema": {"tables": [{}]}},
+        ])
+        assert cmd(["ingest", "--corpus", "raw.jsonl", "--schema", "schema.json", "--out", "out.jsonl"]) == 2
+        assert capsys.readouterr().err == "medsql ingest: data error: record 2: missing key 'name'\n"
+
+
 class TestLoneSurrogate:
     """JSON may escape a lone surrogate, which neither a UTF-8 file nor SQLite
     can take: each of these used to die with a UnicodeEncodeError traceback."""
@@ -1087,7 +1174,7 @@ PACKAGE_SURFACE = [
     "build_exec_db", "build_model_input", "build_value_lookup", "corpus_stats", "evaluate",
     "execution_match", "export_training_file", "linearize_schema", "load_corpus", "load_schema",
     "logic_form_match", "parse_sql", "recover_query", "recover_value", "rerank_file", "rouge_l_f1",
-    "save_corpus", "serialize_sql", "similarity", "table_positions", "tokenize_sql", "verify_split",
+    "save_corpus", "serialize_sql", "similarity", "tokenize_sql", "verify_split",
 ]
 
 

@@ -39,25 +39,25 @@ class TestLinearizeSchema:
 
 class TestModelInput:
     def test_golden_input(self):
-        got = build_model_input(GOLDEN_SCHEMA, "What is the age of John Doe?")
-        assert got.text == GOLDEN_LINEARIZATION + " [SEP] What is the age of John Doe?"
+        got = build_model_input(GOLDEN_LINEARIZATION, "What is the age of John Doe?")
+        assert got == GOLDEN_LINEARIZATION + " [SEP] What is the age of John Doe?"
 
     def test_custom_separator(self):
-        got = build_model_input(GOLDEN_SCHEMA, "a question", sep="<sep>")
-        assert " <sep> a question" in got.text
-        assert "[SEP]" not in got.text
+        got = build_model_input(GOLDEN_LINEARIZATION, "a question", sep="<sep>")
+        assert " <sep> a question" in got
+        assert "[SEP]" not in got
 
     def test_blank_question_rejected(self):
         with pytest.raises(EmptyQuestion):
-            build_model_input(GOLDEN_SCHEMA, "   ")
+            build_model_input(GOLDEN_LINEARIZATION, "   ")
 
     def test_question_containing_separator_rejected(self):
         with pytest.raises(ReservedToken):
-            build_model_input(GOLDEN_SCHEMA, "why is [SEP] here")
+            build_model_input(GOLDEN_LINEARIZATION, "why is [SEP] here")
 
     def test_separator_appears_exactly_once(self, clinic):
-        got = build_model_input(clinic.schema, "how many patients are there")
-        assert got.text.count("[SEP]") == 1
+        got = build_model_input(linearize_schema(clinic.schema), "how many patients are there")
+        assert got.count("[SEP]") == 1
 
 
 class TestExport:

@@ -4,6 +4,7 @@ import json
 import shutil
 import sqlite3
 from contextlib import closing
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -200,7 +201,7 @@ class TestComponentBreakdown:
 
     def test_identical_queries_set_every_flag(self):
         flags = self._flags(self.GOLD, self.GOLD)
-        assert all(flags.as_dict().values())
+        assert all(asdict(flags).values())
 
     def test_changed_value_only_clears_cond_val(self):
         pred = self.GOLD.replace('"abnormal"', '"normal"')
@@ -214,14 +215,14 @@ class TestComponentBreakdown:
             'INNER JOIN LAB ON DEMOGRAPHIC.HADM_ID = LAB.HADM_ID '
             'WHERE DEMOGRAPHIC.AGE > 25 AND LAB.FLAG = "abnormal"'
         )
-        assert all(self._flags(self.GOLD, pred).as_dict().values())
+        assert all(asdict(self._flags(self.GOLD, pred)).values())
 
     def test_select_order_does_not_matter(self):
         flags = self._flags(
             "SELECT A, B FROM T",
             "SELECT B, A FROM T",
         )
-        assert all(flags.as_dict().values())
+        assert all(asdict(flags).values())
 
     def test_join_orientation_does_not_matter(self):
         pred = self.GOLD.replace(

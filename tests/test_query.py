@@ -20,11 +20,9 @@ from medsql.query import (
     LiteralKind,
     SelectItem,
     SqlQuery,
-    TablePosition,
     parse_sql,
     rename_tables,
     serialize_sql,
-    table_positions,
     tokenize_sql,
 )
 
@@ -280,10 +278,6 @@ class TestParse:
     def test_or_connector_kept(self):
         q = parse_sql('SELECT A FROM T WHERE B = 1 OR C = 2 AND D = 3')
         assert [c.connector for c in q.conditions] == [None, Connector.OR, Connector.AND]
-
-    def test_table_positions(self):
-        q = parse_sql("SELECT A FROM T INNER JOIN U ON T.X = U.X")
-        assert table_positions(q) == {"T": TablePosition.MAIN, "U": TablePosition.JOINED}
 
     def test_truncated_query_reports_offset(self):
         with pytest.raises(ParseError) as exc:

@@ -177,7 +177,8 @@ class TestAssignmentIo:
 class TestReport:
     def test_report_carries_reference_sizes(self, clinic):
         assignment = assign_splits(clinic.corpus, SPEC)
-        report = split_report(assignment, SPEC, pool_size=len(pool_ids(clinic.corpus)))
+        report = split_report(assignment, SPEC)
+        assert report["eval_pool_size"] == len(pool_ids(clinic.corpus))
         assert report["reference"]["sizes"] == REFERENCE_SPLIT_SIZES
         assert report["sizes"]["TEST"] == 400
         assert report["reference"]["matches"] is False
@@ -186,7 +187,8 @@ class TestReport:
 
     def test_report_totals_are_consistent(self, clinic):
         assignment = assign_splits(clinic.corpus, SPEC)
-        report = split_report(assignment, SPEC, pool_size=len(pool_ids(clinic.corpus)))
+        report = split_report(assignment, SPEC)
+        assert report["eval_pool_size"] == len(pool_ids(clinic.corpus))
         assert report["total"] == sum(report["sizes"].values()) == len(clinic.corpus)
 
 

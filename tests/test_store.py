@@ -6,7 +6,7 @@ import re
 import shutil
 import sqlite3
 from contextlib import closing
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -106,7 +106,7 @@ class TestSchema:
     def test_lookups_are_case_insensitive(self, clinic):
         table = clinic.schema.table("lab")
         assert table.name == "LAB"
-        assert clinic.schema.attr_of("Lab", "label") == "text"
+        assert table.column("label").attr == "text"
         assert table.column("Flag").name == "FLAG"
 
     def test_unknown_attr_rejected(self):
@@ -817,4 +817,4 @@ class TestCorpusStats:
 
     def test_to_dict_is_json_friendly(self, clinic):
         stats = corpus_stats(self._mini_corpus(), clinic.schema)
-        assert json.loads(json.dumps(stats.to_dict()))["n_samples"] == 3
+        assert json.loads(json.dumps(asdict(stats)))["n_samples"] == 3
