@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import contextlib
 import json
 import os
 import sys
@@ -487,9 +488,15 @@ def _check_outputs(resolved: dict[str, Any]) -> None:
 
 def cmd(argv: list[str]) -> int:
     """Run one subcommand and return the process exit code: resolve its
-    options, require its input files and distinct output files, hash the
-    inputs, run its stage, write one manifest per output after all outputs,
-    and print its summary line."""
+    options, require its input files and distinct output files, start
+    hashing the inputs, run its stage, write one manifest per output after
+    all outputs, and print its summary line.
+
+    An input over 1 MiB is hashed on a second thread while the stage runs,
+    from a file opened before it. The thread is joined before this returns,
+    whatever the stage does. Its read error exits 3 with no manifest
+    written, unless the stage failed first: then the stage's error is the
+    one reported."""
     parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
@@ -508,11 +515,16 @@ def cmd(argv: list[str]) -> int:
         if missing:
             raise _UsageError("missing required option(s): " + ", ".join(f"--{dest}" for dest in missing))
         _check_outputs(resolved)
-        # Hashed before the stage runs: an output may overwrite its input.
-        digests = hash_inputs({dest: resolved[dest] for dest in inputs if resolved[dest]})
-        outputs, summary = handler(resolved)
+        # Opened before the stage runs: an output may replace its input.
+        hashed = hash_inputs({dest: resolved[dest] for dest in inputs if resolved[dest]})
+        try:
+            outputs, summary = handler(resolved)
+        except BaseException:
+            with contextlib.suppress(Exception):
+                hashed()  # joins the hashing thread; the stage's error wins
+            raise
         write_manifests(outputs, command=name, tool_version=__version__, config=resolved, seed=resolved.get("seed"),
-                        inputs=digests)
+                        inputs=hashed())
         print(summary)
         return 0
     except _UsageError as exc:

@@ -69,10 +69,14 @@ def load_predictions(path: str | Path) -> dict[str, Prediction]:
             raw = rec["candidates"]
             if not isinstance(raw, list) or not raw:
                 raise RecordError(lineno, "candidates must be a non-empty list")
-            try:
-                pairs = [(c["sql"], _finite_score(c["score"])) for c in raw]
-            except (KeyError, TypeError) as exc:
-                raise RecordError(lineno, f"malformed candidate: {exc}") from exc
+            pairs = []
+            for n, c in enumerate(raw, start=1):
+                if not isinstance(c, dict):
+                    raise RecordError(lineno, f"candidate {n} must be an object with sql and score")
+                for key in ("sql", "score"):
+                    if key not in c:
+                        raise RecordError(lineno, f"candidate {n}: missing key {key!r}")
+                pairs.append((c["sql"], _finite_score(c["score"])))
             if any(not isinstance(sql, str) or not sql for sql, _ in pairs):
                 raise RecordError(lineno, "candidate sql must be a non-empty string")
             if any(score is None for _, score in pairs):

@@ -7,10 +7,12 @@ import io
 import json
 import os
 import re
+import stat
 import tempfile
-from collections.abc import Iterable, Iterator, Mapping
+import threading
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from pathlib import Path
-from typing import Any
+from typing import Any, BinaryIO
 
 from .errors import DataError, RecordError
 
@@ -142,10 +144,79 @@ def manifest_path(output_path: str | Path) -> Path:
     return output_path.with_name(output_path.name + ".manifest.json")
 
 
-def hash_inputs(inputs: Mapping[str, str | Path]) -> dict[str, dict[str, str]]:
-    """A manifest's ``inputs``: each named input file's path and digest,
-    hashed once, in name order."""
-    return {name: {"path": str(path), "sha256": file_sha256(path)} for name, path in sorted(inputs.items())}
+# An input larger than this is hashed on a second thread while the stage
+# runs; hashing a smaller one inline costs less than starting a thread.
+_INLINE_HASH_BYTES = 1 << 20
+
+
+def _sha256_open(fh: BinaryIO) -> str:
+    """The digest of an open file from its position to its end, read in
+    1 MiB chunks into one buffer. The hashing thread runs it, so it calls
+    no function a tracer may wrap."""
+    digest = hashlib.sha256()
+    buffer = bytearray(1 << 20)
+    view = memoryview(buffer)
+    while size := fh.readinto(buffer):
+        digest.update(view[:size])
+    return digest.hexdigest()
+
+
+def hash_inputs(inputs: Mapping[str, str | Path]) -> Callable[[], dict[str, dict[str, str]]]:
+    """Start hashing the input files named by option and return the call
+    that gives a manifest's ``inputs``: each file's path and digest, hashed
+    once, in name order. That call waits for the hashing and re-raises its
+    read error; make it on every path, or files stay open and a thread runs on.
+
+    A pipe, socket or character device cannot be read twice, so naming one
+    is a :class:`DataError` raised before any input is read. A file of at
+    most ``_INLINE_HASH_BYTES`` is hashed here. A larger one is opened here
+    and hashed on one thread while the caller goes on. So a missing or
+    unreadable input fails before this returns, and an output renamed onto
+    an input later leaves the digest of the bytes that were there."""
+    names = sorted(inputs)
+    sizes = {}
+    for name in names:
+        info = os.stat(inputs[name])
+        if stat.S_ISFIFO(info.st_mode) or stat.S_ISSOCK(info.st_mode) or stat.S_ISCHR(info.st_mode):
+            raise DataError(f"--{name} must name a file, not a pipe, socket or device: {inputs[name]}")
+        sizes[name] = info.st_size
+    digests: dict[str, str] = {}
+    large: dict[str, BinaryIO] = {}
+    failed: list[Exception] = []
+
+    def work() -> None:
+        try:
+            for name, fh in large.items():
+                digests[name] = _sha256_open(fh)
+        except Exception as exc:
+            failed.append(exc)
+        finally:
+            for fh in large.values():
+                fh.close()
+
+    worker = None
+    try:
+        for name in names:
+            if sizes[name] > _INLINE_HASH_BYTES:
+                large[name] = open(inputs[name], "rb", buffering=0)
+            else:
+                digests[name] = file_sha256(inputs[name])
+        if large:
+            worker = threading.Thread(target=work, name="medsql-hash-inputs")
+            worker.start()
+    except BaseException:
+        for fh in large.values():
+            fh.close()
+        raise
+
+    def join() -> dict[str, dict[str, str]]:
+        if worker:
+            worker.join()
+        if failed:
+            raise failed[0]
+        return {name: {"path": str(inputs[name]), "sha256": digests[name]} for name in names}
+
+    return join
 
 
 def write_manifests(
@@ -158,9 +229,9 @@ def write_manifests(
     seed: int | None = None,
 ) -> list[Path]:
     """Write the run manifest that accompanies each output file; ``inputs``
-    is what :func:`hash_inputs` gave before the run. A manifest is fully
-    determined by the inputs and configuration (no timestamps), so
-    identical reruns produce identical bytes.
+    is what the call :func:`hash_inputs` returned gives once the stage has
+    run. A manifest is fully determined by the inputs and configuration (no
+    timestamps), so identical reruns produce identical bytes.
     """
     shared = {
         "format_version": FORMAT_VERSION,

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import os
 import shutil
+import socket
 import sqlite3
 import subprocess
 import sys
+import threading
+import time
 from dataclasses import asdict
 from pathlib import Path
 
@@ -820,6 +824,197 @@ class TestPipeline:
         assert len(manifest["inputs"]["corpus"]["sha256"]) == 64
         assert "config_hash" in manifest
         assert "timestamp" not in json.dumps(manifest)
+
+
+def _pipeline(clinic) -> list[list[str]]:
+    """The eight commands, in pipeline order, on the staged clinic files;
+    writes the beam file that rerank reads."""
+    write_jsonl("beams.jsonl", [
+        {"id": s.id, "candidates": [{"sql": "SELECT NOPE FROM NOWHERE", "score": 0.9},
+                                    {"sql": s.gold_sql.replace("ASSAY", "assay"), "score": 0.5}]}
+        for s in _test_samples(clinic)
+    ])
+    return [
+        ["ingest", "--corpus", "corpus.jsonl", "--schema", "schema.json", "--out", "ingested.jsonl"],
+        ["stats", "--corpus", "ingested.jsonl", "--schema", "schema.json"],
+        ["split", "--corpus", "ingested.jsonl", "--test-size", "400", "--seed", "7", "--schema", "schema.json"],
+        ["linearize", "--corpus", "ingested.jsonl", "--schema", "schema.json",
+         "--assignment", "split_assignment.tsv"],
+        ["augment", "--corpus", "ingested.jsonl", "--stub"],
+        ["rerank", "--preds", "beams.jsonl", "--db", "clinic.db"],
+        ["recover", "--preds", "reranked_predictions.jsonl", "--db", "clinic.db", "--schema", "schema.json"],
+        ["eval", "--corpus", "ingested.jsonl", "--assignment", "split_assignment.tsv",
+         "--preds", "recovered_predictions.jsonl", "--db", "clinic.db"],
+    ]
+
+
+def _pad(path: str, size: int) -> bytes:
+    """Append a whitespace-only line to a JSON Lines file until it holds
+    more than ``size`` bytes; readers skip the line. Returns the bytes."""
+    data = Path(path).read_bytes()
+    data += b" " * (size + 1 - len(data)) + b"\n"
+    Path(path).write_bytes(data)
+    return data
+
+
+@pytest.fixture()
+def thread_hashed(monkeypatch) -> list[tuple[str, int]]:
+    """(file name, thread id) of every file hashed on the hashing thread."""
+    seen: list[tuple[str, int]] = []
+    sha256_open = records._sha256_open
+
+    def spy(fh):
+        seen.append((fh.name, threading.get_ident()))
+        return sha256_open(fh)
+
+    monkeypatch.setattr(records, "_sha256_open", spy)
+    return seen
+
+
+def _hash_threads() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name == "medsql-hash-inputs"]
+
+
+class TestHashingThread:
+    def test_every_input_on_the_thread_gives_the_same_bytes(self, clinic, tmp_path, monkeypatch, capsys,
+                                                             thread_hashed):
+        runs = {}
+        for threshold in (records._INLINE_HASH_BYTES, 0):
+            monkeypatch.setattr(records, "_INLINE_HASH_BYTES", threshold)
+            thread_hashed.clear()
+            directory = tmp_path / str(threshold)
+            _stage(clinic, directory)
+            monkeypatch.chdir(directory)
+            codes = [cmd(argv) for argv in _pipeline(clinic)]
+            files = {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+            runs[threshold] = (codes, capsys.readouterr(), files, len(thread_hashed))
+        (codes, out, files, threaded), (codes0, out0, files0, threaded0) = runs.values()
+        assert codes == codes0 == [0] * 8
+        assert (out.out, out.err) == (out0.out, out0.err)
+        assert files == files0
+        assert sum(name.endswith(".manifest.json") for name in files) == 11
+        # Every input of every command, against none at the default.
+        assert (threaded, threaded0) == (0, 19)
+
+    def test_a_large_input_is_hashed_once_off_the_calling_thread(self, workdir, monkeypatch, thread_hashed):
+        data = _pad("corpus.jsonl", records._INLINE_HASH_BYTES)
+        inline = []
+        file_sha256 = records.file_sha256
+        monkeypatch.setattr(records, "file_sha256", lambda path: inline.append(path) or file_sha256(path))
+        assert cmd(["stats", "--corpus", "corpus.jsonl", "--schema", "schema.json"]) == 0
+        assert inline == ["schema.json"]
+        assert [name for name, _ in thread_hashed] == ["corpus.jsonl"]
+        assert thread_hashed[0][1] != threading.get_ident()
+        digest = hashlib.sha256(data).hexdigest()
+        assert read_json("corpus_stats.json.manifest.json")["inputs"]["corpus"] == {
+            "path": "corpus.jsonl", "sha256": digest}
+        assert not _hash_threads()
+
+    def test_an_in_place_augment_of_a_large_corpus_records_the_digest_of_what_it_read(self, workdir, thread_hashed):
+        data = _pad("corpus.jsonl", records._INLINE_HASH_BYTES)
+        assert cmd(["augment", "--corpus", "corpus.jsonl", "--stub", "--out", "corpus.jsonl"]) == 0
+        assert [name for name, _ in thread_hashed] == ["corpus.jsonl"]
+        read = hashlib.sha256(data).hexdigest()
+        assert read_json("corpus.jsonl.manifest.json")["inputs"]["corpus"]["sha256"] == read
+        assert hashlib.sha256(Path("corpus.jsonl").read_bytes()).hexdigest() != read
+
+    def test_a_stage_that_exits_two_leaves_no_thread_and_no_file_open(self, workdir, clinic, monkeypatch):
+        monkeypatch.setattr(records, "_INLINE_HASH_BYTES", 0)
+        opened = []
+        sha256_open = records._sha256_open
+
+        def slow(fh):
+            opened.append(fh)
+            time.sleep(0.05)  # still hashing when the stage fails
+            return sha256_open(fh)
+
+        monkeypatch.setattr(records, "_sha256_open", slow)
+        assert cmd(SPLIT_ARGS) == 0
+        write_jsonl("partial.jsonl", [{"id": s.id, "sql": s.gold_sql} for s in _test_samples(clinic)[:10]])
+        threads = threading.active_count()
+        opened.clear()
+        assert cmd(["eval", "--corpus", "corpus.jsonl", "--assignment", "split_assignment.tsv",
+                    "--preds", "partial.jsonl", "--db", "clinic.db", "--strict"]) == 2
+        assert [Path(fh.name).name for fh in opened] == [
+            "split_assignment.tsv", "corpus.jsonl", "clinic.db", "partial.jsonl"]
+        assert all(fh.closed for fh in opened)
+        assert threading.active_count() == threads
+        assert not _hash_threads()
+
+    @pytest.fixture()
+    def unreadable(self, monkeypatch):
+        """Every input goes to the thread, and reading it there fails."""
+
+        def failing(fh):
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(records, "_INLINE_HASH_BYTES", 0)
+        monkeypatch.setattr(records, "_sha256_open", failing)
+
+    def test_a_read_error_on_the_thread_exits_three_and_writes_no_manifest(self, workdir, unreadable, capsys):
+        assert cmd(["stats", "--corpus", "corpus.jsonl", "--schema", "schema.json"]) == 3
+        assert "medsql stats: environment error: [Errno 5] Input/output error" in capsys.readouterr().err
+        assert not Path("corpus_stats.json.manifest.json").exists()
+        assert not _hash_threads()
+
+    def test_the_stages_data_error_wins_over_a_read_error_on_the_thread(self, workdir, unreadable, capsys):
+        Path("broken.jsonl").write_text("{not json}\n", encoding="utf-8")
+        assert cmd(["stats", "--corpus", "broken.jsonl", "--schema", "schema.json"]) == 2
+        err = capsys.readouterr().err
+        assert "medsql stats: data error: record 1: invalid JSON" in err
+        assert "Input/output error" not in err
+        assert not _hash_threads()
+
+    @pytest.mark.parametrize("extra, threaded", [(0, ["corpus.jsonl"]), (1, [])], ids=["over", "at"])
+    def test_a_file_of_the_threshold_size_is_hashed_inline(self, workdir, monkeypatch, thread_hashed, extra,
+                                                           threaded):
+        size = Path("corpus.jsonl").stat().st_size
+        monkeypatch.setattr(records, "_INLINE_HASH_BYTES", size - 1 + extra)
+        finish = records.hash_inputs({"corpus": "corpus.jsonl"})
+        digest = hashlib.sha256(Path("corpus.jsonl").read_bytes()).hexdigest()
+        assert finish() == {"corpus": {"path": "corpus.jsonl", "sha256": digest}}
+        assert [name for name, _ in thread_hashed] == threaded
+
+
+def _a_pipe() -> str:
+    """The read end of a pipe holding the first bytes of the corpus, as a path."""
+    read_end, write_end = os.pipe()
+    os.write(write_end, Path("corpus.jsonl").read_bytes()[:4096])
+    os.close(write_end)
+    return f"/dev/fd/{read_end}"
+
+
+def _a_socket() -> str:
+    with socket.socket(socket.AF_UNIX) as server:
+        server.bind("s.sock")
+    return "s.sock"
+
+
+class TestSpecialInputFiles:
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("make", [_a_pipe, _a_socket, lambda: os.devnull], ids=["pipe", "socket", "device"])
+    def test_exit_two_naming_the_option_before_any_input_is_read(self, workdir, monkeypatch, capsys, make):
+        # The hash used to drain a pipe before the stage read it: "ingested 0 samples", exit 0.
+        path = make()
+        hashed = []
+        file_sha256 = records.file_sha256
+        monkeypatch.setattr(records, "file_sha256", lambda p: hashed.append(p) or file_sha256(p))
+        before = sorted(os.listdir())
+        assert cmd(["ingest", "--corpus", path, "--schema", "schema.json", "--out", "out.jsonl"]) == 2
+        err = capsys.readouterr().err
+        assert f"medsql ingest: data error: --corpus must name a file, not a pipe, socket or device: {path}" in err
+        assert hashed == []
+        assert sorted(os.listdir()) == before
+        if path.startswith("/dev/fd/"):
+            fd = int(path.rsplit("/", 1)[1])
+            assert os.read(fd, 10) == Path("corpus.jsonl").read_bytes()[:10]
+            os.close(fd)
+
+    def test_a_directory_still_exits_three(self, workdir, capsys):
+        Path("adir").mkdir()
+        assert cmd(["ingest", "--corpus", "adir", "--schema", "schema.json", "--out", "out.jsonl"]) == 3
+        assert "medsql ingest: environment error:" in capsys.readouterr().err
+        assert not Path("out.jsonl").exists()
 
 
 class TestCollidingOutputs:

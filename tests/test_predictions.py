@@ -69,8 +69,8 @@ class TestLoadPredictions:
             (b'{"id": "q2", "candidates": []}', "record 3: candidates must be a non-empty list"),
             (b'{"id": "q2", "candidates": {"sql": "SELECT 1", "score": 1}}',
              "record 3: candidates must be a non-empty list"),
-            (b'{"id": "q2", "candidates": [{"score": 1.0}]}', "record 3: malformed candidate: 'sql'"),
-            (b'{"id": "q2", "candidates": [{"sql": "SELECT 1"}]}', "record 3: malformed candidate: 'score'"),
+            (b'{"id": "q2", "candidates": [{"score": 1.0}]}', "record 3: candidate 1: missing key 'sql'"),
+            (b'{"id": "q2", "candidates": [{"sql": "SELECT 1"}]}', "record 3: candidate 1: missing key 'score'"),
             (b'{"id": "q2", "sql": ""}', "record 3: sql must be a non-empty string"),
             (b'{"id": "q2", "sql": ["SELECT 1"]}', "record 3: sql must be a non-empty string"),
             (b'{"id": "q2", "score": 1.0}', "record 3: record has neither sql nor candidates"),
@@ -90,6 +90,27 @@ class TestLoadPredictions:
         with pytest.raises(RecordError) as exc:
             load_predictions(path)
         assert (str(exc.value), exc.value.line) == (message, 3)
+
+    @pytest.mark.parametrize(
+        "candidate, message",
+        [
+            ('["SELECT 1", 1.0]', "candidate 2 must be an object with sql and score"),
+            ("null", "candidate 2 must be an object with sql and score"),
+            ('"SELECT 1"', "candidate 2 must be an object with sql and score"),
+            ('{"sql": "SELECT 1"}', "candidate 2: missing key 'score'"),
+            ('{"score": 1.0}', "candidate 2: missing key 'sql'"),
+        ],
+        ids=["list", "null", "string", "without-score", "without-sql"],
+    )
+    def test_a_malformed_candidate_is_named_in_the_terms_of_the_format(self, tmp_path, candidate, message):
+        # These used to show Python's own text: "list indices must be integers or slices, not str",
+        # "'NoneType' object is not subscriptable" and "malformed candidate: 'score'".
+        path = tmp_path / "p.jsonl"
+        path.write_text('{"id": "q1", "candidates": [{"sql": "SELECT 1", "score": 2.0}, %s]}\n' % candidate,
+                        encoding="utf-8")
+        with pytest.raises(RecordError) as exc:
+            load_predictions(path)
+        assert (str(exc.value), exc.value.line) == (f"record 1: {message}", 1)
 
     @pytest.mark.parametrize(
         "escaped, text",
