@@ -473,12 +473,16 @@ def build_parser(only: str | None = None) -> _Parser:
 
 
 def _check_outputs(resolved: dict[str, Any]) -> None:
-    """A usage error unless a run's outputs (``--out``, ``--report``) and the
-    manifest beside each are all different files, so that none replaces another."""
+    """An environment error unless the directory of each of a run's outputs
+    (``--out``, ``--report``) exists, so that no output is written before
+    another fails; a usage error unless the outputs and the manifest beside
+    each are all different files, so that none replaces another."""
     named: dict[Path, str] = {}
     for dest in ("out", "report"):
         if resolved.get(dest):
             out = Path(resolved[dest])
+            if not out.parent.is_dir():
+                raise EnvError(f"--{dest} {out}: {out.parent} is not an existing directory")
             for path, role in ((out, f"--{dest}"), (manifest_path(out), f"the manifest of --{dest}")):
                 target = path.resolve()
                 if target in named:
@@ -488,9 +492,9 @@ def _check_outputs(resolved: dict[str, Any]) -> None:
 
 def cmd(argv: list[str]) -> int:
     """Run one subcommand and return the process exit code: resolve its
-    options, require its input files and distinct output files, start
-    hashing the inputs, run its stage, write one manifest per output after
-    all outputs, and print its summary line.
+    options, require its input files and distinct output files in existing
+    directories, start hashing the inputs, run its stage, write one
+    manifest per output after all outputs, and print its summary line.
 
     An input over 1 MiB is hashed on a second thread while the stage runs,
     from a file opened before it. The thread is joined before this returns,

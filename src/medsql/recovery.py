@@ -24,7 +24,7 @@ from .query import (
     parse_sql,
     serialize_sql,
 )
-from .store import ATTR_TEXT, ColumnValues, ValueLookup
+from .store import ATTR_TEXT, ColumnValues, LookupColumn, ValueLookup
 
 # A candidate is skipped only when its score bound is below the best score
 # by more than this, so float rounding in the bound cannot drop the argmax.
@@ -135,23 +135,27 @@ def _best_value(predicted: str, column: ColumnValues) -> tuple[str, float]:
     return best_value, best_score
 
 
-def recover_value(predicted: str, values: Sequence[str]) -> tuple[str, float]:
+def recover_value(predicted: str, values: Sequence[str] | LookupColumn) -> tuple[str, float]:
     """Pick the most similar value from a column's value set.
 
     Returns (value, combined score). An exact member is returned as-is.
     Ties go to the lexicographically smallest value. ``values`` is a
-    :class:`~medsql.store.ColumnValues` from a lookup, whose set answers
-    exact hits and whose memo answers a predicted string recovered before,
-    or any sequence, which is sorted and scanned. Candidates whose bag
-    bound cannot reach the best score are not scored; the answer is the
-    one a full scan gives.
+    :class:`~medsql.store.LookupColumn`, whose lookup answers an exact hit
+    with one indexed query and reads the column on its first miss, a
+    :class:`~medsql.store.ColumnValues`, whose set answers exact hits and
+    whose memo answers a predicted string recovered before, or any
+    sequence, which is sorted and scanned. Membership is asked first: a hit
+    implies a non-empty column. Candidates whose bag bound cannot reach
+    the best score are not scored; the answer is the one a full scan gives.
     """
-    if not isinstance(values, ColumnValues):
+    if predicted in values:
+        return predicted, 1.0
+    if isinstance(values, LookupColumn):
+        values = values.load()
+    elif not isinstance(values, ColumnValues):
         values = ColumnValues(sorted(values))
     if not values:
         raise UnknownColumn("empty value set")
-    if predicted in values:
-        return predicted, 1.0
     answer = values.memo.get(predicted)
     if answer is None:
         answer = values.memo[predicted] = _best_value(predicted, values)
@@ -207,8 +211,7 @@ def recover_query(pred_sql: str, lookup: ValueLookup) -> RecoveredQuery:
             if lookup.attr(table, column) != ATTR_TEXT:
                 new_conditions.append(cond)
                 continue
-            values = lookup.values(table, column)
-            chosen, _ = recover_value(cond.value.value, values)
+            chosen, _ = recover_value(cond.value.value, LookupColumn(lookup, table, column))
         except UnknownColumn:
             unresolved.append(cond.column.render())
             new_conditions.append(cond)

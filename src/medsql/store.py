@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import islice
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     ColumnTypeError,
@@ -445,9 +445,12 @@ def exec_connection(db: str | Path | sqlite3.Connection) -> Iterator[sqlite3.Con
 DEFAULT_TIMEOUT_MS = 5000
 
 
-def run_select(conn: sqlite3.Connection, sql: str, timeout_ms: int | None = None) -> list[tuple]:
-    """Execute one query and fetch all rows: the one place where a statement
-    runs on an execution connection.
+def run_select(
+    conn: sqlite3.Connection, sql: str, timeout_ms: int | None = None, params: Sequence[Any] = ()
+) -> list[tuple]:
+    """Execute one query, with ``params`` bound to its ``?`` placeholders,
+    and fetch all rows: the one place where a statement runs on an
+    execution connection.
 
     Every way the statement can fail raises :class:`QueryExecutionError`:
     an SQLite error (a denied action included), the ``sqlite3.Warning``
@@ -459,7 +462,7 @@ def run_select(conn: sqlite3.Connection, sql: str, timeout_ms: int | None = None
         deadline = time.monotonic() + timeout_ms / 1000.0
         conn.set_progress_handler(lambda: 1 if time.monotonic() > deadline else 0, 2000)
     try:
-        return conn.execute(sql).fetchall()
+        return conn.execute(sql, params).fetchall()
     except (sqlite3.Error, sqlite3.Warning, UnicodeEncodeError) as exc:
         raise QueryExecutionError(str(exc)) from exc
     finally:
@@ -502,10 +505,11 @@ class ValueLookup:
 
     The schema resolves names, case-insensitively, and answers ``attr``,
     ``tables_for_column`` (uppercase) and the :class:`UnknownColumn` of
-    pairs outside it; a column's ``SELECT DISTINCT`` runs on the borrowed
-    connection when :meth:`values` first asks for it. The connection gets
-    the authorizer of :func:`open_exec_db`, as in :func:`exec_connection`;
-    the lookup must not outlive it.
+    pairs outside it. Every query runs on the borrowed connection: a
+    column's ``SELECT DISTINCT`` when :meth:`values` first asks for it, and
+    one indexed point query per :meth:`contains` while it is not loaded.
+    The connection gets the authorizer of :func:`open_exec_db`, as in
+    :func:`exec_connection`; the lookup must not outlive it.
     """
 
     def __init__(self, conn: sqlite3.Connection, schema: SchemaDef):
@@ -521,8 +525,12 @@ class ValueLookup:
             raise UnknownColumn(f"{missing} {table}.{column}")
         return tab, col
 
+    def _names(self, table: str, column: str) -> tuple[str, str]:
+        tab, col = self._column(table, column, "no values recorded for")
+        return tab.name, col.name
+
     def values(self, table: str, column: str) -> ColumnValues:
-        tab, col = (d.name for d in self._column(table, column, "no values recorded for"))
+        tab, col = self._names(table, column)
         if (tab, col) not in self._loaded:
             # Qualified: a missing column is an error, not a string.
             name = f"{_quote(tab)}.{_quote(col)}"
@@ -533,11 +541,54 @@ class ValueLookup:
             self._loaded[tab, col] = ColumnValues(sorted(canonical_value(r[0]) for r in rows))
         return self._loaded[tab, col]
 
+    def contains(self, table: str, column: str, value: str) -> bool:
+        """Whether ``value`` is one of the column's :meth:`values`.
+
+        While the column is not loaded, one point query searches its index
+        for the first cell equal to ``value``. A ``str`` cell equal to it in
+        Python is a hit; under a collation other than BINARY, that first
+        cell of its equal group is also the one ``SELECT DISTINCT`` keeps.
+        Any other outcome (no cell, a number that the column's affinity made
+        of the text, a cell equal only under the column's collation, a
+        failed query) loads the column and answers from it. So the answer is
+        the one :meth:`values` gives, and a load error is raised in its terms.
+        """
+        tab, col = self._names(table, column)
+        loaded = self._loaded.get((tab, col))
+        if loaded is None:
+            name = f"{_quote(tab)}.{_quote(col)}"
+            try:
+                rows = run_select(self._conn, f"SELECT {name} FROM {_quote(tab)} WHERE {name} = ? LIMIT 1",
+                                  params=(value,))
+            except QueryExecutionError:
+                rows = []
+            if rows and isinstance(rows[0][0], str) and rows[0][0] == value:
+                return True
+            loaded = self.values(tab, col)
+        return value in loaded
+
     def attr(self, table: str, column: str) -> str:
         return self._column(table, column, "no such column")[1].attr
 
     def tables_for_column(self, column: str) -> tuple[str, ...]:
         return tuple(sorted(t.name.upper() for t in self._schema.tables if t.column(column) is not None))
+
+
+@dataclass(frozen=True)
+class LookupColumn:
+    """One column of a :class:`ValueLookup` as
+    :func:`~medsql.recovery.recover_value` takes it: ``in`` asks
+    :meth:`ValueLookup.contains`, :meth:`load` gives :meth:`ValueLookup.values`."""
+
+    lookup: ValueLookup
+    table: str
+    column: str
+
+    def __contains__(self, value: object) -> bool:
+        return self.lookup.contains(self.table, self.column, value)
+
+    def load(self) -> ColumnValues:
+        return self.lookup.values(self.table, self.column)
 
 
 def build_value_lookup(conn: sqlite3.Connection, schema: SchemaDef) -> ValueLookup:

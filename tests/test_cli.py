@@ -12,6 +12,7 @@ import subprocess
 import sys
 import threading
 import time
+from contextlib import closing
 from dataclasses import asdict
 from pathlib import Path
 
@@ -630,7 +631,28 @@ class TestRecover:
         write_jsonl("preds.jsonl", [{"id": "a", "sql": sql}])
         assert cmd(["recover", "--preds", "preds.jsonl", "--db", "clinic.db", "--schema", "extra_schema.json",
                     "--out", "out.jsonl"]) == 2
-        assert f"{table}.{column}" in capsys.readouterr().err
+        reason = "no such table: EXTRA" if table == "EXTRA" else f"no such column: {table}.{column}"
+        assert capsys.readouterr().err == (
+            f"medsql recover: data error: cannot read the values of {table}.{column} from the database: {reason}\n"
+        )
+        assert not Path("out.jsonl").exists()
+
+    def test_an_undecodable_cell_exits_two_only_when_a_miss_needs_its_column(self, workdir, capsys):
+        # Every recovery on such a column used to exit 2, even when each predicted value was a hit.
+        with closing(sqlite3.connect("t.db")) as conn:
+            conn.execute("CREATE TABLE T (C TEXT)")
+            conn.execute("INSERT INTO T VALUES ('a'), ('b'), (CAST(x'ff' AS TEXT))")
+            conn.execute("CREATE INDEX ix_1_T_C ON T (C)")
+            conn.commit()
+        Path("t.json").write_text(json.dumps({"tables": [{"name": "T", "columns": [{"name": "C", "attr": "text"}]}]}),
+                                  encoding="utf-8")
+        argv = ["recover", "--preds", "preds.jsonl", "--db", "t.db", "--schema", "t.json"]
+        write_jsonl("preds.jsonl", [{"id": "a", "sql": 'SELECT C FROM T WHERE T.C = "a"'}])
+        assert cmd(argv) == 0
+        assert read_jsonl("recovered_predictions.jsonl") == [{"id": "a", "sql": 'SELECT C FROM T WHERE T.C = "a"'}]
+        write_jsonl("preds.jsonl", [{"id": "a", "sql": 'SELECT C FROM T WHERE T.C = "c"'}])
+        assert cmd(argv + ["--out", "out.jsonl"]) == 2
+        assert "data error: cannot read the values of T.C from the database: Could not decode" in capsys.readouterr().err
         assert not Path("out.jsonl").exists()
 
     def test_missing_db_exits_three_when_no_column_is_needed(self, workdir):
@@ -1045,6 +1067,37 @@ class TestCollidingOutputs:
         assert f"medsql {name}: error: {message} " in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in workdir.iterdir() if p.is_file()} == before
         assert list(Path("sub").iterdir()) == []
+
+
+class TestOutputDirectories:
+    @pytest.mark.parametrize("dest", ["out", "report"])
+    @pytest.mark.parametrize("name", ["split", "augment", "recover"])
+    def test_exit_three_naming_the_option_and_leave_every_file_as_it_was(self, workdir, capsys, name, dest):
+        # split --seed 7 --report nodir/r.json used to replace the seed-0 assignment, keep
+        # its seed-0 manifest beside it, and then exit 3.
+        write_jsonl("preds.jsonl", [{"id": "a", "sql": 'SELECT NAME FROM DEMOGRAPHIC WHERE LANGUAGE = "engl"'}])
+        first, again = {
+            "split": (["split", "--corpus", "corpus.jsonl", "--test-size", "10", "--seed", "0"], ["--seed", "7"]),
+            "augment": (["augment", "--corpus", "corpus.jsonl", "--stub"], ["--pivots", "de"]),
+            "recover": (["recover", "--preds", "preds.jsonl", "--db", "clinic.db", "--schema", "schema.json"],
+                        ["--preds", "more.jsonl"]),
+        }[name]
+        assert cmd(first) == 0
+        write_jsonl("more.jsonl", [{"id": "b", "sql": 'SELECT NAME FROM DEMOGRAPHIC WHERE LANGUAGE = "port"'}])
+        before = {p.name: p.read_bytes() for p in workdir.iterdir() if p.is_file()}
+        capsys.readouterr()
+        assert cmd(first + again + [f"--{dest}", "nodir/r.json"]) == 3
+        assert capsys.readouterr().err == (
+            f"medsql {name}: environment error: --{dest} nodir/r.json: nodir is not an existing directory\n"
+        )
+        assert {p.name: p.read_bytes() for p in workdir.iterdir() if p.is_file()} == before
+        assert not Path("nodir").exists()
+
+    def test_a_file_is_not_a_directory(self, workdir, capsys):
+        Path("afile").write_text("kept\n", encoding="utf-8")
+        assert cmd(SPLIT_ARGS + ["--out", "afile/a.tsv"]) == 3
+        assert "environment error: --out afile/a.tsv: afile is not an existing directory" in capsys.readouterr().err
+        assert not Path("split_report.json").exists()
 
 
 class TestMalformedInputFiles:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sqlite3
 from contextlib import closing
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import medsql.recovery
-from medsql.errors import UnknownColumn
+from medsql.errors import DataError, UnknownColumn
 from medsql.recovery import (
     lcs_len,
     recover_query,
@@ -16,7 +17,15 @@ from medsql.recovery import (
     rouge_l_f1,
     similarity,
 )
-from medsql.store import ColumnValues, build_value_lookup, open_exec_db
+from medsql.store import (
+    ColumnDef,
+    ColumnValues,
+    LookupColumn,
+    SchemaDef,
+    TableDef,
+    build_value_lookup,
+    open_exec_db,
+)
 
 from .reference import ref_best_value, ref_combined, ref_lcs
 
@@ -280,3 +289,80 @@ class TestRecoverQuery:
             assert recovered.parsed
             for _, replacement in recovered.replacements:
                 assert replacement in languages
+
+
+# Hand-built one-column tables whose collation or stored types differ from
+# those of a built execution database: (declaration, cells, predictions).
+_COLUMNS = {
+    "nocase": ("TEXT COLLATE NOCASE", ["FOO", "foo", "Foo", "bar"], ["FOO", "foo", "fOO", "ba"]),
+    "numeric": ("NUMERIC", [3, "3", 3.0, 3.5, 1e20, "x"], ["3", "3.0", "3.5", "1e+20", "1" + "0" * 20, "x", "4"]),
+    "blob": ("TEXT", [b"foo", "foo", b"\xff"], ["foo", "b'foo'", "b'\\xff'", "fo"]),
+    "quote-nul": ("TEXT", ['a"b', "a\0b", "a", 'a""b'], ['a"b', "a\0b", "a\0", 'a""b', "a b", "a\ud800"]),
+    "null": ("TEXT", [None], ["x"]),
+}
+_T_C = SchemaDef((TableDef("T", (ColumnDef("C", "text"),)),))
+
+
+def _column_db(declaration, cells, indexed=True):
+    """An in-memory database holding ``T.C`` with ``cells``, in order."""
+    conn = sqlite3.connect(":memory:")
+    conn.execute(f"CREATE TABLE T (C {declaration})")
+    conn.executemany("INSERT INTO T VALUES (?)", [(cell,) for cell in cells])
+    if indexed:
+        conn.execute("CREATE INDEX ix_1_T_C ON T (C)")
+    return conn
+
+
+def _where_c(value):
+    return 'SELECT C FROM T WHERE T.C = "' + value.replace('"', '""') + '"'
+
+
+class TestPointQueryPath:
+    @given(st.sampled_from(sorted(_COLUMNS)), st.booleans(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_a_fresh_lookup_answers_as_a_loaded_column_does(self, kind, indexed, data):
+        declaration, cells, predictions = _COLUMNS[kind]
+        rows = data.draw(st.lists(st.sampled_from(cells), min_size=1, max_size=6), label="rows")
+        with closing(_column_db(declaration, rows, indexed)) as conn:
+            loaded = build_value_lookup(conn, _T_C)
+            loaded.values("T", "C")
+            for sql in map(_where_c, predictions):
+                assert recover_query(sql, build_value_lookup(conn, _T_C)) == recover_query(sql, loaded), sql
+
+    def test_an_all_null_column_is_an_empty_value_set(self):
+        with closing(_column_db("TEXT", [None, None])) as conn:
+            lookup = build_value_lookup(conn, _T_C)
+            with pytest.raises(UnknownColumn, match="^empty value set$"):
+                recover_value("x", LookupColumn(lookup, "T", "C"))
+            assert recover_query(_where_c("x"), lookup).unresolved == ("T.C",)
+
+    def test_a_hit_reports_itself_through_the_returned_value(self, clinic, similarity_calls):
+        with closing(open_exec_db(clinic.db_path)) as conn:
+            column = LookupColumn(build_value_lookup(conn, clinic.schema), "lab", "label")
+            assert recover_value("ASSAY 007", column) == ("ASSAY 007", 1.0)
+            assert similarity_calls == []
+            assert recover_value("asay 007", column)[0] == "ASSAY 007"
+
+    @pytest.mark.parametrize(
+        "table, column, reason",
+        [("EXTRA", "NOTE", "no such table: EXTRA"), ("DEMOGRAPHIC", "NOTE", "no such column: DEMOGRAPHIC.NOTE")],
+        ids=["table", "column"],
+    )
+    def test_a_pair_missing_from_the_database_keeps_its_error(self, clinic, table, column, reason):
+        tables = {t.name: t for t in clinic.schema.tables}
+        columns = tables[table].columns if table in tables else ()
+        tables[table] = TableDef(table, columns + (ColumnDef(column, "text"),))
+        with closing(open_exec_db(clinic.db_path)) as conn:
+            lookup = build_value_lookup(conn, SchemaDef(tuple(tables.values())))
+            with pytest.raises(DataError) as exc:
+                recover_query(f'SELECT {column} FROM {table} WHERE {table}.{column} = "x"', lookup)
+        assert str(exc.value) == f"cannot read the values of {table}.{column} from the database: {reason}"
+
+    def test_an_undecodable_cell_fails_a_miss_and_not_a_hit(self):
+        # Every value predicted on such a column used to fail, hits included.
+        with closing(_column_db("TEXT", ["a", "b"])) as conn:
+            conn.execute("INSERT INTO T VALUES (CAST(x'ff' AS TEXT))")
+            lookup = build_value_lookup(conn, _T_C)
+            assert recover_query(_where_c("a"), lookup).sql == _where_c("a")
+            with pytest.raises(DataError, match="^cannot read the values of T.C from the database: Could not decode"):
+                recover_query(_where_c("c"), lookup)

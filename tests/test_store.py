@@ -28,6 +28,7 @@ from medsql.query import parse_sql, tokenize_sql
 from medsql.store import (
     DEFAULT_TIMEOUT_MS,
     ColumnDef,
+    LookupColumn,
     Paraphrase,
     Sample,
     SchemaDef,
@@ -676,15 +677,18 @@ class TestValueLookup:
 
     @pytest.fixture()
     def selects(self, monkeypatch):
-        """The SQL of every query the lookup runs."""
-        sqls = []
+        """Every query the lookup runs, as (SQL, bound parameters...)."""
+        calls = []
 
-        def counting(conn, sql, timeout_ms=None):
-            sqls.append(sql)
-            return run_select(conn, sql, timeout_ms)
+        def counting(conn, sql, timeout_ms=None, params=()):
+            calls.append((sql, *params))
+            return run_select(conn, sql, timeout_ms, params)
 
         monkeypatch.setattr(store, "run_select", counting)
-        return sqls
+        return calls
+
+    LABELS = 'SELECT DISTINCT "LAB"."LABEL" FROM "LAB" WHERE "LAB"."LABEL" IS NOT NULL'
+    LABEL_POINT = 'SELECT "LAB"."LABEL" FROM "LAB" WHERE "LAB"."LABEL" = ? LIMIT 1'
 
     def test_a_column_is_loaded_on_first_use_only(self, clinic, conn, selects):
         lookup = build_value_lookup(conn, clinic.schema)
@@ -693,13 +697,43 @@ class TestValueLookup:
         assert selects == []
         labels = lookup.values("lab", "label")
         assert lookup.values("LAB", "LABEL") is labels
-        assert selects == ['SELECT DISTINCT "LAB"."LABEL" FROM "LAB" WHERE "LAB"."LABEL" IS NOT NULL']
+        assert selects == [(self.LABELS,)]
         assert labels == clinic.lookup.values("LAB", "LABEL")
 
     def test_distinct_values_read_a_covering_index(self, clinic, conn, selects):
         build_value_lookup(conn, clinic.schema).values("PRESCRIPTIONS", "DRUG")
-        plan = _plan(clinic.db_path, *selects)
+        (query,) = selects
+        plan = _plan(clinic.db_path, *query)
         assert "COVERING INDEX ix_13_PRESCRIPTIONS_DRUG" in plan and "TEMP B-TREE" not in plan, plan
+
+    def test_a_hit_runs_one_point_query_and_reads_no_values(self, clinic, conn, selects):
+        lookup = build_value_lookup(conn, clinic.schema)
+        assert lookup.contains("lab", "label", "ASSAY 007")
+        assert selects == [(self.LABEL_POINT, "ASSAY 007")]
+        assert "ASSAY 007" in LookupColumn(lookup, "LAB", "LABEL")
+        assert selects == [(self.LABEL_POINT, "ASSAY 007")] * 2
+
+    def test_a_point_query_searches_the_index_of_its_column(self, clinic, conn, selects):
+        assert build_value_lookup(conn, clinic.schema).contains("PRESCRIPTIONS", "DRUG", "DRUG 001")
+        (point,) = selects
+        plan = _plan(clinic.db_path, *point)
+        assert plan == "SEARCH PRESCRIPTIONS USING COVERING INDEX ix_13_PRESCRIPTIONS_DRUG (DRUG=?)", plan
+
+    def test_a_miss_loads_the_column_once_and_later_answers_read_it(self, clinic, conn, selects):
+        lookup = build_value_lookup(conn, clinic.schema)
+        assert not lookup.contains("LAB", "LABEL", "asay 007")
+        assert selects == [(self.LABEL_POINT, "asay 007"), (self.LABELS,)]
+        assert not lookup.contains("LAB", "LABEL", "asay 008")
+        assert lookup.contains("LAB", "LABEL", "ASSAY 007")
+        assert LookupColumn(lookup, "LAB", "LABEL").load() is lookup.values("LAB", "LABEL")
+        assert selects == [(self.LABEL_POINT, "asay 007"), (self.LABELS,)]
+
+    @pytest.mark.parametrize("suffix, member", [("", True), (".0", False), ("x", False)],
+                             ids=["stored", "a-float-of-it", "not-a-number"])
+    def test_text_that_a_number_column_makes_a_number_is_answered_from_its_values(self, clinic, conn, suffix, member):
+        # A number column gives the text "25.0" the integer 25, whose canonical value is "25".
+        value = clinic.lookup.values("DEMOGRAPHIC", "AGE")[0] + suffix
+        assert build_value_lookup(conn, clinic.schema).contains("DEMOGRAPHIC", "AGE", value) is member
 
     def test_a_quote_in_a_column_name_is_escaped(self, tmp_path):
         # The name was wrapped in quotes without doubling the embedded one: "unrecognized token".
@@ -740,10 +774,12 @@ class TestValueLookup:
         tables = {t.name: t for t in clinic.schema.tables}
         columns = tables[table].columns if table in tables else ()
         tables[table] = TableDef(table, columns + (ColumnDef(column, "text"),))
-        lookup = build_value_lookup(conn, SchemaDef(tuple(tables.values())))
-        with pytest.raises(DataError) as exc:
-            lookup.values(table.lower(), column.lower())
-        assert str(exc.value) == f"cannot read the values of {table}.{column} from the database: {reason}"
+        schema = SchemaDef(tuple(tables.values()))
+        for ask in (lambda lookup: lookup.values(table.lower(), column.lower()),
+                    lambda lookup: lookup.contains(table.lower(), column.lower(), "x")):
+            with pytest.raises(DataError) as exc:
+                ask(build_value_lookup(conn, schema))
+            assert str(exc.value) == f"cannot read the values of {table}.{column} from the database: {reason}"
 
     def test_a_borrowed_connection_is_guarded(self, clinic, tmp_path):
         db = shutil.copy(clinic.db_path, tmp_path / "clinic.db")
