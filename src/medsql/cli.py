@@ -474,9 +474,10 @@ def build_parser(only: str | None = None) -> _Parser:
 
 def _check_outputs(resolved: dict[str, Any]) -> None:
     """An environment error unless the directory of each of a run's outputs
-    (``--out``, ``--report``) exists, so that no output is written before
-    another fails; a usage error unless the outputs and the manifest beside
-    each are all different files, so that none replaces another."""
+    (``--out``, ``--report``) exists and neither an output nor its manifest
+    is a directory, so that no output is written before another fails; a
+    usage error unless the outputs and the manifest beside each are all
+    different files, so that none replaces another."""
     named: dict[Path, str] = {}
     for dest in ("out", "report"):
         if resolved.get(dest):
@@ -484,6 +485,8 @@ def _check_outputs(resolved: dict[str, Any]) -> None:
             if not out.parent.is_dir():
                 raise EnvError(f"--{dest} {out}: {out.parent} is not an existing directory")
             for path, role in ((out, f"--{dest}"), (manifest_path(out), f"the manifest of --{dest}")):
+                if path.is_dir():
+                    raise EnvError(f"--{dest} {out}: {path} is a directory")
                 target = path.resolve()
                 if target in named:
                     raise _UsageError(f"{named[target]} and {role} name the same file {target}")

@@ -18,7 +18,7 @@ from typing import Any, Sequence
 
 from .errors import MedsqlError, MissingPrediction, QueryExecutionError, UnterminatedLiteral
 from .predictions import Prediction, top_sql
-from .query import SqlQuery, Star, _lex, _normalized, _parse_tokens, _Token
+from .query import SqlQuery, Star, _lex, _Lexed, _normalized, _parse_tokens
 from .records import FORMAT_VERSION
 from .store import DEFAULT_TIMEOUT_MS, Sample, exec_connection, run_select
 
@@ -26,14 +26,14 @@ REL_TOLERANCE = 1e-9
 ABS_TOLERANCE = 1e-12
 
 
-def _safe_tokens(sql: str) -> list[_Token] | None:
+def _safe_tokens(sql: str) -> _Lexed | None:
     try:
         return _lex(sql)
     except UnterminatedLiteral:
         return None
 
 
-def _same_logic_form(gold: list[_Token] | None, pred: list[_Token] | None) -> bool:
+def _same_logic_form(gold: _Lexed | None, pred: _Lexed | None) -> bool:
     return gold is not None and pred is not None and _normalized(gold) == _normalized(pred)
 
 
@@ -183,7 +183,7 @@ class EvalReport:
         return out
 
 
-def _breakdown_flags(sample: Sample, pred_tokens: list[_Token] | None) -> ComponentFlags:
+def _breakdown_flags(sample: Sample, pred_tokens: _Lexed | None) -> ComponentFlags:
     if pred_tokens is None:
         return _ALL_FALSE
     try:

@@ -17,7 +17,6 @@ import re
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import NamedTuple
 
 from .errors import ParseError, UnsupportedSyntax, UnterminatedLiteral
 
@@ -146,52 +145,59 @@ class SqlQuery:
                 raise ValueError("the first condition and only the first must lack a connector")
 
 
-# Lexer: one compiled pattern, matched token after token; each match
-# takes the whitespace before its token. Words are maximal runs of
-# characters that are not whitespace, quotes, or operator/punctuation
-# characters; '.' stays inside words so qualified names (T.C) and decimals
-# (3.5) are single lexemes, and '!' does too unless '=' follows it. A
-# literal's closing quote may not be followed by a second quote (that pair
-# is an escape), so a literal that ends in an escape matches nothing and
-# falls through to the lone-quote alternative, which raises
-# UnterminatedLiteral. Python 3.10 has no atomic groups or possessive
-# quantifiers, hence the lookaheads.
+# Lexer: one compiled pattern and one findall. Each match takes the
+# whitespace before its token and captures the token's text, its lexeme: a
+# quoted literal with its quotes and doubled escapes, an operator or
+# punctuation mark, or a word. Words are maximal runs of characters that
+# are not whitespace, quotes, or operator/punctuation characters; '.' stays
+# inside words so qualified names (T.C) and decimals (3.5) are single
+# lexemes, and '!' does too unless '=' follows it. A literal's closing
+# quote may not be followed by a second quote (that pair is an escape), so
+# a literal that ends in an escape matches nothing and falls through to the
+# lone-quote alternative, which raises UnterminatedLiteral. Python 3.10 has
+# no atomic groups or possessive quantifiers, hence the lookaheads.
+#
+# A lexeme carries no kind and no offset, so lexing builds no object per
+# token. Its kind shows in its text: a literal starts with a quote,
+# punctuation is one of _PUNCT, and a word is anything else. Folding a
+# literal or punctuation leaves it unequal to every keyword, so the parser
+# compares any lexeme's casefold with a keyword without asking its kind.
+# The list ends with the end marker "", which no lexeme equals. An offset
+# is needed only by an error, and _offset finds it by scanning the text
+# again.
 _TOKEN_RE = re.compile(
-    r"""\s*(?:
-        ("[^"]*(?:""[^"]*)*")(?!")      # 1: double-quoted literal
-      | ('[^']*(?:''[^']*)*')(?!')      # 2: single-quoted literal
-      | (["'])                          # 3: lone (unterminated) quote
-      | (<=|>=|!=|<>|[=<>(),*])         # 4: operator or punctuation
-      | ((?:[^\s"'=<>(),*!]+|!(?!=))+)  # 5: word
+    r"""\s*(
+        "[^"]*(?:""[^"]*)*"(?!")      # double-quoted literal
+      | '[^']*(?:''[^']*)*'(?!')      # single-quoted literal
+      | ["']                          # lone (unterminated) quote
+      | <=|>=|!=|<>|[=<>(),*]         # operator or punctuation
+      | (?:[^\s"'=<>(),*!]+|!(?!=))+  # word
     )""",
     re.VERBOSE,
 )
+_PUNCT = frozenset(("<=", ">=", "!=", "<>", "=", "<", ">", "(", ")", ",", "*"))
+
+# The text, then its lexemes followed by the end marker "".
+_Lexed = tuple[str, list[str]]
 
 
-class _Token(NamedTuple):
-    kind: str  # "word" | "string" | "punct" | "end"
-    text: str
-    offset: int
-
-
-def _lex(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    append = tokens.append
+def _lex(text: str) -> _Lexed:
     # Trailing whitespace is cut off first, so every search finds a token.
-    for m in _TOKEN_RE.finditer(text, 0, len(text.rstrip())):
-        group = m.lastindex
-        if group == 5:
-            append(_Token("word", m[5], m.start(5)))
-        elif group == 4:
-            append(_Token("punct", m[4], m.start(4)))
-        elif group == 3:
-            raise UnterminatedLiteral(m.start(3))
-        else:
-            literal = m[group]
-            quote = literal[0]
-            append(_Token("string", literal[1:-1].replace(quote + quote, quote), m.start(group)))
-    append(_Token("end", "", len(text)))
-    return tokens
+    tokens = _TOKEN_RE.findall(text, 0, len(text.rstrip()))
+    if '"' in tokens or "'" in tokens:
+        lone = next(k for k, tok in enumerate(tokens) if tok == '"' or tok == "'")
+        raise UnterminatedLiteral(_offset(text, lone))
+    tokens.append("")
+    return text, tokens
+
+
+def _offset(text: str, k: int) -> int:
+    """The offset in ``text`` of its ``k``-th lexeme, or ``len(text)`` for
+    the end marker."""
+    for j, m in enumerate(_TOKEN_RE.finditer(text, 0, len(text.rstrip()))):
+        if j == k:
+            return m.start(1)
+    return len(text)
 
 
 def tokenize_sql(text: str) -> list[str]:
@@ -205,16 +211,17 @@ def tokenize_sql(text: str) -> list[str]:
     return _normalized(_lex(text))
 
 
-def _normalized(tokens: list[_Token]) -> list[str]:
-    """:func:`tokenize_sql` of the text that lexed to ``tokens``."""
+def _normalized(lexed: _Lexed) -> list[str]:
+    """:func:`tokenize_sql` of the text that lexed to ``lexed``."""
     out: list[str] = []
-    for tok in tokens:
-        if tok.kind == "word":
-            out.append(tok.text.casefold())
-        elif tok.kind == "string":
-            out.append('"' + tok.text.replace('"', '""') + '"')
-        elif tok.kind == "punct":
-            out.append(tok.text)
+    for tok in lexed[1][:-1]:
+        first = tok[0]
+        if first == '"':
+            out.append(tok)  # a double-quoted lexeme is already canonical
+        elif first == "'":
+            out.append('"' + tok[1:-1].replace("''", "'").replace('"', '""') + '"')
+        else:
+            out.append(tok.casefold())  # folding leaves punctuation as it is
     return out
 
 
@@ -244,133 +251,24 @@ _COLUMN_RE = re.compile(rf"({_IDENT})(?:\.({_IDENT}))?\Z")
 _NUMBER_RE = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)\Z")
 
 
-class _Stream:
-    __slots__ = ("_tokens", "_pos", "current")
-
-    def __init__(self, tokens: list[_Token]):
-        self._tokens = tokens
-        self._pos = 0
-        self.current: _Token = self._tokens[0]
-
-    def peek(self) -> _Token:
-        k = min(self._pos + 1, len(self._tokens) - 1)
-        return self._tokens[k]
-
-    def advance(self) -> _Token:
-        tok = self.current
-        if tok.kind != "end":
-            self._pos += 1
-            self.current = self._tokens[self._pos]
-        return tok
-
-    def at_word(self, *words: str) -> bool:
-        tok = self.current
-        return tok.kind == "word" and tok.text.casefold() in words
-
-    def at_punct(self, *symbols: str) -> bool:
-        tok = self.current
-        return tok.kind == "punct" and tok.text in symbols
-
-    def expect_word(self, word: str) -> _Token:
-        if not self.at_word(word):
-            raise ParseError("unexpected token", self.current.offset, {word.upper()})
-        return self.advance()
-
-    def expect_punct(self, symbol: str) -> _Token:
-        if not self.at_punct(symbol):
-            raise ParseError("unexpected token", self.current.offset, {repr(symbol)})
-        return self.advance()
-
-
-def _column_ref(ts: _Stream) -> ColumnRef:
-    tok = ts.current
-    if tok.kind != "word":
-        raise ParseError("expected a column reference", tok.offset, {"column reference"})
-    m = _COLUMN_RE.match(tok.text)
+def _column_ref(text: str, tokens: list[str], k: int) -> ColumnRef:
+    tok = tokens[k]
+    m = _COLUMN_RE.match(tok)
     if m is None:
-        raise ParseError(f"malformed column reference {tok.text!r}", tok.offset, {"column reference"})
-    ts.advance()
+        if tok and tok[0] not in "\"'" and tok not in _PUNCT:
+            raise ParseError(f"malformed column reference {tok!r}", _offset(text, k), {"column reference"})
+        raise ParseError("expected a column reference", _offset(text, k), {"column reference"})
     head, tail = m.groups()
     return ColumnRef(tail.upper(), head.upper()) if tail else ColumnRef(head.upper())
 
 
-def _table_name(ts: _Stream) -> str:
-    tok = ts.current
-    if tok.kind == "punct" and tok.text == "(":
-        if ts.peek().kind == "word" and ts.peek().text.casefold() == "select":
-            raise UnsupportedSyntax("nested queries are outside the dialect", tok.offset)
-        raise ParseError("expected a table name", tok.offset, {"table name"})
-    if tok.kind != "word" or not _IDENT_RE.match(tok.text):
-        raise ParseError("expected a table name", tok.offset, {"table name"})
-    ts.advance()
-    return tok.text.upper()
-
-
-def _select_column(ts: _Stream) -> ColumnRef | Star:
-    if ts.at_punct("*"):
-        ts.advance()
-        return STAR
-    return _column_ref(ts)
-
-
-def _select_item(ts: _Stream) -> SelectItem:
-    if ts.at_punct("*"):
-        ts.advance()
-        return SelectItem(AggOp.NONE, False, STAR)
-    distinct = False
-    if ts.at_word("distinct"):
-        ts.advance()
-        distinct = True
-        if ts.at_punct("*"):
-            ts.advance()
-            return SelectItem(AggOp.NONE, True, STAR)
-    tok = ts.current
-    agg = _AGG_WORDS.get(tok.text.casefold()) if tok.kind == "word" else None
-    if agg is not None and ts.peek().kind == "punct" and ts.peek().text == "(":
-        ts.advance()
-        ts.expect_punct("(")
-        if ts.at_word("distinct"):
-            ts.advance()
-            distinct = True
-        column = _select_column(ts)
-        ts.expect_punct(")")
-        return SelectItem(agg, distinct, column)
-    return SelectItem(AggOp.NONE, distinct, _column_ref(ts))
-
-
-def _literal(ts: _Stream) -> Literal:
-    tok = ts.current
-    if tok.kind == "string":
-        ts.advance()
-        return Literal(LiteralKind.TEXT, tok.text)
-    if tok.kind == "word" and _NUMBER_RE.match(tok.text):
-        ts.advance()
-        return Literal(LiteralKind.NUMBER, tok.text)
-    if tok.kind == "punct" and tok.text == "(":
-        if ts.peek().kind == "word" and ts.peek().text.casefold() == "select":
-            raise UnsupportedSyntax("nested queries are outside the dialect", tok.offset)
-    raise ParseError("expected a literal value", tok.offset, {"string literal", "number"})
-
-
-def _condition(ts: _Stream, connector: Connector | None) -> Condition:
-    lead = ts.current
-    if lead.kind == "word" and lead.text.casefold() in ("not", "exists"):
-        raise UnsupportedSyntax(
-            f"{lead.text.upper()} conditions are outside the dialect", lead.offset
-        )
-    column = _column_ref(ts)
-    tok = ts.current
-    if tok.kind == "punct" and tok.text in _COMP_PUNCT:
-        op = _COMP_PUNCT[tok.text]
-        ts.advance()
-    elif tok.kind == "word" and tok.text.casefold() == "like":
-        op = CompOp.LIKE
-        ts.advance()
-    elif tok.kind == "word" and tok.text.casefold() in _UNSUPPORTED_OPS:
-        raise UnsupportedSyntax(f"operator {tok.text.upper()} is outside the dialect", tok.offset)
-    else:
-        raise ParseError("expected a comparison operator", tok.offset, {"comparison operator"})
-    return Condition(column, op, _literal(ts), connector)
+def _table_name(text: str, tokens: list[str], k: int) -> str:
+    tok = tokens[k]
+    if _IDENT_RE.match(tok):
+        return tok.upper()
+    if tok == "(" and tokens[k + 1].casefold() == "select":
+        raise UnsupportedSyntax("nested queries are outside the dialect", _offset(text, k))
+    raise ParseError("expected a table name", _offset(text, k), {"table name"})
 
 
 def parse_sql(text: str) -> SqlQuery:
@@ -386,58 +284,120 @@ def parse_sql(text: str) -> SqlQuery:
 
 def _parse_and_count(text: str) -> tuple[SqlQuery, int]:
     """``(parse_sql(text), len(tokenize_sql(text)))`` from one lexing."""
-    tokens = _lex(text)
-    return _parse_tokens(tokens), len(tokens) - 1  # the end marker is no token
+    lexed = _lex(text)
+    return _parse_tokens(lexed), len(lexed[1]) - 1  # the end marker is no token
 
 
-def _parse_tokens(tokens: list[_Token]) -> SqlQuery:
-    """:func:`parse_sql` of the text that lexed to ``tokens``."""
-    ts = _Stream(tokens)
-    ts.expect_word("select")
-    items = [_select_item(ts)]
-    while ts.at_punct(","):
-        ts.advance()
-        items.append(_select_item(ts))
-    ts.expect_word("from")
-    main_table = _table_name(ts)
+def _parse_tokens(lexed: _Lexed) -> SqlQuery:
+    """:func:`parse_sql` of the text that lexed to ``lexed``.
+
+    ``i`` indexes the current lexeme. The lexeme after one that was just
+    read is never past the end marker, so no index needs a bounds check.
+    """
+    text, tokens = lexed
+    if tokens[0].casefold() != "select":
+        raise ParseError("unexpected token", _offset(text, 0), {"SELECT"})
+    i = 1
+    items: list[SelectItem] = []
+    while True:
+        tok = tokens[i]
+        word = tok.casefold()
+        distinct = False
+        if word == "distinct":
+            distinct = True
+            i += 1
+            tok = tokens[i]
+            word = tok.casefold()
+        agg = _AGG_WORDS.get(word)
+        if tok == "*":
+            items.append(SelectItem(AggOp.NONE, distinct, STAR))
+        elif agg is not None and tokens[i + 1] == "(":
+            i += 2
+            if tokens[i].casefold() == "distinct":
+                distinct = True
+                i += 1
+            column = STAR if tokens[i] == "*" else _column_ref(text, tokens, i)
+            i += 1
+            if tokens[i] != ")":
+                raise ParseError("unexpected token", _offset(text, i), {"')'"})
+            items.append(SelectItem(agg, distinct, column))
+        else:
+            items.append(SelectItem(AggOp.NONE, distinct, _column_ref(text, tokens, i)))
+        i += 1
+        if tokens[i] != ",":
+            break
+        i += 1
+    if tokens[i].casefold() != "from":
+        raise ParseError("unexpected token", _offset(text, i), {"FROM"})
+    main_table = _table_name(text, tokens, i + 1)
+    i += 2
     joins: list[JoinClause] = []
     seen = {main_table}
-    while True:
-        if ts.at_word("inner"):
-            ts.advance()
-            ts.expect_word("join")
-            tok = ts.current
-            table = _table_name(ts)
-            if table in seen:
-                raise ParseError(f"table {table} joined twice", tok.offset, {"distinct table name"})
-            seen.add(table)
-            ts.expect_word("on")
-            left = _column_ref(ts)
-            ts.expect_punct("=")
-            right = _column_ref(ts)
-            joins.append(JoinClause(table, left, right))
-        elif ts.at_word(*_UNSUPPORTED_JOINS):
-            tok = ts.current
-            raise UnsupportedSyntax(
-                f"only INNER JOIN is inside the dialect, got {tok.text.upper()}", tok.offset
-            )
-        else:
-            break
+    word = tokens[i].casefold()
+    while word == "inner":
+        if tokens[i + 1].casefold() != "join":
+            raise ParseError("unexpected token", _offset(text, i + 1), {"JOIN"})
+        table = _table_name(text, tokens, i + 2)
+        if table in seen:
+            raise ParseError(f"table {table} joined twice", _offset(text, i + 2), {"distinct table name"})
+        seen.add(table)
+        if tokens[i + 3].casefold() != "on":
+            raise ParseError("unexpected token", _offset(text, i + 3), {"ON"})
+        left = _column_ref(text, tokens, i + 4)
+        if tokens[i + 5] != "=":
+            raise ParseError("unexpected token", _offset(text, i + 5), {"'='"})
+        joins.append(JoinClause(table, left, _column_ref(text, tokens, i + 6)))
+        i += 7
+        word = tokens[i].casefold()
+    if word in _UNSUPPORTED_JOINS:
+        raise UnsupportedSyntax(
+            f"only INNER JOIN is inside the dialect, got {tokens[i].upper()}", _offset(text, i)
+        )
     conditions: list[Condition] = []
-    if ts.at_word("where"):
-        ts.advance()
-        conditions.append(_condition(ts, None))
-        while ts.at_word("and", "or"):
-            word = ts.advance().text.casefold()
-            connector = Connector.AND if word == "and" else Connector.OR
-            conditions.append(_condition(ts, connector))
-    tail = ts.current
-    if tail.kind != "end":
-        if tail.kind == "word" and tail.text.casefold() in _UNSUPPORTED_TAIL:
-            raise UnsupportedSyntax(
-                f"{tail.text.upper()} clauses are outside the dialect", tail.offset
-            )
-        raise ParseError("trailing input after the query", tail.offset, {"end of input"})
+    if word == "where":
+        connector = None
+        while True:
+            i += 1
+            tok = tokens[i]
+            word = tok.casefold()
+            if word == "not" or word == "exists":
+                raise UnsupportedSyntax(f"{tok.upper()} conditions are outside the dialect", _offset(text, i))
+            column = _column_ref(text, tokens, i)
+            tok = tokens[i + 1]
+            op = _COMP_PUNCT.get(tok)
+            if op is None:
+                word = tok.casefold()
+                if word == "like":
+                    op = CompOp.LIKE
+                elif word in _UNSUPPORTED_OPS:
+                    raise UnsupportedSyntax(f"operator {tok.upper()} is outside the dialect", _offset(text, i + 1))
+                else:
+                    raise ParseError("expected a comparison operator", _offset(text, i + 1), {"comparison operator"})
+            i += 2
+            tok = tokens[i]
+            quote = tok[:1]
+            if quote == '"' or quote == "'":
+                value = Literal(LiteralKind.TEXT, tok[1:-1].replace(quote + quote, quote))
+            elif _NUMBER_RE.match(tok):
+                value = Literal(LiteralKind.NUMBER, tok)
+            elif tok == "(" and tokens[i + 1].casefold() == "select":
+                raise UnsupportedSyntax("nested queries are outside the dialect", _offset(text, i))
+            else:
+                raise ParseError("expected a literal value", _offset(text, i), {"string literal", "number"})
+            conditions.append(Condition(column, op, value, connector))
+            i += 1
+            word = tokens[i].casefold()
+            if word == "and":
+                connector = Connector.AND
+            elif word == "or":
+                connector = Connector.OR
+            else:
+                break
+    tok = tokens[i]
+    if tok:
+        if tok.casefold() in _UNSUPPORTED_TAIL:
+            raise UnsupportedSyntax(f"{tok.upper()} clauses are outside the dialect", _offset(text, i))
+        raise ParseError("trailing input after the query", _offset(text, i), {"end of input"})
     return SqlQuery(tuple(items), main_table, tuple(joins), tuple(conditions))
 
 

@@ -14,6 +14,7 @@ from types import SimpleNamespace
 from typing import Iterator
 
 import pytest
+from hypothesis import settings
 
 from medsql import query
 from medsql.augment import StubTranslator
@@ -30,6 +31,11 @@ from medsql.store import (
 )
 
 DATA_SEED = 20240915
+
+# A test with no example count of its own runs 20,000 examples under
+# `--hypothesis-profile=deep`. CI runs test_query's oracle tests this way;
+# tier 1 keeps hypothesis' default profile.
+settings.register_profile("deep", max_examples=20_000, deadline=None)
 
 FIRST_NAMES = [
     "Alice", "Brian", "Carla", "Derek", "Elena", "Frank", "Grace", "Henry",

@@ -1093,6 +1093,42 @@ class TestOutputDirectories:
         assert {p.name: p.read_bytes() for p in workdir.iterdir() if p.is_file()} == before
         assert not Path("nodir").exists()
 
+    @pytest.mark.parametrize(
+        "out, report, directory",
+        [
+            ("o.out", "adir", "adir"),
+            ("adir", "r.json", "adir"),
+            ("o.out", "r2.json", "r2.json.manifest.json"),
+            ("o2.out", "r.json", "o2.out.manifest.json"),
+        ],
+        ids=["report", "out", "manifest-of-report", "manifest-of-out"],
+    )
+    @pytest.mark.parametrize("name", ["split", "augment", "recover"])
+    def test_an_output_that_is_a_directory_exits_three_and_leaves_every_file_as_it_was(
+        self, workdir, capsys, name, out, report, directory
+    ):
+        # split --seed 7 --out o.out --report adir used to replace the seed-0 assignment, keep its
+        # seed-0 manifest beside it, and then exit 3.
+        write_jsonl("preds.jsonl", [{"id": "a", "sql": 'SELECT NAME FROM DEMOGRAPHIC WHERE LANGUAGE = "engl"'}])
+        first, again = {
+            "split": (["split", "--corpus", "corpus.jsonl", "--test-size", "10", "--seed", "0"], ["--seed", "7"]),
+            "augment": (["augment", "--corpus", "corpus.jsonl", "--stub"], ["--pivots", "de"]),
+            "recover": (["recover", "--preds", "preds.jsonl", "--db", "clinic.db", "--schema", "schema.json"],
+                        ["--preds", "more.jsonl"]),
+        }[name]
+        assert cmd(first + ["--out", "o.out", "--report", "r.json"]) == 0
+        write_jsonl("more.jsonl", [{"id": "b", "sql": 'SELECT NAME FROM DEMOGRAPHIC WHERE LANGUAGE = "port"'}])
+        Path(directory).mkdir()
+        before = {p.name: p.read_bytes() for p in workdir.iterdir() if p.is_file()}
+        capsys.readouterr()
+        assert cmd(first + again + ["--out", out, "--report", report]) == 3
+        assert {p.name: p.read_bytes() for p in workdir.iterdir() if p.is_file()} == before
+        assert list(Path(directory).iterdir()) == []
+        dest, named = ("out", out) if directory.startswith(out) else ("report", report)
+        assert capsys.readouterr().err == (
+            f"medsql {name}: environment error: --{dest} {named}: {directory} is a directory\n"
+        )
+
     def test_a_file_is_not_a_directory(self, workdir, capsys):
         Path("afile").write_text("kept\n", encoding="utf-8")
         assert cmd(SPLIT_ARGS + ["--out", "afile/a.tsv"]) == 3

@@ -26,6 +26,7 @@ from medsql.query import (
     tokenize_sql,
 )
 
+from . import parser_oracle
 from .reference import ref_tokenize
 
 KEYWORDS = {
@@ -150,7 +151,22 @@ def scan_tokens(text: str) -> list[tuple[str, str, int]]:
 
 
 def library_tokens(text: str) -> list[tuple[str, str, int]]:
-    return [(tok.kind, tok.text, tok.offset) for tok in query_module._lex(text)]
+    """``_lex`` in the scanner's form: each lexeme's kind, text and offset,
+    the offset found as an error finds it."""
+    _, lexemes = query_module._lex(text)
+    tokens = []
+    for k, lexeme in enumerate(lexemes):
+        offset = query_module._offset(text, k)
+        if not lexeme:
+            tokens.append(("end", "", offset))
+        elif lexeme[0] in "\"'":
+            quote = lexeme[0]
+            tokens.append(("string", lexeme[1:-1].replace(quote * 2, quote), offset))
+        elif lexeme in query_module._PUNCT:
+            tokens.append(("punct", lexeme, offset))
+        else:
+            tokens.append(("word", lexeme, offset))
+    return tokens
 
 
 def lex_or_offset(lex, text: str):
@@ -423,6 +439,140 @@ def queries(draw) -> SqlQuery:
             Condition(draw(column_refs), draw(st.sampled_from(CompOp)), draw(literals), connector)
         )
     return SqlQuery(items, tables[0], joins, tuple(conditions))
+
+
+def scanned_logic_form(text: str) -> list[str]:
+    """The logic-form tokens of the scanner's tokens: words case-folded,
+    literals in canonical double-quoted form."""
+    out = []
+    for kind, tok, _ in scan_tokens(text):
+        if kind == "word":
+            out.append(tok.casefold())
+        elif kind == "string":
+            out.append('"' + tok.replace('"', '""') + '"')
+        elif kind == "punct":
+            out.append(tok)
+    return out
+
+
+def oracle_parse_and_count(text: str) -> tuple[SqlQuery, int]:
+    return parser_oracle.parse_and_count(scan_tokens(text))
+
+
+def parse_outcome(parse_and_count, text: str):
+    """The query and token count, or the error's class, message, offset and
+    expected set."""
+    try:
+        return parse_and_count(text)
+    except (ParseError, UnterminatedLiteral) as exc:
+        return type(exc), str(exc), exc.offset, getattr(exc, "expected", None)
+
+
+def mixed_case(words: list[str]):
+    return st.sampled_from(words).flatmap(
+        lambda word: st.lists(st.booleans(), min_size=len(word), max_size=len(word)).map(
+            lambda upper: "".join(c.upper() if up else c.lower() for c, up in zip(word, upper))
+        )
+    )
+
+
+# Literals in both quote styles, with doubled quotes and the other quote inside.
+LITERAL_PIECES = ['"x"', "'x'", '"say ""hi"""', "'it''s'", "'a\"b'", '"a\'b"', '""', "''"]
+PARSE_PIECES = st.one_of(
+    mixed_case(["SELECT", "FROM", "WHERE", "AND", "OR", "INNER", "JOIN", "ON", "DISTINCT", "COUNT",
+                "MAX", "AVG", "LIKE", "GROUP", "ORDER", "LEFT", "NOT", "IN", "EXISTS"]),
+    st.sampled_from(LITERAL_PIECES + [
+        "*", "(", ")", ",", "=", "!=", "<>", "<", "<=", ">", ">=", "(SELECT", "!", '"', "'",
+        "T", "u", "T.A", "t.b", "T.", "A.B.C", "1T", "x$#", "3", "-2", "+1.5", ".5", "3.", "1e5",
+    ]),
+)
+GAPS = st.sampled_from([" "] * 6 + ["", "\n\t"])
+
+
+@st.composite
+def query_shaped(draw) -> str:
+    """SELECT and dialect pieces in any order, or a serialized query with a
+    few pieces swapped, inserted, deleted or copied and its words re-cased;
+    joined by whitespace or by nothing."""
+    if draw(st.booleans()):
+        pieces = [draw(mixed_case(["SELECT"]))] + draw(st.lists(PARSE_PIECES, max_size=25))
+    else:
+        pieces = [
+            piece if piece[0] in "\"'" else draw(st.sampled_from([str, str.lower, str.title]))(piece)
+            for piece in query_module._TOKEN_RE.findall(serialize_sql(draw(queries())))
+        ]
+        for _ in range(draw(st.integers(0, 2))):
+            edit = draw(st.sampled_from(["swap", "insert", "delete", "copy"]))
+            k = draw(st.integers(0, len(pieces) - (edit != "insert")))
+            if edit == "insert":
+                pieces.insert(k, draw(PARSE_PIECES))
+            elif edit == "swap":
+                pieces[k] = draw(PARSE_PIECES)
+            elif edit == "delete":
+                del pieces[k]
+            else:  # another piece of the same query, such as a table name
+                pieces[k] = draw(st.sampled_from(pieces))
+    return "".join(draw(GAPS) + piece for piece in pieces)
+
+
+class TestOracles:
+    """The lexer and parser against the scanner and the recursive-descent
+    parser they replaced. CI also runs these under the deep hypothesis
+    profile (``-k oracle --hypothesis-profile=deep``), so they set no
+    example count of their own."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "\u017fELECT * FROM T",  # the long s case-folds to s
+            "SELECT COUNT ( * ) , count(distinct t.a), DISTINCT * FROM T",
+            "SELECT count FROM T",
+            "SELECT COUNT(A FROM T",
+            "SELECT A FROM T WHERE B = (SELECT C FROM U)",
+            "SELECT A FROM (SELECT",
+            "SELECT A FROM T INNER JOIN T ON A = B",
+            "SELECT A FROM T INNER JOIN U ON A != B",
+            "SELECT A FROM T LEFT JOIN U ON A = B",
+            "SELECT A FROM T INNER U",
+            "SELECT A FROM T INNER JOIN U A = B",
+            "SELECT A FROM 1T",
+            "SELECT A, FROM T",
+            "SELECT DISTINCT FROM T",
+            "SELECT A FROM T WHERE NOT B = 1",
+            "SELECT A FROM T WHERE EXISTS (SELECT",
+            "SELECT A FROM T WHERE B IN (1)",
+            "SELECT A FROM T WHERE B C = 1",
+            "SELECT A FROM T WHERE B = C",
+            "SELECT A FROM T WHERE B",
+            "SELECT A FROM T WHERE B = 1 GROUP BY A",
+            "SELECT A FROM T WHERE B = 'it''s' OR C LIKE \"%x\" and D >= -1.5",
+            "SELECT A FROM T WHERE B = 'open",
+            "SELECT A.B.C FROM T",
+            "SELECT \"A\" FROM T",
+            "SELECT A FROM T WHERE",
+            "SELECT",
+            "  ",
+            "",
+        ],
+    )
+    def test_parse_matches_the_parser_oracle_on_pinned_cases(self, text):
+        assert parse_outcome(query_module._parse_and_count, text) == parse_outcome(oracle_parse_and_count, text)
+
+    @given(query_shaped())
+    def test_parse_matches_the_parser_oracle_on_dialect_pieces(self, text):
+        assert parse_outcome(query_module._parse_and_count, text) == parse_outcome(oracle_parse_and_count, text)
+
+    @given(st.text(max_size=60) | st.text(max_size=40).map("SELECT A FROM T ".__add__))
+    def test_parse_matches_the_parser_oracle_on_any_text(self, text):
+        assert parse_outcome(query_module._parse_and_count, text) == parse_outcome(oracle_parse_and_count, text)
+
+    @given(st.lists(st.sampled_from(LEX_PIECES + LITERAL_PIECES), max_size=30).map("".join))
+    def test_logic_form_tokens_match_the_scanner_oracle(self, text):
+        assert lex_or_offset(tokenize_sql, text) == lex_or_offset(scanned_logic_form, text)
+
+    @given(st.text(max_size=60))
+    def test_logic_form_tokens_match_the_scanner_oracle_on_any_text(self, text):
+        assert lex_or_offset(tokenize_sql, text) == lex_or_offset(scanned_logic_form, text)
 
 
 class TestRoundTrip:
