@@ -82,7 +82,7 @@ class _UsageError(Exception):
 
 
 # The least value of a numeric option, whichever source gives it.
-_MINIMUM = {"jobs": 1, "timeout_ms": 1, "retries": 0}
+_MINIMUM = {"jobs": 1, "timeout_ms": 1, "retries": 0, "test_size": 0}
 
 
 def _resolve(args: argparse.Namespace) -> dict[str, Any]:
@@ -267,10 +267,16 @@ def _choice(enum: type[Enum], value: str) -> Any:
         raise _UsageError(str(exc)) from exc
 
 
-def _cmd_linearize(resolved: dict[str, Any]) -> tuple[list[Path], str]:
+def _linearize_args(resolved: dict[str, Any]) -> tuple[Split, QuestionSource, Path]:
+    """linearize's split, question source and output: ``--out``, or
+    ``<split>_<source>.jsonl`` when it is unset."""
     split = _choice(Split, resolved["split"].upper())
     source = _choice(QuestionSource, resolved["question_source"].lower())
-    out = Path(resolved["out"] or f"{split.value.lower()}_{source.value}.jsonl")
+    return split, source, Path(resolved["out"] or f"{split.value.lower()}_{source.value}.jsonl")
+
+
+def _cmd_linearize(resolved: dict[str, Any]) -> tuple[list[Path], str]:
+    split, source, out = _linearize_args(resolved)
     corpus = load_corpus(resolved["corpus"])
     schema = load_schema(resolved["schema"])
     assignment = SplitAssignment.load(resolved["assignment"])
@@ -472,16 +478,18 @@ def build_parser(only: str | None = None) -> _Parser:
     return parser
 
 
-def _check_outputs(resolved: dict[str, Any]) -> None:
+def _check_outputs(name: str, resolved: dict[str, Any]) -> None:
     """An environment error unless the directory of each of a run's outputs
-    (``--out``, ``--report``) exists and neither an output nor its manifest
-    is a directory, so that no output is written before another fails; a
-    usage error unless the outputs and the manifest beside each are all
-    different files, so that none replaces another."""
+    (``--out``, linearize's default one included, and ``--report``) exists
+    and neither an output nor its manifest is a directory, so that no output
+    is written before another fails; a usage error unless the outputs and
+    the manifest beside each are all different files, so that none replaces
+    another."""
     named: dict[Path, str] = {}
     for dest in ("out", "report"):
-        if resolved.get(dest):
-            out = Path(resolved[dest])
+        value = _linearize_args(resolved)[2] if (name, dest) == ("linearize", "out") else resolved.get(dest)
+        if value:
+            out = Path(value)
             if not out.parent.is_dir():
                 raise EnvError(f"--{dest} {out}: {out.parent} is not an existing directory")
             for path, role in ((out, f"--{dest}"), (manifest_path(out), f"the manifest of --{dest}")):
@@ -521,7 +529,7 @@ def cmd(argv: list[str]) -> int:
         missing = [dest for dest in inputs if resolved[dest] in (None, "") and dest not in optional]
         if missing:
             raise _UsageError("missing required option(s): " + ", ".join(f"--{dest}" for dest in missing))
-        _check_outputs(resolved)
+        _check_outputs(name, resolved)
         # Opened before the stage runs: an output may replace its input.
         hashed = hash_inputs({dest: resolved[dest] for dest in inputs if resolved[dest]})
         try:

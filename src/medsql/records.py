@@ -127,11 +127,8 @@ def write_json(path: str | Path, obj: Mapping[str, Any]) -> Path:
 
 
 def file_sha256(path: str | Path) -> str:
-    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+        return _sha256_open(fh)
 
 
 def config_hash(config: Mapping[str, Any]) -> str:
@@ -151,10 +148,11 @@ _INLINE_HASH_BYTES = 1 << 20
 
 def _sha256_open(fh: BinaryIO) -> str:
     """The digest of an open file from its position to its end, read in
-    1 MiB chunks into one buffer. The hashing thread runs it, so it calls
-    no function a tracer may wrap."""
+    chunks of up to 1 MiB into one buffer: the one hashing loop. The hashing
+    thread runs it too, so it calls no function a tracer may wrap."""
     digest = hashlib.sha256()
-    buffer = bytearray(1 << 20)
+    # No larger than the file: zeroing 1 MiB costs more than hashing a small input.
+    buffer = bytearray(min(1 << 20, os.fstat(fh.fileno()).st_size + 1))
     view = memoryview(buffer)
     while size := fh.readinto(buffer):
         digest.update(view[:size])

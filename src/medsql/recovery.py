@@ -170,14 +170,16 @@ class RecoveredQuery:
     unresolved: tuple[str, ...] = ()
 
 
-def _resolve_column(cond: Condition, lookup: ValueLookup) -> tuple[str, str] | None:
+def _resolve_column(cond: Condition, lookup: ValueLookup) -> tuple[str, str]:
+    """(table, column) of a condition: its own table, or else the one table
+    of the lookup with that column; :class:`UnknownColumn` when there is none."""
     ref = cond.column
     if ref.table is not None:
         return (ref.table, ref.column)
     tables = lookup.tables_for_column(ref.column)
-    if len(tables) == 1:
-        return (tables[0], ref.column)
-    return None
+    if len(tables) != 1:
+        raise UnknownColumn(f"{len(tables)} tables have column {ref.column}")
+    return (tables[0], ref.column)
 
 
 def recover_query(pred_sql: str, lookup: ValueLookup) -> RecoveredQuery:
@@ -198,27 +200,16 @@ def recover_query(pred_sql: str, lookup: ValueLookup) -> RecoveredQuery:
     unresolved: list[str] = []
     new_conditions = []
     for cond in query.conditions:
-        if cond.value.kind is not LiteralKind.TEXT:
-            new_conditions.append(cond)
-            continue
-        resolved = _resolve_column(cond, lookup)
-        if resolved is None:
-            unresolved.append(cond.column.render())
-            new_conditions.append(cond)
-            continue
-        table, column = resolved
-        try:
-            if lookup.attr(table, column) != ATTR_TEXT:
-                new_conditions.append(cond)
-                continue
-            chosen, _ = recover_value(cond.value.value, LookupColumn(lookup, table, column))
-        except UnknownColumn:
-            unresolved.append(cond.column.render())
-            new_conditions.append(cond)
-            continue
-        if chosen != cond.value.value:
-            replacements.append((cond.value.value, chosen))
-            cond = Condition(cond.column, cond.op, Literal(LiteralKind.TEXT, chosen), cond.connector)
+        if cond.value.kind is LiteralKind.TEXT:
+            try:
+                table, column = _resolve_column(cond, lookup)
+                if lookup.attr(table, column) == ATTR_TEXT:
+                    chosen, _ = recover_value(cond.value.value, LookupColumn(lookup, table, column))
+                    if chosen != cond.value.value:
+                        replacements.append((cond.value.value, chosen))
+                        cond = Condition(cond.column, cond.op, Literal(LiteralKind.TEXT, chosen), cond.connector)
+            except UnknownColumn:
+                unresolved.append(cond.column.render())
         new_conditions.append(cond)
     recovered = SqlQuery(query.select_items, query.main_table, query.joins, tuple(new_conditions))
     return RecoveredQuery(

@@ -181,25 +181,6 @@ class Sample:
         rec.update(self.extra)
         return rec
 
-    @classmethod
-    def from_record(cls, rec: Mapping[str, Any]) -> "Sample":
-        missing = [k for k in ("id", "question_template", "sql") if k not in rec]
-        if missing:
-            raise DataError("missing field(s): " + ", ".join(missing))
-        synthetic = tuple(
-            Paraphrase(entry["text"], entry["pivot"]) for entry in rec.get("synthetic", ())
-        )
-        schema = rec.get("schema")
-        return cls(
-            id=record_id(rec["id"]),
-            template_question=rec["question_template"],
-            gold_sql=rec["sql"],
-            paraphrase_question=rec.get("question_paraphrase"),
-            synthetic_paraphrases=synthetic,
-            schema=SchemaDef.from_dict(schema) if schema is not None else None,
-            extra={k: v for k, v in rec.items() if k not in _SAMPLE_KEYS},
-        )
-
 
 def validate_records(numbered: Iterable[tuple[int, Any]]) -> list[Sample]:
     """Validate (number, record) pairs into samples.
@@ -223,17 +204,28 @@ def validate_records(numbered: Iterable[tuple[int, Any]]) -> list[Sample]:
                 for p in synthetic
             ):
                 raise DataError("synthetic must be a list of objects with string text and pivot")
-            sample = Sample.from_record(rec)
-            question = sample.template_question
+            missing = [k for k in ("id", "question_template", "sql") if k not in rec]
+            if missing:
+                raise DataError("missing field(s): " + ", ".join(missing))
+            sample_id = record_id(rec["id"])
+            schema = rec.get("schema")
+            if schema is not None:
+                schema = SchemaDef.from_dict(schema)
+            question = rec["question_template"]
             if not question or not str(question).strip():
                 raise DataError("question_template is empty")
             if not isinstance(question, str):
                 raise DataError(f"question_template must be a string, not {type(question).__name__}")
-            paraphrase = sample.paraphrase_question
+            paraphrase = rec.get("question_paraphrase")
             if paraphrase is not None and not isinstance(paraphrase, str):
                 raise DataError(f"question_paraphrase must be a string or null, not {type(paraphrase).__name__}")
-            if not isinstance(sample.gold_sql, str):
-                raise DataError(f"sql must be a string, not {type(sample.gold_sql).__name__}")
+            sql = rec["sql"]
+            if not isinstance(sql, str):
+                raise DataError(f"sql must be a string, not {type(sql).__name__}")
+            sample = Sample(
+                sample_id, question, sql, paraphrase, tuple(Paraphrase(p["text"], p["pivot"]) for p in synthetic),
+                schema, {k: v for k, v in rec.items() if k not in _SAMPLE_KEYS},
+            )
             sample.gold_query  # SQL outside the dialect is a record error
         except DataError as exc:
             raise RecordError(number, str(exc)) from exc

@@ -7,7 +7,7 @@ import json
 import random
 import sys
 import threading
-from contextlib import closing
+from contextlib import closing, contextmanager
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 from types import SimpleNamespace
@@ -354,8 +354,9 @@ def fill_templates(templates: list[Template], lookup, limit_per_template: int) -
 
 class TranslateHandler(BaseHTTPRequestHandler):
     """Translation endpoint double: echo mirrors the offline stub, fail
-    answers 503, flaky fails once then echoes, malformed omits "text",
-    not_object answers a JSON array, surrogate a lone surrogate escape."""
+    answers 503, no_content 204, flaky fails once then echoes, malformed
+    omits "text", not_object answers a JSON array, surrogate a lone
+    surrogate escape."""
 
     behavior = "echo"
     hits = 0
@@ -367,6 +368,10 @@ class TranslateHandler(BaseHTTPRequestHandler):
         payload = json.loads(self.rfile.read(length) or b"{}")
         if cls.behavior == "fail" or (cls.behavior == "flaky" and cls.hits == 1):
             self.send_response(503)
+            self.end_headers()
+            return
+        if cls.behavior == "no_content":
+            self.send_response(204)
             self.end_headers()
             return
         if cls.behavior == "malformed":
@@ -426,7 +431,14 @@ def translate_server():
 def clinic(tmp_path_factory) -> Iterator[SimpleNamespace]:
     """The clinic corpus, schema, CSVs and database, with one value lookup
     on a read-only connection that stays open for the session."""
-    root = tmp_path_factory.mktemp("clinic")
+    with clinic_files(tmp_path_factory.mktemp("clinic")) as files:
+        yield files
+
+
+@contextmanager
+def clinic_files(root: Path) -> Iterator[SimpleNamespace]:
+    """The files of the ``clinic`` fixture, written under ``root``; the
+    lookup's connection is closed on exit."""
     schema = clinic_schema()
     csvs = write_clinic_csvs(root / "tables")
     db_path = build_exec_db(schema, csvs, root / "clinic.db")

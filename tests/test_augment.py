@@ -70,6 +70,14 @@ class TestHttpTranslator:
             translator.translate("q", "en", "fr")
         assert handler.hits == 2
 
+    def test_a_success_other_than_200_is_retried(self, translate_server):
+        base_url, handler = translate_server("no_content")
+        translator = HttpTranslator(base_url, retries=1)
+        with pytest.raises(TranslateError) as exc:
+            translator.translate("q", "en", "fr")
+        assert str(exc.value) == f"{base_url}/translate failed after 2 attempt(s): HTTP 204"
+        assert handler.hits == 2
+
     def test_transient_failure_is_retried(self, translate_server):
         base_url, handler = translate_server("flaky")
         translator = HttpTranslator(base_url, retries=1)

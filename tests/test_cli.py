@@ -125,6 +125,16 @@ class TestIngest:
         assert sample.template_question == "how many labs"
         assert sample.gold_sql == "SELECT COUNT(*) FROM LAB"
 
+    @pytest.mark.parametrize("field_map, message", [
+        ("bogus", "--field-map entries must be canonical=source, got 'bogus'"),
+        ("nope=x", "unknown canonical field 'nope' in --field-map"),
+    ], ids=["no-equals", "unknown-field"])
+    def test_a_malformed_field_map_is_a_usage_error(self, workdir, capsys, field_map, message):
+        assert cmd(["ingest", "--corpus", "corpus.jsonl", "--schema", "schema.json", "--field-map", field_map,
+                    "--out", "out.jsonl"]) == 1
+        assert capsys.readouterr().err == f"medsql ingest: error: {message}\n"
+        assert not Path("out.jsonl").exists()
+
     def test_records_without_id_are_numbered(self, workdir):
         write_jsonl("raw.jsonl", [
             {"question_template": "q one", "sql": "SELECT COUNT(*) FROM LAB"},
@@ -337,6 +347,11 @@ class TestSplit:
         assert cmd(["split", "--corpus", "corpus.jsonl", "--schema", "schema.json",
                     "--test-size", "5", "--designated", "NO_SUCH_TABLE"]) == 2
 
+    def test_designated_naming_no_table_exits_two(self, workdir, capsys):
+        assert cmd(SPLIT_ARGS + ["--designated", ","]) == 2
+        assert capsys.readouterr().err == "medsql split: data error: designated_tables must be non-empty\n"
+        assert not Path("split_assignment.tsv").exists()
+
     def test_test_size_larger_than_pool_exits_two(self, workdir):
         assert cmd(["split", "--corpus", "corpus.jsonl", "--test-size", "999999"]) == 2
 
@@ -390,6 +405,22 @@ class TestLinearize:
         Path("bom.tsv").write_bytes(b"\xef\xbb\xbf" + tsv.read_bytes())
         assert cmd(base + ["--assignment", "bom.tsv", "--out", "bom.jsonl"]) == 0
         assert read_jsonl("bom.jsonl") == read_jsonl("plain.jsonl")
+
+    @pytest.mark.parametrize("body, code, err", [
+        ("a\tTEST\n\nb\tTEST\n", 0, ""),
+        ("a\tTEST\nb\tTEST\na\tDEV\n", 2, "medsql linearize: data error: own.tsv: line 3: duplicate id 'a'\n"),
+    ], ids=["blank-line", "duplicate-id"])
+    def test_an_assignment_file_skips_blank_lines_and_names_a_repeated_id(self, workdir, capsys, body, code, err):
+        write_jsonl("own.jsonl", [{"id": k, "question_template": f"question {k}", "sql": "SELECT COUNT(*) FROM LAB"}
+                                  for k in ("a", "b")])
+        Path("own.tsv").write_text(body, encoding="utf-8")
+        assert cmd(["linearize", "--corpus", "own.jsonl", "--schema", "schema.json", "--assignment", "own.tsv",
+                    "--split", "TEST", "--out", "own_test.jsonl"]) == code
+        assert capsys.readouterr().err == err
+        assert Path("own_test.jsonl").exists() == (code == 0)
+        if code == 0:
+            assert [r["input"].rsplit(" [SEP] ", 1)[1] for r in read_jsonl("own_test.jsonl")] == [
+                "question a", "question b"]
 
     def test_bad_split_name_is_a_usage_error(self, workdir):
         assert cmd(SPLIT_ARGS) == 0
@@ -884,9 +915,11 @@ def thread_hashed(monkeypatch) -> list[tuple[str, int]]:
     """(file name, thread id) of every file hashed on the hashing thread."""
     seen: list[tuple[str, int]] = []
     sha256_open = records._sha256_open
+    caller = threading.get_ident()
 
     def spy(fh):
-        seen.append((fh.name, threading.get_ident()))
+        if threading.get_ident() != caller:
+            seen.append((fh.name, threading.get_ident()))
         return sha256_open(fh)
 
     monkeypatch.setattr(records, "_sha256_open", spy)
@@ -986,6 +1019,23 @@ class TestHashingThread:
         assert "medsql stats: data error: record 1: invalid JSON" in err
         assert "Input/output error" not in err
         assert not _hash_threads()
+
+    def test_an_input_that_fails_to_open_closes_the_large_one_opened_before_it(self, workdir, monkeypatch, capsys):
+        _pad("corpus.jsonl", records._INLINE_HASH_BYTES)
+        Path("adir").mkdir()
+        opened = []
+
+        def spy(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(records, "open", spy, raising=False)
+        assert cmd(["stats", "--corpus", "corpus.jsonl", "--schema", "adir", "--out", "out.json"]) == 3
+        assert capsys.readouterr().err == "medsql stats: environment error: [Errno 21] Is a directory: 'adir'\n"
+        assert [Path(fh.name).name for fh in opened] == ["corpus.jsonl"]
+        assert opened[0].closed
+        assert not _hash_threads()
+        assert not Path("out.json").exists()
 
     @pytest.mark.parametrize("extra, threaded", [(0, ["corpus.jsonl"]), (1, [])], ids=["over", "at"])
     def test_a_file_of_the_threshold_size_is_hashed_inline(self, workdir, monkeypatch, thread_hashed, extra,
@@ -1129,6 +1179,24 @@ class TestOutputDirectories:
             f"medsql {name}: environment error: --{dest} {named}: {directory} is a directory\n"
         )
 
+    def test_the_default_output_of_linearize_is_checked_too(self, workdir, capsys):
+        # Without --out, train_template.jsonl used to be replaced before its manifest path, a directory,
+        # failed the run with exit 3.
+        assert cmd(SPLIT_ARGS) == 0
+        argv = ["linearize", "--corpus", "corpus.jsonl", "--schema", "schema.json", "--assignment",
+                "split_assignment.tsv"]
+        assert cmd(argv) == 0
+        Path("train_template.jsonl.manifest.json").unlink()
+        Path("train_template.jsonl.manifest.json").mkdir()
+        before = {p.name: p.read_bytes() for p in workdir.iterdir() if p.is_file()}
+        capsys.readouterr()
+        assert cmd(argv + ["--sep", "@@"]) == 3
+        assert capsys.readouterr().err == (
+            "medsql linearize: environment error: --out train_template.jsonl: "
+            "train_template.jsonl.manifest.json is a directory\n"
+        )
+        assert {p.name: p.read_bytes() for p in workdir.iterdir() if p.is_file()} == before
+
     def test_a_file_is_not_a_directory(self, workdir, capsys):
         Path("afile").write_text("kept\n", encoding="utf-8")
         assert cmd(SPLIT_ARGS + ["--out", "afile/a.tsv"]) == 3
@@ -1181,6 +1249,8 @@ class TestSchemaErrors:
         (b'{"tables": [{"name": 5, "columns": []}]}', "table name must be a string, not int"),
         (b'{"tables": [{"name": "T", "columns": [{"name": "A", "attr": ["text"]}]}]}',
          "column A: unknown attribute ['text']"),
+        (b'{"tables": [{"name": "T", "columns": [{"name": "A", "attr": "text"}, {"name": "a", "attr": "number"}]}]}',
+         "table T: duplicate column names"),
     ])
     @pytest.mark.parametrize("argv", [
         ["ingest", "--corpus", "corpus.jsonl"],
@@ -1205,6 +1275,15 @@ class TestSchemaErrors:
         ])
         assert cmd(["ingest", "--corpus", "raw.jsonl", "--schema", "schema.json", "--out", "out.jsonl"]) == 2
         assert capsys.readouterr().err == "medsql ingest: data error: record 2: missing key 'name'\n"
+
+    def test_a_record_schema_that_is_not_an_object_exits_two(self, workdir, capsys):
+        write_jsonl("raw.jsonl", [
+            {"id": "a", "question_template": "q", "sql": "SELECT COUNT(*) FROM LAB"},
+            {"id": "b", "question_template": "q", "sql": "SELECT COUNT(*) FROM LAB", "schema": ["LAB"]},
+        ])
+        assert cmd(["ingest", "--corpus", "raw.jsonl", "--schema", "schema.json", "--out", "out.jsonl"]) == 2
+        assert capsys.readouterr().err == "medsql ingest: data error: record 2: a schema must be a JSON object\n"
+        assert not Path("out.jsonl").exists()
 
 
 class TestLoneSurrogate:
@@ -1284,9 +1363,10 @@ class TestConfigTypes:
             (["augment", "--corpus", "corpus.jsonl", "--stub"], "retries", -1),
             (["augment", "--corpus", "corpus.jsonl", "--stub"], "timeout_ms", 0),
             (["augment", "--corpus", "corpus.jsonl", "--stub"], "jobs", -3),
+            (["split", "--corpus", "absent.jsonl"], "test_size", -1),
         ],
         ids=["rerank-timeout-0", "rerank-timeout-negative", "eval-timeout", "augment-retries", "augment-timeout",
-             "augment-jobs"],
+             "augment-jobs", "split-test-size"],
     )
     def test_value_below_its_minimum_exits_two(self, workdir, capsys, argv, dest, value, source):
         option = "--" + dest.replace("_", "-")
@@ -1295,9 +1375,9 @@ class TestConfigTypes:
         else:
             Path("cfg.json").write_text(json.dumps({dest: value}), encoding="utf-8")
             argv = argv + ["--config", "cfg.json"]
-        # The input files are never read: beams.jsonl and a.tsv do not exist.
+        # The input files are never read: beams.jsonl, a.tsv and absent.jsonl do not exist.
         assert cmd(argv + ["--out", "out.json"]) == 2
-        least = {"jobs": 1, "timeout_ms": 1, "retries": 0}[dest]
+        least = {"jobs": 1, "timeout_ms": 1, "retries": 0, "test_size": 0}[dest]
         assert f"data error: {option} must be at least {least}, not {value}" in capsys.readouterr().err
         assert not Path("out.json").exists()
 

@@ -74,6 +74,11 @@ class TestResultsEqual:
         assert results_equal([(None,)], [(None,)])
         assert not results_equal([(None,)], [(0,)])
 
+    def test_blob_cells_compare_as_bytes(self):
+        assert results_equal([(b"\xff",), (b"a",), ("a",)], [("a",), (b"a",), (b"\xff",)])
+        assert not results_equal([(b"a",)], [("a",)])
+        assert not results_equal([(b"\xff",)], [(b"\xfe",)])
+
     def test_row_width_must_match(self):
         assert not results_equal([(1, 2)], [(1,)])
 

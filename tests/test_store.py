@@ -211,6 +211,34 @@ class TestCorpusIo:
             load_corpus(path)
         assert exc.value.line == 2
 
+    # Each record holds the fault that its check finds first and every later fault that it can hold
+    # with it. The sound record before it has id "a", so "a" is also a duplicate.
+    @pytest.mark.parametrize("record, message", [
+        (["a"], "record is not a JSON object"),
+        ({"id": True, "synthetic": 5, "schema": [], "question_template": " ", "question_paraphrase": 3},
+         "synthetic must be a list of objects with string text and pivot"),
+        ({"id": True, "schema": [], "question_paraphrase": 3}, "missing field(s): question_template, sql"),
+        ({"id": True, "schema": [], "question_template": " ", "question_paraphrase": 3, "sql": 5},
+         "id must be a string or an integer, not true"),
+        ({"id": "a", "schema": [], "question_template": " ", "question_paraphrase": 3, "sql": 5},
+         "a schema must be a JSON object"),
+        ({"id": "a", "question_template": " ", "question_paraphrase": 3, "sql": 5}, "question_template is empty"),
+        ({"id": "a", "question_template": 5, "question_paraphrase": 3, "sql": 5},
+         "question_template must be a string, not int"),
+        ({"id": "a", "question_template": "q", "question_paraphrase": 3, "sql": 5},
+         "question_paraphrase must be a string or null, not int"),
+        ({"id": "a", "question_template": "q", "sql": 5}, "sql must be a string, not int"),
+        ({"id": "a", "question_template": "q", "sql": "SELECT A FROM T GROUP BY A"},
+         "GROUP clauses are outside the dialect at offset 16"),
+        ({"id": "a", "question_template": "q", "sql": "SELECT * FROM T"}, "duplicate id 'a'"),
+    ], ids=["object", "synthetic", "missing", "id", "schema", "template-empty", "template-type", "paraphrase", "sql",
+            "parse", "duplicate"])
+    def test_the_first_check_that_fails_names_the_fault(self, record, message):
+        sound = {"id": "a", "question_template": "q", "sql": "SELECT * FROM T"}
+        with pytest.raises(RecordError) as exc:
+            validate_records([(1, sound), (2, record)])
+        assert str(exc.value) == f"record 2: {message}"
+
     def test_validate_records_numbers_errors_as_given(self):
         records = [(7, {"id": "a", "question_template": "q", "sql": "SELECT * FROM T"}), (9, ["not", "a", "dict"])]
         with pytest.raises(RecordError, match="not a JSON object") as exc:
@@ -342,6 +370,14 @@ class TestExecDb:
             build_exec_db(schema, {"T": csv_path}, tmp_path / "t.db")
         assert exc.value.row == 3
 
+    def test_a_table_without_a_csv_is_a_data_error(self, tmp_path):
+        schema = SchemaDef((TableDef("T", (ColumnDef("A", "text"),)), TableDef("U", (ColumnDef("B", "text"),))))
+        (tmp_path / "T.csv").write_text("A\nx\n", encoding="utf-8")
+        with pytest.raises(DataError) as exc:
+            build_exec_db(schema, {"T": tmp_path / "T.csv"}, tmp_path / "t.db")
+        assert str(exc.value) == "no CSV provided for table U"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["T.csv"]
+
     def test_header_mismatch(self, tmp_path):
         schema = SchemaDef((TableDef("T", (ColumnDef("A", "text"),)),))
         csv_path = tmp_path / "T.csv"
@@ -361,8 +397,9 @@ class TestExecDb:
             ("WRONG\n1\n", CsvError, "row 1: {path}: header ['WRONG'] does not match columns ['ID']"),
             ("ID\n1\n1,2\n", CsvError, "row 3: {path}: expected 1 fields, got 2"),
             ("ID\n1\nnope\n", ColumnTypeError, "row 3, column ID: 'nope' is not a number"),
+            ("", CsvError, "row 1: {path}: missing header row"),
         ],
-        ids=["missing-csv", "bad-header", "field-count", "bad-number"],
+        ids=["missing-csv", "bad-header", "field-count", "bad-number", "empty-csv"],
     )
     def test_a_failed_build_changes_no_file(self, tmp_path, body, error, message):
         # The build used to delete the old database first and leave the tables built before the fault.
