@@ -114,6 +114,8 @@ def _resolve(args: argparse.Namespace) -> dict[str, Any]:
             raise DataError(f"--sep must hold a character other than whitespace, not {value!r}")
         if dest == "pivots":
             _pivots(value)
+        if dest == "designated":
+            _designated(value)
         resolved[dest] = value
     return resolved
 
@@ -124,6 +126,14 @@ def _pivots(text: str) -> tuple[str, ...]:
     if not pivots or len(set(pivots)) < len(pivots):
         raise DataError(f"--pivots must name at least one pivot, each once, not {text!r}")
     return pivots
+
+
+def _designated(text: str) -> frozenset[str]:
+    """The tables ``--designated`` names, uppercase: at least one, or a data error."""
+    tables = frozenset(t.strip().upper() for t in text.split(",") if t.strip())
+    if not tables:
+        raise DataError(f"--designated must name at least one table, not {text!r}")
+    return tables
 
 
 # ingest: normalize an external or canonical corpus into the canonical
@@ -232,8 +242,7 @@ def _cmd_stats(resolved: dict[str, Any]) -> tuple[list[Path], str]:
 
 
 def _cmd_split(resolved: dict[str, Any]) -> tuple[list[Path], str]:
-    designated = frozenset(t.strip().upper() for t in resolved["designated"].split(",") if t.strip())
-    spec = SplitSpec(designated, resolved["test_size"], resolved["seed"])
+    spec = SplitSpec(_designated(resolved["designated"]), resolved["test_size"], resolved["seed"])
     corpus = load_corpus(resolved["corpus"])
     if resolved["schema"]:
         schema = load_schema(resolved["schema"])
@@ -321,7 +330,8 @@ def _cmd_rerank(resolved: dict[str, Any]) -> tuple[list[Path], str]:
         require_nonempty=resolved["require_nonempty"],
         timeout_ms=resolved["timeout_ms"],
     )
-    out = write_jsonl(resolved["out"], (asdict(c) for c in choices.values()))
+    # vars: a record's fields in declaration order, as asdict gives them, without its deep copy.
+    out = write_jsonl(resolved["out"], (vars(c) for c in choices.values()))
     failed = sum(1 for c in choices.values() if c.all_failed)
     return [out], f"reranked {len(choices)} beams (all_failed={failed}) -> {out}"
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import sqlite3
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -176,7 +176,8 @@ class EvalReport:
             "acc_lf": self.acc_lf,
             "acc_ex": self.acc_ex,
             "n": self.n,
-            "per_sample": [asdict(s) for s in self.per_sample],
+            # vars: a record's fields in declaration order, as asdict gives them, without its deep copy.
+            "per_sample": [dict(vars(s)) for s in self.per_sample],
         }
         if self.breakdown is not None:
             out["breakdown"] = self.breakdown
@@ -237,6 +238,6 @@ def evaluate(
     acc_ex = sum(e.ex_match for e in per_sample) / n if n else 0.0
     breakdown = None
     if with_breakdown and n:
-        flag_dicts = [asdict(flags) for _, flags in scored]
-        breakdown = {name: sum(d[name] for d in flag_dicts) / n for name in flag_dicts[0]}
+        names = [f.name for f in fields(ComponentFlags)]
+        breakdown = {name: sum(getattr(flags, name) for _, flags in scored) / n for name in names}
     return EvalReport(acc_lf=acc_lf, acc_ex=acc_ex, n=n, per_sample=per_sample, breakdown=breakdown)

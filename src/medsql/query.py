@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 from .errors import ParseError, UnsupportedSyntax, UnterminatedLiteral
@@ -145,6 +145,84 @@ class SqlQuery:
                 raise ValueError("the first condition and only the first must lack a connector")
 
 
+# The parser builds its nodes without the public constructors. A frozen
+# dataclass's __init__ sets each field through object.__setattr__, and
+# SqlQuery's __post_init__ then checks the whole query again; skipping
+# both takes a fifth off a parse. The parser already guarantees what
+# __post_init__ checks: a non-empty select list and a main table, join
+# tables kept distinct by its `seen` set, a connector on every condition
+# but the first, and tuples throughout. So each builder below creates the
+# object and sets each slot through the slot descriptor's __set__, where
+# __setattr__ ends.
+# Each is written for its own arity: a generic loop over the fields
+# measured slower than the public constructor.
+def _slot_setters(cls) -> list:
+    """The ``__set__`` of each field's slot descriptor, in field order."""
+    return [getattr(cls, field.name).__set__ for field in fields(cls)]
+
+
+_new = object.__new__
+_set_ref_column, _set_ref_table = _slot_setters(ColumnRef)
+_set_item_agg_op, _set_item_distinct, _set_item_column = _slot_setters(SelectItem)
+_set_join_table, _set_join_left, _set_join_right = _slot_setters(JoinClause)
+_set_literal_kind, _set_literal_value = _slot_setters(Literal)
+_set_cond_column, _set_cond_op, _set_cond_value, _set_cond_connector = _slot_setters(Condition)
+_set_query_items, _set_query_table, _set_query_joins, _set_query_conditions = _slot_setters(SqlQuery)
+
+
+def _build_column_ref(column: str, table: str | None) -> ColumnRef:
+    node = _new(ColumnRef)
+    _set_ref_column(node, column)
+    _set_ref_table(node, table)
+    return node
+
+
+def _build_select_item(agg_op: AggOp, distinct: bool, column: ColumnRef | Star) -> SelectItem:
+    node = _new(SelectItem)
+    _set_item_agg_op(node, agg_op)
+    _set_item_distinct(node, distinct)
+    _set_item_column(node, column)
+    return node
+
+
+def _build_join(table: str, left: ColumnRef, right: ColumnRef) -> JoinClause:
+    node = _new(JoinClause)
+    _set_join_table(node, table)
+    _set_join_left(node, left)
+    _set_join_right(node, right)
+    return node
+
+
+def _build_literal(kind: LiteralKind, value: str) -> Literal:
+    node = _new(Literal)
+    _set_literal_kind(node, kind)
+    _set_literal_value(node, value)
+    return node
+
+
+def _build_condition(column: ColumnRef, op: CompOp, value: Literal, connector: Connector | None) -> Condition:
+    node = _new(Condition)
+    _set_cond_column(node, column)
+    _set_cond_op(node, op)
+    _set_cond_value(node, value)
+    _set_cond_connector(node, connector)
+    return node
+
+
+def _build_query(
+    select_items: tuple[SelectItem, ...],
+    main_table: str,
+    joins: tuple[JoinClause, ...],
+    conditions: tuple[Condition, ...],
+) -> SqlQuery:
+    node = _new(SqlQuery)
+    _set_query_items(node, select_items)
+    _set_query_table(node, main_table)
+    _set_query_joins(node, joins)
+    _set_query_conditions(node, conditions)
+    return node
+
+
 # Lexer: one compiled pattern and one findall. Each match takes the
 # whitespace before its token and captures the token's text, its lexeme: a
 # quoted literal with its quotes and doubled escapes, an operator or
@@ -259,7 +337,7 @@ def _column_ref(text: str, tokens: list[str], k: int) -> ColumnRef:
             raise ParseError(f"malformed column reference {tok!r}", _offset(text, k), {"column reference"})
         raise ParseError("expected a column reference", _offset(text, k), {"column reference"})
     head, tail = m.groups()
-    return ColumnRef(tail.upper(), head.upper()) if tail else ColumnRef(head.upper())
+    return _build_column_ref(tail.upper(), head.upper()) if tail else _build_column_ref(head.upper(), None)
 
 
 def _table_name(text: str, tokens: list[str], k: int) -> str:
@@ -310,7 +388,7 @@ def _parse_tokens(lexed: _Lexed) -> SqlQuery:
             word = tok.casefold()
         agg = _AGG_WORDS.get(word)
         if tok == "*":
-            items.append(SelectItem(AggOp.NONE, distinct, STAR))
+            items.append(_build_select_item(AggOp.NONE, distinct, STAR))
         elif agg is not None and tokens[i + 1] == "(":
             i += 2
             if tokens[i].casefold() == "distinct":
@@ -320,9 +398,9 @@ def _parse_tokens(lexed: _Lexed) -> SqlQuery:
             i += 1
             if tokens[i] != ")":
                 raise ParseError("unexpected token", _offset(text, i), {"')'"})
-            items.append(SelectItem(agg, distinct, column))
+            items.append(_build_select_item(agg, distinct, column))
         else:
-            items.append(SelectItem(AggOp.NONE, distinct, _column_ref(text, tokens, i)))
+            items.append(_build_select_item(AggOp.NONE, distinct, _column_ref(text, tokens, i)))
         i += 1
         if tokens[i] != ",":
             break
@@ -346,7 +424,7 @@ def _parse_tokens(lexed: _Lexed) -> SqlQuery:
         left = _column_ref(text, tokens, i + 4)
         if tokens[i + 5] != "=":
             raise ParseError("unexpected token", _offset(text, i + 5), {"'='"})
-        joins.append(JoinClause(table, left, _column_ref(text, tokens, i + 6)))
+        joins.append(_build_join(table, left, _column_ref(text, tokens, i + 6)))
         i += 7
         word = tokens[i].casefold()
     if word in _UNSUPPORTED_JOINS:
@@ -377,14 +455,14 @@ def _parse_tokens(lexed: _Lexed) -> SqlQuery:
             tok = tokens[i]
             quote = tok[:1]
             if quote == '"' or quote == "'":
-                value = Literal(LiteralKind.TEXT, tok[1:-1].replace(quote + quote, quote))
+                value = _build_literal(LiteralKind.TEXT, tok[1:-1].replace(quote + quote, quote))
             elif _NUMBER_RE.match(tok):
-                value = Literal(LiteralKind.NUMBER, tok)
+                value = _build_literal(LiteralKind.NUMBER, tok)
             elif tok == "(" and tokens[i + 1].casefold() == "select":
                 raise UnsupportedSyntax("nested queries are outside the dialect", _offset(text, i))
             else:
                 raise ParseError("expected a literal value", _offset(text, i), {"string literal", "number"})
-            conditions.append(Condition(column, op, value, connector))
+            conditions.append(_build_condition(column, op, value, connector))
             i += 1
             word = tokens[i].casefold()
             if word == "and":
@@ -398,7 +476,7 @@ def _parse_tokens(lexed: _Lexed) -> SqlQuery:
         if tok.casefold() in _UNSUPPORTED_TAIL:
             raise UnsupportedSyntax(f"{tok.upper()} clauses are outside the dialect", _offset(text, i))
         raise ParseError("trailing input after the query", _offset(text, i), {"end of input"})
-    return SqlQuery(tuple(items), main_table, tuple(joins), tuple(conditions))
+    return _build_query(tuple(items), main_table, tuple(joins), tuple(conditions))
 
 
 def _render_item(item: SelectItem) -> str:

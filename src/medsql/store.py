@@ -447,8 +447,9 @@ def run_select(
     Every way the statement can fail raises :class:`QueryExecutionError`:
     an SQLite error (a denied action included), the ``sqlite3.Warning``
     that some Python versions raise for two statements, text that SQLite
-    cannot take, and an elapsed per-query timeout, which a progress handler
-    enforces so that runaway queries are interrupted.
+    cannot take, an elapsed per-query timeout, which a progress handler
+    enforces so that runaway queries are interrupted, and running out of
+    memory, in SQLite or while the rows are fetched.
     """
     if timeout_ms is not None:
         deadline = time.monotonic() + timeout_ms / 1000.0
@@ -457,6 +458,8 @@ def run_select(
         return conn.execute(sql, params).fetchall()
     except (sqlite3.Error, sqlite3.Warning, UnicodeEncodeError) as exc:
         raise QueryExecutionError(str(exc)) from exc
+    except MemoryError as exc:
+        raise QueryExecutionError("out of memory") from exc
     finally:
         if timeout_ms is not None:
             conn.set_progress_handler(None, 0)

@@ -347,10 +347,22 @@ class TestSplit:
         assert cmd(["split", "--corpus", "corpus.jsonl", "--schema", "schema.json",
                     "--test-size", "5", "--designated", "NO_SUCH_TABLE"]) == 2
 
-    def test_designated_naming_no_table_exits_two(self, workdir, capsys):
-        assert cmd(SPLIT_ARGS + ["--designated", ","]) == 2
-        assert capsys.readouterr().err == "medsql split: data error: designated_tables must be non-empty\n"
-        assert not Path("split_assignment.tsv").exists()
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("designated", [",", "", " , "])
+    def test_designated_naming_no_table_exits_two_before_any_input_is_read(
+        self, workdir, capsys, designated, source
+    ):
+        # It used to be checked only once the corpus was read, in words that named no option.
+        if source == "flag":
+            option = ["--designated", designated]
+        else:
+            Path("cfg.json").write_text(json.dumps({"designated": designated}), encoding="utf-8")
+            option = ["--config", "cfg.json"]
+        # absent.jsonl does not exist: reading it would exit 3.
+        assert cmd(["split", "--corpus", "absent.jsonl", "--test-size", "5", *option]) == 2
+        assert capsys.readouterr().err == (
+            f"medsql split: data error: --designated must name at least one table, not {designated!r}\n")
+        assert not Path("split_assignment.tsv").exists() and not Path("split_report.json").exists()
 
     def test_test_size_larger_than_pool_exits_two(self, workdir):
         assert cmd(["split", "--corpus", "corpus.jsonl", "--test-size", "999999"]) == 2

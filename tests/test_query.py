@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
+import pickle
 
 import pytest
 from hypothesis import assume, given, settings
@@ -441,6 +443,18 @@ def queries(draw) -> SqlQuery:
     return SqlQuery(items, tables[0], joins, tuple(conditions))
 
 
+def tree_nodes(query: SqlQuery) -> list:
+    """Every node of ``query``, the query first, in a fixed order."""
+    nodes: list = [query]
+    for item in query.select_items:
+        nodes += [item, item.column]
+    for join in query.joins:
+        nodes += [join, join.left, join.right]
+    for cond in query.conditions:
+        nodes += [cond, cond.column, cond.value]
+    return nodes
+
+
 def scanned_logic_form(text: str) -> list[str]:
     """The logic-form tokens of the scanner's tokens: words case-folded,
     literals in canonical double-quoted form."""
@@ -580,6 +594,20 @@ class TestRoundTrip:
     @settings(max_examples=300)
     def test_parse_inverts_serialize(self, query):
         assert parse_sql(serialize_sql(query)) == query
+
+    @given(queries())
+    def test_parser_built_nodes_cannot_be_told_from_constructor_built_ones(self, query):
+        # The parser sets its nodes' slots without the public constructors.
+        parsed = parse_sql(serialize_sql(query))
+        for node, built in zip(tree_nodes(parsed), tree_nodes(query), strict=True):
+            assert type(node) is type(built)
+            assert dataclasses.replace(node) == node  # passes every __post_init__ check
+            assert hash(node) == hash(built) and repr(node) == repr(built)
+            for field in dataclasses.fields(node):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(node, field.name, getattr(node, field.name))
+            assert pickle.loads(pickle.dumps(node)) == node
+            assert copy.deepcopy(node) == node
 
     @given(queries())
     def test_serialize_is_canonical(self, query):

@@ -584,6 +584,23 @@ class TestExecDb:
                 run_select(conn, sql)
             assert run_select(conn, "SELECT COUNT(*) FROM LAB") == [(100,)]
 
+    def test_running_out_of_memory_is_a_query_execution_error(self):
+        # A value too large to hold used to escape as a MemoryError: a traceback and exit 1.
+        class ExhaustedConnection:
+            def __init__(self):
+                self.handlers = []
+
+            def set_progress_handler(self, handler, n):
+                self.handlers.append(handler)
+
+            def execute(self, sql, params):
+                raise MemoryError
+
+        conn = ExhaustedConnection()
+        with pytest.raises(QueryExecutionError, match="out of memory"):
+            run_select(conn, "SELECT randomblob(900000000)", timeout_ms=50)
+        assert len(conn.handlers) == 2 and conn.handlers[-1] is None
+
     def test_a_borrowed_connection_gets_the_authorizer_and_keeps_it(self, clinic, tmp_path):
         db = shutil.copy(clinic.db_path, tmp_path / "clinic.db")
         with closing(sqlite3.connect(db)) as conn:
