@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import codecs
-import contextlib
 import json
 import os
 import sys
@@ -116,6 +115,10 @@ def _resolve(args: argparse.Namespace) -> dict[str, Any]:
             _pivots(value)
         if dest == "designated":
             _designated(value)
+        if dest == "split":
+            _choice(Split, value.upper())
+        if dest == "field_map":
+            _parse_field_map(value)
         resolved[dest] = value
     return resolved
 
@@ -297,20 +300,26 @@ def _cmd_linearize(resolved: dict[str, Any]) -> tuple[list[Path], str]:
     )
 
 
+def _translator(resolved: dict[str, Any]) -> StubTranslator | HttpTranslator:
+    """augment's translator: the stub with ``--stub``; otherwise the
+    endpoint, which must be an http or https URL with a host (a data error),
+    and a usage error when there is none."""
+    if resolved["stub"]:
+        return StubTranslator()
+    url = resolved["translate_url"]
+    if not url:
+        raise _UsageError("augment needs --stub or a translation endpoint (--translate-url or MEDSQL_TRANSLATE_URL)")
+    try:
+        if urlsplit(url).scheme not in ("http", "https") or not urlsplit(url).hostname:
+            raise ValueError
+    except ValueError:
+        raise DataError(f"--translate-url must be an http or https URL with a host, not {url!r}") from None
+    return HttpTranslator(url, resolved["timeout_ms"], resolved["retries"])
+
+
 def _cmd_augment(resolved: dict[str, Any]) -> tuple[list[Path], str]:
     pivots = _pivots(resolved["pivots"])
-    if resolved["stub"]:
-        translator = StubTranslator()
-    elif resolved["translate_url"]:
-        url = resolved["translate_url"]
-        try:
-            if urlsplit(url).scheme not in ("http", "https") or not urlsplit(url).hostname:
-                raise ValueError
-        except ValueError:
-            raise DataError(f"--translate-url must be an http or https URL with a host, not {url!r}") from None
-        translator = HttpTranslator(url, resolved["timeout_ms"], resolved["retries"])
-    else:
-        raise _UsageError("augment needs --stub or a translation endpoint (--translate-url or MEDSQL_TRANSLATE_URL)")
+    translator = _translator(resolved)
     corpus = load_corpus(resolved["corpus"])
     result = augment_corpus(corpus, pivots, translator, jobs=resolved["jobs"])
     out = save_corpus(result.samples, resolved["out"])
@@ -512,10 +521,11 @@ def _check_outputs(name: str, resolved: dict[str, Any]) -> None:
 
 
 def cmd(argv: list[str]) -> int:
-    """Run one subcommand and return the process exit code: resolve its
-    options, require its input files and distinct output files in existing
-    directories, start hashing the inputs, run its stage, write one
-    manifest per output after all outputs, and print its summary line.
+    """Run one subcommand and return the process exit code: resolve and
+    check its options, require its input files and distinct output files in
+    existing directories, run its stage inside the scope that hashes the
+    inputs, write one manifest per output after all outputs, and print its
+    summary line.
 
     An input over 1 MiB is hashed on a second thread while the stage runs,
     from a file opened before it. The thread is joined before this returns,
@@ -540,16 +550,13 @@ def cmd(argv: list[str]) -> int:
         if missing:
             raise _UsageError("missing required option(s): " + ", ".join(f"--{dest}" for dest in missing))
         _check_outputs(name, resolved)
+        if name == "augment":
+            _translator(resolved)
         # Opened before the stage runs: an output may replace its input.
-        hashed = hash_inputs({dest: resolved[dest] for dest in inputs if resolved[dest]})
-        try:
+        with hash_inputs({dest: resolved[dest] for dest in inputs if resolved[dest]}) as hashed:
             outputs, summary = handler(resolved)
-        except BaseException:
-            with contextlib.suppress(Exception):
-                hashed()  # joins the hashing thread; the stage's error wins
-            raise
-        write_manifests(outputs, command=name, tool_version=__version__, config=resolved, seed=resolved.get("seed"),
-                        inputs=hashed())
+            write_manifests(outputs, command=name, tool_version=__version__, config=resolved,
+                            seed=resolved.get("seed"), inputs=hashed())
         print(summary)
         return 0
     except _UsageError as exc:

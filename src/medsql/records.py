@@ -11,6 +11,7 @@ import stat
 import tempfile
 import threading
 from collections.abc import Callable, Iterable, Iterator, Mapping
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, BinaryIO
 
@@ -159,18 +160,21 @@ def _sha256_open(fh: BinaryIO) -> str:
     return digest.hexdigest()
 
 
-def hash_inputs(inputs: Mapping[str, str | Path]) -> Callable[[], dict[str, dict[str, str]]]:
-    """Start hashing the input files named by option and return the call
-    that gives a manifest's ``inputs``: each file's path and digest, hashed
-    once, in name order. That call waits for the hashing and re-raises its
-    read error; make it on every path, or files stay open and a thread runs on.
+@contextmanager
+def hash_inputs(inputs: Mapping[str, str | Path]) -> Iterator[Callable[[], dict[str, dict[str, str]]]]:
+    """A scope that hashes the input files named by option while its body
+    runs. It yields the call that gives a manifest's ``inputs``: each file's
+    path and digest, hashed once, in name order. That call waits for the
+    hashing and re-raises its read error. Leaving the scope, by any path,
+    waits for the hashing and closes every file; a read error that the call
+    did not raise is dropped there, so the body's own error is the one seen.
 
     A pipe, socket or character device cannot be read twice, so naming one
     is a :class:`DataError` raised before any input is read. A file of at
-    most ``_INLINE_HASH_BYTES`` is hashed here. A larger one is opened here
-    and hashed on one thread while the caller goes on. So a missing or
-    unreadable input fails before this returns, and an output renamed onto
-    an input later leaves the digest of the bytes that were there."""
+    most ``_INLINE_HASH_BYTES`` is hashed on entry. A larger one is opened on
+    entry and hashed on one thread while the body runs. So a missing or
+    unreadable input fails on entry, and an output renamed onto an input
+    later leaves the digest of the bytes that were there."""
     names = sorted(inputs)
     sizes = {}
     for name in names:
@@ -181,6 +185,7 @@ def hash_inputs(inputs: Mapping[str, str | Path]) -> Callable[[], dict[str, dict
     digests: dict[str, str] = {}
     large: dict[str, BinaryIO] = {}
     failed: list[Exception] = []
+    worker: threading.Thread | None = None
 
     def work() -> None:
         try:
@@ -188,11 +193,14 @@ def hash_inputs(inputs: Mapping[str, str | Path]) -> Callable[[], dict[str, dict
                 digests[name] = _sha256_open(fh)
         except Exception as exc:
             failed.append(exc)
-        finally:
-            for fh in large.values():
-                fh.close()
 
-    worker = None
+    def hashed() -> dict[str, dict[str, str]]:
+        if worker:
+            worker.join()
+        if failed:
+            raise failed[0]
+        return {name: {"path": str(inputs[name]), "sha256": digests[name]} for name in names}
+
     try:
         for name in names:
             if sizes[name] > _INLINE_HASH_BYTES:
@@ -200,21 +208,15 @@ def hash_inputs(inputs: Mapping[str, str | Path]) -> Callable[[], dict[str, dict
             else:
                 digests[name] = file_sha256(inputs[name])
         if large:
-            worker = threading.Thread(target=work, name="medsql-hash-inputs")
-            worker.start()
-    except BaseException:
-        for fh in large.values():
-            fh.close()
-        raise
-
-    def join() -> dict[str, dict[str, str]]:
+            thread = threading.Thread(target=work, name="medsql-hash-inputs")
+            thread.start()
+            worker = thread  # only once started: a thread that failed to start cannot be joined
+        yield hashed
+    finally:
         if worker:
             worker.join()
-        if failed:
-            raise failed[0]
-        return {name: {"path": str(inputs[name]), "sha256": digests[name]} for name in names}
-
-    return join
+        for fh in large.values():
+            fh.close()
 
 
 def write_manifests(
@@ -227,7 +229,7 @@ def write_manifests(
     seed: int | None = None,
 ) -> list[Path]:
     """Write the run manifest that accompanies each output file; ``inputs``
-    is what the call :func:`hash_inputs` returned gives once the stage has
+    is what the call :func:`hash_inputs` yields gives once the stage has
     run. A manifest is fully determined by the inputs and configuration (no
     timestamps), so identical reruns produce identical bytes.
     """

@@ -140,8 +140,8 @@ def recover_value(predicted: str, values: Sequence[str] | LookupColumn) -> tuple
 
     Returns (value, combined score). An exact member is returned as-is.
     Ties go to the lexicographically smallest value. ``values`` is a
-    :class:`~medsql.store.LookupColumn`, whose lookup answers an exact hit
-    with one indexed query and reads the column on its first miss, a
+    :class:`~medsql.store.LookupColumn`, which answers an exact hit with
+    one indexed query and reads the column on its first miss, a
     :class:`~medsql.store.ColumnValues`, whose set answers exact hits and
     whose memo answers a predicted string recovered before, or any
     sequence, which is sorted and scanned. Membership is asked first: a hit
@@ -170,18 +170,6 @@ class RecoveredQuery:
     unresolved: tuple[str, ...] = ()
 
 
-def _resolve_column(cond: Condition, lookup: ValueLookup) -> tuple[str, str]:
-    """(table, column) of a condition: its own table, or else the one table
-    of the lookup with that column; :class:`UnknownColumn` when there is none."""
-    ref = cond.column
-    if ref.table is not None:
-        return (ref.table, ref.column)
-    tables = lookup.tables_for_column(ref.column)
-    if len(tables) != 1:
-        raise UnknownColumn(f"{len(tables)} tables have column {ref.column}")
-    return (tables[0], ref.column)
-
-
 def recover_query(pred_sql: str, lookup: ValueLookup) -> RecoveredQuery:
     """Rewrite every text condition value of a predicted query to its most
     similar database value.
@@ -202,9 +190,9 @@ def recover_query(pred_sql: str, lookup: ValueLookup) -> RecoveredQuery:
     for cond in query.conditions:
         if cond.value.kind is LiteralKind.TEXT:
             try:
-                table, column = _resolve_column(cond, lookup)
-                if lookup.attr(table, column) == ATTR_TEXT:
-                    chosen, _ = recover_value(cond.value.value, LookupColumn(lookup, table, column))
+                column = lookup.column(cond.column.table, cond.column.column)
+                if column.attr == ATTR_TEXT:
+                    chosen, _ = recover_value(cond.value.value, column)
                     if chosen != cond.value.value:
                         replacements.append((cond.value.value, chosen))
                         cond = Condition(cond.column, cond.op, Literal(LiteralKind.TEXT, chosen), cond.connector)

@@ -395,16 +395,32 @@ def _authorize(action: int, *_: Any) -> int:
     return sqlite3.SQLITE_OK if action in _ALLOWED_ACTIONS else sqlite3.SQLITE_DENY
 
 
+# The longest string or blob a statement on an execution connection may
+# build, in bytes: far above any stored value, far below the host's memory.
+_MAX_VALUE_BYTES = 10_000_000
+
+
+def _guard(conn: sqlite3.Connection) -> None:
+    """Install the authorizer and the value bound on an execution
+    connection. A longer value fails its statement with "string or blob too
+    big". Python 3.10 cannot set an SQLite limit, so there values are not
+    bounded."""
+    conn.set_authorizer(_authorize)
+    if hasattr(conn, "setlimit"):
+        conn.setlimit(sqlite3.SQLITE_LIMIT_LENGTH, _MAX_VALUE_BYTES)
+
+
 def open_exec_db(path: str | Path) -> sqlite3.Connection:
-    """Open the execution database read-only, with the authorizer, so that
-    executing untrusted predicted SQL can neither mutate it nor reach
-    anything else. Only the thread that opened it may use it. A file that
+    """Open the execution database read-only, with the authorizer and the
+    value bound of :func:`_guard`, so that executing untrusted predicted SQL
+    can neither mutate it, reach anything else, nor build a value that
+    takes the host's memory. Only the thread that opened it may use it. A file that
     is missing or is not an SQLite database fails here."""
     path = Path(path)
     conn = None
     try:
         conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
-        conn.set_authorizer(_authorize)
+        _guard(conn)
         # Reads the schema: "SELECT 1" reads no page, so it passes on any file.
         conn.execute("SELECT 1 FROM sqlite_master LIMIT 1").fetchall()
         return conn
@@ -417,13 +433,13 @@ def open_exec_db(path: str | Path) -> sqlite3.Connection:
 @contextmanager
 def exec_connection(db: str | Path | sqlite3.Connection) -> Iterator[sqlite3.Connection]:
     """Borrow ``db`` if it is a connection; otherwise open it read-only
-    and close it on exit. A borrowed connection gets the authorizer of
-    :func:`open_exec_db` and keeps it after the call. It loses any progress
+    and close it on exit. A borrowed connection gets the authorizer and the
+    value bound of :func:`open_exec_db` and keeps them after the call. It loses any progress
     handler its caller set: :func:`run_select` bounds a query with its own
     handler and removes it afterwards, because Python cannot read a handler
     back to restore it."""
     if isinstance(db, sqlite3.Connection):
-        db.set_authorizer(_authorize)
+        _guard(db)
         yield db
         return
     conn = open_exec_db(db)
@@ -496,48 +512,56 @@ class ColumnValues(tuple):
 
 
 class ValueLookup:
-    """Distinct values per (table, column) of a schema, canonically ordered.
+    """The columns of a schema, each read as its :class:`LookupColumn` asks.
 
-    The schema resolves names, case-insensitively, and answers ``attr``,
-    ``tables_for_column`` (uppercase) and the :class:`UnknownColumn` of
-    pairs outside it. Every query runs on the borrowed connection: a
-    column's ``SELECT DISTINCT`` when :meth:`values` first asks for it, and
-    one indexed point query per :meth:`contains` while it is not loaded.
-    The connection gets the authorizer of :func:`open_exec_db`, as in
+    Every query runs on the borrowed connection, which gets the authorizer
+    and the value bound of :func:`open_exec_db`, as in
     :func:`exec_connection`; the lookup must not outlive it.
     """
 
     def __init__(self, conn: sqlite3.Connection, schema: SchemaDef):
-        conn.set_authorizer(_authorize)
+        _guard(conn)
         self._conn = conn
         self._schema = schema
-        self._loaded: dict[tuple[str, str], ColumnValues] = {}
+        self._columns: dict[tuple[str, str], LookupColumn] = {}
 
-    def _column(self, table: str, column: str, missing: str) -> tuple[TableDef, ColumnDef]:
-        tab = self._schema.table(table)
+    def column(self, table: str | None, column: str) -> LookupColumn:
+        """The kept :class:`LookupColumn` of ``table.column``, names matched
+        case-insensitively; with ``table`` None, of the one schema table that
+        has ``column``. :class:`UnknownColumn` when there is no such one."""
+        if table is None:
+            tables = [t for t in self._schema.tables if t.column(column)]
+            tab = tables[0] if len(tables) == 1 else None
+        else:
+            tab = self._schema.table(table)
         col = tab.column(column) if tab else None
         if col is None:
-            raise UnknownColumn(f"{missing} {table}.{column}")
-        return tab, col
+            raise UnknownColumn(f"column {column} is not in {table or 'exactly one table'}")
+        kept = self._columns.get((tab.name, col.name))
+        if kept is None:
+            kept = self._columns[tab.name, col.name] = LookupColumn(self._conn, tab, col)
+        return kept
 
-    def _names(self, table: str, column: str) -> tuple[str, str]:
-        tab, col = self._column(table, column, "no values recorded for")
-        return tab.name, col.name
 
-    def values(self, table: str, column: str) -> ColumnValues:
-        tab, col = self._names(table, column)
-        if (tab, col) not in self._loaded:
-            # Qualified: a missing column is an error, not a string.
-            name = f"{_quote(tab)}.{_quote(col)}"
-            try:
-                rows = run_select(self._conn, f"SELECT DISTINCT {name} FROM {_quote(tab)} WHERE {name} IS NOT NULL")
-            except QueryExecutionError as exc:
-                raise DataError(f"cannot read the values of {tab}.{col} from the database: {exc}") from None
-            self._loaded[tab, col] = ColumnValues(sorted(canonical_value(r[0]) for r in rows))
-        return self._loaded[tab, col]
+class LookupColumn:
+    """One column of a :class:`ValueLookup`, resolved once, as
+    :func:`~medsql.recovery.recover_value` takes it: ``table``, ``column``
+    and ``attr`` are the schema's, ``in`` runs one indexed point query while
+    the column is not loaded, and :meth:`load` reads its values once."""
 
-    def contains(self, table: str, column: str, value: str) -> bool:
-        """Whether ``value`` is one of the column's :meth:`values`.
+    def __init__(self, conn: sqlite3.Connection, table: TableDef, column: ColumnDef):
+        self._conn = conn
+        self.table = table.name
+        self.column = column.name
+        self.attr = column.attr
+        # Qualified: a missing column is an error, not a string.
+        name = f"{_quote(table.name)}.{_quote(column.name)}"
+        self._point = f"SELECT {name} FROM {_quote(table.name)} WHERE {name} = ? LIMIT 1"
+        self._distinct = f"SELECT DISTINCT {name} FROM {_quote(table.name)} WHERE {name} IS NOT NULL"
+        self._values: ColumnValues | None = None
+
+    def __contains__(self, value: object) -> bool:
+        """Whether ``value`` is one of the column's :meth:`load` values.
 
         While the column is not loaded, one point query searches its index
         for the first cell equal to ``value``. A ``str`` cell equal to it in
@@ -546,44 +570,27 @@ class ValueLookup:
         Any other outcome (no cell, a number that the column's affinity made
         of the text, a cell equal only under the column's collation, a
         failed query) loads the column and answers from it. So the answer is
-        the one :meth:`values` gives, and a load error is raised in its terms.
+        the one :meth:`load` gives, and a load error is raised in its terms.
         """
-        tab, col = self._names(table, column)
-        loaded = self._loaded.get((tab, col))
-        if loaded is None:
-            name = f"{_quote(tab)}.{_quote(col)}"
+        if self._values is None:
             try:
-                rows = run_select(self._conn, f"SELECT {name} FROM {_quote(tab)} WHERE {name} = ? LIMIT 1",
-                                  params=(value,))
+                rows = run_select(self._conn, self._point, params=(value,))
             except QueryExecutionError:
                 rows = []
             if rows and isinstance(rows[0][0], str) and rows[0][0] == value:
                 return True
-            loaded = self.values(tab, col)
-        return value in loaded
-
-    def attr(self, table: str, column: str) -> str:
-        return self._column(table, column, "no such column")[1].attr
-
-    def tables_for_column(self, column: str) -> tuple[str, ...]:
-        return tuple(sorted(t.name.upper() for t in self._schema.tables if t.column(column) is not None))
-
-
-@dataclass(frozen=True)
-class LookupColumn:
-    """One column of a :class:`ValueLookup` as
-    :func:`~medsql.recovery.recover_value` takes it: ``in`` asks
-    :meth:`ValueLookup.contains`, :meth:`load` gives :meth:`ValueLookup.values`."""
-
-    lookup: ValueLookup
-    table: str
-    column: str
-
-    def __contains__(self, value: object) -> bool:
-        return self.lookup.contains(self.table, self.column, value)
+        return value in self.load()
 
     def load(self) -> ColumnValues:
-        return self.lookup.values(self.table, self.column)
+        """The column's distinct values, canonically ordered, read on the first call."""
+        if self._values is None:
+            try:
+                rows = run_select(self._conn, self._distinct)
+            except QueryExecutionError as exc:
+                where = f"{self.table}.{self.column}"
+                raise DataError(f"cannot read the values of {where} from the database: {exc}") from None
+            self._values = ColumnValues(sorted(canonical_value(r[0]) for r in rows))
+        return self._values
 
 
 def build_value_lookup(conn: sqlite3.Connection, schema: SchemaDef) -> ValueLookup:

@@ -339,7 +339,7 @@ def fill_templates(templates: list[Template], lookup, limit_per_template: int) -
     an id is the template name plus a digest of the values."""
     samples = []
     for name, question, sql, slots in templates:
-        value_sets = [lookup.values(table, column) for _, (table, column) in slots]
+        value_sets = [lookup.column(table, column).load() for _, (table, column) in slots]
         for combo in itertools.islice(itertools.product(*value_sets), limit_per_template):
             text, gold = question, sql
             for (slot, _), value in zip(slots, combo):

@@ -1008,6 +1008,24 @@ class TestHashingThread:
         assert threading.active_count() == threads
         assert not _hash_threads()
 
+    def test_a_library_scope_that_raises_leaves_no_thread_and_no_file_open(self, workdir, monkeypatch):
+        monkeypatch.setattr(records, "_INLINE_HASH_BYTES", 0)
+        opened = []
+        sha256_open = records._sha256_open
+
+        def slow(fh):
+            opened.append(fh)
+            time.sleep(0.05)  # still hashing when the body fails
+            return sha256_open(fh)
+
+        monkeypatch.setattr(records, "_sha256_open", slow)
+        with pytest.raises(KeyError, match="the body's error"):
+            with records.hash_inputs({"schema": "schema.json", "corpus": "corpus.jsonl"}):
+                raise KeyError("the body's error")
+        assert [Path(fh.name).name for fh in opened] == ["corpus.jsonl", "schema.json"]
+        assert all(fh.closed for fh in opened)
+        assert not _hash_threads()
+
     @pytest.fixture()
     def unreadable(self, monkeypatch):
         """Every input goes to the thread, and reading it there fails."""
@@ -1054,9 +1072,9 @@ class TestHashingThread:
                                                            threaded):
         size = Path("corpus.jsonl").stat().st_size
         monkeypatch.setattr(records, "_INLINE_HASH_BYTES", size - 1 + extra)
-        finish = records.hash_inputs({"corpus": "corpus.jsonl"})
         digest = hashlib.sha256(Path("corpus.jsonl").read_bytes()).hexdigest()
-        assert finish() == {"corpus": {"path": "corpus.jsonl", "sha256": digest}}
+        with records.hash_inputs({"corpus": "corpus.jsonl"}) as hashed:
+            assert hashed() == {"corpus": {"path": "corpus.jsonl", "sha256": digest}}
         assert [name for name, _ in thread_hashed] == threaded
 
 
@@ -1099,6 +1117,45 @@ class TestSpecialInputFiles:
         assert cmd(["ingest", "--corpus", "adir", "--schema", "schema.json", "--out", "out.jsonl"]) == 3
         assert "medsql ingest: environment error:" in capsys.readouterr().err
         assert not Path("out.jsonl").exists()
+
+
+# Each names an absent corpus: reading any input would exit 3.
+_ABSENT_EVAL = ["eval", "--corpus", "absent.jsonl", "--assignment", "absent.tsv", "--preds", "absent.jsonl",
+                "--db", "absent.db"]
+_NO_HTTP_URL = "data error: --translate-url must be an http or https URL with a host, not 'ftp://x'"
+
+
+class TestOptionValuesBeforeAnyInput:
+    @pytest.mark.parametrize("argv, env, code, message", [
+        ([*_ABSENT_EVAL, "--split", "bogus"], None, 1, "error: 'BOGUS' is not a valid Split"),
+        (["ingest", "--corpus", "absent.jsonl", "--schema", "schema.json", "--field-map", "bogus"], None, 1,
+         "error: --field-map entries must be canonical=source, got 'bogus'"),
+        (["augment", "--corpus", "absent.jsonl", "--translate-url", "ftp://x"], None, 2, _NO_HTTP_URL),
+        (["augment", "--corpus", "absent.jsonl", "--config", "cfg.json"], None, 2, _NO_HTTP_URL),
+        (["augment", "--corpus", "absent.jsonl"], "ftp://x", 2, _NO_HTTP_URL),
+        (["augment", "--corpus", "absent.jsonl"], None, 1,
+         "error: augment needs --stub or a translation endpoint (--translate-url or MEDSQL_TRANSLATE_URL)"),
+    ], ids=["eval-split", "ingest-field-map", "url-flag", "url-config", "url-env", "no-translator"])
+    def test_a_bad_value_is_reported_and_no_input_is_read(self, workdir, monkeypatch, capsys, argv, env, code,
+                                                          message):
+        # Each was checked by the stage, after the inputs were opened: exit 3, "No such file or directory".
+        Path("cfg.json").write_text(json.dumps({"translate_url": "ftp://x"}), encoding="utf-8")
+        if env is None:
+            monkeypatch.delenv("MEDSQL_TRANSLATE_URL", raising=False)
+        else:
+            monkeypatch.setenv("MEDSQL_TRANSLATE_URL", env)
+        hashed = []
+        file_sha256 = records.file_sha256
+        monkeypatch.setattr(records, "file_sha256", lambda p: hashed.append(p) or file_sha256(p))
+        before = sorted(os.listdir())
+        assert cmd(argv) == code
+        assert capsys.readouterr().err == f"medsql {argv[0]}: {message}\n"
+        assert hashed == []
+        assert sorted(os.listdir()) == before
+
+    def test_the_stub_ignores_a_bad_endpoint(self, workdir, monkeypatch):
+        monkeypatch.setenv("MEDSQL_TRANSLATE_URL", "ftp://x")
+        assert cmd(["augment", "--corpus", "corpus.jsonl", "--stub"]) == 0
 
 
 class TestCollidingOutputs:

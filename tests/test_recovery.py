@@ -20,7 +20,6 @@ from medsql.recovery import (
 from medsql.store import (
     ColumnDef,
     ColumnValues,
-    LookupColumn,
     SchemaDef,
     TableDef,
     build_value_lookup,
@@ -220,6 +219,20 @@ class TestRecoverQuery:
         assert similarity_calls == pairs
         assert first.replacements == (("asay 007", "ASSAY 007"),)
 
+    @pytest.mark.parametrize("value", ["ASSAY 007", "asay 007"], ids=["hit", "miss"])
+    def test_each_recovered_condition_resolves_its_column_once(self, clinic, monkeypatch, value):
+        # A miss resolved LAB.LABEL four times: for its attribute, its point query and twice for its values.
+        resolved = []
+        table = SchemaDef.table
+        monkeypatch.setattr(SchemaDef, "table", lambda schema, name: resolved.append(name) or table(schema, name))
+        pred = f'SELECT LAB.VALUE_UNIT FROM LAB WHERE LAB.LABEL = "{value}" OR LAB.FLAG = "{value}"'
+        with closing(open_exec_db(clinic.db_path)) as conn:
+            lookup = build_value_lookup(conn, clinic.schema)
+            first = recover_query(pred, lookup)
+            assert resolved == ["LAB", "LAB"]
+            assert recover_query(pred, lookup) == first
+        assert resolved == ["LAB", "LAB"] * 2
+
     def test_misspelled_value_is_replaced(self, clinic):
         pred = 'SELECT COUNT(DISTINCT DEMOGRAPHIC.SUBJECT_ID) FROM DEMOGRAPHIC WHERE DEMOGRAPHIC.LANGUAGE = "hait"'
         recovered = recover_query(pred, clinic.lookup)
@@ -277,7 +290,7 @@ class TestRecoverQuery:
 
     def test_every_replacement_comes_from_the_column_value_set(self, clinic):
         rng = random.Random(77)
-        languages = clinic.lookup.values("DEMOGRAPHIC", "LANGUAGE")
+        languages = clinic.lookup.column("DEMOGRAPHIC", "LANGUAGE").load()
         for _ in range(50):
             source = rng.choice(languages)
             mangled = "".join(ch for ch in source if rng.random() > 0.3).lower()
@@ -325,7 +338,7 @@ class TestPointQueryPath:
         rows = data.draw(st.lists(st.sampled_from(cells), min_size=1, max_size=6), label="rows")
         with closing(_column_db(declaration, rows, indexed)) as conn:
             loaded = build_value_lookup(conn, _T_C)
-            loaded.values("T", "C")
+            loaded.column("T", "C").load()
             for sql in map(_where_c, predictions):
                 assert recover_query(sql, build_value_lookup(conn, _T_C)) == recover_query(sql, loaded), sql
 
@@ -333,12 +346,12 @@ class TestPointQueryPath:
         with closing(_column_db("TEXT", [None, None])) as conn:
             lookup = build_value_lookup(conn, _T_C)
             with pytest.raises(UnknownColumn, match="^empty value set$"):
-                recover_value("x", LookupColumn(lookup, "T", "C"))
+                recover_value("x", lookup.column("T", "C"))
             assert recover_query(_where_c("x"), lookup).unresolved == ("T.C",)
 
     def test_a_hit_reports_itself_through_the_returned_value(self, clinic, similarity_calls):
         with closing(open_exec_db(clinic.db_path)) as conn:
-            column = LookupColumn(build_value_lookup(conn, clinic.schema), "lab", "label")
+            column = build_value_lookup(conn, clinic.schema).column("lab", "label")
             assert recover_value("ASSAY 007", column) == ("ASSAY 007", 1.0)
             assert similarity_calls == []
             assert recover_value("asay 007", column)[0] == "ASSAY 007"

@@ -3,6 +3,7 @@ from __future__ import annotations
 import inspect
 import shutil
 import sqlite3
+import sys
 from contextlib import closing
 
 import pytest
@@ -121,6 +122,26 @@ class TestRerank:
             assert rerank(beam(GOOD), conn).chosen_rank == 1
             conn.execute(cross_join).fetchall()
         assert not fired
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="Python 3.10 cannot set an SQLite limit")
+    @pytest.mark.parametrize("borrowed", [False, True], ids=["path", "borrowed"])
+    @pytest.mark.parametrize("bomb", [
+        "SELECT randomblob(20000000)",
+        "SELECT zeroblob(20000000)",
+        "SELECT replace(printf('%.*c', 5000000, 'x'), 'x', 'yyyyy')",
+    ], ids=["randomblob", "zeroblob", "replace-printf"])
+    def test_a_value_over_the_bound_fails_its_candidate(self, clinic, bomb, borrowed):
+        # Each built a value of 20-25 MB, which won the beam at rank 1 and scored as a wrong result.
+        sample = clinic.corpus[0]
+        with closing(sqlite3.connect(clinic.db_path)) as conn:
+            db = conn if borrowed else clinic.db_path
+            choice = rerank(beam(bomb, GOOD), db)
+            (scored,) = evaluate([sample], {sample.id: bomb}, db).per_sample
+        assert (choice.chosen_rank, choice.sql, choice.all_failed) == (2, GOOD, False)
+        assert (scored.ex_match, scored.gold_error, scored.pred_error) == (False, False, True)
+
+    def test_a_value_under_the_bound_is_a_result(self, clinic):
+        assert rerank(beam("SELECT length(randomblob(9000000))", GOOD), clinic.db_path).chosen_rank == 1
 
     def test_timed_out_candidate_counts_as_failed(self, clinic):
         choice = rerank(beam(SLOW, GOOD), clinic.db_path, timeout_ms=50)

@@ -28,7 +28,6 @@ from medsql.query import parse_sql, tokenize_sql
 from medsql.store import (
     DEFAULT_TIMEOUT_MS,
     ColumnDef,
-    LookupColumn,
     Paraphrase,
     Sample,
     SchemaDef,
@@ -705,24 +704,28 @@ class TestValueLookup:
                     "SELECT DISTINCT LANGUAGE FROM DEMOGRAPHIC WHERE LANGUAGE IS NOT NULL"
                 )
             )
-        assert list(clinic.lookup.values("DEMOGRAPHIC", "LANGUAGE")) == expected
+        assert list(clinic.lookup.column("DEMOGRAPHIC", "LANGUAGE").load()) == expected
 
     def test_number_values_are_canonical_strings(self, clinic):
-        ages = clinic.lookup.values("DEMOGRAPHIC", "AGE")
+        ages = clinic.lookup.column("DEMOGRAPHIC", "AGE").load()
         assert all(age == canonical_value(int(age)) for age in ages)
         assert list(ages) == sorted(ages)
 
-    def test_lookup_is_case_insensitive(self, clinic):
-        assert clinic.lookup.values("lab", "label") == clinic.lookup.values("LAB", "LABEL")
-        assert clinic.lookup.attr("lab", "label") == "text"
+    def test_lookup_is_case_insensitive_and_keeps_each_column(self, clinic):
+        column = clinic.lookup.column("lab", "label")
+        assert column is clinic.lookup.column("LAB", "LABEL")
+        assert (column.table, column.column, column.attr) == ("LAB", "LABEL", "text")
 
     def test_unknown_column_raises(self, clinic):
         with pytest.raises(UnknownColumn):
-            clinic.lookup.values("LAB", "NOPE")
+            clinic.lookup.column("LAB", "NOPE")
 
-    def test_tables_for_column(self, clinic):
-        assert clinic.lookup.tables_for_column("SHORT_TITLE") == ("DIAGNOSES", "PROCEDURES")
-        assert clinic.lookup.tables_for_column("LANGUAGE") == ("DEMOGRAPHIC",)
+    def test_a_bare_column_resolves_to_the_one_table_that_has_it(self, clinic):
+        assert clinic.lookup.column(None, "language") is clinic.lookup.column("DEMOGRAPHIC", "LANGUAGE")
+        # SHORT_TITLE is a column of DIAGNOSES and of PROCEDURES.
+        for ambiguous_or_missing in ("SHORT_TITLE", "NOPE"):
+            with pytest.raises(UnknownColumn):
+                clinic.lookup.column(None, ambiguous_or_missing)
 
     @pytest.fixture()
     def conn(self, clinic):
@@ -746,48 +749,49 @@ class TestValueLookup:
 
     def test_a_column_is_loaded_on_first_use_only(self, clinic, conn, selects):
         lookup = build_value_lookup(conn, clinic.schema)
-        assert lookup.attr("LAB", "LABEL") == "text"
-        assert lookup.tables_for_column("SHORT_TITLE") == ("DIAGNOSES", "PROCEDURES")
+        assert lookup.column("LAB", "LABEL").attr == "text"
+        with pytest.raises(UnknownColumn):
+            lookup.column(None, "SHORT_TITLE")
         assert selects == []
-        labels = lookup.values("lab", "label")
-        assert lookup.values("LAB", "LABEL") is labels
+        labels = lookup.column("lab", "label").load()
+        assert lookup.column("LAB", "LABEL").load() is labels
         assert selects == [(self.LABELS,)]
-        assert labels == clinic.lookup.values("LAB", "LABEL")
+        assert labels == clinic.lookup.column("LAB", "LABEL").load()
 
     def test_distinct_values_read_a_covering_index(self, clinic, conn, selects):
-        build_value_lookup(conn, clinic.schema).values("PRESCRIPTIONS", "DRUG")
+        build_value_lookup(conn, clinic.schema).column("PRESCRIPTIONS", "DRUG").load()
         (query,) = selects
         plan = _plan(clinic.db_path, *query)
         assert "COVERING INDEX ix_13_PRESCRIPTIONS_DRUG" in plan and "TEMP B-TREE" not in plan, plan
 
     def test_a_hit_runs_one_point_query_and_reads_no_values(self, clinic, conn, selects):
         lookup = build_value_lookup(conn, clinic.schema)
-        assert lookup.contains("lab", "label", "ASSAY 007")
+        assert "ASSAY 007" in lookup.column("lab", "label")
         assert selects == [(self.LABEL_POINT, "ASSAY 007")]
-        assert "ASSAY 007" in LookupColumn(lookup, "LAB", "LABEL")
+        assert "ASSAY 007" in lookup.column("LAB", "LABEL")
         assert selects == [(self.LABEL_POINT, "ASSAY 007")] * 2
 
     def test_a_point_query_searches_the_index_of_its_column(self, clinic, conn, selects):
-        assert build_value_lookup(conn, clinic.schema).contains("PRESCRIPTIONS", "DRUG", "DRUG 001")
+        assert "DRUG 001" in build_value_lookup(conn, clinic.schema).column("PRESCRIPTIONS", "DRUG")
         (point,) = selects
         plan = _plan(clinic.db_path, *point)
         assert plan == "SEARCH PRESCRIPTIONS USING COVERING INDEX ix_13_PRESCRIPTIONS_DRUG (DRUG=?)", plan
 
     def test_a_miss_loads_the_column_once_and_later_answers_read_it(self, clinic, conn, selects):
         lookup = build_value_lookup(conn, clinic.schema)
-        assert not lookup.contains("LAB", "LABEL", "asay 007")
+        assert "asay 007" not in lookup.column("LAB", "LABEL")
         assert selects == [(self.LABEL_POINT, "asay 007"), (self.LABELS,)]
-        assert not lookup.contains("LAB", "LABEL", "asay 008")
-        assert lookup.contains("LAB", "LABEL", "ASSAY 007")
-        assert LookupColumn(lookup, "LAB", "LABEL").load() is lookup.values("LAB", "LABEL")
+        assert "asay 008" not in lookup.column("LAB", "LABEL")
+        assert "ASSAY 007" in lookup.column("lab", "label")
+        assert lookup.column("LAB", "LABEL").load() is lookup.column("lab", "label").load()
         assert selects == [(self.LABEL_POINT, "asay 007"), (self.LABELS,)]
 
     @pytest.mark.parametrize("suffix, member", [("", True), (".0", False), ("x", False)],
                              ids=["stored", "a-float-of-it", "not-a-number"])
     def test_text_that_a_number_column_makes_a_number_is_answered_from_its_values(self, clinic, conn, suffix, member):
         # A number column gives the text "25.0" the integer 25, whose canonical value is "25".
-        value = clinic.lookup.values("DEMOGRAPHIC", "AGE")[0] + suffix
-        assert build_value_lookup(conn, clinic.schema).contains("DEMOGRAPHIC", "AGE", value) is member
+        value = clinic.lookup.column("DEMOGRAPHIC", "AGE").load()[0] + suffix
+        assert (value in build_value_lookup(conn, clinic.schema).column("DEMOGRAPHIC", "AGE")) is member
 
     def test_a_quote_in_a_column_name_is_escaped(self, tmp_path):
         # The name was wrapped in quotes without doubling the embedded one: "unrecognized token".
@@ -798,22 +802,22 @@ class TestValueLookup:
             conn.commit()
         with closing(open_exec_db(db)) as conn:
             lookup = build_value_lookup(conn, SchemaDef((TableDef("T", (ColumnDef('X"Y', "text"),)),)))
-            assert lookup.values("t", 'x"y') == ("a", "b")
+            assert lookup.column("t", 'x"y').load() == ("a", "b")
 
     def test_unknown_pair_raises_without_a_query(self, clinic, conn, selects):
         lookup = build_value_lookup(conn, clinic.schema)
         with pytest.raises(UnknownColumn):
-            lookup.values("LAB", "NOPE")
+            lookup.column("LAB", "NOPE")
         with pytest.raises(UnknownColumn):
-            lookup.attr("NOPE", "LABEL")
+            lookup.column("NOPE", "LABEL")
         assert selects == []
 
     def test_borrowed_connection_is_used_for_loads(self, clinic):
         conn = open_exec_db(clinic.db_path)
         try:
             lookup = build_value_lookup(conn, clinic.schema)
-            assert list(lookup.values("DEMOGRAPHIC", "LANGUAGE")) == list(
-                clinic.lookup.values("DEMOGRAPHIC", "LANGUAGE")
+            assert list(lookup.column("DEMOGRAPHIC", "LANGUAGE").load()) == list(
+                clinic.lookup.column("DEMOGRAPHIC", "LANGUAGE").load()
             )
             assert conn.execute("SELECT 1").fetchone() == (1,)
         finally:
@@ -829,8 +833,8 @@ class TestValueLookup:
         columns = tables[table].columns if table in tables else ()
         tables[table] = TableDef(table, columns + (ColumnDef(column, "text"),))
         schema = SchemaDef(tuple(tables.values()))
-        for ask in (lambda lookup: lookup.values(table.lower(), column.lower()),
-                    lambda lookup: lookup.contains(table.lower(), column.lower(), "x")):
+        for ask in (lambda lookup: lookup.column(table.lower(), column.lower()).load(),
+                    lambda lookup: "x" in lookup.column(table.lower(), column.lower())):
             with pytest.raises(DataError) as exc:
                 ask(build_value_lookup(conn, schema))
             assert str(exc.value) == f"cannot read the values of {table}.{column} from the database: {reason}"
@@ -839,7 +843,7 @@ class TestValueLookup:
         db = shutil.copy(clinic.db_path, tmp_path / "clinic.db")
         with closing(sqlite3.connect(db)) as conn:
             lookup = build_value_lookup(conn, clinic.schema)
-            assert lookup.values("LAB", "LABEL") == clinic.lookup.values("LAB", "LABEL")
+            assert lookup.column("LAB", "LABEL").load() == clinic.lookup.column("LAB", "LABEL").load()
             with pytest.raises(sqlite3.DatabaseError, match="not authorized"):
                 conn.execute(f"ATTACH DATABASE '{tmp_path / 'planted.db'}' AS x")
         assert not (tmp_path / "planted.db").exists()
