@@ -498,15 +498,17 @@ def build_parser(only: str | None = None) -> _Parser:
 
 
 def _check_outputs(name: str, resolved: dict[str, Any]) -> None:
-    """An environment error unless the directory of each of a run's outputs
-    (``--out``, linearize's default one included, and ``--report``) exists
-    and neither an output nor its manifest is a directory, so that no output
-    is written before another fails; a usage error unless the outputs and
-    the manifest beside each are all different files, so that none replaces
-    another."""
+    """A usage error if an output (``--out``, linearize's default one
+    included, or ``--report``) is the empty string; an environment error
+    unless the directory of each exists and neither an output nor its
+    manifest is a directory, so that no output is written before another
+    fails; a usage error unless the outputs and the manifest beside each are
+    all different files, so that none replaces another."""
     named: dict[Path, str] = {}
     for dest in ("out", "report"):
         value = _linearize_args(resolved)[2] if (name, dest) == ("linearize", "out") else resolved.get(dest)
+        if value == "":
+            raise _UsageError(f"--{dest} must name a file, not ''")
         if value:
             out = Path(value)
             if not out.parent.is_dir():
@@ -524,14 +526,8 @@ def cmd(argv: list[str]) -> int:
     """Run one subcommand and return the process exit code: resolve and
     check its options, require its input files and distinct output files in
     existing directories, run its stage inside the scope that hashes the
-    inputs, write one manifest per output after all outputs, and print its
-    summary line.
-
-    An input over 1 MiB is hashed on a second thread while the stage runs,
-    from a file opened before it. The thread is joined before this returns,
-    whatever the stage does. Its read error exits 3 with no manifest
-    written, unless the stage failed first: then the stage's error is the
-    one reported."""
+    inputs (see :func:`medsql.records.hash_inputs`), write one manifest per
+    output after all outputs, and print its summary line."""
     parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)

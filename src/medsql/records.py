@@ -9,9 +9,9 @@ import os
 import re
 import stat
 import tempfile
-import threading
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from contextlib import contextmanager
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from typing import Any, BinaryIO
 
@@ -95,12 +95,15 @@ def read_jsonl(source: str | Path | bytes) -> Iterator[tuple[int, dict[str, Any]
 
 def record_id(value: Any) -> str:
     """A record's id as text: a string or an integer, not a boolean, and
-    without a tab or a line break, which would break the split file."""
+    without a tab or a line break, which would break the split file, or a
+    leading byte order mark, which :func:`read_lines` would strip from it."""
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise DataError(f"id must be a string or an integer, not {json.dumps(value)}")
     text = str(value)
     if "\t" in text or "\n" in text or "\r" in text:
         raise DataError(f"id must not contain a tab or a line break, not {json.dumps(value)}")
+    if text.startswith("\ufeff"):
+        raise DataError(f"id must not begin with a byte order mark (U+FEFF), not {json.dumps(value)}")
     return text
 
 
@@ -183,40 +186,24 @@ def hash_inputs(inputs: Mapping[str, str | Path]) -> Iterator[Callable[[], dict[
             raise DataError(f"--{name} must name a file, not a pipe, socket or device: {inputs[name]}")
         sizes[name] = info.st_size
     digests: dict[str, str] = {}
-    large: dict[str, BinaryIO] = {}
-    failed: list[Exception] = []
-    worker: threading.Thread | None = None
-
-    def work() -> None:
-        try:
-            for name, fh in large.items():
-                digests[name] = _sha256_open(fh)
-        except Exception as exc:
-            failed.append(exc)
-
-    def hashed() -> dict[str, dict[str, str]]:
-        if worker:
-            worker.join()
-        if failed:
-            raise failed[0]
-        return {name: {"path": str(inputs[name]), "sha256": digests[name]} for name in names}
-
-    try:
+    with ExitStack() as stack:
+        large = {}
         for name in names:
             if sizes[name] > _INLINE_HASH_BYTES:
-                large[name] = open(inputs[name], "rb", buffering=0)
+                large[name] = stack.enter_context(open(inputs[name], "rb", buffering=0))
             else:
                 digests[name] = file_sha256(inputs[name])
+        pending = None
         if large:
-            thread = threading.Thread(target=work, name="medsql-hash-inputs")
-            thread.start()
-            worker = thread  # only once started: a thread that failed to start cannot be joined
+            # Entered after the files, so leaving the scope joins the thread before they close.
+            pool = stack.enter_context(ThreadPoolExecutor(1, thread_name_prefix="medsql-hash-inputs"))
+            pending = pool.submit(lambda: {name: _sha256_open(fh) for name, fh in large.items()})
+
+        def hashed() -> dict[str, dict[str, str]]:
+            merged = {**digests, **(pending.result() if pending else {})}
+            return {name: {"path": str(inputs[name]), "sha256": merged[name]} for name in names}
+
         yield hashed
-    finally:
-        if worker:
-            worker.join()
-        for fh in large.values():
-            fh.close()
 
 
 def write_manifests(

@@ -22,6 +22,7 @@ from functools import cached_property
 from itertools import islice
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
+from urllib.parse import quote
 
 from .errors import (
     ColumnTypeError,
@@ -419,7 +420,9 @@ def open_exec_db(path: str | Path) -> sqlite3.Connection:
     path = Path(path)
     conn = None
     try:
-        conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
+        # Every character but a letter, digit or "_.-~" percent-encoded, slashes too: SQLite
+        # reads "?" and "#" as the URI's query and fragment, and a leading "//" as its authority.
+        conn = sqlite3.connect(f"file:{quote(str(path), safe='')}?mode=ro", uri=True)
         _guard(conn)
         # Reads the schema: "SELECT 1" reads no page, so it passes on any file.
         conn.execute("SELECT 1 FROM sqlite_master LIMIT 1").fetchall()
@@ -442,11 +445,8 @@ def exec_connection(db: str | Path | sqlite3.Connection) -> Iterator[sqlite3.Con
         _guard(db)
         yield db
         return
-    conn = open_exec_db(db)
-    try:
+    with closing(open_exec_db(db)) as conn:
         yield conn
-    finally:
-        conn.close()
 
 
 # The per-query bound of every command that executes predicted SQL.

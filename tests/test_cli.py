@@ -395,6 +395,24 @@ class TestSplit:
         assert outputs["one"] == outputs["two"]
 
 
+class TestByteOrderMarkId:
+    @pytest.mark.parametrize("argv", [
+        ["ingest", "--corpus", "corpus.jsonl", "--schema", "schema.json", "--out", "ingested.jsonl"],
+        ["split", "--corpus", "corpus.jsonl", "--test-size", "10"],
+    ], ids=["ingest", "split"])
+    def test_exit_two_naming_record_one(self, workdir, clinic, capsys, argv):
+        # split wrote the id at the very start of the assignment, where reading strips a
+        # byte order mark, and linearize then found the sample missing from it.
+        rows = read_jsonl("corpus.jsonl")
+        rows[0]["id"] = "\ufeff" + str(rows[0]["id"])
+        write_jsonl("corpus.jsonl", rows)
+        before = sorted(os.listdir())
+        assert cmd(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            f"medsql {argv[0]}: data error: record 1: id must not begin with a byte order mark (U+FEFF)")
+        assert sorted(os.listdir()) == before
+
+
 class TestLinearize:
     def test_default_output_name_and_content(self, workdir, clinic, capsys):
         assert cmd(SPLIT_ARGS) == 0
@@ -816,6 +834,30 @@ class TestEval:
                     "--preds", "absent.jsonl", "--db", "clinic.db"]) == 3
 
 
+class TestDatabasePathCharacters:
+    @pytest.mark.parametrize("db", ["a?b.db", "h#1.db", "x%41.db"])
+    def test_rerank_recover_and_eval_open_the_named_file(self, clinic, tmp_path, monkeypatch, capsys, db):
+        # SQLite read a "?" or "#" in the path as the start of the URI's query or fragment and
+        # decoded "%41": a?b.db opened a new, empty file "a" read-write, every candidate failed,
+        # and rerank exited 0; x%41.db asked for xA.db and exited 3.
+        runs = []
+        for name in ("clinic.db", db):
+            directory = tmp_path / str(len(runs))
+            _stage(clinic, directory)
+            (directory / "clinic.db").rename(directory / name)
+            monkeypatch.chdir(directory)
+            codes = [cmd([name if arg == "clinic.db" else arg for arg in argv]) for argv in _pipeline(clinic)]
+            outputs = {("clinic.db" if p.name == name else p.name): p.read_bytes()
+                       for p in sorted(directory.iterdir()) if not p.name.endswith(".manifest.json")}
+            manifests = sorted(p.name for p in directory.iterdir() if p.name.endswith(".manifest.json"))
+            runs.append((codes, capsys.readouterr(), outputs, manifests))
+        (codes, out, outputs, manifests), (codes1, out1, outputs1, manifests1) = runs
+        assert codes == codes1 == [0] * 8
+        assert (out.out, out.err) == (out1.out, out1.err)
+        assert outputs == outputs1
+        assert manifests == manifests1
+
+
 class TestPipeline:
     def test_rerank_then_recover_then_eval(self, workdir, clinic):
         assert cmd(SPLIT_ARGS) == 0
@@ -939,7 +981,7 @@ def thread_hashed(monkeypatch) -> list[tuple[str, int]]:
 
 
 def _hash_threads() -> list[threading.Thread]:
-    return [t for t in threading.enumerate() if t.name == "medsql-hash-inputs"]
+    return [t for t in threading.enumerate() if t.name.startswith("medsql-hash-inputs")]
 
 
 class TestHashingThread:
@@ -1022,6 +1064,50 @@ class TestHashingThread:
         with pytest.raises(KeyError, match="the body's error"):
             with records.hash_inputs({"schema": "schema.json", "corpus": "corpus.jsonl"}):
                 raise KeyError("the body's error")
+        assert [Path(fh.name).name for fh in opened] == ["corpus.jsonl", "schema.json"]
+        assert all(fh.closed for fh in opened)
+        assert not _hash_threads()
+
+    def test_a_scope_that_raises_lets_the_thread_finish_reading_before_its_files_close(self, workdir, monkeypatch):
+        # The thread's read error is dropped when the body raises, so only what each read gave
+        # shows that the thread was joined before its files were closed.
+        monkeypatch.setattr(records, "_INLINE_HASH_BYTES", 0)
+        reads = []
+        sha256_open = records._sha256_open
+
+        def slow(fh):
+            time.sleep(0.05)  # still hashing when the body fails
+            try:
+                reads.append((Path(fh.name).name, sha256_open(fh)))
+            except Exception as exc:
+                reads.append((Path(fh.name).name, repr(exc)))
+                raise
+            return reads[-1][1]
+
+        monkeypatch.setattr(records, "_sha256_open", slow)
+        with pytest.raises(KeyError, match="the body's error"):
+            with records.hash_inputs({"schema": "schema.json", "corpus": "corpus.jsonl"}):
+                raise KeyError("the body's error")
+        assert reads == [(name, hashlib.sha256(Path(name).read_bytes()).hexdigest())
+                         for name in ("corpus.jsonl", "schema.json")]
+        assert not _hash_threads()
+
+    def test_a_thread_that_cannot_start_is_reraised_and_every_file_is_closed(self, workdir, monkeypatch):
+        monkeypatch.setattr(records, "_INLINE_HASH_BYTES", 0)
+        opened = []
+
+        def spy(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        def refuse(thread):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(records, "open", spy, raising=False)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            with records.hash_inputs({"schema": "schema.json", "corpus": "corpus.jsonl"}):
+                pytest.fail("the body ran without its hashing thread")
         assert [Path(fh.name).name for fh in opened] == ["corpus.jsonl", "schema.json"]
         assert all(fh.closed for fh in opened)
         assert not _hash_threads()
@@ -1271,6 +1357,43 @@ class TestOutputDirectories:
         assert cmd(SPLIT_ARGS + ["--out", "afile/a.tsv"]) == 3
         assert "environment error: --out afile/a.tsv: afile is not an existing directory" in capsys.readouterr().err
         assert not Path("split_report.json").exists()
+
+
+class TestEmptyOutputs:
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("dest", ["out", "report"])
+    @pytest.mark.parametrize("name", ["split", "augment", "recover"])
+    def test_exit_one_naming_the_option_before_any_input_is_read(self, workdir, monkeypatch, capsys, name, dest,
+                                                                 source):
+        # split --seed 7 --report "" used to replace the seed-0 assignment, keep its seed-0
+        # manifest beside it, and then exit 3 on renaming the report onto ".".
+        write_jsonl("preds.jsonl", [{"id": "a", "sql": 'SELECT NAME FROM DEMOGRAPHIC WHERE LANGUAGE = "engl"'}])
+        first, again = {
+            "split": (["split", "--corpus", "corpus.jsonl", "--test-size", "10", "--seed", "0"], ["--seed", "7"]),
+            "augment": (["augment", "--corpus", "corpus.jsonl", "--stub"], ["--pivots", "de"]),
+            "recover": (["recover", "--preds", "preds.jsonl", "--db", "clinic.db", "--schema", "schema.json"], []),
+        }[name]
+        assert cmd(first) == 0
+        if source == "flag":
+            option = [f"--{dest}", ""]
+        else:
+            Path("cfg.json").write_text(json.dumps({dest: ""}), encoding="utf-8")
+            option = ["--config", "cfg.json"]
+        hashed = []
+        file_sha256 = records.file_sha256
+        monkeypatch.setattr(records, "file_sha256", lambda p: hashed.append(p) or file_sha256(p))
+        before = {p.name: p.read_bytes() for p in workdir.iterdir() if p.is_file()}
+        capsys.readouterr()
+        assert cmd(first + again + option) == 1
+        assert capsys.readouterr().err == f"medsql {name}: error: --{dest} must name a file, not ''\n"
+        assert hashed == []
+        assert {p.name: p.read_bytes() for p in workdir.iterdir() if p.is_file()} == before
+
+    def test_an_empty_linearize_out_still_names_the_default_output(self, workdir):
+        assert cmd(SPLIT_ARGS) == 0
+        assert cmd(["linearize", "--corpus", "corpus.jsonl", "--schema", "schema.json",
+                    "--assignment", "split_assignment.tsv", "--out", ""]) == 0
+        assert Path("train_template.jsonl.manifest.json").exists()
 
 
 class TestMalformedInputFiles:

@@ -49,6 +49,7 @@ class TestLoadPredictions:
             (b'{"id": "q\\t2", "sql": "SELECT COUNT(*) FROM LAB"}', "id must not contain a tab or a line break"),
             (b'{"id": "q\\n2", "sql": "SELECT COUNT(*) FROM LAB"}', "id must not contain a tab or a line break"),
             (b'{"id": "q\\r2", "sql": "SELECT COUNT(*) FROM LAB"}', "id must not contain a tab or a line break"),
+            (b'{"id": "\\ufeffq2", "sql": "SELECT COUNT(*) FROM LAB"}', "id must not begin with a byte order mark"),
             (b'{"id": "q2", "candidates": [{"sql": null, "score": 1.0}]}', "candidate sql must be a non-empty string"),
             (b'{"id": "q2", "candidates": [{"sql": 5, "score": 1.0}]}', "candidate sql must be a non-empty string"),
             (b'{"id": "q2", "sql": "SELECT \xff FROM LAB"}', "can't decode byte 0xff"),

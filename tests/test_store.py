@@ -199,6 +199,7 @@ class TestCorpusIo:
             ("id", "a\tb", 'id must not contain a tab or a line break, not "a\\\\tb"'),
             ("id", "a\nb", 'id must not contain a tab or a line break, not "a\\\\nb"'),
             ("id", "a\rb", 'id must not contain a tab or a line break, not "a\\\\rb"'),
+            ("id", "\ufeffb", 'id must not begin with a byte order mark \\(U\\+FEFF\\), not "\\\\ufeffb"'),
         ],
     )
     def test_bad_field_types_are_record_errors(self, tmp_path, field, value, message):
@@ -542,6 +543,11 @@ class TestExecDb:
         with closing(open_exec_db(clinic.db_path)) as conn:
             with pytest.raises(QueryExecutionError):
                 run_select(conn, "DROP TABLE LAB")
+            assert conn.execute("SELECT COUNT(*) FROM LAB").fetchone()[0] == 100
+
+    def test_a_path_that_begins_with_two_slashes_opens_that_file(self, clinic):
+        # "file://x/..." names the URI authority "x": SQLite refused it as "invalid uri authority".
+        with closing(open_exec_db("/" + str(clinic.db_path.absolute()))) as conn:
             assert conn.execute("SELECT COUNT(*) FROM LAB").fetchone()[0] == 100
 
     def test_missing_db_raises_env_error(self, tmp_path):
