@@ -151,76 +151,31 @@ class SqlQuery:
 # both takes a fifth off a parse. The parser already guarantees what
 # __post_init__ checks: a non-empty select list and a main table, join
 # tables kept distinct by its `seen` set, a connector on every condition
-# but the first, and tuples throughout. So each builder below creates the
-# object and sets each slot through the slot descriptor's __set__, where
-# __setattr__ ends.
-# Each is written for its own arity: a generic loop over the fields
-# measured slower than the public constructor.
-def _slot_setters(cls) -> list:
-    """The ``__set__`` of each field's slot descriptor, in field order."""
-    return [getattr(cls, field.name).__set__ for field in fields(cls)]
+# but the first, and tuples throughout. So a builder creates the object
+# and sets each slot through the slot descriptor's __set__, where
+# __setattr__ ends. Its source is generated from the class's fields, as
+# dataclasses generates __init__: a loop over the fields measured slower
+# than the public constructor, so the body is one straight-line call per
+# field.
+def _builder(cls):
+    """A function that takes the fields of ``cls`` in field order and
+    returns the node holding them, without ``__init__`` or ``__post_init__``."""
+    names = [field.name for field in fields(cls)]
+    namespace = {"__name__": __name__, "__new": object.__new__, "__cls": cls}
+    namespace.update((f"__set_{name}", getattr(cls, name).__set__) for name in names)
+    sets = "".join(f"    __set_{name}(__node, {name})\n" for name in names)
+    exec(f"def build({', '.join(names)}):\n    __node = __new(__cls)\n{sets}    return __node\n", namespace)
+    build = namespace["build"]
+    build.__qualname__ = build.__name__ = f"_build_{cls.__name__}"
+    return build
 
 
-_new = object.__new__
-_set_ref_column, _set_ref_table = _slot_setters(ColumnRef)
-_set_item_agg_op, _set_item_distinct, _set_item_column = _slot_setters(SelectItem)
-_set_join_table, _set_join_left, _set_join_right = _slot_setters(JoinClause)
-_set_literal_kind, _set_literal_value = _slot_setters(Literal)
-_set_cond_column, _set_cond_op, _set_cond_value, _set_cond_connector = _slot_setters(Condition)
-_set_query_items, _set_query_table, _set_query_joins, _set_query_conditions = _slot_setters(SqlQuery)
-
-
-def _build_column_ref(column: str, table: str | None) -> ColumnRef:
-    node = _new(ColumnRef)
-    _set_ref_column(node, column)
-    _set_ref_table(node, table)
-    return node
-
-
-def _build_select_item(agg_op: AggOp, distinct: bool, column: ColumnRef | Star) -> SelectItem:
-    node = _new(SelectItem)
-    _set_item_agg_op(node, agg_op)
-    _set_item_distinct(node, distinct)
-    _set_item_column(node, column)
-    return node
-
-
-def _build_join(table: str, left: ColumnRef, right: ColumnRef) -> JoinClause:
-    node = _new(JoinClause)
-    _set_join_table(node, table)
-    _set_join_left(node, left)
-    _set_join_right(node, right)
-    return node
-
-
-def _build_literal(kind: LiteralKind, value: str) -> Literal:
-    node = _new(Literal)
-    _set_literal_kind(node, kind)
-    _set_literal_value(node, value)
-    return node
-
-
-def _build_condition(column: ColumnRef, op: CompOp, value: Literal, connector: Connector | None) -> Condition:
-    node = _new(Condition)
-    _set_cond_column(node, column)
-    _set_cond_op(node, op)
-    _set_cond_value(node, value)
-    _set_cond_connector(node, connector)
-    return node
-
-
-def _build_query(
-    select_items: tuple[SelectItem, ...],
-    main_table: str,
-    joins: tuple[JoinClause, ...],
-    conditions: tuple[Condition, ...],
-) -> SqlQuery:
-    node = _new(SqlQuery)
-    _set_query_items(node, select_items)
-    _set_query_table(node, main_table)
-    _set_query_joins(node, joins)
-    _set_query_conditions(node, conditions)
-    return node
+_build_column_ref = _builder(ColumnRef)
+_build_select_item = _builder(SelectItem)
+_build_join = _builder(JoinClause)
+_build_literal = _builder(Literal)
+_build_condition = _builder(Condition)
+_build_query = _builder(SqlQuery)
 
 
 # Lexer: one compiled pattern and one findall. Each match takes the
