@@ -16,6 +16,7 @@ import codecs
 import json
 import os
 import sys
+import threading
 from dataclasses import asdict, replace
 from pathlib import Path
 from enum import Enum
@@ -82,6 +83,8 @@ class _UsageError(Exception):
 
 # The least value of a numeric option, whichever source gives it.
 _MINIMUM = {"jobs": 1, "timeout_ms": 1, "retries": 0, "test_size": 0}
+# The largest: a timeout the platform's waits and socket timeouts can take.
+_MAXIMUM = {"timeout_ms": int(threading.TIMEOUT_MAX) * 1000}
 
 
 def _resolve(args: argparse.Namespace) -> dict[str, Any]:
@@ -109,6 +112,9 @@ def _resolve(args: argparse.Namespace) -> dict[str, Any]:
         least = _MINIMUM.get(dest)
         if least is not None and value is not None and value < least:
             raise DataError(f"--{dest.replace('_', '-')} must be at least {least}, not {value}")
+        most = _MAXIMUM.get(dest)
+        if most is not None and value is not None and value > most:
+            raise DataError(f"--{dest.replace('_', '-')} must be at most {most}, not {value}")
         if dest == "sep" and not value.strip():
             raise DataError(f"--sep must hold a character other than whitespace, not {value!r}")
         if dest == "pivots":
@@ -116,7 +122,7 @@ def _resolve(args: argparse.Namespace) -> dict[str, Any]:
         if dest == "designated":
             _designated(value)
         if dest == "split":
-            _choice(Split, value.upper())
+            _choice(dest, value)
         if dest == "field_map":
             _parse_field_map(value)
         resolved[dest] = value
@@ -165,6 +171,8 @@ def _parse_field_map(text: str | None) -> dict[str, str]:
         canonical, source = part.split("=", 1)
         if canonical not in _CANONICAL_FIELDS:
             raise _UsageError(f"unknown canonical field {canonical!r} in --field-map")
+        if canonical in mapping:
+            raise _UsageError(f"--field-map must name each canonical field once, not {canonical!r} twice")
         mapping[canonical] = source
     return mapping
 
@@ -271,19 +279,29 @@ def _cmd_split(resolved: dict[str, Any]) -> tuple[list[Path], str]:
     )
 
 
-def _choice(enum: type[Enum], value: str) -> Any:
-    """The member of ``enum`` whose value is ``value``; a usage error otherwise."""
+# Options whose value names a member of an enum, and the case its values are in.
+_CHOICES: dict[str, tuple[type[Enum], Callable[[str], str]]] = {
+    "split": (Split, str.upper),
+    "question_source": (QuestionSource, str.lower),
+}
+
+
+def _choice(dest: str, value: str) -> Any:
+    """The member that option ``dest`` names by ``value`` in any case; a
+    usage error naming the option and quoting ``value`` otherwise."""
+    enum, case = _CHOICES[dest]
     try:
-        return enum(value)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+        return enum(case(value))
+    except ValueError:
+        members = ", ".join(member.value for member in enum)
+        raise _UsageError(f"--{dest.replace('_', '-')} must be one of {members}, not {value!r}") from None
 
 
 def _linearize_args(resolved: dict[str, Any]) -> tuple[Split, QuestionSource, Path]:
     """linearize's split, question source and output: ``--out``, or
     ``<split>_<source>.jsonl`` when it is unset."""
-    split = _choice(Split, resolved["split"].upper())
-    source = _choice(QuestionSource, resolved["question_source"].lower())
+    split = _choice("split", resolved["split"])
+    source = _choice("question_source", resolved["question_source"])
     return split, source, Path(resolved["out"] or f"{split.value.lower()}_{source.value}.jsonl")
 
 
@@ -376,7 +394,7 @@ def _cmd_recover(resolved: dict[str, Any]) -> tuple[list[Path], str]:
 
 
 def _cmd_eval(resolved: dict[str, Any]) -> tuple[list[Path], str]:
-    split = _choice(Split, resolved["split"].upper())
+    split = _choice("split", resolved["split"])
     corpus = load_corpus(resolved["corpus"])
     assignment = SplitAssignment.load(resolved["assignment"])
     samples = assignment.members(corpus, split)

@@ -22,7 +22,7 @@ import medsql
 from medsql import cli, records, store
 from medsql.cli import build_parser, cmd
 from medsql.splits import Split, SplitAssignment, SplitSpec, assign_splits
-from medsql.store import load_corpus
+from medsql.store import load_corpus, save_corpus
 
 
 def _stage(clinic, directory: Path) -> None:
@@ -560,8 +560,6 @@ class TestAugment:
         )
         monkeypatch.setenv("MEDSQL_TRANSLATE_URL", base_url)
         small = load_corpus("corpus.jsonl")[:2]
-        from medsql.store import save_corpus
-
         save_corpus(small, "small.jsonl")
         assert cmd(["augment", "--corpus", "small.jsonl", "--config", "cfg.json",
                     "--translate-url", "http://127.0.0.1:1/flag"]) == 0
@@ -573,8 +571,6 @@ class TestAugment:
         base_url, _ = translate_server("echo")
         monkeypatch.delenv("MEDSQL_TRANSLATE_URL", raising=False)
         small = load_corpus("corpus.jsonl")[:3]
-        from medsql.store import save_corpus
-
         save_corpus(small, "small.jsonl")
         assert cmd(["augment", "--corpus", "small.jsonl", "--out", "via_http.jsonl",
                     "--report", "http_report.json", "--translate-url", base_url]) == 0
@@ -811,10 +807,11 @@ class TestEval:
         self._write_gold_preds(clinic)
         assert cmd(["eval", "--corpus", "corpus.jsonl", "--assignment", "split_assignment.tsv",
                     "--preds", "preds.jsonl", "--db", "clinic.db", "--split", "validation"]) == 1
-        assert "medsql eval: error: 'VALIDATION' is not a valid Split" in capsys.readouterr().err
+        assert "medsql eval: error: --split must be one of TRAIN, DEV, TEST, not 'validation'" in capsys.readouterr().err
         assert cmd(["linearize", "--corpus", "corpus.jsonl", "--schema", "schema.json",
                     "--assignment", "split_assignment.tsv", "--split", "validation"]) == 1
-        assert "medsql linearize: error: 'VALIDATION' is not a valid Split" in capsys.readouterr().err
+        assert ("medsql linearize: error: --split must be one of TRAIN, DEV, TEST, not 'validation'"
+                in capsys.readouterr().err)
 
     def test_malformed_predictions_exit_two(self, workdir):
         assert cmd(SPLIT_ARGS) == 0
@@ -1208,20 +1205,35 @@ class TestSpecialInputFiles:
 # Each names an absent corpus: reading any input would exit 3.
 _ABSENT_EVAL = ["eval", "--corpus", "absent.jsonl", "--assignment", "absent.tsv", "--preds", "absent.jsonl",
                 "--db", "absent.db"]
+_ABSENT_LINEARIZE = ["linearize", "--corpus", "absent.jsonl", "--schema", "absent.json", "--assignment", "absent.tsv"]
+_ABSENT_INGEST = ["ingest", "--corpus", "absent.jsonl", "--schema", "schema.json"]
+# The longest wait the platform takes: 9,223,372,036,000 ms on 64-bit Linux.
+_LONGEST_TIMEOUT_MS = int(threading.TIMEOUT_MAX) * 1000
 _NO_HTTP_URL = "data error: --translate-url must be an http or https URL with a host, not 'ftp://x'"
 
 
 class TestOptionValuesBeforeAnyInput:
     @pytest.mark.parametrize("argv, env, code, message", [
-        ([*_ABSENT_EVAL, "--split", "bogus"], None, 1, "error: 'BOGUS' is not a valid Split"),
-        (["ingest", "--corpus", "absent.jsonl", "--schema", "schema.json", "--field-map", "bogus"], None, 1,
+        ([*_ABSENT_EVAL, "--split", "bogus"], None, 1, "error: --split must be one of TRAIN, DEV, TEST, not 'bogus'"),
+        ([*_ABSENT_EVAL, "--split", "dev "], None, 1, "error: --split must be one of TRAIN, DEV, TEST, not 'dev '"),
+        ([*_ABSENT_LINEARIZE, "--split", "Dev "], None, 1,
+         "error: --split must be one of TRAIN, DEV, TEST, not 'Dev '"),
+        ([*_ABSENT_LINEARIZE, "--question-source", "Templates"], None, 1,
+         "error: --question-source must be one of template, paraphrase, synthetic, all, not 'Templates'"),
+        ([*_ABSENT_INGEST, "--field-map", "bogus"], None, 1,
          "error: --field-map entries must be canonical=source, got 'bogus'"),
+        ([*_ABSENT_INGEST, "--field-map", "id=qid,id=alt"], None, 1,
+         "error: --field-map must name each canonical field once, not 'id' twice"),
+        ([*_ABSENT_INGEST, "--field-map", "sql=query,id=id,sql=sql"], None, 1,
+         "error: --field-map must name each canonical field once, not 'sql' twice"),
         (["augment", "--corpus", "absent.jsonl", "--translate-url", "ftp://x"], None, 2, _NO_HTTP_URL),
         (["augment", "--corpus", "absent.jsonl", "--config", "cfg.json"], None, 2, _NO_HTTP_URL),
         (["augment", "--corpus", "absent.jsonl"], "ftp://x", 2, _NO_HTTP_URL),
         (["augment", "--corpus", "absent.jsonl"], None, 1,
          "error: augment needs --stub or a translation endpoint (--translate-url or MEDSQL_TRANSLATE_URL)"),
-    ], ids=["eval-split", "ingest-field-map", "url-flag", "url-config", "url-env", "no-translator"])
+    ], ids=["eval-split", "eval-split-as-given", "linearize-split", "linearize-question-source", "ingest-field-map",
+            "ingest-field-map-twice", "ingest-field-map-twice-apart", "url-flag", "url-config", "url-env",
+            "no-translator"])
     def test_a_bad_value_is_reported_and_no_input_is_read(self, workdir, monkeypatch, capsys, argv, env, code,
                                                           message):
         # Each was checked by the stage, after the inputs were opened: exit 3, "No such file or directory".
@@ -1572,6 +1584,47 @@ class TestConfigTypes:
         least = {"jobs": 1, "timeout_ms": 1, "retries": 0, "test_size": 0}[dest]
         assert f"data error: {option} must be at least {least}, not {value}" in capsys.readouterr().err
         assert not Path("out.json").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("value", [_LONGEST_TIMEOUT_MS + 1, 10**400], ids=["one-ms-more", "huge"])
+    @pytest.mark.parametrize("argv", [
+        ["rerank", "--preds", "absent.jsonl", "--db", "absent.db"],
+        [*_ABSENT_EVAL],
+        ["augment", "--corpus", "absent.jsonl", "--translate-url", "http://127.0.0.1:1"],
+    ], ids=["rerank", "eval", "augment"])
+    def test_timeout_above_its_maximum_exits_two_before_any_input_is_read(self, workdir, monkeypatch, capsys,
+                                                                           argv, value, source):
+        # A huge value used to escape cmd as an OverflowError, from converting it to float in rerank and
+        # eval; in augment, so did one second past the bound, from the socket timeout.
+        if source == "flag":
+            argv = argv + ["--timeout-ms", str(value)]
+        else:
+            Path("cfg.json").write_text(json.dumps({"timeout_ms": value}), encoding="utf-8")
+            argv = argv + ["--config", "cfg.json"]
+        hashed = []
+        file_sha256 = records.file_sha256
+        monkeypatch.setattr(records, "file_sha256", lambda p: hashed.append(p) or file_sha256(p))
+        before = sorted(os.listdir())
+        assert cmd(argv + ["--out", "out.json"]) == 2
+        assert capsys.readouterr().err == (
+            f"medsql {argv[0]}: data error: --timeout-ms must be at most {_LONGEST_TIMEOUT_MS}, not {value}\n"
+        )
+        assert hashed == []
+        assert sorted(os.listdir()) == before
+
+    def test_the_largest_timeout_is_accepted(self, workdir, clinic, monkeypatch, translate_server):
+        largest = ["--timeout-ms", str(_LONGEST_TIMEOUT_MS)]
+        base_url, _ = translate_server("echo")
+        monkeypatch.delenv("MEDSQL_TRANSLATE_URL", raising=False)
+        save_corpus(clinic.corpus[:2], "few.jsonl")
+        assert cmd(["augment", "--corpus", "few.jsonl", "--translate-url", base_url, "--pivots", "fr",
+                    "--out", "aug.jsonl", *largest]) == 0
+        assert cmd(SPLIT_ARGS) == 0
+        write_jsonl("preds.jsonl", [{"id": s.id, "sql": s.gold_sql} for s in _test_samples(clinic)])
+        write_jsonl("beams.jsonl", [{"id": "a", "candidates": [{"sql": "SELECT COUNT(*) FROM LAB", "score": 0.5}]}])
+        assert cmd(["rerank", "--preds", "beams.jsonl", "--db", "clinic.db", "--out", "r.jsonl", *largest]) == 0
+        assert cmd(["eval", "--corpus", "corpus.jsonl", "--assignment", "split_assignment.tsv", "--preds",
+                    "preds.jsonl", "--db", "clinic.db", "--out", "e.json", *largest]) == 0
 
     @pytest.mark.parametrize("name", ["eval", "rerank"])
     def test_jobs_is_a_usage_error_where_undeclared(self, workdir, capsys, name):

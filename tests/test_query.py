@@ -620,6 +620,35 @@ class TestRoundTrip:
         assert tokenize_sql(" ".join(tokens)) == tokens
 
 
+class TestBuilder:
+    # The first four are names a generated body might also use for its own.
+    NAMES = ("node", "build", "cls", "new", "value", "table")
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_a_built_node_is_the_constructed_one_without_post_init(self, n):
+        armed = []
+
+        def post_init(self):
+            if armed:
+                raise AssertionError("__post_init__ ran")
+
+        cls = dataclasses.make_dataclass(
+            f"Node{n}", self.NAMES[:n], namespace={"__post_init__": post_init}, frozen=True, slots=True
+        )
+        values = [f"v{k}" for k in range(n)]
+        constructed = cls(*values)
+        armed.append(True)
+        with pytest.raises(AssertionError):
+            cls(*values)
+        built = query_module._builder(cls)(*values)
+        assert type(built) is cls and built == constructed and hash(built) == hash(constructed)
+        assert [getattr(built, name) for name in self.NAMES[:n]] == values
+        assert not hasattr(built, "__dict__")
+        for name in self.NAMES[:n]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(built, name, None)
+
+
 class TestRenameTables:
     def test_every_table_position_is_renamed(self):
         q = parse_sql(
