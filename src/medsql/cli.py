@@ -352,10 +352,7 @@ def _cmd_augment(resolved: dict[str, Any]) -> tuple[list[Path], str]:
 def _cmd_rerank(resolved: dict[str, Any]) -> tuple[list[Path], str]:
     preds = load_predictions(resolved["preds"])
     choices = rerank_file(
-        preds,
-        resolved["db"],
-        require_nonempty=resolved["require_nonempty"],
-        timeout_ms=resolved["timeout_ms"],
+        preds, resolved["db"], require_nonempty=resolved["require_nonempty"], timeout_ms=resolved["timeout_ms"]
     )
     # vars: a record's fields in declaration order, as asdict gives them, without its deep copy.
     out = write_jsonl(resolved["out"], (vars(c) for c in choices.values()))
@@ -368,8 +365,8 @@ def _cmd_recover(resolved: dict[str, Any]) -> tuple[list[Path], str]:
     schema = load_schema(resolved["schema"])
     recovered: dict[str, Any] = {}
     results = []
-    with exec_connection(resolved["db"]) as conn:
-        lookup = build_value_lookup(conn, schema)
+    with exec_connection(resolved["db"]) as session:
+        lookup = build_value_lookup(session, schema)
         for sid, pred in preds.items():
             if isinstance(pred, CandidateSet):
                 per_pred = [recover_query(c.sql, lookup) for c in pred.candidates]
@@ -400,12 +397,8 @@ def _cmd_eval(resolved: dict[str, Any]) -> tuple[list[Path], str]:
     samples = assignment.members(corpus, split)
     preds = load_predictions(resolved["preds"])
     report = evaluate(
-        samples,
-        preds,
-        resolved["db"],
-        strict=resolved["strict"],
-        with_breakdown=resolved["breakdown"],
-        timeout_ms=resolved["timeout_ms"],
+        samples, preds, resolved["db"],
+        strict=resolved["strict"], with_breakdown=resolved["breakdown"], timeout_ms=resolved["timeout_ms"],
     )
     out = write_json(resolved["out"], report.to_dict())
     return [out], f"acc_lf={report.acc_lf:.4f} acc_ex={report.acc_ex:.4f} n={report.n} -> {out}"

@@ -16,11 +16,11 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Sequence
 
-from .errors import MedsqlError, MissingPrediction, QueryExecutionError, UnterminatedLiteral
+from .errors import MedsqlError, MissingPrediction, UnterminatedLiteral
 from .predictions import Prediction, top_sql
 from .query import SqlQuery, Star, _lex, _Lexed, _normalized, _parse_tokens
 from .records import FORMAT_VERSION
-from .store import DEFAULT_TIMEOUT_MS, Sample, exec_connection, run_select
+from .store import DEFAULT_TIMEOUT_MS, Execution, Sample, exec_connection
 
 REL_TOLERANCE = 1e-9
 ABS_TOLERANCE = 1e-12
@@ -92,24 +92,18 @@ class ExecutionOutcome:
 def execution_match(
     gold_sql: str,
     pred_sql: str,
-    db: str | Path | sqlite3.Connection,
+    db: str | Path | sqlite3.Connection | Execution,
     *,
     timeout_ms: int | None = DEFAULT_TIMEOUT_MS,
 ) -> ExecutionOutcome:
     """Execute both queries and compare result multisets.
 
-    A query that raises :class:`QueryExecutionError` (a timeout or a denied
-    action included) sets its error flag; any error means no match. A
-    connection passed as ``db`` gets the execution authorizer and keeps it.
+    A query that fails to run (a timeout or a denied action included) sets
+    its error flag; any error means no match. ``db`` is borrowed or opened
+    as :func:`~medsql.store.exec_connection` says.
     """
-    rows: list[list[tuple] | None] = []
-    with exec_connection(db) as conn:
-        for sql in (gold_sql, pred_sql):
-            try:
-                rows.append(run_select(conn, sql, timeout_ms))
-            except QueryExecutionError:
-                rows.append(None)
-    gold_rows, pred_rows = rows
+    with exec_connection(db, timeout_ms) as session:
+        gold_rows, pred_rows = session.rows(gold_sql), session.rows(pred_sql)
     matched = gold_rows is not None and pred_rows is not None and results_equal(gold_rows, pred_rows)
     return ExecutionOutcome(matched, gold_rows is None, pred_rows is None)
 
@@ -198,7 +192,7 @@ def _breakdown_flags(sample: Sample, pred_tokens: _Lexed | None) -> ComponentFla
 def evaluate(
     samples: Sequence[Sample],
     preds: dict[str, Prediction],
-    db: str | Path | sqlite3.Connection,
+    db: str | Path | sqlite3.Connection | Execution,
     *,
     strict: bool = False,
     with_breakdown: bool = True,
@@ -209,9 +203,8 @@ def evaluate(
     Beam-shaped records are scored on their top candidate. A sample
     without a prediction counts as both matches false (``pred_error``
     set), or raises :class:`MissingPrediction` listing every such id when
-    ``strict``. Every query runs on one connection: ``db`` itself if it is
-    one (it gets the execution authorizer and stays open), else ``db``
-    opened read-only for this call.
+    ``strict``. Every query runs in one session of ``db`` (see
+    :func:`~medsql.store.exec_connection`).
     """
     samples = list(samples)
     if strict:
@@ -219,19 +212,19 @@ def evaluate(
         if missing:
             raise MissingPrediction(missing)
 
-    def score(conn: sqlite3.Connection, sample: Sample) -> tuple[SampleEval, ComponentFlags]:
+    def score(session: Execution, sample: Sample) -> tuple[SampleEval, ComponentFlags]:
         pred = preds.get(sample.id)
         if pred is None:
             return SampleEval(sample.id, False, False, False, True), _ALL_FALSE
         pred_sql = top_sql(pred)
         pred_tokens = _safe_tokens(pred_sql)  # for logic form and the breakdown both
         lf = _same_logic_form(_safe_tokens(sample.gold_sql), pred_tokens)
-        outcome = execution_match(sample.gold_sql, pred_sql, conn, timeout_ms=timeout_ms)
+        outcome = execution_match(sample.gold_sql, pred_sql, session)
         flags = _breakdown_flags(sample, pred_tokens) if with_breakdown else _ALL_FALSE
         return SampleEval(sample.id, lf, outcome.ex_match, outcome.gold_error, outcome.pred_error), flags
 
-    with exec_connection(db) as conn:
-        scored = [score(conn, sample) for sample in samples]
+    with exec_connection(db, timeout_ms) as session:
+        scored = [score(session, sample) for sample in samples]
     per_sample = tuple(entry for entry, _ in scored)
     n = len(per_sample)
     acc_lf = sum(e.lf_match for e in per_sample) / n if n else 0.0

@@ -9,8 +9,8 @@ import os
 import re
 import stat
 import tempfile
+import threading
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from typing import Any, BinaryIO
@@ -193,15 +193,27 @@ def hash_inputs(inputs: Mapping[str, str | Path]) -> Iterator[Callable[[], dict[
                 large[name] = stack.enter_context(open(inputs[name], "rb", buffering=0))
             else:
                 digests[name] = file_sha256(inputs[name])
-        pending = None
+        thread = None
+        failed: list[Exception] = []
+
+        def work() -> None:
+            try:
+                digests.update({name: _sha256_open(fh) for name, fh in large.items()})
+            except Exception as exc:  # raised again by hashed(), so none escapes the thread
+                failed.append(exc)
+
         if large:
-            # Entered after the files, so leaving the scope joins the thread before they close.
-            pool = stack.enter_context(ThreadPoolExecutor(1, thread_name_prefix="medsql-hash-inputs"))
-            pending = pool.submit(lambda: {name: _sha256_open(fh) for name, fh in large.items()})
+            thread = threading.Thread(target=work, name="medsql-hash-inputs")
+            thread.start()
+            # Pushed after the files, so leaving the scope joins the thread before they close.
+            stack.callback(thread.join)
 
         def hashed() -> dict[str, dict[str, str]]:
-            merged = {**digests, **(pending.result() if pending else {})}
-            return {name: {"path": str(inputs[name]), "sha256": merged[name]} for name in names}
+            if thread:
+                thread.join()
+            if failed:
+                raise failed[0]
+            return {name: {"path": str(inputs[name]), "sha256": digests[name]} for name in names}
 
         yield hashed
 

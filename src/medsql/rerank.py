@@ -12,9 +12,9 @@ import sqlite3
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import QueryExecutionError, RecordError
+from .errors import RecordError
 from .predictions import CandidateSet, Prediction
-from .store import DEFAULT_TIMEOUT_MS, exec_connection, run_select
+from .store import DEFAULT_TIMEOUT_MS, Execution, exec_connection
 
 
 @dataclass(frozen=True)
@@ -27,41 +27,35 @@ class RerankChoice:
 
 def rerank(
     candidates: CandidateSet,
-    db: str | Path | sqlite3.Connection,
+    db: str | Path | sqlite3.Connection | Execution,
     *,
     require_nonempty: bool = False,
     timeout_ms: int = DEFAULT_TIMEOUT_MS,
 ) -> RerankChoice:
     """Pick the first executable candidate, in descending score order.
 
-    Execution stops at the first success. A candidate that raises
-    :class:`QueryExecutionError`, a timed-out or denied one included, counts
-    as failed. A connection passed as ``db`` gets the execution authorizer
-    and keeps it. ``chosen_rank`` is 1-based over the sorted beam.
+    Execution stops at the first success. A candidate that fails to run, a
+    timed-out or denied one included, counts as failed. ``chosen_rank`` is
+    1-based over the sorted beam. ``db``: see :func:`~medsql.store.exec_connection`.
     """
-    with exec_connection(db) as conn:
+    with exec_connection(db, timeout_ms) as session:
         for rank, cand in enumerate(candidates.candidates, start=1):
-            try:
-                rows = run_select(conn, cand.sql, timeout_ms)
-            except QueryExecutionError:
-                continue
-            if require_nonempty and not rows:
-                continue
-            return RerankChoice(candidates.id, cand.sql, rank, False)
+            rows = session.rows(cand.sql)
+            if rows is not None and (rows or not require_nonempty):
+                return RerankChoice(candidates.id, cand.sql, rank, False)
     top = candidates.candidates[0]
     return RerankChoice(candidates.id, top.sql, 1, True)
 
 
 def rerank_file(
     preds: dict[str, Prediction],
-    db: str | Path | sqlite3.Connection,
+    db: str | Path | sqlite3.Connection | Execution,
     *,
     require_nonempty: bool = False,
     timeout_ms: int = DEFAULT_TIMEOUT_MS,
 ) -> dict[str, RerankChoice]:
-    """Rerank every beam in a prediction file, in input order, on one
-    connection: ``db`` itself if it is one (it gets the execution
-    authorizer and stays open), else ``db`` opened read-only for this call.
+    """Rerank every beam in a prediction file, in input order, in one
+    session of ``db`` (see :func:`~medsql.store.exec_connection`).
 
     Single-prediction records have no beam to rerank and raise
     :class:`RecordError` before any candidate runs.
@@ -69,6 +63,6 @@ def rerank_file(
     for idx, (sid, pred) in enumerate(preds.items(), start=1):
         if not isinstance(pred, CandidateSet):
             raise RecordError(idx, f"id {sid!r} has no candidate beam to rerank")
-    with exec_connection(db) as conn:
-        choices = [rerank(cs, conn, require_nonempty=require_nonempty, timeout_ms=timeout_ms) for cs in preds.values()]
+    with exec_connection(db, timeout_ms) as session:
+        choices = [rerank(cs, session, require_nonempty=require_nonempty) for cs in preds.values()]
     return {choice.id: choice for choice in choices}

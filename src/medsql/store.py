@@ -385,14 +385,33 @@ def _number_cell(rownum: int, column: str, cell: str) -> int | float:
         raise ColumnTypeError(rownum, f"{cell!r} is not a number", column=column) from None
 
 
-_ALLOWED_ACTIONS = frozenset({sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ, sqlite3.SQLITE_FUNCTION})
+_ALLOWED_ACTIONS = frozenset({sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ})
+
+# The functions whose result the database and the SQL do not fix: every
+# built-in scalar that SQLite does not flag deterministic (flag 0x800 in
+# pragma_function_list), and the date and time functions, which read the
+# clock for 'now': their arguments cannot be seen when a statement is
+# authorized.
+_DENIED_FUNCTIONS = frozenset({
+    "random", "randomblob", "changes", "total_changes", "last_insert_rowid", "current_date", "current_time",
+    "current_timestamp", "sqlite_version", "sqlite_source_id", "sqlite_compileoption_get",
+    "sqlite_compileoption_used", "load_extension",
+    # FTS3, FTS5 and R*Tree
+    "bm25", "fts3_tokenizer", "fts5", "fts5_source_id", "highlight", "match", "matchinfo", "offsets",
+    "optimize", "rtreecheck", "rtreedepth", "rtreenode", "snippet",
+    # date and time
+    "date", "time", "datetime", "julianday", "strftime", "unixepoch", "timediff",
+})
 
 
-def _authorize(action: int, *_: Any) -> int:
+def _authorize(action: int, _arg1: Any, name: Any, *_: Any) -> int:
     """The authorizer of every execution connection: a statement may select,
-    read columns and call functions. ATTACH, PRAGMA (and the pragma_* table
-    functions), recursive CTEs and every write are denied when the statement
-    is prepared."""
+    read columns and call any function but those of ``_DENIED_FUNCTIONS``,
+    which SQLite names in lower case, so that its result depends only on the
+    database and the SQL. ATTACH, PRAGMA (and the pragma_* table functions),
+    recursive CTEs and every write are denied when the statement is prepared."""
+    if action == sqlite3.SQLITE_FUNCTION:
+        return sqlite3.SQLITE_DENY if name in _DENIED_FUNCTIONS else sqlite3.SQLITE_OK
     return sqlite3.SQLITE_OK if action in _ALLOWED_ACTIONS else sqlite3.SQLITE_DENY
 
 
@@ -434,19 +453,28 @@ def open_exec_db(path: str | Path) -> sqlite3.Connection:
 
 
 @contextmanager
-def exec_connection(db: str | Path | sqlite3.Connection) -> Iterator[sqlite3.Connection]:
-    """Borrow ``db`` if it is a connection; otherwise open it read-only
-    and close it on exit. A borrowed connection gets the authorizer and the
-    value bound of :func:`open_exec_db` and keeps them after the call. It loses any progress
-    handler its caller set: :func:`run_select` bounds a query with its own
-    handler and removes it afterwards, because Python cannot read a handler
-    back to restore it."""
-    if isinstance(db, sqlite3.Connection):
-        _guard(db)
-        yield db
+def exec_connection(
+    db: str | Path | sqlite3.Connection | Execution, timeout_ms: int | None = None
+) -> Iterator[Execution]:
+    """The :class:`Execution` session of ``db``, each statement bounded by
+    ``timeout_ms``: how every function that takes ``db`` treats it. A
+    session is used as it is, with its own bound. A connection is borrowed:
+    it gets the authorizer and the value bound of :func:`open_exec_db`,
+    keeps them and stays open, but loses any progress handler its caller
+    set, which :func:`run_select` replaces and Python cannot read back to
+    restore. Any other ``db`` is opened read-only and closed on exit."""
+    if isinstance(db, (Execution, sqlite3.Connection)):
+        yield _borrow(db, timeout_ms)
         return
     with closing(open_exec_db(db)) as conn:
-        yield conn
+        yield Execution(conn, timeout_ms)
+
+
+def _borrow(db: sqlite3.Connection | Execution, timeout_ms: int | None = None) -> Execution:
+    if isinstance(db, Execution):
+        return db
+    _guard(db)
+    return Execution(db, timeout_ms)
 
 
 # The per-query bound of every command that executes predicted SQL.
@@ -481,6 +509,22 @@ def run_select(
             conn.set_progress_handler(None, 0)
 
 
+@dataclass(frozen=True)
+class Execution:
+    """One execution session: a guarded connection and the per-query bound
+    of every statement run on it. :func:`exec_connection` makes it."""
+
+    conn: sqlite3.Connection
+    timeout_ms: int | None = None
+
+    def rows(self, sql: str, params: Sequence[Any] = ()) -> list[tuple] | None:
+        """The rows of ``sql``, or None where :func:`run_select` raises."""
+        try:
+            return run_select(self.conn, sql, self.timeout_ms, params)
+        except QueryExecutionError:
+            return None
+
+
 def canonical_value(value: Any) -> str:
     """Render a database cell as its canonical string form."""
     if isinstance(value, float):
@@ -512,16 +556,12 @@ class ColumnValues(tuple):
 
 
 class ValueLookup:
-    """The columns of a schema, each read as its :class:`LookupColumn` asks.
+    """The columns of a schema, each read as its :class:`LookupColumn` asks,
+    on ``conn`` borrowed as :func:`exec_connection` says; the lookup must
+    not outlive it."""
 
-    Every query runs on the borrowed connection, which gets the authorizer
-    and the value bound of :func:`open_exec_db`, as in
-    :func:`exec_connection`; the lookup must not outlive it.
-    """
-
-    def __init__(self, conn: sqlite3.Connection, schema: SchemaDef):
-        _guard(conn)
-        self._conn = conn
+    def __init__(self, conn: sqlite3.Connection | Execution, schema: SchemaDef):
+        self._exec = _borrow(conn)
         self._schema = schema
         self._columns: dict[tuple[str, str], LookupColumn] = {}
 
@@ -539,7 +579,7 @@ class ValueLookup:
             raise UnknownColumn(f"column {column} is not in {table or 'exactly one table'}")
         kept = self._columns.get((tab.name, col.name))
         if kept is None:
-            kept = self._columns[tab.name, col.name] = LookupColumn(self._conn, tab, col)
+            kept = self._columns[tab.name, col.name] = LookupColumn(self._exec, tab, col)
         return kept
 
 
@@ -549,8 +589,8 @@ class LookupColumn:
     and ``attr`` are the schema's, ``in`` runs one indexed point query while
     the column is not loaded, and :meth:`load` reads its values once."""
 
-    def __init__(self, conn: sqlite3.Connection, table: TableDef, column: ColumnDef):
-        self._conn = conn
+    def __init__(self, session: Execution, table: TableDef, column: ColumnDef):
+        self._exec = session
         self.table = table.name
         self.column = column.name
         self.attr = column.attr
@@ -573,10 +613,7 @@ class LookupColumn:
         the one :meth:`load` gives, and a load error is raised in its terms.
         """
         if self._values is None:
-            try:
-                rows = run_select(self._conn, self._point, params=(value,))
-            except QueryExecutionError:
-                rows = []
+            rows = self._exec.rows(self._point, (value,))
             if rows and isinstance(rows[0][0], str) and rows[0][0] == value:
                 return True
         return value in self.load()
@@ -585,7 +622,7 @@ class LookupColumn:
         """The column's distinct values, canonically ordered, read on the first call."""
         if self._values is None:
             try:
-                rows = run_select(self._conn, self._distinct)
+                rows = run_select(self._exec.conn, self._distinct, self._exec.timeout_ms)
             except QueryExecutionError as exc:
                 where = f"{self.table}.{self.column}"
                 raise DataError(f"cannot read the values of {where} from the database: {exc}") from None
@@ -593,7 +630,7 @@ class LookupColumn:
         return self._values
 
 
-def build_value_lookup(conn: sqlite3.Connection, schema: SchemaDef) -> ValueLookup:
+def build_value_lookup(conn: sqlite3.Connection | Execution, schema: SchemaDef) -> ValueLookup:
     """A lookup over ``conn``, which its caller opens and closes."""
     return ValueLookup(conn, schema)
 

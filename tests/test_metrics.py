@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medsql import metrics
+from medsql import store
 from medsql.errors import MissingPrediction
 from medsql.metrics import (
     component_breakdown,
@@ -168,6 +168,14 @@ class TestExecutionMatch:
         outcome = execution_match("SELECT NOPE FROM LAB", "SELECT NOPE FROM LAB", clinic.db_path)
         assert not outcome.ex_match and outcome.gold_error and outcome.pred_error
 
+    def test_a_prediction_that_reads_the_clock_is_a_pred_error(self, clinic):
+        # It used to run, so its score depended on the day it was run.
+        outcome = execution_match("SELECT date('2020-01-01')", "SELECT date('now')", clinic.db_path)
+        assert (outcome.ex_match, outcome.gold_error, outcome.pred_error) == (False, True, True)
+        sample = clinic.corpus[0]
+        (scored,) = evaluate([sample], {sample.id: "SELECT date('now')"}, clinic.db_path).per_sample
+        assert (scored.ex_match, scored.gold_error, scored.pred_error) == (False, False, True)
+
     def test_a_borrowed_connection_cannot_write(self, clinic, tmp_path):
         # A caller's own connection used to run the PRAGMA, with pred_error unset.
         db = shutil.copy(clinic.db_path, tmp_path / "clinic.db")
@@ -305,13 +313,13 @@ class TestEvaluate:
 
     def test_every_query_is_bounded_by_default(self, clinic, four_samples, monkeypatch):
         bounds = []
-        original = metrics.run_select
+        original = store.run_select
 
-        def recording(conn, sql, timeout_ms=None):
+        def recording(conn, sql, timeout_ms=None, params=()):
             bounds.append(timeout_ms)
-            return original(conn, sql, timeout_ms)
+            return original(conn, sql, timeout_ms, params)
 
-        monkeypatch.setattr(metrics, "run_select", recording)
+        monkeypatch.setattr(store, "run_select", recording)
         evaluate(four_samples, self._preds(four_samples), clinic.db_path)
         assert bounds == [DEFAULT_TIMEOUT_MS] * 6  # gold and prediction of three samples
         execution_match(four_samples[0].gold_sql, four_samples[0].gold_sql, clinic.db_path)

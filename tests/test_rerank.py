@@ -9,10 +9,11 @@ from contextlib import closing
 import pytest
 
 import medsql.rerank as rerank_mod
+from medsql import store
 from medsql.errors import RecordError
 from medsql.metrics import evaluate
 from medsql.predictions import Candidate, CandidateSet
-from medsql.rerank import rerank, rerank_file
+from medsql.rerank import RerankChoice, rerank, rerank_file
 from medsql.store import open_exec_db
 
 GOOD = "SELECT COUNT(*) FROM LAB"
@@ -80,13 +81,13 @@ class TestRerank:
 
     def test_execution_stops_at_first_success(self, clinic, monkeypatch):
         calls = []
-        original = rerank_mod.run_select
+        original = store.run_select
 
-        def counting(conn, sql, timeout_ms=None):
+        def counting(conn, sql, timeout_ms=None, params=()):
             calls.append(sql)
-            return original(conn, sql, timeout_ms)
+            return original(conn, sql, timeout_ms, params)
 
-        monkeypatch.setattr(rerank_mod, "run_select", counting)
+        monkeypatch.setattr(store, "run_select", counting)
         with closing(open_exec_db(clinic.db_path)) as conn:
             rerank(beam(GOOD, BAD, BAD), conn)
         assert calls == [GOOD]
@@ -141,7 +142,14 @@ class TestRerank:
         assert (scored.ex_match, scored.gold_error, scored.pred_error) == (False, False, True)
 
     def test_a_value_under_the_bound_is_a_result(self, clinic):
-        assert rerank(beam("SELECT length(randomblob(9000000))", GOOD), clinic.db_path).chosen_rank == 1
+        assert rerank(beam("SELECT length(zeroblob(9000000))", GOOD), clinic.db_path).chosen_rank == 1
+
+    def test_a_candidate_that_calls_random_gives_one_choice(self, clinic):
+        # Its row came back about half the time, so 40 runs of one beam chose rank 1 and rank 2.
+        coin = "SELECT DEMOGRAPHIC.NAME FROM DEMOGRAPHIC WHERE DEMOGRAPHIC.rowid = 1 AND abs(random()) % 2 = 0"
+        with closing(open_exec_db(clinic.db_path)) as conn:
+            choices = {rerank(beam(coin, GOOD), conn, require_nonempty=True) for _ in range(40)}
+        assert choices == {RerankChoice("q1", GOOD, 2, False)}
 
     def test_timed_out_candidate_counts_as_failed(self, clinic):
         choice = rerank(beam(SLOW, GOOD), clinic.db_path, timeout_ms=50)

@@ -610,9 +610,9 @@ class TestExecDb:
         db = shutil.copy(clinic.db_path, tmp_path / "clinic.db")
         with closing(sqlite3.connect(db)) as conn:
             with store.exec_connection(conn) as borrowed:
-                assert borrowed is conn
+                assert borrowed.conn is conn
                 with pytest.raises(QueryExecutionError, match="not authorized"):
-                    run_select(borrowed, "PRAGMA user_version = 7")
+                    run_select(borrowed.conn, "PRAGMA user_version = 7")
             with pytest.raises(sqlite3.DatabaseError, match="not authorized"):
                 conn.execute("PRAGMA user_version = 7")
             assert conn.execute("SELECT COUNT(*) FROM LAB").fetchone() == (100,)
@@ -636,6 +636,38 @@ class TestExecDb:
                 run_select(conn, sql.format(planted=planted))
             assert run_select(conn, "SELECT COUNT(*) FROM LAB") == [(100,)]
         assert not planted.exists()
+
+    def test_every_nondeterministic_builtin_is_denied(self, clinic):
+        # random(), changes() and sqlite_version() used to run, so one text on one database gave many results.
+        with closing(sqlite3.connect(":memory:")) as plain:
+            try:
+                listed = plain.execute("SELECT name, narg, flags FROM pragma_function_list WHERE type = 's'").fetchall()
+            except sqlite3.DatabaseError:
+                pytest.skip("this SQLite build has no pragma_function_list")
+        nondeterministic = sorted({(name, narg) for name, narg, flags in listed if not flags & 0x800})
+        assert ("random", 0) in nondeterministic
+        with closing(open_exec_db(clinic.db_path)) as conn:
+            for name, narg in nondeterministic:
+                args = ", ".join(["NULL"] * max(narg, 0))
+                with pytest.raises(QueryExecutionError, match="not authorized"):
+                    # Quoted, current_date and match parse as calls, not as keywords.
+                    run_select(conn, f'SELECT "{name}"({args})')
+
+    @pytest.mark.parametrize("call", [
+        "date('now')", "time('now')", "datetime('now')", "julianday('now')", "strftime('%s', 'now')",
+        "unixepoch('now')", "timediff('now', '2000-01-01')", "CURRENT_TIMESTAMP",
+    ])
+    def test_the_clock_cannot_be_read(self, clinic, call):
+        # SQLite flags the date and time functions deterministic, but 'now' reads the clock.
+        # unixepoch and timediff are newer than some SQLite builds, which do not know them.
+        with closing(open_exec_db(clinic.db_path)) as conn:
+            with pytest.raises(QueryExecutionError, match="not authorized|no such function"):
+                run_select(conn, f"SELECT {call}")
+
+    def test_a_deterministic_function_still_runs(self, clinic):
+        with closing(open_exec_db(clinic.db_path)) as conn:
+            assert run_select(conn, "SELECT abs(-2), length(zeroblob(3)), upper('x'), COUNT(*) FROM LAB") == [
+                (2, 3, "X", 100)]
 
 
 class TestCsvBatches:

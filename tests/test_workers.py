@@ -1,5 +1,5 @@
 """augment's worker map, the connection helpers in medsql.store, and the
-connection each function that executes SQL runs on."""
+connection and session each function that executes SQL runs on."""
 
 from __future__ import annotations
 
@@ -42,6 +42,20 @@ def opened(monkeypatch):
     return conns
 
 
+@pytest.fixture()
+def guarded(monkeypatch):
+    """Every connection store._guard installs the authorizer on during the test."""
+    conns: list[sqlite3.Connection] = []
+    original = store._guard
+
+    def recording(conn):
+        conns.append(conn)
+        original(conn)
+
+    monkeypatch.setattr(store, "_guard", recording)
+    return conns
+
+
 class TestMapInOrder:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_results_come_back_in_input_order(self, jobs):
@@ -72,7 +86,7 @@ class TestExecConnection:
         conn = sqlite3.connect(clinic.db_path)
         try:
             with exec_connection(conn) as got:
-                assert got is conn
+                assert got.conn is conn
             assert not _is_closed(conn)
             assert opened == []
         finally:
@@ -127,3 +141,59 @@ class TestOneConnectionPerCall:
             ENTRY_POINTS[name](clinic, conn)
             assert not _is_closed(conn)
         assert opened == []
+
+    def test_a_path_is_guarded_once(self, clinic, guarded, name):
+        # rerank_file and evaluate used to guard their connection again for every beam or sample.
+        ENTRY_POINTS[name](clinic, clinic.db_path)
+        assert len(guarded) == 1
+
+    def test_a_borrowed_connection_is_guarded_once(self, clinic, guarded, name):
+        with closing(sqlite3.connect(clinic.db_path)) as conn:
+            ENTRY_POINTS[name](clinic, conn)
+        assert guarded == [conn]
+
+    def test_a_session_is_used_as_it_is(self, clinic, opened, guarded, name):
+        with exec_connection(clinic.db_path) as session:
+            opened.clear()
+            guarded.clear()
+            got = ENTRY_POINTS[name](clinic, session)
+            assert (opened, guarded) == ([], [])
+            assert not _is_closed(session.conn)
+        assert got == ENTRY_POINTS[name](clinic, clinic.db_path)
+
+
+class TestExecution:
+    SLOW = "SELECT COUNT(*) FROM LAB a, LAB b, LAB c, LAB d"
+
+    def test_a_session_keeps_its_own_bound(self, clinic):
+        beam = CandidateSet("q", (Candidate(self.SLOW, 0.9), Candidate(clinic.corpus[0].gold_sql, 0.5)))
+        with exec_connection(clinic.db_path, timeout_ms=50) as session:
+            assert rerank(beam, session, timeout_ms=600_000).chosen_rank == 2
+            assert execution_match(self.SLOW, clinic.corpus[0].gold_sql, session, timeout_ms=None).gold_error
+
+    @pytest.mark.parametrize("sql", [
+        BAD, "PRAGMA user_version = 7", "SELECT random()", "SELECT 1; SELECT 2", "SELECT '\ud800'", SLOW,
+    ], ids=["column", "pragma", "random", "two-statements", "lone-surrogate", "timeout"])
+    def test_a_failed_statement_is_none(self, clinic, sql):
+        with exec_connection(clinic.db_path, timeout_ms=50) as session:
+            assert session.rows(sql) is None
+            assert session.rows("SELECT COUNT(*) FROM LAB WHERE rowid > ?", (90,)) == [(10,)]
+
+    def test_a_failed_statement_reaches_every_caller_as_none(self, clinic, monkeypatch):
+        seen = []
+        rows = store.Execution.rows
+
+        def recording(session, sql, params=()):
+            seen.append((sql, rows(session, sql, params)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(store.Execution, "rows", recording)
+        gold = clinic.corpus[0].gold_sql
+        with exec_connection(clinic.db_path) as session:
+            assert rerank(CandidateSet("q", (Candidate(BAD, 0.9), Candidate(gold, 0.5))), session).chosen_rank == 2
+            assert execution_match(gold, BAD, session).pred_error
+            # A lone surrogate cannot be bound, so the point query fails and the loaded values answer.
+            assert "\ud800" not in store.build_value_lookup(session, clinic.schema).column("LAB", "LABEL")
+        failed = [sql for sql, got in seen if got is None]
+        assert failed == [BAD, BAD, seen[-1][0]] and "LIMIT 1" in seen[-1][0]
+        assert all(got is not None for sql, got in seen if sql not in failed)
