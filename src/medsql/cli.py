@@ -307,7 +307,7 @@ def _linearize_args(resolved: dict[str, Any]) -> tuple[Split, QuestionSource, Pa
 
 def _cmd_linearize(resolved: dict[str, Any]) -> tuple[list[Path], str]:
     split, source, out = _linearize_args(resolved)
-    corpus = load_corpus(resolved["corpus"])
+    corpus = load_corpus(resolved["corpus"], parse_gold=lambda sample: False)
     schema = load_schema(resolved["schema"])
     assignment = SplitAssignment.load(resolved["assignment"])
     report = export_training_file(corpus, assignment, split, schema, source, out, sep=resolved["sep"])
@@ -338,7 +338,7 @@ def _translator(resolved: dict[str, Any]) -> StubTranslator | HttpTranslator:
 def _cmd_augment(resolved: dict[str, Any]) -> tuple[list[Path], str]:
     pivots = _pivots(resolved["pivots"])
     translator = _translator(resolved)
-    corpus = load_corpus(resolved["corpus"])
+    corpus = load_corpus(resolved["corpus"], parse_gold=lambda sample: False)
     result = augment_corpus(corpus, pivots, translator, jobs=resolved["jobs"])
     out = save_corpus(result.samples, resolved["out"])
     rep = result.report
@@ -392,8 +392,9 @@ def _cmd_recover(resolved: dict[str, Any]) -> tuple[list[Path], str]:
 
 def _cmd_eval(resolved: dict[str, Any]) -> tuple[list[Path], str]:
     split = _choice("split", resolved["split"])
-    corpus = load_corpus(resolved["corpus"])
+    # The assignment is read first, so that only the scored split's gold queries are parsed.
     assignment = SplitAssignment.load(resolved["assignment"])
+    corpus = load_corpus(resolved["corpus"], parse_gold=lambda sample: assignment.by_id.get(sample.id) is split)
     samples = assignment.members(corpus, split)
     preds = load_predictions(resolved["preds"])
     report = evaluate(

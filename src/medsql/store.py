@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import islice
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 from urllib.parse import quote
 
 from .errors import (
@@ -161,7 +161,10 @@ class Sample:
     @property
     def gold_query(self) -> SqlQuery:
         """The parsed gold SQL: parsed on first use, then kept. A parse
-        error is raised again on every access."""
+        error is raised again on every access. :func:`validate_records`
+        parses it only where its ``parse_gold`` says so, so a sample that
+        ``linearize`` or ``augment`` loads, or one outside the split that
+        ``eval`` scores, may hold SQL outside the dialect."""
         return self._gold[0]
 
     @property
@@ -183,15 +186,23 @@ class Sample:
         return rec
 
 
-def validate_records(numbered: Iterable[tuple[int, Any]]) -> list[Sample]:
+def validate_records(
+    numbered: Iterable[tuple[int, Any]], *, parse_gold: Callable[[Sample], bool] = lambda sample: True
+) -> list[Sample]:
     """Validate (number, record) pairs into samples.
 
     Every record must be a JSON object with a unique id, a non-empty
     string ``question_template``, a string or null
     ``question_paraphrase``, a list of ``{text, pivot}`` string objects as
-    ``synthetic``, and a string ``sql`` that parses under the dialect;
-    violations raise :class:`RecordError` carrying the record's number.
-    The parsed SQL stays on each sample as :attr:`Sample.gold_query`.
+    ``synthetic``, and a string ``sql``; violations raise
+    :class:`RecordError` carrying the record's number.
+
+    The ``sql`` of each sample for which ``parse_gold`` is true must also
+    parse under the dialect, checked in record order with the rest; its
+    parse stays on the sample as :attr:`Sample.gold_query`. The default
+    parses every sample's, as ``ingest``, ``stats`` and ``split`` do;
+    ``eval`` parses the samples of the split it scores, and ``linearize``
+    and ``augment`` parse none.
     """
     samples: list[Sample] = []
     seen: set[str] = set()
@@ -227,7 +238,8 @@ def validate_records(numbered: Iterable[tuple[int, Any]]) -> list[Sample]:
                 sample_id, question, sql, paraphrase, tuple(Paraphrase(p["text"], p["pivot"]) for p in synthetic),
                 schema, {k: v for k, v in rec.items() if k not in _SAMPLE_KEYS},
             )
-            sample.gold_query  # SQL outside the dialect is a record error
+            if parse_gold(sample):
+                sample.gold_query  # SQL outside the dialect is a record error
         except DataError as exc:
             raise RecordError(number, str(exc)) from exc
         if sample.id in seen:
@@ -237,9 +249,11 @@ def validate_records(numbered: Iterable[tuple[int, Any]]) -> list[Sample]:
     return samples
 
 
-def load_corpus(path: str | Path) -> list[Sample]:
-    """Load and validate a corpus file; errors carry the line number."""
-    return validate_records(read_jsonl(path))
+def load_corpus(path: str | Path, *, parse_gold: Callable[[Sample], bool] = lambda sample: True) -> list[Sample]:
+    """Load and validate a corpus file; errors carry the line number.
+    ``parse_gold`` picks the samples whose gold SQL is parsed, as in
+    :func:`validate_records`: every one by default."""
+    return validate_records(read_jsonl(path), parse_gold=parse_gold)
 
 
 def save_corpus(samples: list[Sample], path: str | Path) -> Path:

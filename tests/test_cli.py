@@ -19,8 +19,9 @@ from pathlib import Path
 import pytest
 
 import medsql
-from medsql import cli, records, store
+from medsql import cli, errors, records, store
 from medsql.cli import build_parser, cmd
+from medsql.query import parse_sql
 from medsql.splits import Split, SplitAssignment, SplitSpec, assign_splits
 from medsql.store import load_corpus, save_corpus
 
@@ -773,8 +774,8 @@ class TestEval:
         for _ in range(runs):
             assert cmd(["eval", "--corpus", "corpus.jsonl", "--assignment", "split_assignment.tsv",
                         "--preds", "preds.jsonl", "--db", "clinic.db"]) == 0
-        # Every gold query for validation, a test one again for logic form.
-        golds = [s.gold_sql for s in clinic.corpus] + [s.gold_sql for s in _test_samples(clinic)]
+        # A test gold query is lexed for its parse and again for logic form; no other is lexed.
+        golds = [s.gold_sql for s in _test_samples(clinic)] * 2
         assert sorted(lexed) == sorted((golds + list(preds.values())) * runs)
         assert read_json("eval_report.json")["acc_lf"] == 1.0
 
@@ -829,6 +830,80 @@ class TestEval:
         assert cmd(SPLIT_ARGS) == 0
         assert cmd(["eval", "--corpus", "corpus.jsonl", "--assignment", "split_assignment.tsv",
                     "--preds", "absent.jsonl", "--db", "clinic.db"]) == 3
+
+
+class TestGoldParsing:
+    """ingest, stats and split parse every gold query; eval parses its
+    split's, and linearize and augment none."""
+
+    BAD_SQL = "SELECT COUNT(*) FROM LAB WHERE"
+
+    def _corpus_with_bad_gold(self, clinic, split: Split) -> str:
+        """Writes the assignment, TEST's gold queries as ``preds.jsonl``,
+        and the corpus as ``bad.jsonl`` with the gold query of its first
+        ``split`` record outside the dialect. Returns that record's error
+        as the CLI prints it: ``record N: <parse message>``."""
+        assert cmd(SPLIT_ARGS) == 0
+        write_jsonl("preds.jsonl", [{"id": s.id, "sql": s.gold_sql} for s in _test_samples(clinic)])
+        assignment = SplitAssignment.load("split_assignment.tsv")
+        records = [s.to_record() for s in clinic.corpus]
+        index = next(k for k, s in enumerate(clinic.corpus) if assignment.by_id[s.id] is split)
+        records[index]["sql"] = self.BAD_SQL
+        write_jsonl("bad.jsonl", records)
+        with pytest.raises(errors.ParseError) as parse_error:
+            parse_sql(self.BAD_SQL)
+        return f"record {index + 1}: {parse_error.value}"
+
+    def test_linearize_and_augment_lex_no_gold_query(self, workdir, lexed):
+        # Both used to lex every gold query to validate the corpus.
+        assert cmd(SPLIT_ARGS) == 0
+        lexed.clear()
+        assert cmd(["linearize", "--corpus", "corpus.jsonl", "--schema", "schema.json",
+                    "--assignment", "split_assignment.tsv"]) == 0
+        assert cmd(["augment", "--corpus", "corpus.jsonl", "--stub"]) == 0
+        assert lexed == []
+
+    def test_eval_lexes_only_its_splits_gold_queries(self, workdir, clinic, lexed):
+        # It used to lex every gold query in the corpus to validate it.
+        assert cmd(SPLIT_ARGS) == 0
+        # The one prediction is for a sample outside TEST, so no prediction is lexed.
+        test_ids = {s.id for s in _test_samples(clinic)}
+        other = next(s for s in clinic.corpus if s.id not in test_ids)
+        write_jsonl("preds.jsonl", [{"id": other.id, "sql": other.gold_sql}])
+        lexed.clear()
+        assert cmd(["eval", "--corpus", "corpus.jsonl", "--assignment", "split_assignment.tsv",
+                    "--preds", "preds.jsonl", "--db", "clinic.db", "--split", "TEST"]) == 0
+        assert lexed == [s.gold_sql for s in _test_samples(clinic)]
+
+    def test_a_bad_gold_query_in_train_fails_only_the_commands_that_parse_every_one(self, workdir, clinic, capsys):
+        # linearize, augment and eval used to exit 2 on it too.
+        line = self._corpus_with_bad_gold(clinic, Split.TRAIN)
+        capsys.readouterr()
+        for argv in (
+            ["linearize", "--corpus", "bad.jsonl", "--schema", "schema.json", "--assignment", "split_assignment.tsv"],
+            ["augment", "--corpus", "bad.jsonl", "--stub"],
+            ["eval", "--corpus", "bad.jsonl", "--assignment", "split_assignment.tsv",
+             "--preds", "preds.jsonl", "--db", "clinic.db"],
+        ):
+            assert cmd(argv) == 0, argv
+        assert capsys.readouterr().err == ""
+        for argv in (
+            ["ingest", "--corpus", "bad.jsonl", "--schema", "schema.json", "--out", "ingested.jsonl"],
+            ["stats", "--corpus", "bad.jsonl", "--schema", "schema.json"],
+            ["split", "--corpus", "bad.jsonl", "--test-size", "400", "--seed", "7", "--out", "again.tsv"],
+        ):
+            assert cmd(argv) == 2, argv
+            assert capsys.readouterr().err == f"medsql {argv[0]}: data error: {line}\n"
+
+    def test_a_bad_gold_query_in_the_scored_split_fails_eval_as_it_fails_stats(self, workdir, clinic, capsys):
+        line = self._corpus_with_bad_gold(clinic, Split.TEST)
+        assert cmd(["stats", "--corpus", "bad.jsonl", "--schema", "schema.json"]) == 2
+        stats_err = capsys.readouterr().err
+        assert cmd(["eval", "--corpus", "bad.jsonl", "--assignment", "split_assignment.tsv",
+                    "--preds", "preds.jsonl", "--db", "clinic.db", "--out", "report.json"]) == 2
+        assert capsys.readouterr().err.removeprefix("medsql eval: ") == stats_err.removeprefix("medsql stats: ")
+        assert stats_err == f"medsql stats: data error: {line}\n"
+        assert not Path("report.json").exists()
 
 
 class TestDatabasePathCharacters:
