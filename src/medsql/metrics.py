@@ -34,7 +34,9 @@ def _safe_tokens(sql: str) -> _Lexed | None:
 
 
 def _same_logic_form(gold: _Lexed | None, pred: _Lexed | None) -> bool:
-    return gold is not None and pred is not None and _normalized(gold) == _normalized(pred)
+    if gold is None or pred is None:
+        return False
+    return gold is pred or _normalized(gold) == _normalized(pred)
 
 
 def logic_form_match(gold_sql: str, pred_sql: str) -> bool:
@@ -54,7 +56,7 @@ def _sort_key(value: Any):
         # unless a rounding boundary falls between them.
         return (1, 0.0 if abs(value) <= ABS_TOLERANCE else float(f"{value:.8g}"))
     if isinstance(value, bytes):
-        return (2, value.decode("utf-8", "replace"))
+        return (2, value)
     return (3, str(value))
 
 
@@ -99,12 +101,19 @@ def execution_match(
     """Execute both queries and compare result multisets.
 
     A query that fails to run (a timeout or a denied action included) sets
-    its error flag; any error means no match. ``db`` is borrowed or opened
-    as :func:`~medsql.store.exec_connection` says.
+    its error flag; any error means no match. A prediction that repeats the
+    gold text exactly runs once, and both sides take its rows or its error:
+    executed SQL depends only on the database and the text. ``db`` is
+    borrowed or opened as :func:`~medsql.store.exec_connection` says.
     """
     with exec_connection(db, timeout_ms) as session:
-        gold_rows, pred_rows = session.rows(gold_sql), session.rows(pred_sql)
-    matched = gold_rows is not None and pred_rows is not None and results_equal(gold_rows, pred_rows)
+        gold_rows = session.rows(gold_sql)
+        pred_rows = gold_rows if pred_sql == gold_sql else session.rows(pred_sql)
+    matched = (
+        gold_rows is not None
+        and pred_rows is not None
+        and (gold_rows is pred_rows or results_equal(gold_rows, pred_rows))
+    )
     return ExecutionOutcome(matched, gold_rows is None, pred_rows is None)
 
 
@@ -118,10 +127,15 @@ class ComponentFlags:
 
 
 _ALL_FALSE = ComponentFlags(False, False, False, False, False)
+_ALL_TRUE = ComponentFlags(True, True, True, True, True)
 
 
 def _column_label(column) -> str:
     return "*" if isinstance(column, Star) else column.render()
+
+
+def _same_multiset(a: list, b: list) -> bool:
+    return a == b or Counter(a) == Counter(b)
 
 
 def component_breakdown(gold: SqlQuery, pred: SqlQuery) -> ComponentFlags:
@@ -131,19 +145,24 @@ def component_breakdown(gold: SqlQuery, pred: SqlQuery) -> ComponentFlags:
     aggregated (selected) columns, the main table plus join clauses,
     (condition column, operator) pairs, and condition values.
     """
-    joins = lambda q: Counter(
-        (j.table, frozenset((j.left.render(), j.right.render()))) for j in q.joins
-    )
+    if gold == pred:
+        return _ALL_TRUE
+    joins = lambda q: [(j.table, frozenset((j.left.render(), j.right.render()))) for j in q.joins]
     return ComponentFlags(
-        agg_op=Counter(i.agg_op for i in gold.select_items)
-        == Counter(i.agg_op for i in pred.select_items),
-        agg_col=Counter(_column_label(i.column) for i in gold.select_items)
-        == Counter(_column_label(i.column) for i in pred.select_items),
-        table_joins=gold.main_table == pred.main_table and joins(gold) == joins(pred),
-        cond_col_op=Counter((c.column.render(), c.op) for c in gold.conditions)
-        == Counter((c.column.render(), c.op) for c in pred.conditions),
-        cond_val=Counter((c.value.kind, c.value.value) for c in gold.conditions)
-        == Counter((c.value.kind, c.value.value) for c in pred.conditions),
+        agg_op=_same_multiset([i.agg_op for i in gold.select_items], [i.agg_op for i in pred.select_items]),
+        agg_col=_same_multiset(
+            [_column_label(i.column) for i in gold.select_items],
+            [_column_label(i.column) for i in pred.select_items],
+        ),
+        table_joins=gold.main_table == pred.main_table and _same_multiset(joins(gold), joins(pred)),
+        cond_col_op=_same_multiset(
+            [(c.column.render(), c.op) for c in gold.conditions],
+            [(c.column.render(), c.op) for c in pred.conditions],
+        ),
+        cond_val=_same_multiset(
+            [(c.value.kind, c.value.value) for c in gold.conditions],
+            [(c.value.kind, c.value.value) for c in pred.conditions],
+        ),
     )
 
 
@@ -178,12 +197,12 @@ class EvalReport:
         return out
 
 
-def _breakdown_flags(sample: Sample, pred_tokens: _Lexed | None) -> ComponentFlags:
+def _breakdown_flags(sample: Sample, pred_tokens: _Lexed | None, repeat: bool) -> ComponentFlags:
     if pred_tokens is None:
         return _ALL_FALSE
     try:
         gold = sample.gold_query
-        pred = _parse_tokens(pred_tokens)
+        pred = gold if repeat else _parse_tokens(pred_tokens)
     except MedsqlError:
         return _ALL_FALSE
     return component_breakdown(gold, pred)
@@ -217,10 +236,13 @@ def evaluate(
         if pred is None:
             return SampleEval(sample.id, False, False, False, True), _ALL_FALSE
         pred_sql = top_sql(pred)
+        # A prediction that repeats its gold text takes the gold's tokens and parse.
+        repeat = pred_sql == sample.gold_sql
         pred_tokens = _safe_tokens(pred_sql)  # for logic form and the breakdown both
-        lf = _same_logic_form(_safe_tokens(sample.gold_sql), pred_tokens)
+        gold_tokens = pred_tokens if repeat else _safe_tokens(sample.gold_sql)
+        lf = _same_logic_form(gold_tokens, pred_tokens)
         outcome = execution_match(sample.gold_sql, pred_sql, session)
-        flags = _breakdown_flags(sample, pred_tokens) if with_breakdown else _ALL_FALSE
+        flags = _breakdown_flags(sample, pred_tokens, repeat) if with_breakdown else _ALL_FALSE
         return SampleEval(sample.id, lf, outcome.ex_match, outcome.gold_error, outcome.pred_error), flags
 
     with exec_connection(db, timeout_ms) as session:

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import re
 import shutil
 import sqlite3
+from collections import Counter
 from contextlib import closing
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from medsql import store
 from medsql.errors import MissingPrediction
 from medsql.metrics import (
+    ExecutionOutcome,
     component_breakdown,
     evaluate,
     execution_match,
@@ -21,10 +24,26 @@ from medsql.metrics import (
     results_equal,
 )
 from medsql.predictions import Candidate, CandidateSet
-from medsql.query import parse_sql
+from medsql.query import AggOp, CompOp, Star, parse_sql
 from medsql.store import DEFAULT_TIMEOUT_MS, Sample, open_exec_db
 
+from .conftest import clinic_templates
 from .reference import ref_execution_match
+
+
+@pytest.fixture()
+def executed(monkeypatch) -> list[tuple[str, int | None]]:
+    """(statement, its bound) of every statement run on an execution
+    connection during the test, in order."""
+    executed: list[tuple[str, int | None]] = []
+    original = store.run_select
+
+    def spy(conn, sql, timeout_ms=None, params=()):
+        executed.append((sql, timeout_ms))
+        return original(conn, sql, timeout_ms, params)
+
+    monkeypatch.setattr(store, "run_select", spy)
+    return executed
 
 
 class TestLogicForm:
@@ -78,6 +97,14 @@ class TestResultsEqual:
         assert results_equal([(b"\xff",), (b"a",), ("a",)], [("a",), (b"a",), (b"\xff",)])
         assert not results_equal([(b"a",)], [("a",)])
         assert not results_equal([(b"\xff",)], [(b"\xfe",)])
+
+    def test_blob_cells_pair_by_their_bytes(self, clinic):
+        # Blobs that are not UTF-8 all decoded to U+FFFD, shared a sort key and paired in input order.
+        assert results_equal([(b"\xff",), (b"\xfe",)], [(b"\xfe",), (b"\xff",)])
+        gold, pred = "SELECT x'ff' UNION ALL SELECT x'fe'", "SELECT x'fe' UNION ALL SELECT x'ff'"
+        with closing(open_exec_db(clinic.db_path)) as conn:
+            assert ref_execution_match(conn, gold, pred)
+            assert execution_match(gold, pred, conn).ex_match
 
     def test_row_width_must_match(self):
         assert not results_equal([(1, 2)], [(1,)])
@@ -135,6 +162,20 @@ class TestExecutionMatch:
             "SELECT COUNT(*) FROM LAB", "SELECT COUNT(*) FROM LAB", clinic.db_path
         )
         assert outcome.ex_match and not outcome.gold_error and not outcome.pred_error
+
+    def test_a_repeated_text_runs_once(self, clinic, executed):
+        gold = "SELECT COUNT(*) FROM LAB"
+        assert execution_match(gold, gold, clinic.db_path) == ExecutionOutcome(True, False, False)
+        assert [sql for sql, _ in executed] == [gold]
+        # A text that differs, if only in its spacing, runs on its own.
+        pred = gold.replace("*", "* ")
+        assert execution_match(gold, pred, clinic.db_path).ex_match
+        assert [sql for sql, _ in executed] == [gold, gold, pred]
+
+    def test_a_repeated_failing_text_runs_once_and_fails_both_sides(self, clinic, executed):
+        outcome = execution_match("SELECT NOPE FROM LAB", "SELECT NOPE FROM LAB", clinic.db_path)
+        assert outcome == ExecutionOutcome(False, True, True)
+        assert [sql for sql, _ in executed] == ["SELECT NOPE FROM LAB"]
 
     def test_column_names_are_ignored(self, clinic):
         outcome = execution_match(
@@ -260,6 +301,73 @@ class TestComponentBreakdown:
         assert flags.cond_val
 
 
+# The gold queries of the clinic templates, each slot filled with one literal.
+GOLD_QUERIES = [parse_sql(re.sub(r"\[[A-Z]+\]", "7", sql)) for _, _, sql, _ in clinic_templates()]
+
+
+def counter_breakdown(gold, pred) -> dict[str, bool]:
+    """The breakdown with every component compared as a Counter: the
+    reference that component_breakdown's shortcuts must agree with."""
+    label = lambda column: "*" if isinstance(column, Star) else column.render()
+    joins = lambda q: Counter((j.table, frozenset((j.left.render(), j.right.render()))) for j in q.joins)
+    return {
+        "agg_op": Counter(i.agg_op for i in gold.select_items) == Counter(i.agg_op for i in pred.select_items),
+        "agg_col": Counter(label(i.column) for i in gold.select_items)
+        == Counter(label(i.column) for i in pred.select_items),
+        "table_joins": gold.main_table == pred.main_table and joins(gold) == joins(pred),
+        "cond_col_op": Counter((c.column.render(), c.op) for c in gold.conditions)
+        == Counter((c.column.render(), c.op) for c in pred.conditions),
+        "cond_val": Counter((c.value.kind, c.value.value) for c in gold.conditions)
+        == Counter((c.value.kind, c.value.value) for c in pred.conditions),
+    }
+
+
+@st.composite
+def mutated(draw, query):
+    """``query`` after up to four edits: conditions or select items
+    reordered, or one condition's operator or value, one item's aggregate
+    or one join's sides changed."""
+    for _ in range(draw(st.integers(0, 4))):
+        edit = draw(st.sampled_from(["conditions", "items", "op", "value", "agg", "join"]))
+        if edit == "conditions":  # each position keeps its connector, as a query must
+            reordered = draw(st.permutations(query.conditions))
+            query = replace(query, conditions=tuple(
+                replace(c, connector=at.connector) for c, at in zip(reordered, query.conditions)
+            ))
+        elif edit == "items":
+            query = replace(query, select_items=tuple(draw(st.permutations(query.select_items))))
+        elif edit in ("op", "value") and query.conditions:
+            k = draw(st.integers(0, len(query.conditions) - 1))
+            cond = query.conditions[k]
+            if edit == "op":
+                cond = replace(cond, op=draw(st.sampled_from(CompOp)))
+            else:
+                cond = replace(cond, value=replace(cond.value, value=draw(st.sampled_from(["7", "8", "x"]))))
+            query = replace(query, conditions=query.conditions[:k] + (cond,) + query.conditions[k + 1 :])
+        elif edit == "agg":
+            k = draw(st.integers(0, len(query.select_items) - 1))
+            item = replace(query.select_items[k], agg_op=draw(st.sampled_from(AggOp)))
+            query = replace(query, select_items=query.select_items[:k] + (item,) + query.select_items[k + 1 :])
+        elif edit == "join" and query.joins:
+            k = draw(st.integers(0, len(query.joins) - 1))
+            join = query.joins[k]
+            join = replace(join, left=join.right, right=join.left)
+            query = replace(query, joins=query.joins[:k] + (join,) + query.joins[k + 1 :])
+    return query
+
+
+class TestBreakdownOracle:
+    """component_breakdown against the Counter comparison it replaced. CI
+    also runs this under the deep hypothesis profile, so it sets no example
+    count of its own."""
+
+    @given(st.sampled_from(GOLD_QUERIES).flatmap(lambda gold: st.tuples(st.just(gold), mutated(gold))))
+    def test_breakdown_agrees_with_counters(self, pair):
+        gold, pred = pair
+        assert asdict(component_breakdown(gold, pred)) == counter_breakdown(gold, pred)
+        assert asdict(component_breakdown(pred, gold)) == counter_breakdown(pred, gold)
+
+
 class TestEvaluate:
     @pytest.fixture()
     def four_samples(self, clinic):
@@ -311,19 +419,26 @@ class TestEvaluate:
         assert forward.acc_lf == backward.acc_lf
         assert forward.acc_ex == backward.acc_ex
 
-    def test_every_query_is_bounded_by_default(self, clinic, four_samples, monkeypatch):
-        bounds = []
-        original = store.run_select
-
-        def recording(conn, sql, timeout_ms=None, params=()):
-            bounds.append(timeout_ms)
-            return original(conn, sql, timeout_ms, params)
-
-        monkeypatch.setattr(store, "run_select", recording)
+    def test_every_query_is_bounded_by_default(self, clinic, four_samples, executed):
         evaluate(four_samples, self._preds(four_samples), clinic.db_path)
-        assert bounds == [DEFAULT_TIMEOUT_MS] * 6  # gold and prediction of three samples
+        # Gold and prediction of the wrong sample; the two that repeat their gold run once each.
+        assert [bound for _, bound in executed] == [DEFAULT_TIMEOUT_MS] * 4
         execution_match(four_samples[0].gold_sql, four_samples[0].gold_sql, clinic.db_path)
-        assert bounds[6:] == [DEFAULT_TIMEOUT_MS] * 2
+        assert [bound for _, bound in executed[4:]] == [DEFAULT_TIMEOUT_MS]
+
+    def test_a_repeated_gold_scores_as_the_gold_with_a_space(self, clinic):
+        # The space changes the text only, so that prediction takes the general path.
+        samples = list(clinic.corpus[::97]) + [
+            Sample("group", "q", "SELECT LAB.LABEL FROM LAB GROUP BY LAB.LABEL"),  # unparseable
+            Sample("open", "q", 'SELECT A FROM T WHERE B = "open'),  # unterminated
+            Sample("fails", "q", "SELECT NOPE FROM LAB"),
+            Sample("denied", "q", "SELECT date('now')"),
+        ]
+        for sample in samples:
+            repeated = evaluate([sample], {sample.id: sample.gold_sql}, clinic.db_path)
+            spaced = evaluate([sample], {sample.id: sample.gold_sql + " "}, clinic.db_path)
+            assert repeated.per_sample == spaced.per_sample, sample.gold_sql
+            assert repeated.breakdown == spaced.breakdown, sample.gold_sql
 
     def test_breakdown_fractions(self, clinic, four_samples):
         report = evaluate(four_samples, self._preds(four_samples), clinic.db_path)
@@ -356,8 +471,9 @@ class TestEvaluate:
             sample.gold_query  # parsed, as load_corpus leaves it
         lexed.clear()
         evaluate(four_samples, preds, clinic.db_path)
-        # A prediction used to be lexed for logic form and again for the breakdown.
-        assert lexed == [sql for s in four_samples if s.id in preds for sql in (preds[s.id], s.gold_sql)]
+        # A prediction used to be lexed for logic form and again for the breakdown,
+        # and a gold that the prediction repeats was lexed again for logic form.
+        assert lexed == [preds[s.id] for s in four_samples[:2]] + [preds[four_samples[2].id], four_samples[2].gold_sql]
 
     def test_breakdown_can_be_disabled(self, clinic, four_samples):
         report = evaluate(
