@@ -537,9 +537,10 @@ def _check_outputs(name: str, resolved: dict[str, Any]) -> None:
 def cmd(argv: list[str]) -> int:
     """Run one subcommand and return the process exit code: resolve and
     check its options, require its input files and distinct output files in
-    existing directories, run its stage inside the scope that hashes the
-    inputs (see :func:`medsql.records.hash_inputs`), write one manifest per
-    output after all outputs, and print its summary line."""
+    existing directories, hash every input once, so that a read error exits
+    3 with nothing written (:func:`medsql.records.hash_inputs`), run its
+    stage, write one manifest per output after all outputs, and print its
+    summary line."""
     parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
@@ -560,11 +561,11 @@ def cmd(argv: list[str]) -> int:
         _check_outputs(name, resolved)
         if name == "augment":
             _translator(resolved)
-        # Opened before the stage runs: an output may replace its input.
-        with hash_inputs({dest: resolved[dest] for dest in inputs if resolved[dest]}) as hashed:
-            outputs, summary = handler(resolved)
-            write_manifests(outputs, command=name, tool_version=__version__, config=resolved,
-                            seed=resolved.get("seed"), inputs=hashed())
+        # Hashed before the stage runs: an output may replace its input.
+        digests = hash_inputs({dest: resolved[dest] for dest in inputs if resolved[dest]})
+        outputs, summary = handler(resolved)
+        write_manifests(outputs, command=name, tool_version=__version__, config=resolved,
+                        seed=resolved.get("seed"), inputs=digests)
         print(summary)
         return 0
     except _UsageError as exc:

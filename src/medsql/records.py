@@ -9,11 +9,9 @@ import os
 import re
 import stat
 import tempfile
-import threading
-from collections.abc import Callable, Iterable, Iterator, Mapping
-from contextlib import ExitStack, contextmanager
+from collections.abc import Iterable, Iterator, Mapping
 from pathlib import Path
-from typing import Any, BinaryIO
+from typing import Any
 
 from .errors import DataError, RecordError
 
@@ -110,7 +108,8 @@ def record_id(value: Any) -> str:
 def atomic_write_text(path: str | Path, text: str) -> Path:
     """Write text to a temporary file and rename it into place."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".", suffix=".tmp")
+    # A name of fixed length, so it fits wherever the target's name fits.
+    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=".medsql-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -131,8 +130,16 @@ def write_json(path: str | Path, obj: Mapping[str, Any]) -> Path:
 
 
 def file_sha256(path: str | Path) -> str:
-    with open(path, "rb") as fh:
-        return _sha256_open(fh)
+    """The digest of a file, read in chunks of up to 1 MiB into one buffer:
+    the one hashing loop."""
+    digest = hashlib.sha256()
+    with open(path, "rb", buffering=0) as fh:
+        # No larger than the file: zeroing 1 MiB costs more than hashing a small input.
+        buffer = bytearray(min(1 << 20, os.fstat(fh.fileno()).st_size + 1))
+        view = memoryview(buffer)
+        while size := fh.readinto(buffer):
+            digest.update(view[:size])
+    return digest.hexdigest()
 
 
 def config_hash(config: Mapping[str, Any]) -> str:
@@ -145,77 +152,21 @@ def manifest_path(output_path: str | Path) -> Path:
     return output_path.with_name(output_path.name + ".manifest.json")
 
 
-# An input larger than this is hashed on a second thread while the stage
-# runs; hashing a smaller one inline costs less than starting a thread.
-_INLINE_HASH_BYTES = 1 << 20
-
-
-def _sha256_open(fh: BinaryIO) -> str:
-    """The digest of an open file from its position to its end, read in
-    chunks of up to 1 MiB into one buffer: the one hashing loop. The hashing
-    thread runs it too, so it calls no function a tracer may wrap."""
-    digest = hashlib.sha256()
-    # No larger than the file: zeroing 1 MiB costs more than hashing a small input.
-    buffer = bytearray(min(1 << 20, os.fstat(fh.fileno()).st_size + 1))
-    view = memoryview(buffer)
-    while size := fh.readinto(buffer):
-        digest.update(view[:size])
-    return digest.hexdigest()
-
-
-@contextmanager
-def hash_inputs(inputs: Mapping[str, str | Path]) -> Iterator[Callable[[], dict[str, dict[str, str]]]]:
-    """A scope that hashes the input files named by option while its body
-    runs. It yields the call that gives a manifest's ``inputs``: each file's
-    path and digest, hashed once, in name order. That call waits for the
-    hashing and re-raises its read error. Leaving the scope, by any path,
-    waits for the hashing and closes every file; a read error that the call
-    did not raise is dropped there, so the body's own error is the one seen.
+def hash_inputs(inputs: Mapping[str, str | Path]) -> dict[str, dict[str, str]]:
+    """A manifest's ``inputs``: the path and digest of each input file named
+    by option, each hashed once, in name order. A command hashes its inputs
+    before its stage runs, so a read error fails before any output is
+    written, and an output that replaces an input leaves the digest of the
+    bytes that were read.
 
     A pipe, socket or character device cannot be read twice, so naming one
-    is a :class:`DataError` raised before any input is read. A file of at
-    most ``_INLINE_HASH_BYTES`` is hashed on entry. A larger one is opened on
-    entry and hashed on one thread while the body runs. So a missing or
-    unreadable input fails on entry, and an output renamed onto an input
-    later leaves the digest of the bytes that were there."""
+    is a :class:`DataError` raised before any input is read."""
     names = sorted(inputs)
-    sizes = {}
     for name in names:
-        info = os.stat(inputs[name])
-        if stat.S_ISFIFO(info.st_mode) or stat.S_ISSOCK(info.st_mode) or stat.S_ISCHR(info.st_mode):
+        mode = os.stat(inputs[name]).st_mode
+        if stat.S_ISFIFO(mode) or stat.S_ISSOCK(mode) or stat.S_ISCHR(mode):
             raise DataError(f"--{name} must name a file, not a pipe, socket or device: {inputs[name]}")
-        sizes[name] = info.st_size
-    digests: dict[str, str] = {}
-    with ExitStack() as stack:
-        large = {}
-        for name in names:
-            if sizes[name] > _INLINE_HASH_BYTES:
-                large[name] = stack.enter_context(open(inputs[name], "rb", buffering=0))
-            else:
-                digests[name] = file_sha256(inputs[name])
-        thread = None
-        failed: list[Exception] = []
-
-        def work() -> None:
-            try:
-                digests.update({name: _sha256_open(fh) for name, fh in large.items()})
-            except Exception as exc:  # raised again by hashed(), so none escapes the thread
-                failed.append(exc)
-
-        if large:
-            thread = threading.Thread(target=work, name="medsql-hash-inputs")
-            thread.start()
-            # Pushed after the files, so leaving the scope joins the thread before they close.
-            stack.callback(thread.join)
-
-        def hashed() -> dict[str, dict[str, str]]:
-            if thread:
-                thread.join()
-            if failed:
-                raise failed[0]
-            return {name: {"path": str(inputs[name]), "sha256": digests[name]} for name in names}
-
-        yield hashed
+    return {name: {"path": str(inputs[name]), "sha256": file_sha256(inputs[name])} for name in names}
 
 
 def write_manifests(
@@ -228,9 +179,9 @@ def write_manifests(
     seed: int | None = None,
 ) -> list[Path]:
     """Write the run manifest that accompanies each output file; ``inputs``
-    is what the call :func:`hash_inputs` yields gives once the stage has
-    run. A manifest is fully determined by the inputs and configuration (no
-    timestamps), so identical reruns produce identical bytes.
+    is what :func:`hash_inputs` gave before the stage ran. A manifest is
+    fully determined by the inputs and configuration (no timestamps), so
+    identical reruns produce identical bytes.
     """
     shared = {
         "format_version": FORMAT_VERSION,

@@ -11,7 +11,6 @@ import sqlite3
 import subprocess
 import sys
 import threading
-import time
 from contextlib import closing
 from dataclasses import asdict
 from pathlib import Path
@@ -985,12 +984,13 @@ class TestPipeline:
         manifests = [read_json(f"{out}.manifest.json") for out in ("split_assignment.tsv", "split_report.json")]
         assert manifests[0]["inputs"] == manifests[1]["inputs"]
 
-    def test_an_in_place_run_records_the_digest_of_what_it_read(self, workdir):
+    def test_an_in_place_run_records_the_digest_of_what_it_read(self, workdir, hash_log):
         # The digest used to be taken after the stage, i.e. of its own output.
         lines = Path("corpus.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
         Path("c.jsonl").write_text("".join(lines[:20]), encoding="utf-8")
         read = hashlib.sha256(Path("c.jsonl").read_bytes()).hexdigest()
         assert cmd(["augment", "--corpus", "c.jsonl", "--stub", "--out", "c.jsonl"]) == 0
+        assert [event[:2] for event in hash_log] == [("hash", "c.jsonl"), ("run", "augment")]
         assert read_json("c.jsonl.manifest.json")["inputs"]["corpus"] == {"path": "c.jsonl", "sha256": read}
         assert hashlib.sha256(Path("c.jsonl").read_bytes()).hexdigest() != read
 
@@ -1036,204 +1036,76 @@ def _pad(path: str, size: int) -> bytes:
     return data
 
 
+def _inputs(argv: list[str]) -> list[str]:
+    """The input files a command line names, in option name order."""
+    named = dict(zip(argv[1::2], argv[2::2]))
+    return [named[f"--{dest}"] for dest in sorted(cli._INPUTS) if f"--{dest}" in named]
+
+
+def _files() -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in Path().iterdir() if p.is_file()}
+
+
 @pytest.fixture()
-def thread_hashed(monkeypatch) -> list[tuple[str, int]]:
-    """(file name, thread id) of every file hashed on the hashing thread."""
-    seen: list[tuple[str, int]] = []
-    sha256_open = records._sha256_open
-    caller = threading.get_ident()
+def hash_log(monkeypatch) -> list[tuple]:
+    """("hash", file name, thread id) for each file hashed and ("run",
+    command) for each stage started, in the order they happen."""
+    log: list[tuple] = []
+    file_sha256 = records.file_sha256
+    monkeypatch.setattr(records, "file_sha256",
+                        lambda path: log.append(("hash", path, threading.get_ident())) or file_sha256(path))
+    for name, (help_text, handler, options) in list(cli._COMMANDS.items()):
+        def spy(resolved, name=name, handler=handler):
+            log.append(("run", name))
+            return handler(resolved)
 
-    def spy(fh):
-        if threading.get_ident() != caller:
-            seen.append((fh.name, threading.get_ident()))
-        return sha256_open(fh)
-
-    monkeypatch.setattr(records, "_sha256_open", spy)
-    return seen
-
-
-def _hash_threads() -> list[threading.Thread]:
-    return [t for t in threading.enumerate() if t.name.startswith("medsql-hash-inputs")]
+        monkeypatch.setitem(cli._COMMANDS, name, (help_text, spy, options))
+    return log
 
 
-class TestHashingThread:
-    def test_every_input_on_the_thread_gives_the_same_bytes(self, clinic, tmp_path, monkeypatch, capsys,
-                                                             thread_hashed):
-        runs = {}
-        for threshold in (records._INLINE_HASH_BYTES, 0):
-            monkeypatch.setattr(records, "_INLINE_HASH_BYTES", threshold)
-            thread_hashed.clear()
-            directory = tmp_path / str(threshold)
-            _stage(clinic, directory)
-            monkeypatch.chdir(directory)
-            codes = [cmd(argv) for argv in _pipeline(clinic)]
-            files = {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
-            runs[threshold] = (codes, capsys.readouterr(), files, len(thread_hashed))
-        (codes, out, files, threaded), (codes0, out0, files0, threaded0) = runs.values()
-        assert codes == codes0 == [0] * 8
-        assert (out.out, out.err) == (out0.out, out0.err)
-        assert files == files0
-        assert sum(name.endswith(".manifest.json") for name in files) == 11
-        # Every input of every command, against none at the default.
-        assert (threaded, threaded0) == (0, 19)
+class TestInlineHashing:
+    # Inputs over 1 MiB used to be hashed on a second thread while the stage ran.
+    LARGE = 1 << 20
 
-    def test_a_large_input_is_hashed_once_off_the_calling_thread(self, workdir, monkeypatch, thread_hashed):
-        data = _pad("corpus.jsonl", records._INLINE_HASH_BYTES)
-        inline = []
+    def test_every_input_is_hashed_once_on_the_calling_thread_before_its_stage(self, workdir, clinic, hash_log):
+        runs = _pipeline(clinic)
+        _pad("corpus.jsonl", self.LARGE)
+        expected = []
+        for argv in runs:
+            assert cmd(argv) == 0, argv
+            expected += [("hash", path, threading.get_ident()) for path in _inputs(argv)] + [("run", argv[0])]
+        assert hash_log == expected
+        assert sum(event[0] == "hash" for event in hash_log) == 19
+
+    def test_no_command_of_the_pipeline_starts_a_thread(self, workdir, clinic, monkeypatch):
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread.name) or start(thread))
+        runs = _pipeline(clinic)
+        _pad("corpus.jsonl", self.LARGE)
+        assert [cmd(argv) for argv in runs] == [0] * 8
+        assert started == []
+
+    def test_a_read_error_on_any_input_exits_three_and_changes_no_file(self, workdir, clinic, monkeypatch, capsys):
+        # A large input's read error used to surface only after the stage had written its outputs.
+        runs = _pipeline(clinic)
+        _pad("corpus.jsonl", self.LARGE)
         file_sha256 = records.file_sha256
-        monkeypatch.setattr(records, "file_sha256", lambda path: inline.append(path) or file_sha256(path))
-        assert cmd(["stats", "--corpus", "corpus.jsonl", "--schema", "schema.json"]) == 0
-        assert inline == ["schema.json"]
-        assert [name for name, _ in thread_hashed] == ["corpus.jsonl"]
-        assert thread_hashed[0][1] != threading.get_ident()
-        digest = hashlib.sha256(data).hexdigest()
-        assert read_json("corpus_stats.json.manifest.json")["inputs"]["corpus"] == {
-            "path": "corpus.jsonl", "sha256": digest}
-        assert not _hash_threads()
+        for argv in runs:
+            for unreadable in _inputs(argv):
+                def failing(path, unreadable=unreadable):
+                    if path == unreadable:
+                        raise OSError(errno.EIO, "Input/output error")
+                    return file_sha256(path)
 
-    def test_an_in_place_augment_of_a_large_corpus_records_the_digest_of_what_it_read(self, workdir, thread_hashed):
-        data = _pad("corpus.jsonl", records._INLINE_HASH_BYTES)
-        assert cmd(["augment", "--corpus", "corpus.jsonl", "--stub", "--out", "corpus.jsonl"]) == 0
-        assert [name for name, _ in thread_hashed] == ["corpus.jsonl"]
-        read = hashlib.sha256(data).hexdigest()
-        assert read_json("corpus.jsonl.manifest.json")["inputs"]["corpus"]["sha256"] == read
-        assert hashlib.sha256(Path("corpus.jsonl").read_bytes()).hexdigest() != read
-
-    def test_a_stage_that_exits_two_leaves_no_thread_and_no_file_open(self, workdir, clinic, monkeypatch):
-        monkeypatch.setattr(records, "_INLINE_HASH_BYTES", 0)
-        opened = []
-        sha256_open = records._sha256_open
-
-        def slow(fh):
-            opened.append(fh)
-            time.sleep(0.05)  # still hashing when the stage fails
-            return sha256_open(fh)
-
-        monkeypatch.setattr(records, "_sha256_open", slow)
-        assert cmd(SPLIT_ARGS) == 0
-        write_jsonl("partial.jsonl", [{"id": s.id, "sql": s.gold_sql} for s in _test_samples(clinic)[:10]])
-        threads = threading.active_count()
-        opened.clear()
-        assert cmd(["eval", "--corpus", "corpus.jsonl", "--assignment", "split_assignment.tsv",
-                    "--preds", "partial.jsonl", "--db", "clinic.db", "--strict"]) == 2
-        assert [Path(fh.name).name for fh in opened] == [
-            "split_assignment.tsv", "corpus.jsonl", "clinic.db", "partial.jsonl"]
-        assert all(fh.closed for fh in opened)
-        assert threading.active_count() == threads
-        assert not _hash_threads()
-
-    def test_a_library_scope_that_raises_leaves_no_thread_and_no_file_open(self, workdir, monkeypatch):
-        monkeypatch.setattr(records, "_INLINE_HASH_BYTES", 0)
-        opened = []
-        sha256_open = records._sha256_open
-
-        def slow(fh):
-            opened.append(fh)
-            time.sleep(0.05)  # still hashing when the body fails
-            return sha256_open(fh)
-
-        monkeypatch.setattr(records, "_sha256_open", slow)
-        with pytest.raises(KeyError, match="the body's error"):
-            with records.hash_inputs({"schema": "schema.json", "corpus": "corpus.jsonl"}):
-                raise KeyError("the body's error")
-        assert [Path(fh.name).name for fh in opened] == ["corpus.jsonl", "schema.json"]
-        assert all(fh.closed for fh in opened)
-        assert not _hash_threads()
-
-    def test_a_scope_that_raises_lets_the_thread_finish_reading_before_its_files_close(self, workdir, monkeypatch):
-        # The thread's read error is dropped when the body raises, so only what each read gave
-        # shows that the thread was joined before its files were closed.
-        monkeypatch.setattr(records, "_INLINE_HASH_BYTES", 0)
-        reads = []
-        sha256_open = records._sha256_open
-
-        def slow(fh):
-            time.sleep(0.05)  # still hashing when the body fails
-            try:
-                reads.append((Path(fh.name).name, sha256_open(fh)))
-            except Exception as exc:
-                reads.append((Path(fh.name).name, repr(exc)))
-                raise
-            return reads[-1][1]
-
-        monkeypatch.setattr(records, "_sha256_open", slow)
-        with pytest.raises(KeyError, match="the body's error"):
-            with records.hash_inputs({"schema": "schema.json", "corpus": "corpus.jsonl"}):
-                raise KeyError("the body's error")
-        assert reads == [(name, hashlib.sha256(Path(name).read_bytes()).hexdigest())
-                         for name in ("corpus.jsonl", "schema.json")]
-        assert not _hash_threads()
-
-    def test_a_thread_that_cannot_start_is_reraised_and_every_file_is_closed(self, workdir, monkeypatch):
-        monkeypatch.setattr(records, "_INLINE_HASH_BYTES", 0)
-        opened = []
-
-        def spy(*args, **kwargs):
-            opened.append(open(*args, **kwargs))
-            return opened[-1]
-
-        def refuse(thread):
-            raise RuntimeError("can't start new thread")
-
-        monkeypatch.setattr(records, "open", spy, raising=False)
-        monkeypatch.setattr(threading.Thread, "start", refuse)
-        with pytest.raises(RuntimeError, match="can't start new thread"):
-            with records.hash_inputs({"schema": "schema.json", "corpus": "corpus.jsonl"}):
-                pytest.fail("the body ran without its hashing thread")
-        assert [Path(fh.name).name for fh in opened] == ["corpus.jsonl", "schema.json"]
-        assert all(fh.closed for fh in opened)
-        assert not _hash_threads()
-
-    @pytest.fixture()
-    def unreadable(self, monkeypatch):
-        """Every input goes to the thread, and reading it there fails."""
-
-        def failing(fh):
-            raise OSError(errno.EIO, "Input/output error")
-
-        monkeypatch.setattr(records, "_INLINE_HASH_BYTES", 0)
-        monkeypatch.setattr(records, "_sha256_open", failing)
-
-    def test_a_read_error_on_the_thread_exits_three_and_writes_no_manifest(self, workdir, unreadable, capsys):
-        assert cmd(["stats", "--corpus", "corpus.jsonl", "--schema", "schema.json"]) == 3
-        assert "medsql stats: environment error: [Errno 5] Input/output error" in capsys.readouterr().err
-        assert not Path("corpus_stats.json.manifest.json").exists()
-        assert not _hash_threads()
-
-    def test_the_stages_data_error_wins_over_a_read_error_on_the_thread(self, workdir, unreadable, capsys):
-        Path("broken.jsonl").write_text("{not json}\n", encoding="utf-8")
-        assert cmd(["stats", "--corpus", "broken.jsonl", "--schema", "schema.json"]) == 2
-        err = capsys.readouterr().err
-        assert "medsql stats: data error: record 1: invalid JSON" in err
-        assert "Input/output error" not in err
-        assert not _hash_threads()
-
-    def test_an_input_that_fails_to_open_closes_the_large_one_opened_before_it(self, workdir, monkeypatch, capsys):
-        _pad("corpus.jsonl", records._INLINE_HASH_BYTES)
-        Path("adir").mkdir()
-        opened = []
-
-        def spy(*args, **kwargs):
-            opened.append(open(*args, **kwargs))
-            return opened[-1]
-
-        monkeypatch.setattr(records, "open", spy, raising=False)
-        assert cmd(["stats", "--corpus", "corpus.jsonl", "--schema", "adir", "--out", "out.json"]) == 3
-        assert capsys.readouterr().err == "medsql stats: environment error: [Errno 21] Is a directory: 'adir'\n"
-        assert [Path(fh.name).name for fh in opened] == ["corpus.jsonl"]
-        assert opened[0].closed
-        assert not _hash_threads()
-        assert not Path("out.json").exists()
-
-    @pytest.mark.parametrize("extra, threaded", [(0, ["corpus.jsonl"]), (1, [])], ids=["over", "at"])
-    def test_a_file_of_the_threshold_size_is_hashed_inline(self, workdir, monkeypatch, thread_hashed, extra,
-                                                           threaded):
-        size = Path("corpus.jsonl").stat().st_size
-        monkeypatch.setattr(records, "_INLINE_HASH_BYTES", size - 1 + extra)
-        digest = hashlib.sha256(Path("corpus.jsonl").read_bytes()).hexdigest()
-        with records.hash_inputs({"corpus": "corpus.jsonl"}) as hashed:
-            assert hashed() == {"corpus": {"path": "corpus.jsonl", "sha256": digest}}
-        assert [name for name, _ in thread_hashed] == threaded
+                monkeypatch.setattr(records, "file_sha256", failing)
+                before = _files()
+                assert cmd(argv) == 3, (argv, unreadable)
+                err = capsys.readouterr().err
+                assert err == f"medsql {argv[0]}: environment error: [Errno 5] Input/output error\n"
+                assert _files() == before, (argv, unreadable)
+            monkeypatch.setattr(records, "file_sha256", file_sha256)
+            assert cmd(argv) == 0, argv
 
 
 def _a_pipe() -> str:
@@ -1273,7 +1145,7 @@ class TestSpecialInputFiles:
     def test_a_directory_still_exits_three(self, workdir, capsys):
         Path("adir").mkdir()
         assert cmd(["ingest", "--corpus", "adir", "--schema", "schema.json", "--out", "out.jsonl"]) == 3
-        assert "medsql ingest: environment error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == "medsql ingest: environment error: [Errno 21] Is a directory: 'adir'\n"
         assert not Path("out.jsonl").exists()
 
 
@@ -1362,18 +1234,21 @@ class TestCollidingOutputs:
 
 
 class TestOutputDirectories:
+    # Each command that writes two outputs: a first run, and the options that make a second run differ.
+    RUNS = {
+        "split": (["split", "--corpus", "corpus.jsonl", "--test-size", "10", "--seed", "0"], ["--seed", "7"]),
+        "augment": (["augment", "--corpus", "corpus.jsonl", "--stub"], ["--pivots", "de"]),
+        "recover": (["recover", "--preds", "preds.jsonl", "--db", "clinic.db", "--schema", "schema.json"],
+                    ["--preds", "more.jsonl"]),
+    }
+
     @pytest.mark.parametrize("dest", ["out", "report"])
     @pytest.mark.parametrize("name", ["split", "augment", "recover"])
     def test_exit_three_naming_the_option_and_leave_every_file_as_it_was(self, workdir, capsys, name, dest):
         # split --seed 7 --report nodir/r.json used to replace the seed-0 assignment, keep
         # its seed-0 manifest beside it, and then exit 3.
         write_jsonl("preds.jsonl", [{"id": "a", "sql": 'SELECT NAME FROM DEMOGRAPHIC WHERE LANGUAGE = "engl"'}])
-        first, again = {
-            "split": (["split", "--corpus", "corpus.jsonl", "--test-size", "10", "--seed", "0"], ["--seed", "7"]),
-            "augment": (["augment", "--corpus", "corpus.jsonl", "--stub"], ["--pivots", "de"]),
-            "recover": (["recover", "--preds", "preds.jsonl", "--db", "clinic.db", "--schema", "schema.json"],
-                        ["--preds", "more.jsonl"]),
-        }[name]
+        first, again = self.RUNS[name]
         assert cmd(first) == 0
         write_jsonl("more.jsonl", [{"id": "b", "sql": 'SELECT NAME FROM DEMOGRAPHIC WHERE LANGUAGE = "port"'}])
         before = {p.name: p.read_bytes() for p in workdir.iterdir() if p.is_file()}
@@ -1402,12 +1277,7 @@ class TestOutputDirectories:
         # split --seed 7 --out o.out --report adir used to replace the seed-0 assignment, keep its
         # seed-0 manifest beside it, and then exit 3.
         write_jsonl("preds.jsonl", [{"id": "a", "sql": 'SELECT NAME FROM DEMOGRAPHIC WHERE LANGUAGE = "engl"'}])
-        first, again = {
-            "split": (["split", "--corpus", "corpus.jsonl", "--test-size", "10", "--seed", "0"], ["--seed", "7"]),
-            "augment": (["augment", "--corpus", "corpus.jsonl", "--stub"], ["--pivots", "de"]),
-            "recover": (["recover", "--preds", "preds.jsonl", "--db", "clinic.db", "--schema", "schema.json"],
-                        ["--preds", "more.jsonl"]),
-        }[name]
+        first, again = self.RUNS[name]
         assert cmd(first + ["--out", "o.out", "--report", "r.json"]) == 0
         write_jsonl("more.jsonl", [{"id": "b", "sql": 'SELECT NAME FROM DEMOGRAPHIC WHERE LANGUAGE = "port"'}])
         Path(directory).mkdir()
@@ -1420,6 +1290,22 @@ class TestOutputDirectories:
         assert capsys.readouterr().err == (
             f"medsql {name}: environment error: --{dest} {named}: {directory} is a directory\n"
         )
+
+    @pytest.mark.parametrize("name", ["split", "augment", "recover"])
+    def test_an_output_whose_manifest_name_has_the_longest_length_is_written(self, workdir, name):
+        # split --seed 7 with this report used to exit 3 (File name too long, for the temporary file of
+        # the report's manifest), leaving the seed-7 assignment and the new report without its manifest.
+        write_jsonl("preds.jsonl", [{"id": "a", "sql": 'SELECT NAME FROM DEMOGRAPHIC WHERE LANGUAGE = "engl"'}])
+        first, again = self.RUNS[name]
+        assert cmd(first + ["--out", "asg.tsv", "--report", "r.json"]) == 0
+        write_jsonl("more.jsonl", [{"id": "b", "sql": 'SELECT NAME FROM DEMOGRAPHIC WHERE LANGUAGE = "port"'}])
+        report = "r" * 236 + ".json"
+        assert len(f"{report}.manifest.json") == 255
+        assert cmd(first + again + ["--out", "asg.tsv", "--report", report]) == 0
+        names = {p.name for p in workdir.iterdir()}
+        assert {"asg.tsv", "asg.tsv.manifest.json", report, f"{report}.manifest.json"} <= names
+        assert not [n for n in names if n.endswith(".tmp")]
+        assert read_json(f"{report}.manifest.json")["output"] == report
 
     def test_the_default_output_of_linearize_is_checked_too(self, workdir, capsys):
         # Without --out, train_template.jsonl used to be replaced before its manifest path, a directory,

@@ -12,3 +12,10 @@ class TestAtomicWrite:
             atomic_write_text(tmp_path / "out", "text\n")
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
         assert list((tmp_path / "out").iterdir()) == []
+
+    def test_a_name_of_the_longest_length_is_written_with_no_temporary_file_left(self, tmp_path):
+        # The temporary file used to be named <target>.<8 random>.tmp: 13 bytes over this name.
+        name = "n" * 255
+        atomic_write_text(tmp_path / name, "text\n")
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+        assert (tmp_path / name).read_text(encoding="utf-8") == "text\n"
