@@ -1107,6 +1107,55 @@ class TestInlineHashing:
             monkeypatch.setattr(records, "file_sha256", file_sha256)
             assert cmd(argv) == 0, argv
 
+    def test_a_read_error_wins_over_the_stages_data_error_and_the_stage_never_runs(self, workdir, monkeypatch,
+                                                                                   capsys, hash_log):
+        # The stage's data error used to win over a large input's read error on the thread.
+        Path("broken.jsonl").write_text("{not json}\n", encoding="utf-8")
+
+        def failing(path):
+            hash_log.append(("hash", path, threading.get_ident()))
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(records, "file_sha256", failing)
+        assert cmd(["stats", "--corpus", "broken.jsonl", "--schema", "schema.json"]) == 3
+        assert capsys.readouterr().err == "medsql stats: environment error: [Errno 5] Input/output error\n"
+        assert hash_log == [("hash", "broken.jsonl", threading.get_ident())]
+
+    @pytest.fixture()
+    def opened(self, monkeypatch) -> list:
+        """Every file the hashing loop opens, in order."""
+        files: list = []
+
+        def spy(*args, **kwargs):
+            files.append(open(*args, **kwargs))
+            return files[-1]
+
+        monkeypatch.setattr(records, "open", spy, raising=False)
+        return files
+
+    def test_a_stage_that_exits_two_leaves_every_hashed_input_closed(self, workdir, clinic, opened, capsys):
+        assert cmd(SPLIT_ARGS) == 0
+        write_jsonl("partial.jsonl", [{"id": s.id, "sql": s.gold_sql} for s in _test_samples(clinic)[:10]])
+        opened.clear()
+        before = _files()
+        assert cmd(["eval", "--corpus", "corpus.jsonl", "--assignment", "split_assignment.tsv",
+                    "--preds", "partial.jsonl", "--db", "clinic.db", "--strict"]) == 2
+        assert "medsql eval: data error:" in capsys.readouterr().err
+        # Hashed first, in name order; the stage's own readers follow.
+        assert [Path(fh.name).name for fh in opened[:4]] == [
+            "split_assignment.tsv", "corpus.jsonl", "clinic.db", "partial.jsonl"]
+        assert all(fh.closed for fh in opened)
+        assert _files() == before
+
+    def test_an_input_that_fails_to_open_leaves_the_one_hashed_before_it_closed(self, workdir, opened, capsys):
+        _pad("corpus.jsonl", self.LARGE)
+        Path("adir").mkdir()
+        assert cmd(["stats", "--corpus", "corpus.jsonl", "--schema", "adir", "--out", "out.json"]) == 3
+        assert capsys.readouterr().err == "medsql stats: environment error: [Errno 21] Is a directory: 'adir'\n"
+        assert [Path(fh.name).name for fh in opened] == ["corpus.jsonl"]
+        assert opened[0].closed
+        assert not Path("out.json").exists()
+
 
 def _a_pipe() -> str:
     """The read end of a pipe holding the first bytes of the corpus, as a path."""
