@@ -103,12 +103,19 @@ def execution_match(
     A query that fails to run (a timeout or a denied action included) sets
     its error flag; any error means no match. A prediction that repeats the
     gold text exactly runs once, and both sides take its rows or its error:
-    executed SQL depends only on the database and the text. ``db`` is
-    borrowed or opened as :func:`~medsql.store.exec_connection` says.
+    executed SQL depends only on the database and the text. The prediction
+    keeps at most one row more than gold returned, none when gold failed,
+    and still runs to its end, so its error and the timeout are as they
+    were. ``db`` is borrowed or opened as
+    :func:`~medsql.store.exec_connection` says.
     """
     with exec_connection(db, timeout_ms) as session:
         gold_rows = session.rows(gold_sql)
-        pred_rows = gold_rows if pred_sql == gold_sql else session.rows(pred_sql)
+        if pred_sql == gold_sql:
+            pred_rows = gold_rows
+        else:
+            # One row past the gold's length already fails results_equal; a failed gold needs none.
+            pred_rows = session.rows(pred_sql, keep=0 if gold_rows is None else len(gold_rows) + 1)
     matched = (
         gold_rows is not None
         and pred_rows is not None

@@ -121,8 +121,12 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
     return path
 
 
+# The encoder of every JSON Lines record: json.dumps builds a new one per call.
+_LINE_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
 def write_jsonl(path: str | Path, records: Iterable[Mapping[str, Any]]) -> Path:
-    return atomic_write_text(path, "".join(json.dumps(rec, ensure_ascii=False) + "\n" for rec in records))
+    return atomic_write_text(path, "".join(_LINE_ENCODER.encode(rec) + "\n" for rec in records))
 
 
 def write_json(path: str | Path, obj: Mapping[str, Any]) -> Path:

@@ -37,11 +37,13 @@ def rerank(
     Execution stops at the first success. A candidate that fails to run, a
     timed-out or denied one included, counts as failed. ``chosen_rank`` is
     1-based over the sorted beam. ``db``: see :func:`~medsql.store.exec_connection`.
+    Each candidate is asked :meth:`~medsql.store.Execution.outcome`, so a
+    text runs once per session and no candidate's rows are held.
     """
     with exec_connection(db, timeout_ms) as session:
         for rank, cand in enumerate(candidates.candidates, start=1):
-            rows = session.rows(cand.sql)
-            if rows is not None and (rows or not require_nonempty):
+            outcome = session.outcome(cand.sql)
+            if outcome is not None and (outcome or not require_nonempty):
                 return RerankChoice(candidates.id, cand.sql, rank, False)
     top = candidates.candidates[0]
     return RerankChoice(candidates.id, top.sql, 1, True)
@@ -55,7 +57,8 @@ def rerank_file(
     timeout_ms: int = DEFAULT_TIMEOUT_MS,
 ) -> dict[str, RerankChoice]:
     """Rerank every beam in a prediction file, in input order, in one
-    session of ``db`` (see :func:`~medsql.store.exec_connection`).
+    session of ``db`` (see :func:`~medsql.store.exec_connection`): a
+    candidate text that recurs across beams runs once in that session.
 
     Single-prediction records have no beam to rerank and raise
     :class:`RecordError` before any candidate runs.

@@ -495,12 +495,34 @@ def _borrow(db: sqlite3.Connection | Execution, timeout_ms: int | None = None) -
 DEFAULT_TIMEOUT_MS = 5000
 
 
+# Rows fetched per step once a query holds all the rows it keeps: few
+# enough that stepping through a cross join holds no result set.
+_STEP_ROWS = 256
+
+
 def run_select(
-    conn: sqlite3.Connection, sql: str, timeout_ms: int | None = None, params: Sequence[Any] = ()
+    conn: sqlite3.Connection,
+    sql: str,
+    timeout_ms: int | None = None,
+    params: Sequence[Any] = (),
+    *,
+    keep: int | None = None,
+    memo: dict[str, tuple | str] | None = None,
 ) -> list[tuple]:
     """Execute one query, with ``params`` bound to its ``?`` placeholders,
-    and fetch all rows: the one place where a statement runs on an
+    and return its rows: the one place where a statement runs on an
     execution connection.
+
+    With ``keep`` None every row is returned. Otherwise at most the first
+    ``keep`` rows are, and the rest are stepped through with ``fetchmany``
+    and dropped: the statement still runs to its end, so an error in a later
+    row and the timeout fail it as they would with every row fetched.
+
+    ``memo`` is a session's record of the texts it has run, keyed by
+    ``sql`` alone, so one memo serves one ``keep`` and queries without
+    ``params``. A text found there does not run again: its kept rows are
+    returned, or its failure is raised again with the same message. A text
+    run now is recorded there, its kept rows or its error message.
 
     Every way the statement can fail raises :class:`QueryExecutionError`:
     an SQLite error (a denied action included), the ``sqlite3.Warning``
@@ -509,11 +531,36 @@ def run_select(
     enforces so that runaway queries are interrupted, and running out of
     memory, in SQLite or while the rows are fetched.
     """
+    if memo is not None and sql in memo:
+        kept = memo[sql]
+        if isinstance(kept, str):
+            raise QueryExecutionError(kept)
+        return list(kept)
+    try:
+        rows = _execute(conn, sql, timeout_ms, params, keep)
+    except QueryExecutionError as exc:
+        if memo is not None:
+            memo[sql] = str(exc)
+        raise
+    if memo is not None:
+        memo[sql] = tuple(rows)
+    return rows
+
+
+def _execute(
+    conn: sqlite3.Connection, sql: str, timeout_ms: int | None, params: Sequence[Any], keep: int | None
+) -> list[tuple]:
     if timeout_ms is not None:
         deadline = time.monotonic() + timeout_ms / 1000.0
         conn.set_progress_handler(lambda: 1 if time.monotonic() > deadline else 0, 2000)
     try:
-        return conn.execute(sql, params).fetchall()
+        cursor = conn.execute(sql, params)
+        if keep is None:
+            return cursor.fetchall()
+        rows = cursor.fetchmany(keep) if keep > 0 else []
+        while cursor.fetchmany(_STEP_ROWS):
+            pass
+        return rows
     except (sqlite3.Error, sqlite3.Warning, UnicodeEncodeError) as exc:
         raise QueryExecutionError(str(exc)) from exc
     except MemoryError as exc:
@@ -525,16 +572,32 @@ def run_select(
 
 @dataclass(frozen=True)
 class Execution:
-    """One execution session: a guarded connection and the per-query bound
-    of every statement run on it. :func:`exec_connection` makes it."""
+    """One execution session: a guarded connection, the per-query bound of
+    every statement run on it, and the outcomes of the texts that
+    :meth:`outcome` has run. :func:`exec_connection` makes it: one per
+    opened database, and a fresh one each time it borrows a connection, so
+    no outcome outlives the call that borrowed it: another writer may change
+    the file between calls."""
 
     conn: sqlite3.Connection
     timeout_ms: int | None = None
+    # At most one row or an error message per text, never a result set.
+    _outcomes: dict[str, tuple | str] = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def rows(self, sql: str, params: Sequence[Any] = ()) -> list[tuple] | None:
-        """The rows of ``sql``, or None where :func:`run_select` raises."""
+    def rows(self, sql: str, params: Sequence[Any] = (), keep: int | None = None) -> list[tuple] | None:
+        """The rows of ``sql``, at most ``keep`` of them unless ``keep`` is
+        None, or None where :func:`run_select` raises."""
         try:
-            return run_select(self.conn, sql, self.timeout_ms, params)
+            return run_select(self.conn, sql, self.timeout_ms, params, keep=keep)
+        except QueryExecutionError:
+            return None
+
+    def outcome(self, sql: str) -> bool | None:
+        """None when ``sql`` fails, else whether it returns a row. Each text
+        runs once in the session: a repeat is answered from its first run, a
+        failure (a timeout included) too, and holds no row past the first."""
+        try:
+            return bool(run_select(self.conn, sql, self.timeout_ms, keep=1, memo=self._outcomes))
         except QueryExecutionError:
             return None
 

@@ -7,6 +7,7 @@ import json
 import random
 import sys
 import threading
+import tracemalloc
 from contextlib import closing, contextmanager
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
@@ -60,6 +61,16 @@ UNITS = ["%", "IU/L", "K/uL", "mg/dL", "mmol/L"]
 CATEGORIES = ["Blood Gas", "Chemistry", "Hematology", "Urine"]
 
 N_ROWS = 100
+
+
+def peak_bytes(fn) -> int:
+    """The peak of the memory that Python allocates while ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def clinic_schema() -> SchemaDef:

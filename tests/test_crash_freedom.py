@@ -2,8 +2,9 @@
 
 Each example mutates one record of a small clinic slice's corpus, prediction
 file or beam file, or one node of its schema: it drops a key, swaps in an
-odd JSON value, or edits one character of SQL. It then runs all eight
-commands through ``cmd``. Each must return 0 or 2 and raise nothing; a 2
+odd JSON value, or edits one character of SQL; or it replaces one beam
+candidate with a cross join. It then runs all eight commands through
+``cmd``. Each must return 0 or 2 and raise nothing; a 2
 prints one ``medsql <sub>: data error:`` line, which names the schema file
 when the schema is the input at fault.
 """
@@ -139,14 +140,9 @@ def _mutate(data, record):
     return record
 
 
-@settings(max_examples=100, derandomize=True, deadline=None, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data())
-def test_every_command_exits_zero_or_two_with_one_data_error_line(clinic_slice, data):
-    target = data.draw(st.sampled_from(["corpus", "preds", "beams", "schema"]), label="file")
-    records = copy.deepcopy(clinic_slice.records[target])
-    index = data.draw(st.integers(0, len(records) - 1), label="record")
-    records[index] = _mutate(data, records[index])
+def _check_commands(clinic_slice, target: str, records: list) -> None:
+    """Run every command with ``target``'s file holding ``records``: each
+    returns 0 or 2, and a 2 prints one data error line."""
     work = Path(tempfile.mkdtemp(dir=clinic_slice.root))
     try:
         files = dict(clinic_slice.files, **{target: work / clinic_slice.files[target].name})
@@ -164,3 +160,35 @@ def test_every_command_exits_zero_or_two_with_one_data_error_line(clinic_slice, 
                     assert f"schema file {files['schema']}: " in err, err
     finally:
         shutil.rmtree(work)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_every_command_exits_zero_or_two_with_one_data_error_line(clinic_slice, data):
+    target = data.draw(st.sampled_from(["corpus", "preds", "beams", "schema"]), label="file")
+    records = copy.deepcopy(clinic_slice.records[target])
+    index = data.draw(st.integers(0, len(records) - 1), label="record")
+    records[index] = _mutate(data, records[index])
+    _check_commands(clinic_slice, target, records)
+
+
+# Joins that pair every row of two whole tables, 10,000 pairs on the slice's
+# database: each runs to its end well inside the default --timeout-ms.
+CROSS_JOINS = [
+    "SELECT * FROM LAB, DEMOGRAPHIC",
+    "SELECT a.LABEL, b.LABEL FROM LAB a, LAB b",
+    "SELECT COUNT(*) FROM PRESCRIPTIONS, PROCEDURES",
+    "SELECT p.DRUG FROM PRESCRIPTIONS p, DIAGNOSES d WHERE d.SHORT_TITLE = 'none such'",
+]
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_a_cross_join_candidate_leaves_every_command_exiting_zero_or_two(clinic_slice, data):
+    records = copy.deepcopy(clinic_slice.records["beams"])
+    beam = data.draw(st.sampled_from(records), label="beam")
+    candidate = data.draw(st.sampled_from(beam["candidates"]), label="candidate")
+    candidate["sql"] = data.draw(st.sampled_from(CROSS_JOINS), label="cross join")
+    _check_commands(clinic_slice, "beams", records)

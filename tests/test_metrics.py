@@ -27,7 +27,7 @@ from medsql.predictions import Candidate, CandidateSet
 from medsql.query import AggOp, CompOp, Star, parse_sql
 from medsql.store import DEFAULT_TIMEOUT_MS, Sample, open_exec_db
 
-from .conftest import clinic_templates
+from .conftest import clinic_templates, peak_bytes
 from .reference import ref_execution_match
 
 
@@ -38,9 +38,9 @@ def executed(monkeypatch) -> list[tuple[str, int | None]]:
     executed: list[tuple[str, int | None]] = []
     original = store.run_select
 
-    def spy(conn, sql, timeout_ms=None, params=()):
+    def spy(conn, sql, timeout_ms=None, params=(), **bounds):
         executed.append((sql, timeout_ms))
-        return original(conn, sql, timeout_ms, params)
+        return original(conn, sql, timeout_ms, params, **bounds)
 
     monkeypatch.setattr(store, "run_select", spy)
     return executed
@@ -225,6 +225,27 @@ class TestExecutionMatch:
             outcome = execution_match("SELECT 1", "PRAGMA user_version = 7", conn)
         assert (outcome.ex_match, outcome.gold_error, outcome.pred_error) == (False, False, True)
         assert Path(db).read_bytes() == before
+
+    def test_a_prediction_far_longer_than_gold_holds_no_result_set(self, clinic):
+        # Its 10,000 rows were all held, a 7.7 MB peak, to find that they outnumber gold's one.
+        sample = Sample("s1", "How many lab rows are there?", "SELECT COUNT(*) FROM LAB")
+        preds = {"s1": "SELECT a.*, b.* FROM LAB a, LAB b"}
+        reports = []
+        with closing(open_exec_db(clinic.db_path)) as conn:
+            peak = peak_bytes(lambda: reports.append(evaluate([sample], preds, conn)))
+        (scored,) = reports[0].per_sample
+        assert (scored.ex_match, scored.gold_error, scored.pred_error) == (False, False, False)
+        assert peak < 2_000_000
+
+    @pytest.mark.parametrize("gold", ["SELECT COUNT(*) FROM LAB", "SELECT NOPE FROM LAB"],
+                             ids=["gold-runs", "gold-fails"])
+    @pytest.mark.parametrize("pred", [
+        "SELECT a.*, b.*, c.*, d.* FROM LAB a, LAB b, LAB c, LAB d",
+        "SELECT abs(CASE WHEN rowid > 5 THEN -9223372036854775807 - 1 ELSE 1 END) FROM LAB",
+    ], ids=["cross-join-timeout", "fails-at-row-6"])
+    def test_a_prediction_that_fails_past_the_rows_it_keeps_is_a_pred_error(self, clinic, gold, pred):
+        outcome = execution_match(gold, pred, clinic.db_path, timeout_ms=50)
+        assert (outcome.ex_match, outcome.gold_error, outcome.pred_error) == (False, "NOPE" in gold, True)
 
     def test_agrees_with_reference_on_corpus_pairs(self, clinic):
         with closing(open_exec_db(clinic.db_path)) as conn:

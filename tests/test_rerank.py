@@ -4,22 +4,32 @@ import inspect
 import shutil
 import sqlite3
 import sys
+from collections import Counter
 from contextlib import closing
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import medsql.rerank as rerank_mod
 from medsql import store
-from medsql.errors import RecordError
+from medsql.errors import QueryExecutionError, RecordError
 from medsql.metrics import evaluate
 from medsql.predictions import Candidate, CandidateSet
 from medsql.rerank import RerankChoice, rerank, rerank_file
-from medsql.store import open_exec_db
+from medsql.store import exec_connection, open_exec_db, run_select
+
+from .conftest import peak_bytes
+from .reference import ref_execute
 
 GOOD = "SELECT COUNT(*) FROM LAB"
 GOOD_EMPTY = 'SELECT NAME FROM DEMOGRAPHIC WHERE NAME = "ZZZ nobody"'
 BAD = "SELECT NOPE FROM LAB"
 SLOW = "SELECT COUNT(*) FROM LAB a, LAB b, LAB c, LAB d"
+# Fails as it runs, not as it is prepared, so that SQLite's trace sees it.
+OVERFLOW = "SELECT abs(-9223372036854775807 - 1) FROM LAB"
+# Every row of four tables paired: far more rows than any timeout in these tests lets it return.
+CROSS_JOIN = "SELECT a.*, b.*, c.*, d.* FROM LAB a, LAB b, LAB c, LAB d"
 
 
 def beam(*sqls: str) -> CandidateSet:
@@ -27,6 +37,13 @@ def beam(*sqls: str) -> CandidateSet:
     return CandidateSet(
         "q1", tuple(Candidate(sql, (n - i) / n) for i, sql in enumerate(sqls))
     )
+
+
+def traced(conn: sqlite3.Connection) -> list[str]:
+    """Every statement that SQLite runs on ``conn`` from now on, in order."""
+    statements: list[str] = []
+    conn.set_trace_callback(statements.append)
+    return statements
 
 
 def test_the_package_attribute_is_the_submodule():
@@ -83,9 +100,9 @@ class TestRerank:
         calls = []
         original = store.run_select
 
-        def counting(conn, sql, timeout_ms=None, params=()):
+        def counting(conn, sql, timeout_ms=None, params=(), **bounds):
             calls.append(sql)
-            return original(conn, sql, timeout_ms, params)
+            return original(conn, sql, timeout_ms, params, **bounds)
 
         monkeypatch.setattr(store, "run_select", counting)
         with closing(open_exec_db(clinic.db_path)) as conn:
@@ -192,3 +209,105 @@ class TestRerankFile:
         acc_reranked = evaluate(samples, chosen, clinic.db_path).acc_ex
         assert acc_reranked >= acc_raw
         assert acc_reranked == 1.0
+
+
+class TestOneRunPerText:
+    def beams(self, n: int) -> dict[str, CandidateSet]:
+        cands = (Candidate(BAD, 0.9), Candidate(OVERFLOW, 0.7), Candidate(GOOD_EMPTY, 0.5), Candidate(GOOD, 0.1))
+        return {f"q{i}": CandidateSet(f"q{i}", cands) for i in range(n)}
+
+    def test_rerank_file_runs_each_distinct_text_once(self, clinic):
+        with closing(open_exec_db(clinic.db_path)) as conn:
+            statements = traced(conn)
+            choices = rerank_file(self.beams(5), conn, require_nonempty=True)
+        assert {c.chosen_rank for c in choices.values()} == {4}
+        # SQLite traces a statement as it runs, so BAD, which fails as it is prepared, is not seen.
+        assert Counter(statements) == {OVERFLOW: 1, GOOD_EMPTY: 1, GOOD: 1}
+
+    @pytest.mark.parametrize("sql", [BAD, OVERFLOW, SLOW], ids=["prepare", "run", "timeout"])
+    def test_a_cached_failure_raises_again_with_the_same_message(self, clinic, sql):
+        memo = {}
+        with closing(open_exec_db(clinic.db_path)) as conn:
+            statements = traced(conn)
+            with pytest.raises(QueryExecutionError) as first:
+                run_select(conn, sql, 50, keep=1, memo=memo)
+            with pytest.raises(QueryExecutionError) as again:
+                run_select(conn, sql, 50, keep=1, memo=memo)
+        assert str(again.value) == str(first.value) == memo[sql]
+        assert statements == ([] if sql == BAD else [sql])
+
+    def test_a_session_answers_a_repeat_from_its_first_run(self, clinic):
+        with exec_connection(clinic.db_path, timeout_ms=50) as session:
+            statements = traced(session.conn)
+            answers = [session.outcome(sql) for sql in (GOOD, GOOD_EMPTY, OVERFLOW, SLOW) * 2]
+        assert answers == [True, False, None, None] * 2
+        assert statements == [GOOD, GOOD_EMPTY, OVERFLOW, SLOW]
+
+    def test_two_sessions_share_nothing(self, clinic):
+        runs = []
+        for _ in range(2):
+            with exec_connection(clinic.db_path) as session:
+                runs.append(traced(session.conn))
+                rerank_file(self.beams(2), session, require_nonempty=True)
+        assert runs == [[OVERFLOW, GOOD_EMPTY, GOOD]] * 2
+
+    def test_two_calls_on_a_borrowed_connection_share_nothing(self, clinic, tmp_path):
+        # Another writer may change the file between two calls, so the second sees its row.
+        db = shutil.copy(clinic.db_path, tmp_path / "clinic.db")
+        beams = {"q": CandidateSet("q", (Candidate(GOOD_EMPTY, 0.9), Candidate(GOOD, 0.1)))}
+        with closing(sqlite3.connect(db)) as conn, closing(sqlite3.connect(db)) as writer:
+            statements = traced(conn)
+            before = rerank_file(beams, conn, require_nonempty=True)["q"].chosen_rank
+            with writer:
+                writer.execute("INSERT INTO DEMOGRAPHIC (NAME) VALUES ('ZZZ nobody')")
+            after = rerank_file(beams, conn, require_nonempty=True)["q"].chosen_rank
+        assert (before, after) == (2, 1)
+        assert statements == [GOOD_EMPTY, GOOD, GOOD_EMPTY]
+
+    @pytest.mark.parametrize("borrowed", [False, True], ids=["session", "borrowed"])
+    def test_a_cross_join_candidate_holds_no_rows(self, clinic, borrowed):
+        # Every row it returned before the timeout was held: tens of MB for this join.
+        choices = []
+        with closing(open_exec_db(clinic.db_path)) as conn:
+            db = conn if borrowed else store.Execution(conn, 300)
+            peak = peak_bytes(lambda: choices.append(rerank(beam(CROSS_JOIN, GOOD), db, timeout_ms=300)))
+        assert choices == [RerankChoice("q1", GOOD, 2, False)]
+        assert peak < 2_000_000
+
+
+# Candidates that run, return no row or fail, and texts that differ from another only in spacing.
+ORACLE_POOL = [
+    GOOD, GOOD.replace("*", "* "), GOOD_EMPTY, BAD, OVERFLOW, "SELECT 1 FROM", "SELECT NAME FROM DEMOGRAPHIC LIMIT 0",
+    "SELECT DRUG FROM PRESCRIPTIONS WHERE ROUTE = 'IV'", "SELECT NOPE FROM DEMOGRAPHIC",
+]
+
+
+@pytest.fixture(scope="module")
+def conns(clinic):
+    """A connection to lend ``rerank_file``, and one for the reference to run on."""
+    with closing(open_exec_db(clinic.db_path)) as lent, \
+            closing(sqlite3.connect(f"file:{clinic.db_path}?mode=ro", uri=True)) as reference:
+        yield lent, reference
+
+
+def reference_choice(conn: sqlite3.Connection, cs: CandidateSet, require_nonempty: bool) -> RerankChoice:
+    """The choice of a reranker that runs every candidate it tries, as it tries it."""
+    for rank, cand in enumerate(cs.candidates, start=1):
+        state, rows = ref_execute(conn, cand.sql)
+        if state == "ok" and (rows or not require_nonempty):
+            return RerankChoice(cs.id, cand.sql, rank, False)
+    return RerankChoice(cs.id, cs.candidates[0].sql, 1, True)
+
+
+@settings(deadline=None)
+@given(
+    drawn=st.lists(st.lists(st.tuples(st.sampled_from(ORACLE_POOL), st.sampled_from([0.1, 0.5, 0.9])),
+                            min_size=1, max_size=5), min_size=1, max_size=6),
+    require_nonempty=st.booleans(),
+)
+def test_rerank_file_agrees_with_a_memo_free_oracle(conns, drawn, require_nonempty):
+    lent, reference = conns
+    beams = {f"q{i}": CandidateSet(f"q{i}", tuple(Candidate(sql, score) for sql, score in cands))
+             for i, cands in enumerate(drawn)}
+    expected = {sid: reference_choice(reference, cs, require_nonempty) for sid, cs in beams.items()}
+    assert rerank_file(beams, lent, require_nonempty=require_nonempty) == expected

@@ -775,9 +775,9 @@ class TestValueLookup:
         """Every query the lookup runs, as (SQL, bound parameters...)."""
         calls = []
 
-        def counting(conn, sql, timeout_ms=None, params=()):
+        def counting(conn, sql, timeout_ms=None, params=(), **bounds):
             calls.append((sql, *params))
-            return run_select(conn, sql, timeout_ms, params)
+            return run_select(conn, sql, timeout_ms, params, **bounds)
 
         monkeypatch.setattr(store, "run_select", counting)
         return calls

@@ -179,15 +179,21 @@ class TestExecution:
             assert session.rows(sql) is None
             assert session.rows("SELECT COUNT(*) FROM LAB WHERE rowid > ?", (90,)) == [(10,)]
 
+    @pytest.mark.parametrize("keep", [0, 1, 3])
+    def test_rows_keeps_the_first_rows_it_is_asked_for(self, clinic, keep):
+        with exec_connection(clinic.db_path) as session:
+            assert session.rows("SELECT rowid FROM LAB ORDER BY rowid", keep=keep) == [(i,) for i in range(1, keep + 1)]
+
     def test_a_failed_statement_reaches_every_caller_as_none(self, clinic, monkeypatch):
+        # rerank asks a session's outcome; eval and the lookup ask its rows.
         seen = []
-        rows = store.Execution.rows
+        for name in ("rows", "outcome"):
 
-        def recording(session, sql, params=()):
-            seen.append((sql, rows(session, sql, params)))
-            return seen[-1][1]
+            def recording(session, sql, *args, _ask=getattr(store.Execution, name), **kwargs):
+                seen.append((sql, _ask(session, sql, *args, **kwargs)))
+                return seen[-1][1]
 
-        monkeypatch.setattr(store.Execution, "rows", recording)
+            monkeypatch.setattr(store.Execution, name, recording)
         gold = clinic.corpus[0].gold_sql
         with exec_connection(clinic.db_path) as session:
             assert rerank(CandidateSet("q", (Candidate(BAD, 0.9), Candidate(gold, 0.5))), session).chosen_rank == 2
