@@ -495,11 +495,6 @@ def _borrow(db: sqlite3.Connection | Execution, timeout_ms: int | None = None) -
 DEFAULT_TIMEOUT_MS = 5000
 
 
-# Rows fetched per step once a query holds all the rows it keeps: few
-# enough that stepping through a cross join holds no result set.
-_STEP_ROWS = 256
-
-
 def run_select(
     conn: sqlite3.Connection,
     sql: str,
@@ -507,22 +502,23 @@ def run_select(
     params: Sequence[Any] = (),
     *,
     keep: int | None = None,
-    memo: dict[str, tuple | str] | None = None,
+    memo: dict[tuple[str, int], int | str] | None = None,
 ) -> list[tuple]:
     """Execute one query, with ``params`` bound to its ``?`` placeholders,
     and return its rows: the one place where a statement runs on an
     execution connection.
 
     With ``keep`` None every row is returned. Otherwise at most the first
-    ``keep`` rows are, and the rest are stepped through with ``fetchmany``
-    and dropped: the statement still runs to its end, so an error in a later
-    row and the timeout fail it as they would with every row fetched.
+    ``keep`` rows are, and the rest are stepped through one at a time and
+    dropped: the statement still runs to its end, so an error in a later
+    row and the timeout fail it as they would with every row fetched, and
+    at most two rows past the kept ones are held at once.
 
     ``memo`` is a session's record of the texts it has run, keyed by
-    ``sql`` alone, so one memo serves one ``keep`` and queries without
-    ``params``. A text found there does not run again: its kept rows are
-    returned, or its failure is raised again with the same message. A text
-    run now is recorded there, its kept rows or its error message.
+    ``(sql, keep)``: it needs a ``keep`` and takes no ``params``. It holds
+    the number of rows kept or the error message, never a value. A text
+    found there does not run again: it returns that many empty rows, or its
+    failure is raised again with the same message.
 
     Every way the statement can fail raises :class:`QueryExecutionError`:
     an SQLite error (a denied action included), the ``sqlite3.Warning``
@@ -531,19 +527,21 @@ def run_select(
     enforces so that runaway queries are interrupted, and running out of
     memory, in SQLite or while the rows are fetched.
     """
-    if memo is not None and sql in memo:
-        kept = memo[sql]
-        if isinstance(kept, str):
-            raise QueryExecutionError(kept)
-        return list(kept)
+    if memo is None:
+        return _execute(conn, sql, timeout_ms, params, keep)
+    if keep is None or params:
+        raise ValueError("a memo needs a keep bound and takes no params")
+    kept = memo.get((sql, keep))
+    if isinstance(kept, str):
+        raise QueryExecutionError(kept)
+    if kept is not None:
+        return [()] * kept
     try:
         rows = _execute(conn, sql, timeout_ms, params, keep)
     except QueryExecutionError as exc:
-        if memo is not None:
-            memo[sql] = str(exc)
+        memo[sql, keep] = str(exc)
         raise
-    if memo is not None:
-        memo[sql] = tuple(rows)
+    memo[sql, keep] = len(rows)
     return rows
 
 
@@ -558,7 +556,7 @@ def _execute(
         if keep is None:
             return cursor.fetchall()
         rows = cursor.fetchmany(keep) if keep > 0 else []
-        while cursor.fetchmany(_STEP_ROWS):
+        for _ in cursor:
             pass
         return rows
     except (sqlite3.Error, sqlite3.Warning, UnicodeEncodeError) as exc:
@@ -581,8 +579,8 @@ class Execution:
 
     conn: sqlite3.Connection
     timeout_ms: int | None = None
-    # At most one row or an error message per text, never a result set.
-    _outcomes: dict[str, tuple | str] = field(default_factory=dict, init=False, repr=False, compare=False)
+    # A row count (0 or 1) or an error message per text, never a value.
+    _outcomes: dict[tuple[str, int], int | str] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def rows(self, sql: str, params: Sequence[Any] = (), keep: int | None = None) -> list[tuple] | None:
         """The rows of ``sql``, at most ``keep`` of them unless ``keep`` is
@@ -595,7 +593,9 @@ class Execution:
     def outcome(self, sql: str) -> bool | None:
         """None when ``sql`` fails, else whether it returns a row. Each text
         runs once in the session: a repeat is answered from its first run, a
-        failure (a timeout included) too, and holds no row past the first."""
+        failure (a timeout included) too. While the text runs, a few of its
+        rows are held at most (see :func:`run_select`); the session keeps
+        none."""
         try:
             return bool(run_select(self.conn, sql, self.timeout_ms, keep=1, memo=self._outcomes))
         except QueryExecutionError:

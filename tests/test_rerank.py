@@ -233,8 +233,35 @@ class TestOneRunPerText:
                 run_select(conn, sql, 50, keep=1, memo=memo)
             with pytest.raises(QueryExecutionError) as again:
                 run_select(conn, sql, 50, keep=1, memo=memo)
-        assert str(again.value) == str(first.value) == memo[sql]
+        assert str(again.value) == str(first.value) == memo[sql, 1]
         assert statements == ([] if sql == BAD else [sql])
+
+    def test_a_repeat_returns_as_many_empty_rows_as_were_kept(self, clinic):
+        sql = "SELECT rowid FROM LAB ORDER BY rowid"
+        memo = {}
+        with closing(open_exec_db(clinic.db_path)) as conn:
+            statements = traced(conn)
+            answers = [run_select(conn, sql, keep=keep, memo=memo) for keep in (2, 2, 3)]
+        assert answers == [[(1,), (2,)], [(), ()], [(1,), (2,), (3,)]]
+        assert memo == {(sql, 2): 2, (sql, 3): 3}
+        assert statements == [sql, sql]
+
+    @pytest.mark.parametrize("kwargs", [{"keep": None}, {"keep": 1, "params": (1,)}], ids=["no-keep", "params"])
+    def test_a_memo_needs_a_keep_and_takes_no_params(self, clinic, kwargs):
+        with closing(open_exec_db(clinic.db_path)) as conn, pytest.raises(ValueError, match="memo"):
+            run_select(conn, "SELECT ?", memo={}, **kwargs)
+
+    def test_the_memo_holds_no_value(self, clinic):
+        # Each beam's top candidate returns one 2 MB row: a memo of rows held all ten at once.
+        beams = {
+            f"q{i}": CandidateSet(f"q{i}", (Candidate(f"SELECT zeroblob(2000000), {i}", 0.9), Candidate(GOOD, 0.1)))
+            for i in range(10)
+        }
+        choices = {}
+        with closing(open_exec_db(clinic.db_path)) as conn:
+            peak = peak_bytes(lambda: choices.update(rerank_file(beams, conn)))
+        assert {c.chosen_rank for c in choices.values()} == {1}
+        assert peak < 5_000_000
 
     def test_a_session_answers_a_repeat_from_its_first_run(self, clinic):
         with exec_connection(clinic.db_path, timeout_ms=50) as session:

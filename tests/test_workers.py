@@ -18,6 +18,8 @@ from medsql.predictions import Candidate, CandidateSet
 from medsql.rerank import rerank, rerank_file
 from medsql.store import exec_connection, open_exec_db
 
+from .conftest import peak_bytes
+
 
 def _is_closed(conn: sqlite3.Connection) -> bool:
     try:
@@ -183,6 +185,15 @@ class TestExecution:
     def test_rows_keeps_the_first_rows_it_is_asked_for(self, clinic, keep):
         with exec_connection(clinic.db_path) as session:
             assert session.rows("SELECT rowid FROM LAB ORDER BY rowid", keep=keep) == [(i,) for i in range(1, keep + 1)]
+
+    def test_rows_holds_at_most_a_row_or_two_past_the_kept_ones(self, clinic):
+        # Twenty 1 MB rows: stepping through them 256 at a time held all of them.
+        twenty = "SELECT zeroblob(1000000), rowid FROM LAB WHERE rowid <= 20 ORDER BY rowid"
+        kept = []
+        with exec_connection(clinic.db_path) as session:
+            peak = peak_bytes(lambda: kept.extend(session.rows(twenty, keep=1)))
+        assert [i for _, i in kept] == [1]
+        assert peak < 5_000_000
 
     def test_a_failed_statement_reaches_every_caller_as_none(self, clinic, monkeypatch):
         # rerank asks a session's outcome; eval and the lookup ask its rows.
