@@ -106,12 +106,20 @@ def record_id(value: Any) -> str:
 
 
 def atomic_write_text(path: str | Path, text: str) -> Path:
-    """Write text to a temporary file and rename it into place."""
+    """Write text to a temporary file and rename it into place. The file
+    gets the mode that ``open(path, "w")`` gives a new file, 0666 less the
+    umask, whether or not ``path`` existed."""
     path = Path(path)
     # A name of fixed length, so it fits wherever the target's name fits.
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=".medsql-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            # mkstemp creates the file with mode 0600. The umask can be read
+            # only by setting it, so it is set back at once; a file another
+            # thread created in between would get 0600 at most.
+            umask = os.umask(0o077)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -137,11 +137,16 @@ class Paraphrase:
     pivot: str
 
 
-_SAMPLE_KEYS = ("id", "question_template", "question_paraphrase", "synthetic", "sql", "schema")
+_SAMPLE_KEYS = frozenset(("id", "question_template", "question_paraphrase", "synthetic", "sql", "schema"))
 
 
 @dataclass(frozen=True)
 class Sample:
+    """One corpus record. :func:`validate_records` builds its samples
+    without this constructor and stores each gold parse it makes where the
+    first read of :attr:`gold_query` would keep it, so a loaded sample
+    cannot be told from a constructed one whose gold query has been read."""
+
     id: str
     template_question: str
     gold_sql: str
@@ -160,8 +165,9 @@ class Sample:
 
     @property
     def gold_query(self) -> SqlQuery:
-        """The parsed gold SQL: parsed on first use, then kept. A parse
-        error is raised again on every access. :func:`validate_records`
+        """The parsed gold SQL: parsed on first use, then kept, unless
+        :func:`validate_records` kept its parse already. A parse error is
+        raised again on every access. :func:`validate_records`
         parses it only where its ``parse_gold`` says so, so a sample that
         ``linearize`` or ``augment`` loads, or one outside the split that
         ``eval`` scores, may hold SQL outside the dialect."""
@@ -186,6 +192,41 @@ class Sample:
         return rec
 
 
+# The loader builds its samples and paraphrases without their constructors,
+# as the parser builds its nodes (query._builder): a frozen dataclass's
+# __init__ sets each field through object.__setattr__, and Sample's
+# __post_init__ copies its tuple again. Each builder puts the fields into
+# the instance's own __dict__ in field order, as __init__ does.
+_new = object.__new__
+
+
+def _build_paraphrase(text: str, pivot: str) -> Paraphrase:
+    paraphrase = _new(Paraphrase)
+    fields = paraphrase.__dict__
+    fields["text"] = text
+    fields["pivot"] = pivot
+    return paraphrase
+
+
+def _build_sample(
+    sample_id: str, question: str, sql: str, paraphrase: str | None,
+    synthetic: tuple[Paraphrase, ...], schema: SchemaDef | None, extra: dict[str, Any],
+) -> Sample:
+    sample = _new(Sample)
+    fields = sample.__dict__
+    fields["id"] = sample_id
+    fields["template_question"] = question
+    fields["gold_sql"] = sql
+    fields["paraphrase_question"] = paraphrase
+    fields["synthetic_paraphrases"] = synthetic
+    fields["schema"] = schema
+    fields["extra"] = extra
+    return sample
+
+
+_SYNTHETIC_ERROR = "synthetic must be a list of objects with string text and pivot"
+
+
 def validate_records(
     numbered: Iterable[tuple[int, Any]], *, parse_gold: Callable[[Sample], bool] = lambda sample: True
 ) -> list[Sample]:
@@ -195,29 +236,40 @@ def validate_records(
     string ``question_template``, a string or null
     ``question_paraphrase``, a list of ``{text, pivot}`` string objects as
     ``synthetic``, and a string ``sql``; violations raise
-    :class:`RecordError` carrying the record's number.
+    :class:`RecordError` carrying the record's number. A record is checked
+    in one pass, in that order, and its sample built without the
+    constructor: see :class:`Sample`.
 
     The ``sql`` of each sample for which ``parse_gold`` is true must also
     parse under the dialect, checked in record order with the rest; its
-    parse stays on the sample as :attr:`Sample.gold_query`. The default
-    parses every sample's, as ``ingest``, ``stats`` and ``split`` do;
-    ``eval`` parses the samples of the split it scores, and ``linearize``
-    and ``augment`` parse none.
+    parse stays on the sample as :attr:`Sample.gold_query`. Each distinct
+    ``sql`` text is parsed once per call, and samples that repeat it share
+    its parse; nothing is kept between calls. The default parses every
+    sample's, as ``ingest``, ``stats`` and ``split`` do; ``eval`` parses the
+    samples of the split it scores, and ``linearize`` and ``augment`` parse
+    none.
     """
     samples: list[Sample] = []
     seen: set[str] = set()
+    parses: dict[str, tuple[SqlQuery, int]] = {}  # gold text -> its parse, for this call alone
     for number, rec in numbered:
         try:
             if not isinstance(rec, dict):
                 raise DataError("record is not a JSON object")
             synthetic = rec.get("synthetic", [])
-            if not isinstance(synthetic, list) or not all(
-                isinstance(p, dict) and isinstance(p.get("text"), str) and isinstance(p.get("pivot"), str)
-                for p in synthetic
-            ):
-                raise DataError("synthetic must be a list of objects with string text and pivot")
-            missing = [k for k in ("id", "question_template", "sql") if k not in rec]
-            if missing:
+            if not isinstance(synthetic, list):
+                raise DataError(_SYNTHETIC_ERROR)
+            paraphrases = []
+            for p in synthetic:
+                if not isinstance(p, dict):
+                    raise DataError(_SYNTHETIC_ERROR)
+                text = p.get("text")
+                pivot = p.get("pivot")
+                if not isinstance(text, str) or not isinstance(pivot, str):
+                    raise DataError(_SYNTHETIC_ERROR)
+                paraphrases.append(_build_paraphrase(text, pivot))
+            if "id" not in rec or "question_template" not in rec or "sql" not in rec:
+                missing = [k for k in ("id", "question_template", "sql") if k not in rec]
                 raise DataError("missing field(s): " + ", ".join(missing))
             sample_id = record_id(rec["id"])
             schema = rec.get("schema")
@@ -234,17 +286,19 @@ def validate_records(
             sql = rec["sql"]
             if not isinstance(sql, str):
                 raise DataError(f"sql must be a string, not {type(sql).__name__}")
-            sample = Sample(
-                sample_id, question, sql, paraphrase, tuple(Paraphrase(p["text"], p["pivot"]) for p in synthetic),
-                schema, {k: v for k, v in rec.items() if k not in _SAMPLE_KEYS},
-            )
+            extra = {} if rec.keys() <= _SAMPLE_KEYS else {k: v for k, v in rec.items() if k not in _SAMPLE_KEYS}
+            sample = _build_sample(sample_id, question, sql, paraphrase, tuple(paraphrases), schema, extra)
             if parse_gold(sample):
-                sample.gold_query  # SQL outside the dialect is a record error
+                # SQL outside the dialect is a record error.
+                gold = parses.get(sql)
+                if gold is None:
+                    gold = parses[sql] = _parse_and_count(sql)
+                sample.__dict__["_gold"] = gold  # where Sample._gold keeps its value
         except DataError as exc:
             raise RecordError(number, str(exc)) from exc
-        if sample.id in seen:
-            raise RecordError(number, f"duplicate id {sample.id!r}")
-        seen.add(sample.id)
+        if sample_id in seen:
+            raise RecordError(number, f"duplicate id {sample_id!r}")
+        seen.add(sample_id)
         samples.append(sample)
     return samples
 
@@ -252,7 +306,8 @@ def validate_records(
 def load_corpus(path: str | Path, *, parse_gold: Callable[[Sample], bool] = lambda sample: True) -> list[Sample]:
     """Load and validate a corpus file; errors carry the line number.
     ``parse_gold`` picks the samples whose gold SQL is parsed, as in
-    :func:`validate_records`: every one by default."""
+    :func:`validate_records`: every one by default, each distinct text
+    once per call."""
     return validate_records(read_jsonl(path), parse_gold=parse_gold)
 
 

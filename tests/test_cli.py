@@ -1381,6 +1381,29 @@ class TestOutputDirectories:
         assert not Path("split_report.json").exists()
 
 
+class TestOutputFileMode:
+    @pytest.fixture(autouse=True)
+    def kept_umask(self):
+        kept = os.umask(0o022)
+        yield
+        os.umask(kept)
+
+    @pytest.mark.parametrize(("mask", "mode"), [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+    def test_outputs_and_manifests_get_the_mode_of_a_new_file_under_the_umask(self, workdir, mask, mode):
+        # Every output and manifest used to be 0600, the mode of tempfile.mkstemp, whatever the umask.
+        os.umask(mask)
+        names = ["split_assignment.tsv", "split_report.json"]
+        for _ in range(2):  # a rewrite gives the same mode as a first write
+            assert cmd(SPLIT_ARGS) == 0
+            for name in names + [f"{n}.manifest.json" for n in names]:
+                assert oct(Path(name).stat().st_mode & 0o777) == oct(mode), name
+
+    def test_the_umask_is_left_as_it_was(self, workdir):
+        os.umask(0o027)
+        assert cmd(SPLIT_ARGS) == 0
+        assert os.umask(0o027) == 0o027
+
+
 class TestEmptyOutputs:
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("dest", ["out", "report"])

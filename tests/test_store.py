@@ -9,6 +9,8 @@ from contextlib import closing
 from dataclasses import asdict, replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from medsql.errors import (
     ColumnTypeError,
@@ -45,6 +47,8 @@ from medsql.store import (
     validate_records,
     with_synthetic,
 )
+
+from . import loader_oracle
 
 
 def _build(directory, tables, *, write=True):
@@ -314,6 +318,208 @@ class TestGoldQuery:
         assert len(parsed) == len(corpus)
         # The token count of corpus_stats used to lex every gold query again.
         assert lexed == [s.gold_sql for s in corpus]
+
+
+# Any JSON value, small: a wrong type for any field.
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+# Gold texts, repeated across a corpus: parseable ones, two of which differ
+# only in case, and ones outside the dialect, unterminated or malformed.
+VALID_GOLD = [
+    "SELECT * FROM T",
+    'SELECT COUNT(DISTINCT LAB.HADM_ID) FROM LAB WHERE LAB.FLAG = "abnormal" AND LAB.ITEMID > 3',
+    "select a.b, max(c) from a inner join d on a.x = d.y where e = 'it''s'",
+    'SELECT A FROM T WHERE B = "x"',
+    'select a from t where b = "X"',
+]
+FAULTY_GOLD = ["SELECT A FROM T GROUP BY A", 'SELECT A FROM T WHERE B = "open', "SELECT", ""]
+SCHEMA = {"tables": [{"name": "T", "columns": [{"name": "A", "attr": "text"}]}]}
+# (valid values, faulty values) of each record field.
+RECORD_FIELDS = {
+    # Ids repeat: "1" and 1 are the same id.
+    "id": (st.text("ab1", min_size=1, max_size=3) | st.integers(0, 30),
+           st.sampled_from(["\ufeffa", "a\tb", "c\rd", "e\nf", True]) | ANY_JSON),
+    "question_template": (st.sampled_from(["how many", "q"]), st.sampled_from([" ", "", 0]) | ANY_JSON),
+    "question_paraphrase": (st.sampled_from([None, "what", ""]), ANY_JSON),
+    "synthetic": (
+        st.lists(st.fixed_dictionaries({"text": st.sampled_from(["t", ""]), "pivot": st.sampled_from(["fr", "de"])}),
+                 max_size=2),
+        st.lists(
+            st.fixed_dictionaries({"text": st.sampled_from(["t", ""]), "pivot": st.sampled_from(["fr", "de"])})
+            | st.fixed_dictionaries({"text": ANY_JSON, "pivot": ANY_JSON})
+            | st.dictionaries(st.sampled_from(["text", "pivot"]), st.text(max_size=2))
+            | ANY_JSON,
+            min_size=1, max_size=3,
+        ) | ANY_JSON,
+    ),
+    "sql": (st.sampled_from(VALID_GOLD), st.sampled_from(FAULTY_GOLD) | ANY_JSON),
+    "schema": (st.sampled_from([None, SCHEMA]), st.sampled_from([{"tables": [{"name": "T"}]}, {"tables": {}}]) | ANY_JSON),
+    "note": (ANY_JSON, ANY_JSON),
+}
+REQUIRED = ("id", "question_template", "sql")
+PARSE_GOLD = {"every": lambda sample: True, "none": lambda sample: False, "odd": lambda sample: len(sample.id) % 2 == 1}
+
+
+@st.composite
+def corpus_record(draw):
+    """A JSON object with each field valid, faulty or missing, now and then
+    a JSON value of another kind; most records are valid."""
+    if draw(st.integers(0, 19)) == 0:
+        return draw(ANY_JSON)
+    rec = {}
+    for key, (valid, faulty) in RECORD_FIELDS.items():
+        if draw(st.integers(0, 19)) < (19 if key in REQUIRED else 10):
+            rec[key] = draw(faulty if draw(st.integers(0, 14)) == 0 else valid)
+    return rec
+
+
+DROP = object()  # a key that _rec leaves out
+
+
+def _rec(**changes):
+    """A valid record with ``changes`` made; a key given ``DROP`` is left out."""
+    rec = {"id": "a", "question_template": "q", "sql": VALID_GOLD[0], **changes}
+    return {k: v for k, v in rec.items() if v is not DROP}
+
+
+# One corpus per kind of fault, for the pinned oracle cases.
+PINNED_CORPORA = {
+    "valid": [_rec(), _rec(id=7, question_paraphrase="p", synthetic=[{"text": "t", "pivot": "fr"}], schema=SCHEMA,
+                     note={"n": 1}), _rec(id="b", sql=VALID_GOLD[2], question_paraphrase=None, synthetic=[])],
+    "texts-differing-in-case": [_rec(sql=VALID_GOLD[3]), _rec(id="b", sql=VALID_GOLD[4])],
+    "duplicate-id": [_rec(), _rec(sql=VALID_GOLD[1])],
+    "duplicate-number-and-text-id": [_rec(id=1), _rec(id="1")],
+    "duplicate-id-with-bad-sql": [_rec(), _rec(sql=FAULTY_GOLD[0])],
+    "bom-id": [_rec(id="\ufeffa")],
+    "tab-id": [_rec(id="a\tb")],
+    "float-id": [_rec(id=1.5)],
+    "boolean-id": [_rec(id=True)],
+    "missing-id": [_rec(id=DROP)],
+    "missing-question": [_rec(question_template=DROP)],
+    "missing-sql": [_rec(sql=DROP)],
+    "missing-everything": [{}],
+    "missing-sql-and-bad-synthetic": [_rec(sql=DROP, synthetic=None)],
+    "synthetic-null": [_rec(synthetic=None)],
+    "synthetic-object": [_rec(synthetic={"text": "t", "pivot": "fr"})],
+    "synthetic-item-not-an-object": [_rec(synthetic=[{"text": "t", "pivot": "fr"}, "t"])],
+    "synthetic-text-not-a-string": [_rec(synthetic=[{"text": 1, "pivot": "fr"}])],
+    "synthetic-without-pivot": [_rec(synthetic=[{"text": "t"}])],
+    "blank-question": [_rec(question_template=" ")],
+    "question-zero": [_rec(question_template=0)],
+    "question-list": [_rec(question_template=[" "])],
+    "question-object": [_rec(question_template={})],
+    "paraphrase-number": [_rec(question_paraphrase=1)],
+    "sql-number": [_rec(sql=5)],
+    "sql-null": [_rec(sql=None)],
+    "schema-number": [_rec(schema=5)],
+    "schema-without-columns": [_rec(schema={"tables": [{"name": "T"}]})],
+    "repeated-unparseable-sql": [_rec(id="b"), _rec(sql=FAULTY_GOLD[0]), _rec(id="c", sql=FAULTY_GOLD[0])],
+    "unterminated-sql": [_rec(sql=FAULTY_GOLD[1])],
+    "empty-sql": [_rec(sql="")],
+    "not-an-object": [_rec(id="b"), ["id", "a"]],
+    "null-record": [None],
+    "string-record": ["{}"],
+}
+
+
+def _gold_outcome(sample):
+    try:
+        return sample.gold_query, sample.gold_token_count
+    except DataError as exc:
+        return type(exc), str(exc)
+
+
+def load_outcome(validate, numbered, parse_gold):
+    """What ``validate`` gives: each sample with its attributes as loaded and
+    its gold parse, or the type, number and message of its error."""
+    try:
+        samples = validate(numbered, parse_gold=parse_gold)
+    except Exception as exc:
+        return type(exc), getattr(exc, "line", None), str(exc)
+    return [(sample, dict(vars(sample)), _gold_outcome(sample)) for sample in samples]
+
+
+class TestLoaderOracle:
+    """validate_records against the loader it replaced, which checked with
+    generator expressions, built every sample through its constructor and
+    parsed every selected gold text again. CI also runs these under the
+    deep hypothesis profile (``-k oracle --hypothesis-profile=deep``)."""
+
+    @pytest.mark.parametrize("parse_gold", sorted(PARSE_GOLD))
+    @pytest.mark.parametrize("records", PINNED_CORPORA.values(), ids=PINNED_CORPORA)
+    def test_samples_and_errors_match_the_loader_oracle_on_pinned_cases(self, records, parse_gold):
+        numbered = list(enumerate(records, start=1))
+        assert load_outcome(validate_records, numbered, PARSE_GOLD[parse_gold]) == load_outcome(
+            loader_oracle.validate_records, numbered, PARSE_GOLD[parse_gold]
+        )
+
+    @given(st.lists(corpus_record(), max_size=6), st.sampled_from(sorted(PARSE_GOLD)))
+    def test_samples_and_errors_match_the_loader_oracle(self, records, parse_gold):
+        numbered = list(enumerate(records, start=1))
+        assert load_outcome(validate_records, numbered, PARSE_GOLD[parse_gold]) == load_outcome(
+            loader_oracle.validate_records, numbered, PARSE_GOLD[parse_gold]
+        )
+
+    @given(st.lists(st.sampled_from(VALID_GOLD), min_size=1, max_size=8))
+    def test_valid_corpora_match_the_loader_oracle(self, texts):
+        numbered = [(k, {"id": k, "question_template": "q", "sql": sql}) for k, sql in enumerate(texts, start=7)]
+        for parse_gold in PARSE_GOLD.values():
+            outcome = load_outcome(validate_records, numbered, parse_gold)
+            assert outcome == load_outcome(loader_oracle.validate_records, numbered, parse_gold)
+            assert isinstance(outcome, list) and len(outcome) == len(texts)
+
+
+class TestLoadedSamples:
+    RECORDS = [
+        {"id": "a", "question_template": "q", "sql": "SELECT * FROM T"},
+        {"id": "b", "question_template": "q", "sql": "SELECT A FROM U", "question_paraphrase": "p",
+         "synthetic": [{"text": "t", "pivot": "fr"}], "schema": SCHEMA, "note": [1]},
+        {"id": "c", "question_template": "q", "sql": "SELECT * FROM T"},
+    ]
+
+    def test_a_repeated_gold_text_is_parsed_once_per_load(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.jsonl"
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in self.RECORDS), encoding="utf-8")
+        parsed = []
+        parse = query._parse_tokens
+        monkeypatch.setattr(query, "_parse_tokens", lambda lexed: parsed.append(lexed[0]) or parse(lexed))
+        first = load_corpus(path)
+        assert parsed == ["SELECT * FROM T", "SELECT A FROM U"]
+        assert first[0].gold_query is first[2].gold_query
+        # The memo lives for one call: a second load parses every text again.
+        second = load_corpus(path)
+        assert parsed == ["SELECT * FROM T", "SELECT A FROM U"] * 2
+        assert second[0].gold_query is not first[0].gold_query
+        assert [s.gold_query for s in second] == [s.gold_query for s in first]
+
+    def test_the_parse_gold_filter_holds_for_a_repeated_text(self, monkeypatch):
+        # "a" and "c" share their text; only "c" is selected, as eval selects the samples of its split.
+        parsed = []
+        parse = query._parse_tokens
+        monkeypatch.setattr(query, "_parse_tokens", lambda lexed: parsed.append(lexed[0]) or parse(lexed))
+        samples = validate_records(enumerate(self.RECORDS, start=1), parse_gold=lambda sample: sample.id == "c")
+        assert parsed == ["SELECT * FROM T"]
+        assert ["_gold" in vars(s) for s in samples] == [False, False, True]
+
+    def test_a_loaded_sample_cannot_be_told_from_a_constructed_one(self):
+        loaded = validate_records(enumerate(self.RECORDS, start=1))[1]
+        built = Sample("b", "q", "SELECT A FROM U", "p", (Paraphrase("t", "fr"),), SchemaDef.from_dict(SCHEMA),
+                       {"note": [1]})
+        built.gold_query
+        assert loaded == built
+        assert vars(loaded) == vars(built) and list(vars(loaded)) == list(vars(built))
+        assert type(loaded.synthetic_paraphrases[0]) is Paraphrase
+        assert vars(loaded.synthetic_paraphrases[0]) == vars(built.synthetic_paraphrases[0])
+        assert loaded.to_record() == built.to_record() == self.RECORDS[1]
+        assert replace(loaded, id="z") == replace(built, id="z")
+        # A replaced gold_sql parses its own query; the loaded sample keeps its own.
+        other = replace(loaded, gold_sql="SELECT B FROM V")
+        assert "_gold" not in vars(other)
+        assert other.gold_query == parse_sql("SELECT B FROM V") and other.gold_token_count == 4
+        assert loaded.gold_query == parse_sql("SELECT A FROM U")
 
 
 class TestExecDb:
