@@ -13,9 +13,10 @@ stored uppercase), literal values keep their original case.
 
 from __future__ import annotations
 
+import functools
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from .errors import ParseError, UnsupportedSyntax, UnterminatedLiteral
@@ -284,15 +285,30 @@ _COLUMN_RE = re.compile(rf"({_IDENT})(?:\.({_IDENT}))?\Z")
 _NUMBER_RE = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)\Z")
 
 
-def _column_ref(text: str, tokens: list[str], k: int) -> ColumnRef:
-    tok = tokens[k]
+# Each column spelling is built once per process and its frozen node shared
+# by every parse; the key is the lexeme, so there is no key to build. The
+# bound keeps untrusted SQL from growing the cache without limit.
+_COLUMN_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=_COLUMN_CACHE_SIZE)
+def _column_node(tok: str) -> ColumnRef | None:
+    """The column reference the lexeme ``tok`` spells, or None."""
     m = _COLUMN_RE.match(tok)
     if m is None:
+        return None
+    head, tail = m.groups()
+    return _build_column_ref(tail.upper(), head.upper()) if tail else _build_column_ref(head.upper(), None)
+
+
+def _column_ref(text: str, tokens: list[str], k: int) -> ColumnRef:
+    tok = tokens[k]
+    column = _column_node(tok)
+    if column is None:
         if tok and tok[0] not in "\"'" and tok not in _PUNCT:
             raise ParseError(f"malformed column reference {tok!r}", _offset(text, k), {"column reference"})
         raise ParseError("expected a column reference", _offset(text, k), {"column reference"})
-    head, tail = m.groups()
-    return _build_column_ref(tail.upper(), head.upper()) if tail else _build_column_ref(head.upper(), None)
+    return column
 
 
 def _table_name(text: str, tokens: list[str], k: int) -> str:
@@ -464,16 +480,24 @@ def serialize_sql(query: SqlQuery) -> str:
 
 def rename_tables(query: SqlQuery, mapping: Mapping[str, str]) -> SqlQuery:
     """Replace every table name found in ``mapping``: the FROM table, join
-    tables, and the table qualifiers of column references."""
-    table = lambda name: mapping.get(name, name)
+    tables, and the table qualifiers of column references. A node whose
+    names all stay is kept as it is. A mapping that makes two FROM/JOIN
+    tables one raises :class:`ValueError`."""
 
     def ref(column):
-        return replace(column, table=table(column.table)) if isinstance(column, ColumnRef) else column
+        table = getattr(column, "table", None)  # STAR has no table
+        return _build_column_ref(column.column, mapping[table]) if table in mapping else column
 
-    return replace(
-        query,
-        select_items=tuple(replace(it, column=ref(it.column)) for it in query.select_items),
-        main_table=table(query.main_table),
-        joins=tuple(replace(j, table=table(j.table), left=ref(j.left), right=ref(j.right)) for j in query.joins),
-        conditions=tuple(replace(c, column=ref(c.column)) for c in query.conditions),
-    )
+    def join(j):
+        left, right = ref(j.left), ref(j.right)
+        if j.table in mapping or left is not j.left or right is not j.right:
+            return _build_join(mapping.get(j.table, j.table), left, right)
+        return j
+
+    items = [it if (c := ref(it.column)) is it.column else _build_select_item(it.agg_op, it.distinct, c)
+             for it in query.select_items]
+    conditions = [
+        cond if (c := ref(cond.column)) is cond.column else _build_condition(c, cond.op, cond.value, cond.connector)
+        for cond in query.conditions
+    ]
+    return SqlQuery(items, mapping.get(query.main_table, query.main_table), [*map(join, query.joins)], conditions)

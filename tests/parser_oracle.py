@@ -5,11 +5,16 @@ character scanner that the regex lexer replaced.
 It walks ``_Token`` objects (kind, text, offset) through a ``_Stream``.
 :func:`parse_and_count` feeds it the scanner's tokens, so neither the
 library's lexer nor its parser takes part.
+
+:func:`rename_tables` is the ``dataclasses.replace`` version of
+``medsql.query.rename_tables``, which now rebuilds only the nodes it renames.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
+from dataclasses import replace
 from typing import NamedTuple
 
 from medsql.errors import ParseError, UnsupportedSyntax
@@ -245,3 +250,20 @@ def parse_and_count(scanned: list[tuple[str, str, int]]) -> tuple[SqlQuery, int]
     """The query and token count of the text that scanned to ``scanned``."""
     tokens = [_Token(*tok) for tok in scanned]
     return _parse_tokens(tokens), len(tokens) - 1
+
+
+def rename_tables(query: SqlQuery, mapping: Mapping[str, str]) -> SqlQuery:
+    """Replace every table name found in ``mapping``: the FROM table, join
+    tables, and the table qualifiers of column references."""
+    table = lambda name: mapping.get(name, name)
+
+    def ref(column):
+        return replace(column, table=table(column.table)) if isinstance(column, ColumnRef) else column
+
+    return replace(
+        query,
+        select_items=tuple(replace(it, column=ref(it.column)) for it in query.select_items),
+        main_table=table(query.main_table),
+        joins=tuple(replace(j, table=table(j.table), left=ref(j.left), right=ref(j.right)) for j in query.joins),
+        conditions=tuple(replace(c, column=ref(c.column)) for c in query.conditions),
+    )

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import medsql
-from medsql import cli, errors, records, store
+from medsql import cli, errors, query, records, store
 from medsql.cli import build_parser, cmd
 from medsql.query import parse_sql
 from medsql.splits import Split, SplitAssignment, SplitSpec, assign_splits
@@ -191,8 +191,9 @@ class TestIngest:
             "SELECT COUNT(*) FROM LAB INNER JOIN LABS ON LAB.X = LABS.X",
             "SELECT COUNT(*) FROM DEMOGRAPHIC INNER JOIN LAB ON DEMOGRAPHIC.X = LAB.X "
             "INNER JOIN LABS ON DEMOGRAPHIC.X = LABS.X",
+            "SELECT LABS.FLAG FROM LAB INNER JOIN LABS ON LAB.X = LABS.X",
         ],
-        ids=["onto-main-table", "onto-joined-table"],
+        ids=["onto-main-table", "onto-joined-table", "with-a-qualified-column"],
     )
     def test_normalization_that_merges_two_tables_exits_two(self, workdir, capsys, sql):
         # This crashed with an uncaught ValueError from the renamed query.
@@ -283,6 +284,45 @@ class TestIngest:
         )
         assert cmd(["ingest", "--corpus", "raw.jsonl", "--schema", "schema.json", "--out", "n.jsonl"]) == 0
         assert [s.id for s in load_corpus("n.jsonl")] == ["1", "2"]
+
+
+class TestTableRenames:
+    def test_a_query_whose_tables_are_all_in_the_schema_searches_no_variant(self, clinic, monkeypatch):
+        searched = []
+        monkeypatch.setattr(cli, "_name_variants", lambda name: searched.append(name) or set())
+        schema_tables = {t.name.upper() for t in clinic.schema.tables}
+        known = parse_sql(
+            "SELECT COUNT(DISTINCT DEMOGRAPHIC.SUBJECT_ID), AGE FROM DEMOGRAPHIC "
+            "INNER JOIN LAB ON DEMOGRAPHIC.HADM_ID = LAB.HADM_ID WHERE LAB.FLAG = 'abnormal'"
+        )
+        assert cli._table_renames(1, known, schema_tables) == {}
+        assert searched == []
+        assert cli._table_renames(1, parse_sql("SELECT COUNT(*) FROM PROCEDURE"), schema_tables) == {}
+        assert searched == ["PROCEDURE"]
+
+
+class TestCommandsInOneProcess:
+    def test_commands_give_the_same_bytes_from_a_cold_and_a_warm_column_cache(self, workdir):
+        # query._column_node outlives a command; no output may depend on what it holds.
+        write_jsonl("raw.jsonl", read_jsonl("corpus.jsonl") + [
+            {"id": "singular", "question_template": "q",
+             "sql": 'SELECT COUNT(*) FROM PROCEDURE WHERE PROCEDURE.SHORT_TITLE = "X"'},
+        ])
+        argvs = [
+            ["ingest", "--corpus", "raw.jsonl", "--schema", "schema.json", "--out", "ingested.jsonl"],
+            ["stats", "--corpus", "ingested.jsonl", "--schema", "schema.json", "--out", "stats.json"],
+            ["split", "--corpus", "ingested.jsonl", "--test-size", "400", "--seed", "7", "--out", "split.tsv"],
+        ]
+        query._column_node.cache_clear()
+        runs = []
+        for _ in range(2):
+            for argv in argvs:
+                assert cmd(argv) == 0
+            runs.append({p.name: p.read_bytes() for p in sorted(workdir.iterdir()) if p.is_file()})
+        assert runs[0] == runs[1]
+        assert {"ingested.jsonl.manifest.json", "stats.json.manifest.json", "split.tsv.manifest.json"} <= runs[0].keys()
+        assert b"PROCEDURES.SHORT_TITLE" in runs[0]["ingested.jsonl"]
+
 
 class TestStats:
     def test_values_match_the_library(self, workdir, clinic):

@@ -529,46 +529,47 @@ def query_shaped(draw) -> str:
     return "".join(draw(GAPS) + piece for piece in pieces)
 
 
+# Texts at the edges of the dialect, each a parse or an error.
+PINNED_PARSE_CASES = [
+    "\u017fELECT * FROM T",  # the long s case-folds to s
+    "SELECT COUNT ( * ) , count(distinct t.a), DISTINCT * FROM T",
+    "SELECT count FROM T",
+    "SELECT COUNT(A FROM T",
+    "SELECT A FROM T WHERE B = (SELECT C FROM U)",
+    "SELECT A FROM (SELECT",
+    "SELECT A FROM T INNER JOIN T ON A = B",
+    "SELECT A FROM T INNER JOIN U ON A != B",
+    "SELECT A FROM T LEFT JOIN U ON A = B",
+    "SELECT A FROM T INNER U",
+    "SELECT A FROM T INNER JOIN U A = B",
+    "SELECT A FROM 1T",
+    "SELECT A, FROM T",
+    "SELECT DISTINCT FROM T",
+    "SELECT A FROM T WHERE NOT B = 1",
+    "SELECT A FROM T WHERE EXISTS (SELECT",
+    "SELECT A FROM T WHERE B IN (1)",
+    "SELECT A FROM T WHERE B C = 1",
+    "SELECT A FROM T WHERE B = C",
+    "SELECT A FROM T WHERE B",
+    "SELECT A FROM T WHERE B = 1 GROUP BY A",
+    "SELECT A FROM T WHERE B = 'it''s' OR C LIKE \"%x\" and D >= -1.5",
+    "SELECT A FROM T WHERE B = 'open",
+    "SELECT A.B.C FROM T",
+    "SELECT \"A\" FROM T",
+    "SELECT A FROM T WHERE",
+    "SELECT",
+    "  ",
+    "",
+]
+
+
 class TestOracles:
     """The lexer and parser against the scanner and the recursive-descent
     parser they replaced. CI also runs these under the deep hypothesis
     profile (``-k oracle --hypothesis-profile=deep``), so they set no
     example count of their own."""
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "\u017fELECT * FROM T",  # the long s case-folds to s
-            "SELECT COUNT ( * ) , count(distinct t.a), DISTINCT * FROM T",
-            "SELECT count FROM T",
-            "SELECT COUNT(A FROM T",
-            "SELECT A FROM T WHERE B = (SELECT C FROM U)",
-            "SELECT A FROM (SELECT",
-            "SELECT A FROM T INNER JOIN T ON A = B",
-            "SELECT A FROM T INNER JOIN U ON A != B",
-            "SELECT A FROM T LEFT JOIN U ON A = B",
-            "SELECT A FROM T INNER U",
-            "SELECT A FROM T INNER JOIN U A = B",
-            "SELECT A FROM 1T",
-            "SELECT A, FROM T",
-            "SELECT DISTINCT FROM T",
-            "SELECT A FROM T WHERE NOT B = 1",
-            "SELECT A FROM T WHERE EXISTS (SELECT",
-            "SELECT A FROM T WHERE B IN (1)",
-            "SELECT A FROM T WHERE B C = 1",
-            "SELECT A FROM T WHERE B = C",
-            "SELECT A FROM T WHERE B",
-            "SELECT A FROM T WHERE B = 1 GROUP BY A",
-            "SELECT A FROM T WHERE B = 'it''s' OR C LIKE \"%x\" and D >= -1.5",
-            "SELECT A FROM T WHERE B = 'open",
-            "SELECT A.B.C FROM T",
-            "SELECT \"A\" FROM T",
-            "SELECT A FROM T WHERE",
-            "SELECT",
-            "  ",
-            "",
-        ],
-    )
+    @pytest.mark.parametrize("text", PINNED_PARSE_CASES)
     def test_parse_matches_the_parser_oracle_on_pinned_cases(self, text):
         assert parse_outcome(query_module._parse_and_count, text) == parse_outcome(oracle_parse_and_count, text)
 
@@ -667,3 +668,101 @@ class TestRenameTables:
         q = parse_sql("SELECT LAB.FLAG FROM LAB WHERE LAB.ITEMID = 5")
         assert rename_tables(q, {"PROCEDURE": "PROCEDURES"}) == q
         assert rename_tables(q, {}) == q
+
+    def test_nodes_whose_names_stay_are_kept_as_they_are(self):
+        # The dataclasses.replace version rebuilt every node, renamed or not.
+        q = parse_sql(
+            "SELECT LAB.FLAG, COUNT(*), PROCEDURE.ICD9_CODE FROM LAB "
+            "INNER JOIN PROCEDURE ON LAB.HADM_ID = PROCEDURE.HADM_ID "
+            "INNER JOIN DEMOGRAPHIC ON LAB.HADM_ID = DEMOGRAPHIC.HADM_ID "
+            "WHERE LAB.ITEMID = 5 AND PROCEDURE.SHORT_TITLE = 'x'"
+        )
+        renamed = rename_tables(q, {"PROCEDURE": "PROCEDURES"})
+        assert renamed == parser_oracle.rename_tables(q, {"PROCEDURE": "PROCEDURES"})
+        kept = [(q.select_items[0], renamed.select_items[0]), (q.select_items[1], renamed.select_items[1]),
+                (q.joins[0].left, renamed.joins[0].left), (q.joins[1], renamed.joins[1]),
+                (q.conditions[0], renamed.conditions[0]), (q.conditions[1].value, renamed.conditions[1].value)]
+        assert all(new is old for old, new in kept)
+        assert renamed.select_items[2] is not q.select_items[2] and renamed.joins[0] is not q.joins[0]
+        assert renamed.conditions[1].column == ColumnRef("SHORT_TITLE", "PROCEDURES")
+
+    @pytest.mark.parametrize(
+        "sql, mapping",
+        [
+            ("SELECT A FROM LAB INNER JOIN LABS ON LAB.X = LABS.X", {"LABS": "LAB"}),
+            ("SELECT A FROM T INNER JOIN U ON T.X = U.X INNER JOIN V ON T.X = V.X", {"U": "W", "V": "W"}),
+        ],
+        ids=["onto-main-table", "two-joins-onto-one"],
+    )
+    def test_a_mapping_that_merges_two_tables_raises_as_the_rename_oracle_does(self, sql, mapping):
+        q = parse_sql(sql)
+        for rename in (rename_tables, parser_oracle.rename_tables):
+            with pytest.raises(ValueError, match="join tables must be pairwise distinct"):
+                rename(q, mapping)
+
+    @given(st.data())
+    def test_rename_matches_the_rename_oracle(self, data):
+        query = data.draw(queries())
+        names = {query.main_table} | {j.table for j in query.joins}
+        names |= {node.table for node in tree_nodes(query) if isinstance(node, ColumnRef)}
+        pool = st.sampled_from(sorted(names - {None}) + ["FRESH", "FRESH_2"])
+        mapping = {data.draw(pool): data.draw(pool) for _ in range(data.draw(st.integers(0, 4)))}
+        outcomes = []
+        for rename in (rename_tables, parser_oracle.rename_tables):
+            try:
+                renamed = rename(query, mapping)
+            except ValueError as exc:
+                outcomes.append((ValueError, str(exc)))
+            else:
+                outcomes.append((renamed, repr(renamed), serialize_sql(renamed)))
+        assert outcomes[0] == outcomes[1]
+
+
+class TestColumnCache:
+    """``query._column_node`` builds each column spelling once per process."""
+
+    def test_queries_that_share_a_column_lexeme_share_its_node(self):
+        # Before the cache, each parse built a node of its own.
+        a = parse_sql("SELECT DEMOGRAPHIC.NAME FROM DEMOGRAPHIC")
+        b = parse_sql('SELECT COUNT(*) FROM DEMOGRAPHIC WHERE DEMOGRAPHIC.NAME = "x"')
+        assert a.select_items[0].column is b.conditions[0].column
+
+    @pytest.mark.parametrize("text", PINNED_PARSE_CASES)
+    def test_a_cold_parse_equals_a_warm_one_on_the_pinned_oracle_cases(self, text):
+        query_module._column_node.cache_clear()
+        cold = parse_outcome(query_module._parse_and_count, text)
+        warm = parse_outcome(query_module._parse_and_count, text)
+        assert cold == warm and repr(cold) == repr(warm)
+        assert cold == parse_outcome(oracle_parse_and_count, text)
+
+    @pytest.mark.parametrize(
+        "column, message",
+        [
+            ("A.B.C", "malformed column reference 'A.B.C'"),
+            ("'x'", "expected a column reference"),
+            ("(", "expected a column reference"),
+            ("1", "malformed column reference '1'"),
+        ],
+    )
+    def test_a_malformed_column_fails_alike_the_first_time_and_every_later_time(self, column, message):
+        # A cached miss must still name the lexeme and find its own offset.
+        texts = [f"SELECT {column} FROM T", f"SELECT A FROM T WHERE {column} = 1",
+                 f"SELECT A FROM T INNER JOIN U ON T.K = {column}"]
+        query_module._column_node.cache_clear()
+        for text in texts * 3:
+            with pytest.raises(ParseError) as raised:
+                parse_sql(text)
+            offset = text.index(column)
+            assert str(raised.value) == f"{message} at offset {offset} (expected column reference)"
+            assert raised.value.offset == offset
+
+    def test_the_cache_stays_within_its_bound(self):
+        # Untrusted SQL may spell any number of distinct columns.
+        query_module._column_node.cache_clear()
+        for k in range(5000):
+            parse_sql(f"SELECT T.C{k} FROM T")
+        info = query_module._column_node.cache_info()
+        assert info.maxsize == query_module._COLUMN_CACHE_SIZE == 4096
+        assert info.currsize == info.maxsize
+        assert parse_sql("SELECT T.C0 FROM T").select_items[0].column == ColumnRef("C0", "T")
+        query_module._column_node.cache_clear()
