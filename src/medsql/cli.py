@@ -192,13 +192,11 @@ def _table_renames(number: int, query: SqlQuery, schema_tables: set[str]) -> dic
     """Map each mentioned table name that differs from exactly one schema
     name only by a trailing S/ES to that schema name. A rename that would
     make two FROM/JOIN tables one is an error of record ``number``."""
-    mentioned = {query.main_table, *(j.table for j in query.joins), *(c.column.table for c in query.conditions)}
-    mentioned.update(it.column.table for it in query.select_items if isinstance(it.column, ColumnRef))
-    unknown = mentioned - schema_tables - {None}
-    if not unknown:  # the parser refuses a repeated FROM/JOIN table, so nothing can merge
-        return {}
+    mentioned = {query.main_table} | {j.table for j in query.joins}
+    mentioned |= {c.column.table for c in query.conditions}
+    mentioned |= {it.column.table for it in query.select_items if isinstance(it.column, ColumnRef)}
     rename: dict[str, str] = {}
-    for name in unknown:
+    for name in mentioned - schema_tables - {None}:
         matches = sorted(_name_variants(name) & schema_tables)
         if len(matches) == 1:
             rename[name] = matches[0]

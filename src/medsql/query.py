@@ -286,29 +286,31 @@ _NUMBER_RE = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)\Z")
 
 
 # Each column spelling is built once per process and its frozen node shared
-# by every parse; the key is the lexeme, so there is no key to build. The
-# bound keeps untrusted SQL from growing the cache without limit.
+# by every parse; the key is the lexeme, so there is no key to build. A
+# lexeme that spells no column raises and is not kept, so the cache holds at
+# most _COLUMN_CACHE_SIZE column spellings, each with about twice its length.
 _COLUMN_CACHE_SIZE = 4096
 
 
 @functools.lru_cache(maxsize=_COLUMN_CACHE_SIZE)
-def _column_node(tok: str) -> ColumnRef | None:
-    """The column reference the lexeme ``tok`` spells, or None."""
+def _column_node(tok: str) -> ColumnRef:
+    """The column reference the lexeme ``tok`` spells; ValueError if none."""
     m = _COLUMN_RE.match(tok)
     if m is None:
-        return None
+        raise ValueError(tok)
     head, tail = m.groups()
     return _build_column_ref(tail.upper(), head.upper()) if tail else _build_column_ref(head.upper(), None)
 
 
 def _column_ref(text: str, tokens: list[str], k: int) -> ColumnRef:
     tok = tokens[k]
-    column = _column_node(tok)
-    if column is None:
-        if tok and tok[0] not in "\"'" and tok not in _PUNCT:
-            raise ParseError(f"malformed column reference {tok!r}", _offset(text, k), {"column reference"})
-        raise ParseError("expected a column reference", _offset(text, k), {"column reference"})
-    return column
+    try:
+        return _column_node(tok)
+    except ValueError:
+        pass
+    if tok and tok[0] not in "\"'" and tok not in _PUNCT:
+        raise ParseError(f"malformed column reference {tok!r}", _offset(text, k), {"column reference"})
+    raise ParseError("expected a column reference", _offset(text, k), {"column reference"})
 
 
 def _table_name(text: str, tokens: list[str], k: int) -> str:
@@ -480,24 +482,18 @@ def serialize_sql(query: SqlQuery) -> str:
 
 def rename_tables(query: SqlQuery, mapping: Mapping[str, str]) -> SqlQuery:
     """Replace every table name found in ``mapping``: the FROM table, join
-    tables, and the table qualifiers of column references. A node whose
-    names all stay is kept as it is. A mapping that makes two FROM/JOIN
-    tables one raises :class:`ValueError`."""
+    tables, and the table qualifiers of column references. A mapping that
+    makes two FROM/JOIN tables one raises :class:`ValueError`."""
+    table = lambda name: mapping.get(name, name)
 
     def ref(column):
-        table = getattr(column, "table", None)  # STAR has no table
-        return _build_column_ref(column.column, mapping[table]) if table in mapping else column
+        if getattr(column, "table", None) in mapping:  # STAR has no table
+            return _build_column_ref(column.column, mapping[column.table])
+        return column
 
-    def join(j):
-        left, right = ref(j.left), ref(j.right)
-        if j.table in mapping or left is not j.left or right is not j.right:
-            return _build_join(mapping.get(j.table, j.table), left, right)
-        return j
-
-    items = [it if (c := ref(it.column)) is it.column else _build_select_item(it.agg_op, it.distinct, c)
-             for it in query.select_items]
-    conditions = [
-        cond if (c := ref(cond.column)) is cond.column else _build_condition(c, cond.op, cond.value, cond.connector)
-        for cond in query.conditions
-    ]
-    return SqlQuery(items, mapping.get(query.main_table, query.main_table), [*map(join, query.joins)], conditions)
+    return SqlQuery(
+        [_build_select_item(it.agg_op, it.distinct, ref(it.column)) for it in query.select_items],
+        table(query.main_table),
+        [_build_join(table(j.table), ref(j.left), ref(j.right)) for j in query.joins],
+        [_build_condition(ref(c.column), c.op, c.value, c.connector) for c in query.conditions],
+    )

@@ -7,7 +7,8 @@ It walks ``_Token`` objects (kind, text, offset) through a ``_Stream``.
 library's lexer nor its parser takes part.
 
 :func:`rename_tables` is the ``dataclasses.replace`` version of
-``medsql.query.rename_tables``, which now rebuilds only the nodes it renames.
+``medsql.query.rename_tables``, which now rebuilds the query with the parser's
+builders and keeps each column reference whose table stays.
 """
 
 from __future__ import annotations

@@ -286,21 +286,6 @@ class TestIngest:
         assert [s.id for s in load_corpus("n.jsonl")] == ["1", "2"]
 
 
-class TestTableRenames:
-    def test_a_query_whose_tables_are_all_in_the_schema_searches_no_variant(self, clinic, monkeypatch):
-        searched = []
-        monkeypatch.setattr(cli, "_name_variants", lambda name: searched.append(name) or set())
-        schema_tables = {t.name.upper() for t in clinic.schema.tables}
-        known = parse_sql(
-            "SELECT COUNT(DISTINCT DEMOGRAPHIC.SUBJECT_ID), AGE FROM DEMOGRAPHIC "
-            "INNER JOIN LAB ON DEMOGRAPHIC.HADM_ID = LAB.HADM_ID WHERE LAB.FLAG = 'abnormal'"
-        )
-        assert cli._table_renames(1, known, schema_tables) == {}
-        assert searched == []
-        assert cli._table_renames(1, parse_sql("SELECT COUNT(*) FROM PROCEDURE"), schema_tables) == {}
-        assert searched == ["PROCEDURE"]
-
-
 class TestCommandsInOneProcess:
     def test_commands_give_the_same_bytes_from_a_cold_and_a_warm_column_cache(self, workdir):
         # query._column_node outlives a command; no output may depend on what it holds.

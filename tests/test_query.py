@@ -669,8 +669,8 @@ class TestRenameTables:
         assert rename_tables(q, {"PROCEDURE": "PROCEDURES"}) == q
         assert rename_tables(q, {}) == q
 
-    def test_nodes_whose_names_stay_are_kept_as_they_are(self):
-        # The dataclasses.replace version rebuilt every node, renamed or not.
+    def test_column_references_whose_tables_stay_are_kept_as_they_are(self):
+        # The dataclasses.replace version rebuilt every column reference, renamed or not.
         q = parse_sql(
             "SELECT LAB.FLAG, COUNT(*), PROCEDURE.ICD9_CODE FROM LAB "
             "INNER JOIN PROCEDURE ON LAB.HADM_ID = PROCEDURE.HADM_ID "
@@ -679,11 +679,12 @@ class TestRenameTables:
         )
         renamed = rename_tables(q, {"PROCEDURE": "PROCEDURES"})
         assert renamed == parser_oracle.rename_tables(q, {"PROCEDURE": "PROCEDURES"})
-        kept = [(q.select_items[0], renamed.select_items[0]), (q.select_items[1], renamed.select_items[1]),
-                (q.joins[0].left, renamed.joins[0].left), (q.joins[1], renamed.joins[1]),
-                (q.conditions[0], renamed.conditions[0]), (q.conditions[1].value, renamed.conditions[1].value)]
+        kept = [(q.select_items[0].column, renamed.select_items[0].column), (q.joins[0].left, renamed.joins[0].left),
+                (q.joins[1].left, renamed.joins[1].left), (q.joins[1].right, renamed.joins[1].right),
+                (q.conditions[0].column, renamed.conditions[0].column)]
         assert all(new is old for old, new in kept)
-        assert renamed.select_items[2] is not q.select_items[2] and renamed.joins[0] is not q.joins[0]
+        assert renamed.select_items[2].column == ColumnRef("ICD9_CODE", "PROCEDURES")
+        assert renamed.joins[0].right == ColumnRef("HADM_ID", "PROCEDURES")
         assert renamed.conditions[1].column == ColumnRef("SHORT_TITLE", "PROCEDURES")
 
     @pytest.mark.parametrize(
@@ -745,7 +746,7 @@ class TestColumnCache:
         ],
     )
     def test_a_malformed_column_fails_alike_the_first_time_and_every_later_time(self, column, message):
-        # A cached miss must still name the lexeme and find its own offset.
+        # Each miss must name the lexeme and find its own offset.
         texts = [f"SELECT {column} FROM T", f"SELECT A FROM T WHERE {column} = 1",
                  f"SELECT A FROM T INNER JOIN U ON T.K = {column}"]
         query_module._column_node.cache_clear()
@@ -755,6 +756,14 @@ class TestColumnCache:
             offset = text.index(column)
             assert str(raised.value) == f"{message} at offset {offset} (expected column reference)"
             assert raised.value.offset == offset
+
+    def test_a_lexeme_that_spells_no_column_is_not_kept(self):
+        # Only column spellings are kept, so junk lexemes from untrusted SQL cannot pile up.
+        query_module._column_node.cache_clear()
+        for k in range(100):
+            with pytest.raises(ParseError, match="malformed column reference"):
+                parse_sql(f"SELECT T{k}.{'X' * 1000}.C FROM T")
+        assert query_module._column_node.cache_info().currsize == 0
 
     def test_the_cache_stays_within_its_bound(self):
         # Untrusted SQL may spell any number of distinct columns.
