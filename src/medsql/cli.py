@@ -193,6 +193,7 @@ def _table_renames(number: int, query: SqlQuery, schema_tables: set[str]) -> dic
     name only by a trailing S/ES to that schema name. A rename that would
     make two FROM/JOIN tables one is an error of record ``number``."""
     mentioned = {query.main_table} | {j.table for j in query.joins}
+    mentioned |= {ref.table for j in query.joins for ref in (j.left, j.right)}
     mentioned |= {c.column.table for c in query.conditions}
     mentioned |= {it.column.table for it in query.select_items if isinstance(it.column, ColumnRef)}
     rename: dict[str, str] = {}

@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Union
 
 from .errors import DataError, RecordError
+from .query import _builder
 from .records import read_jsonl, record_id, write_jsonl
 
 
@@ -54,28 +55,10 @@ def _finite_score(value: object) -> float | None:
     return score if isfinite(score) else None
 
 
-# The loader builds its candidates and beams without their constructors,
-# as store.validate_records builds its samples: each builder puts the fields
-# into the instance's own __dict__ in field order, as __init__ does, and a
-# loaded beam is sorted by the loader instead of CandidateSet.__post_init__.
-_new = object.__new__
+# A loaded beam is sorted by the loader, not by CandidateSet.__post_init__.
+_build_candidate = _builder(Candidate)
+_build_beam = _builder(CandidateSet)
 _score = attrgetter("score")
-
-
-def _build_candidate(sql: str, score: float) -> Candidate:
-    candidate = _new(Candidate)
-    fields = candidate.__dict__
-    fields["sql"] = sql
-    fields["score"] = score
-    return candidate
-
-
-def _build_beam(sid: str, candidates: tuple[Candidate, ...]) -> CandidateSet:
-    beam = _new(CandidateSet)
-    fields = beam.__dict__
-    fields["id"] = sid
-    fields["candidates"] = candidates
-    return beam
 
 
 def load_predictions(path: str | Path) -> dict[str, Prediction]:

@@ -157,14 +157,19 @@ class SqlQuery:
 # __setattr__ ends. Its source is generated from the class's fields, as
 # dataclasses generates __init__: a loop over the fields measured slower
 # than the public constructor, so the body is one straight-line call per
-# field.
+# field. The corpus and prediction loaders build their records, which
+# have no slots, with the same generator: the body then puts each field
+# into the instance's __dict__ in field order, as __init__ does.
 def _builder(cls):
     """A function that takes the fields of ``cls`` in field order and
-    returns the node holding them, without ``__init__`` or ``__post_init__``."""
+    returns the instance holding them, without ``__init__`` or ``__post_init__``."""
     names = [field.name for field in fields(cls)]
     namespace = {"__name__": __name__, "__new": object.__new__, "__cls": cls}
-    namespace.update((f"__set_{name}", getattr(cls, name).__set__) for name in names)
-    sets = "".join(f"    __set_{name}(__node, {name})\n" for name in names)
+    if hasattr(cls, "__slots__"):
+        namespace.update((f"__set_{name}", getattr(cls, name).__set__) for name in names)
+        sets = "".join(f"    __set_{name}(__node, {name})\n" for name in names)
+    else:
+        sets = "    __fields = __node.__dict__\n" + "".join(f"    __fields[{name!r}] = {name}\n" for name in names)
     exec(f"def build({', '.join(names)}):\n    __node = __new(__cls)\n{sets}    return __node\n", namespace)
     build = namespace["build"]
     build.__qualname__ = build.__name__ = f"_build_{cls.__name__}"

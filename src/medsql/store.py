@@ -34,7 +34,7 @@ from .errors import (
     RecordError,
     UnknownColumn,
 )
-from .query import SqlQuery, _parse_and_count
+from .query import SqlQuery, _builder, _parse_and_count
 from .records import read_json, read_jsonl, record_id, write_json, write_jsonl
 
 ATTR_TEXT = "text"
@@ -192,36 +192,8 @@ class Sample:
         return rec
 
 
-# The loader builds its samples and paraphrases without their constructors,
-# as the parser builds its nodes (query._builder): a frozen dataclass's
-# __init__ sets each field through object.__setattr__, and Sample's
-# __post_init__ copies its tuple again. Each builder puts the fields into
-# the instance's own __dict__ in field order, as __init__ does.
-_new = object.__new__
-
-
-def _build_paraphrase(text: str, pivot: str) -> Paraphrase:
-    paraphrase = _new(Paraphrase)
-    fields = paraphrase.__dict__
-    fields["text"] = text
-    fields["pivot"] = pivot
-    return paraphrase
-
-
-def _build_sample(
-    sample_id: str, question: str, sql: str, paraphrase: str | None,
-    synthetic: tuple[Paraphrase, ...], schema: SchemaDef | None, extra: dict[str, Any],
-) -> Sample:
-    sample = _new(Sample)
-    fields = sample.__dict__
-    fields["id"] = sample_id
-    fields["template_question"] = question
-    fields["gold_sql"] = sql
-    fields["paraphrase_question"] = paraphrase
-    fields["synthetic_paraphrases"] = synthetic
-    fields["schema"] = schema
-    fields["extra"] = extra
-    return sample
+_build_paraphrase = _builder(Paraphrase)
+_build_sample = _builder(Sample)
 
 
 _SYNTHETIC_ERROR = "synthetic must be a list of objects with string text and pivot"

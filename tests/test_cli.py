@@ -177,6 +177,27 @@ class TestIngest:
         assert sample.gold_sql == 'SELECT COUNT(*) FROM PROCEDURES WHERE PROCEDURES.SHORT_TITLE = "X"'
         assert "1 with normalized table names" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "on",
+        ["PROCEDURE.HADM_ID = LAB.HADM_ID", "LAB.HADM_ID = PROCEDURE.HADM_ID"],
+        ids=["left", "right"],
+    )
+    def test_a_table_named_only_in_a_join_condition_is_renamed(self, on):
+        # Only FROM/JOIN tables, conditions and select items were searched, so this mapped nothing.
+        q = parse_sql(f"SELECT LAB.FLAG FROM LAB INNER JOIN PROCEDURES ON {on}")
+        assert cli._table_renames(1, q, {"LAB", "PROCEDURES"}) == {"PROCEDURE": "PROCEDURES"}
+
+    def test_a_singular_join_condition_qualifier_is_normalized(self, workdir, capsys):
+        # ingest wrote this query unchanged, naming a table the schema does not have, and exited 0.
+        write_jsonl("raw.jsonl", [
+            {"id": "a", "question_template": "q",
+             "sql": "SELECT LAB.FLAG FROM LAB INNER JOIN PROCEDURES ON PROCEDURE.HADM_ID = LAB.HADM_ID"},
+        ])
+        assert cmd(["ingest", "--corpus", "raw.jsonl", "--schema", "schema.json", "--out", "fixed.jsonl"]) == 0
+        sample = load_corpus("fixed.jsonl")[0]
+        assert sample.gold_sql == "SELECT LAB.FLAG FROM LAB INNER JOIN PROCEDURES ON PROCEDURES.HADM_ID = LAB.HADM_ID"
+        assert "1 with normalized table names" in capsys.readouterr().out
+
     def test_normalization_can_be_disabled(self, workdir):
         write_jsonl("raw.jsonl", [
             {"id": "a", "question_template": "q", "sql": "SELECT COUNT(*) FROM PROCEDURE"},

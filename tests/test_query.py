@@ -622,11 +622,12 @@ class TestRoundTrip:
 
 
 class TestBuilder:
-    # The first four are names a generated body might also use for its own.
-    NAMES = ("node", "build", "cls", "new", "value", "table")
+    # The first five are names a generated body might also use for its own.
+    NAMES = ("node", "build", "cls", "new", "fields", "value", "table")
 
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_a_built_node_is_the_constructed_one_without_post_init(self, n):
+    @pytest.mark.parametrize("slots", [True, False], ids=["slots", "dict"])
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_a_built_node_is_the_constructed_one_without_post_init(self, n, slots):
         armed = []
 
         def post_init(self):
@@ -634,7 +635,7 @@ class TestBuilder:
                 raise AssertionError("__post_init__ ran")
 
         cls = dataclasses.make_dataclass(
-            f"Node{n}", self.NAMES[:n], namespace={"__post_init__": post_init}, frozen=True, slots=True
+            f"Node{n}", self.NAMES[:n], namespace={"__post_init__": post_init}, frozen=True, slots=slots
         )
         values = [f"v{k}" for k in range(n)]
         constructed = cls(*values)
@@ -644,7 +645,11 @@ class TestBuilder:
         built = query_module._builder(cls)(*values)
         assert type(built) is cls and built == constructed and hash(built) == hash(constructed)
         assert [getattr(built, name) for name in self.NAMES[:n]] == values
-        assert not hasattr(built, "__dict__")
+        if slots:
+            assert not hasattr(built, "__dict__")
+        else:
+            assert list(vars(built)) == list(self.NAMES[:n])
+            assert vars(built) == vars(constructed)
         for name in self.NAMES[:n]:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(built, name, None)
